@@ -1,25 +1,8 @@
-//! Persisted performance baseline: the schema behind the repo-root
-//! `BENCH_*.json` trajectory.
-//!
-//! The `bench_baseline` binary sweeps all six code versions across host
-//! thread counts and rank counts, in both the **legacy** hot path (the
-//! pre-optimization allocation behaviour, reinstated behind
-//! `mas_mhd::perf::set_legacy_hot_path`) and the **lean** hot path
-//! (pooled halo buffers, cached buffer-id lists, allocation-free
-//! stepping). Real host wall-clock per step and the before/after deltas
-//! are persisted at the repo root so later PRs can detect regressions.
-//!
-//! Everything here round-trips through the hand-rolled [`crate::json`]
-//! module; `from_json` is *strict* — unknown or missing keys are schema
-//! drift and fail loudly (CI validates the committed file on every push).
+//! Host probes shared by the benchmarks: the machine fingerprint, the
+//! git SHA, the folded state hash and the peak resident set that tag
+//! every `perfbench` result.
 
-use crate::json::Json;
-
-/// Bump when the layout of the baseline files changes; `from_json`
-/// rejects any other value.
-pub const SCHEMA_VERSION: u64 = 1;
-
-/// Machine fingerprint so a baseline is never compared across hosts.
+/// Machine fingerprint so a result is never compared across hosts.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Machine {
     /// CPU model string from `/proc/cpuinfo`.
@@ -29,506 +12,6 @@ pub struct Machine {
     /// Kernel hostname.
     pub hostname: String,
 }
-
-/// Summary of the fixed deck the sweep ran.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DeckSummary {
-    /// Radial cells.
-    pub nr: u64,
-    /// Theta cells.
-    pub nt: u64,
-    /// Phi cells.
-    pub np: u64,
-    /// Steps per case.
-    pub n_steps: u64,
-    /// Repetitions per case (min wall is kept).
-    pub reps: u64,
-}
-
-/// One measured `(mode, version, threads, ranks)` point.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchCase {
-    /// `"legacy"` (pre-optimization hot path) or `"lean"`.
-    pub mode: String,
-    /// Code version tag (`A` … `D2XAD`).
-    pub version: String,
-    /// Host threads per rank.
-    pub threads: u64,
-    /// MPI ranks (φ-slab decomposition).
-    pub ranks: u64,
-    /// Real host wall-clock per step, milliseconds (min over reps).
-    pub wall_ms_per_step: f64,
-    /// Steps per real second (from the min-wall rep).
-    pub steps_per_sec: f64,
-    /// Modeled wall minutes on the virtual device (the paper's unit).
-    pub sim_minutes: f64,
-    /// `VmHWM` after the case, kB (process-wide high-water mark).
-    pub peak_rss_kb: u64,
-    /// FNV-1a fold of the per-rank state hashes, hex.
-    pub state_hash: String,
-}
-
-/// Before/after pair for one `(version, threads, ranks)` combination.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchDelta {
-    /// Code version tag.
-    pub version: String,
-    /// Host threads per rank.
-    pub threads: u64,
-    /// MPI ranks.
-    pub ranks: u64,
-    /// Steps/sec with the legacy hot path.
-    pub legacy_steps_per_sec: f64,
-    /// Steps/sec with the lean hot path.
-    pub lean_steps_per_sec: f64,
-    /// `100 * (lean - legacy) / legacy`.
-    pub improvement_pct: f64,
-}
-
-/// The whole persisted baseline file.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchFile {
-    /// Schema version ([`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Free-form run identifier (problem + short SHA).
-    pub bench_id: String,
-    /// `git rev-parse HEAD`, or `"unknown"` outside a work tree.
-    pub git_sha: String,
-    /// Host fingerprint.
-    pub machine: Machine,
-    /// The fixed deck.
-    pub deck: DeckSummary,
-    /// All measured cases.
-    pub cases: Vec<BenchCase>,
-    /// Legacy→lean deltas, one per combination.
-    pub deltas: Vec<BenchDelta>,
-    /// Mean `improvement_pct` across all host-engine combinations —
-    /// the headline number the acceptance gate checks (≥ 15).
-    pub host_engine_improvement_pct: f64,
-}
-
-impl Machine {
-    /// One-line rendering for compare output and mismatch warnings.
-    pub fn describe(&self) -> String {
-        format!("{} x{} @ {}", self.cpu, self.ncpu, self.hostname)
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("cpu".into(), Json::Str(self.cpu.clone())),
-            ("ncpu".into(), Json::Num(self.ncpu as f64)),
-            ("hostname".into(), Json::Str(self.hostname.clone())),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let f = fields(j, &["cpu", "ncpu", "hostname"], "machine")?;
-        Ok(Machine {
-            cpu: str_of(f[0], "machine.cpu")?,
-            ncpu: u64_of(f[1], "machine.ncpu")?,
-            hostname: str_of(f[2], "machine.hostname")?,
-        })
-    }
-}
-
-impl DeckSummary {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("nr".into(), Json::Num(self.nr as f64)),
-            ("nt".into(), Json::Num(self.nt as f64)),
-            ("np".into(), Json::Num(self.np as f64)),
-            ("n_steps".into(), Json::Num(self.n_steps as f64)),
-            ("reps".into(), Json::Num(self.reps as f64)),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let f = fields(j, &["nr", "nt", "np", "n_steps", "reps"], "deck")?;
-        Ok(DeckSummary {
-            nr: u64_of(f[0], "deck.nr")?,
-            nt: u64_of(f[1], "deck.nt")?,
-            np: u64_of(f[2], "deck.np")?,
-            n_steps: u64_of(f[3], "deck.n_steps")?,
-            reps: u64_of(f[4], "deck.reps")?,
-        })
-    }
-}
-
-impl BenchCase {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("mode".into(), Json::Str(self.mode.clone())),
-            ("version".into(), Json::Str(self.version.clone())),
-            ("threads".into(), Json::Num(self.threads as f64)),
-            ("ranks".into(), Json::Num(self.ranks as f64)),
-            ("wall_ms_per_step".into(), Json::Num(self.wall_ms_per_step)),
-            ("steps_per_sec".into(), Json::Num(self.steps_per_sec)),
-            ("sim_minutes".into(), Json::Num(self.sim_minutes)),
-            ("peak_rss_kb".into(), Json::Num(self.peak_rss_kb as f64)),
-            ("state_hash".into(), Json::Str(self.state_hash.clone())),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let f = fields(
-            j,
-            &[
-                "mode",
-                "version",
-                "threads",
-                "ranks",
-                "wall_ms_per_step",
-                "steps_per_sec",
-                "sim_minutes",
-                "peak_rss_kb",
-                "state_hash",
-            ],
-            "case",
-        )?;
-        let case = BenchCase {
-            mode: str_of(f[0], "case.mode")?,
-            version: str_of(f[1], "case.version")?,
-            threads: u64_of(f[2], "case.threads")?,
-            ranks: u64_of(f[3], "case.ranks")?,
-            wall_ms_per_step: f64_of(f[4], "case.wall_ms_per_step")?,
-            steps_per_sec: f64_of(f[5], "case.steps_per_sec")?,
-            sim_minutes: f64_of(f[6], "case.sim_minutes")?,
-            peak_rss_kb: u64_of(f[7], "case.peak_rss_kb")?,
-            state_hash: str_of(f[8], "case.state_hash")?,
-        };
-        if case.mode != "legacy" && case.mode != "lean" {
-            return Err(format!("case.mode must be legacy|lean, got {:?}", case.mode));
-        }
-        Ok(case)
-    }
-}
-
-impl BenchDelta {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("version".into(), Json::Str(self.version.clone())),
-            ("threads".into(), Json::Num(self.threads as f64)),
-            ("ranks".into(), Json::Num(self.ranks as f64)),
-            ("legacy_steps_per_sec".into(), Json::Num(self.legacy_steps_per_sec)),
-            ("lean_steps_per_sec".into(), Json::Num(self.lean_steps_per_sec)),
-            ("improvement_pct".into(), Json::Num(self.improvement_pct)),
-        ])
-    }
-
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let f = fields(
-            j,
-            &[
-                "version",
-                "threads",
-                "ranks",
-                "legacy_steps_per_sec",
-                "lean_steps_per_sec",
-                "improvement_pct",
-            ],
-            "delta",
-        )?;
-        Ok(BenchDelta {
-            version: str_of(f[0], "delta.version")?,
-            threads: u64_of(f[1], "delta.threads")?,
-            ranks: u64_of(f[2], "delta.ranks")?,
-            legacy_steps_per_sec: f64_of(f[3], "delta.legacy_steps_per_sec")?,
-            lean_steps_per_sec: f64_of(f[4], "delta.lean_steps_per_sec")?,
-            improvement_pct: f64_of(f[5], "delta.improvement_pct")?,
-        })
-    }
-}
-
-impl BenchFile {
-    /// Serialize to the canonical pretty-printed document.
-    pub fn to_json_string(&self) -> String {
-        Json::Obj(vec![
-            ("schema_version".into(), Json::Num(self.schema_version as f64)),
-            ("bench_id".into(), Json::Str(self.bench_id.clone())),
-            ("git_sha".into(), Json::Str(self.git_sha.clone())),
-            ("machine".into(), self.machine.to_json()),
-            ("deck".into(), self.deck.to_json()),
-            (
-                "cases".into(),
-                Json::Arr(self.cases.iter().map(BenchCase::to_json).collect()),
-            ),
-            (
-                "deltas".into(),
-                Json::Arr(self.deltas.iter().map(BenchDelta::to_json).collect()),
-            ),
-            (
-                "host_engine_improvement_pct".into(),
-                Json::Num(self.host_engine_improvement_pct),
-            ),
-        ])
-        .pretty()
-    }
-
-    /// Strict parse: any unknown key, missing key, wrong type, or wrong
-    /// schema version is an error.
-    pub fn from_json_string(text: &str) -> Result<Self, String> {
-        let j = Json::parse(text)?;
-        let f = fields(
-            &j,
-            &[
-                "schema_version",
-                "bench_id",
-                "git_sha",
-                "machine",
-                "deck",
-                "cases",
-                "deltas",
-                "host_engine_improvement_pct",
-            ],
-            "top-level",
-        )?;
-        let schema_version = u64_of(f[0], "schema_version")?;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "schema_version {schema_version} != supported {SCHEMA_VERSION}"
-            ));
-        }
-        let cases = f[5]
-            .as_arr()
-            .ok_or("cases must be an array")?
-            .iter()
-            .map(BenchCase::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let deltas = f[6]
-            .as_arr()
-            .ok_or("deltas must be an array")?
-            .iter()
-            .map(BenchDelta::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(BenchFile {
-            schema_version,
-            bench_id: str_of(f[1], "bench_id")?,
-            git_sha: str_of(f[2], "git_sha")?,
-            machine: Machine::from_json(f[3])?,
-            deck: DeckSummary::from_json(f[4])?,
-            cases,
-            deltas,
-            host_engine_improvement_pct: f64_of(f[7], "host_engine_improvement_pct")?,
-        })
-    }
-
-    /// Recompute the legacy→lean deltas from `cases` (one per
-    /// `(version, threads, ranks)` combination present in both modes)
-    /// and the mean host-engine improvement.
-    pub fn compute_deltas(cases: &[BenchCase]) -> (Vec<BenchDelta>, f64) {
-        let mut deltas = Vec::new();
-        for lean in cases.iter().filter(|c| c.mode == "lean") {
-            let Some(legacy) = cases.iter().find(|c| {
-                c.mode == "legacy"
-                    && c.version == lean.version
-                    && c.threads == lean.threads
-                    && c.ranks == lean.ranks
-            }) else {
-                continue;
-            };
-            deltas.push(BenchDelta {
-                version: lean.version.clone(),
-                threads: lean.threads,
-                ranks: lean.ranks,
-                legacy_steps_per_sec: legacy.steps_per_sec,
-                lean_steps_per_sec: lean.steps_per_sec,
-                improvement_pct: 100.0 * (lean.steps_per_sec - legacy.steps_per_sec)
-                    / legacy.steps_per_sec,
-            });
-        }
-        let mean = if deltas.is_empty() {
-            0.0
-        } else {
-            deltas.iter().map(|d| d.improvement_pct).sum::<f64>() / deltas.len() as f64
-        };
-        (deltas, mean)
-    }
-
-    /// Internal-consistency checks beyond the schema: bit-exactness of
-    /// the state hash within each rank count, and delta bookkeeping.
-    pub fn check_consistency(&self) -> Result<(), String> {
-        for ranks in self.cases.iter().map(|c| c.ranks).collect::<std::collections::BTreeSet<_>>() {
-            let hashes: Vec<&str> = self
-                .cases
-                .iter()
-                .filter(|c| c.ranks == ranks)
-                .map(|c| c.state_hash.as_str())
-                .collect();
-            if let Some(first) = hashes.first() {
-                if hashes.iter().any(|h| h != first) {
-                    return Err(format!(
-                        "state hashes diverge at ranks={ranks}: versions/threads/modes \
-                         must be bit-exact"
-                    ));
-                }
-            }
-        }
-        let (expect, mean) = Self::compute_deltas(&self.cases);
-        if expect.len() != self.deltas.len() {
-            return Err(format!(
-                "delta count {} does not match cases (expected {})",
-                self.deltas.len(),
-                expect.len()
-            ));
-        }
-        if (mean - self.host_engine_improvement_pct).abs() > 1e-6 {
-            return Err(format!(
-                "host_engine_improvement_pct {} inconsistent with deltas (expect {mean})",
-                self.host_engine_improvement_pct
-            ));
-        }
-        Ok(())
-    }
-
-    /// Diff this (newer) sweep against an older baseline.
-    ///
-    /// Cases are matched on `(mode, version, threads, ranks)`. State
-    /// hashes are compared only when the two decks are identical — a
-    /// smoke sweep against a full baseline produces different physics,
-    /// so a hash comparison there would be noise, not signal. A machine
-    /// fingerprint mismatch downgrades the steps/sec deltas to a
-    /// warning (cross-host timings are indicative only) but never hides
-    /// a hash mismatch: bit-exactness is machine-independent.
-    pub fn compare(&self, old: &BenchFile) -> CompareReport {
-        let mut warnings = Vec::new();
-        let same_deck = self.deck == old.deck;
-        let same_machine = self.machine == old.machine;
-        if !same_machine {
-            warnings.push(format!(
-                "machine fingerprint differs (old: {}; new: {}) — \
-                 steps/sec deltas are indicative only",
-                old.machine.describe(),
-                self.machine.describe()
-            ));
-        }
-        if !same_deck {
-            warnings.push(format!(
-                "deck differs (old {:?} vs new {:?}) — state hashes not compared",
-                old.deck, self.deck
-            ));
-        }
-        let mut lines = Vec::new();
-        let mut hash_mismatches = Vec::new();
-        let mut lean_sum = 0.0;
-        let mut lean_n = 0usize;
-        for new_case in &self.cases {
-            let Some(old_case) = old.cases.iter().find(|c| {
-                c.mode == new_case.mode
-                    && c.version == new_case.version
-                    && c.threads == new_case.threads
-                    && c.ranks == new_case.ranks
-            }) else {
-                warnings.push(format!(
-                    "no old case for {} {} t={} r={}",
-                    new_case.mode, new_case.version, new_case.threads, new_case.ranks
-                ));
-                continue;
-            };
-            let delta_pct = 100.0 * (new_case.steps_per_sec - old_case.steps_per_sec)
-                / old_case.steps_per_sec;
-            lines.push(format!(
-                "{:<6} {:<5} t={} r={}  {:7.1} -> {:7.1} steps/s  ({:+.1}%)",
-                new_case.mode,
-                new_case.version,
-                new_case.threads,
-                new_case.ranks,
-                old_case.steps_per_sec,
-                new_case.steps_per_sec,
-                delta_pct
-            ));
-            if new_case.mode == "lean" {
-                lean_sum += delta_pct;
-                lean_n += 1;
-            }
-            if same_deck && new_case.state_hash != old_case.state_hash {
-                hash_mismatches.push(format!(
-                    "{} {} t={} r={}: {} != baseline {}",
-                    new_case.mode,
-                    new_case.version,
-                    new_case.threads,
-                    new_case.ranks,
-                    new_case.state_hash,
-                    old_case.state_hash
-                ));
-            }
-        }
-        let mean_lean_delta_pct = if lean_n == 0 {
-            0.0
-        } else {
-            lean_sum / lean_n as f64
-        };
-        CompareReport {
-            warnings,
-            lines,
-            mean_lean_delta_pct,
-            hash_mismatches,
-            same_deck,
-            same_machine,
-        }
-    }
-}
-
-/// Result of [`BenchFile::compare`]: a newer sweep diffed against an
-/// older baseline.
-#[derive(Clone, Debug)]
-pub struct CompareReport {
-    /// Human-readable caveats: fingerprint/deck mismatch, missing combos.
-    pub warnings: Vec<String>,
-    /// One formatted line per case present in both files.
-    pub lines: Vec<String>,
-    /// Mean steps/sec change across lean-mode cases, percent.
-    pub mean_lean_delta_pct: f64,
-    /// Cases whose state hash diverged (populated only when decks match).
-    pub hash_mismatches: Vec<String>,
-    /// The two decks were identical (hash comparison was meaningful).
-    pub same_deck: bool,
-    /// The two machine fingerprints were identical.
-    pub same_machine: bool,
-}
-
-impl CompareReport {
-    /// No state-hash divergence against the baseline.
-    pub fn is_bit_exact(&self) -> bool {
-        self.hash_mismatches.is_empty()
-    }
-}
-
-// --- strict-object plumbing ------------------------------------------------
-
-/// Destructure an object against an exact key set. Every expected key
-/// must be present and no other key may appear; values come back in the
-/// order of `expected`.
-fn fields<'a>(j: &'a Json, expected: &[&str], ctx: &str) -> Result<Vec<&'a Json>, String> {
-    let pairs = j.as_obj().ok_or_else(|| format!("{ctx}: expected object"))?;
-    for (k, _) in pairs {
-        if !expected.contains(&k.as_str()) {
-            return Err(format!("{ctx}: unknown key {k:?} (schema drift?)"));
-        }
-    }
-    expected
-        .iter()
-        .map(|&k| {
-            j.get(k)
-                .ok_or_else(|| format!("{ctx}: missing key {k:?} (schema drift?)"))
-        })
-        .collect()
-}
-
-fn str_of(j: &Json, ctx: &str) -> Result<String, String> {
-    j.as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| format!("{ctx}: expected string"))
-}
-
-fn u64_of(j: &Json, ctx: &str) -> Result<u64, String> {
-    j.as_u64().ok_or_else(|| format!("{ctx}: expected integer"))
-}
-
-fn f64_of(j: &Json, ctx: &str) -> Result<f64, String> {
-    j.as_f64().ok_or_else(|| format!("{ctx}: expected number"))
-}
-
-// --- host probes -----------------------------------------------------------
 
 /// Peak resident set (`VmHWM`) of this process in kB, from
 /// `/proc/self/status`; 0 where the file is unavailable.
@@ -620,156 +103,6 @@ pub fn fold_hashes(hashes: &[u64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> BenchFile {
-        let cases = vec![
-            BenchCase {
-                mode: "legacy".into(),
-                version: "A".into(),
-                threads: 1,
-                ranks: 1,
-                wall_ms_per_step: 2.0,
-                steps_per_sec: 500.0,
-                sim_minutes: 1.5,
-                peak_rss_kb: 100_000,
-                state_hash: "deadbeefdeadbeef".into(),
-            },
-            BenchCase {
-                mode: "lean".into(),
-                version: "A".into(),
-                threads: 1,
-                ranks: 1,
-                wall_ms_per_step: 1.6,
-                steps_per_sec: 625.0,
-                sim_minutes: 1.5,
-                peak_rss_kb: 100_000,
-                state_hash: "deadbeefdeadbeef".into(),
-            },
-        ];
-        let (deltas, mean) = BenchFile::compute_deltas(&cases);
-        BenchFile {
-            schema_version: SCHEMA_VERSION,
-            bench_id: "test".into(),
-            git_sha: "unknown".into(),
-            machine: Machine {
-                cpu: "test cpu".into(),
-                ncpu: 4,
-                hostname: "host".into(),
-            },
-            deck: DeckSummary { nr: 16, nt: 12, np: 16, n_steps: 3, reps: 1 },
-            cases,
-            deltas,
-            host_engine_improvement_pct: mean,
-        }
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let file = sample();
-        let text = file.to_json_string();
-        let back = BenchFile::from_json_string(&text).unwrap();
-        assert_eq!(file, back);
-        back.check_consistency().unwrap();
-    }
-
-    #[test]
-    fn unknown_key_is_schema_drift() {
-        let text = sample()
-            .to_json_string()
-            .replacen("\"bench_id\"", "\"bench_id_v2\"", 1);
-        let err = BenchFile::from_json_string(&text).unwrap_err();
-        assert!(err.contains("schema drift"), "{err}");
-    }
-
-    #[test]
-    fn missing_key_is_schema_drift() {
-        // Drop the git_sha line entirely (key + value + comma).
-        let text: String = sample()
-            .to_json_string()
-            .lines()
-            .filter(|l| !l.contains("git_sha"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let err = BenchFile::from_json_string(&text).unwrap_err();
-        assert!(err.contains("git_sha"), "{err}");
-    }
-
-    #[test]
-    fn wrong_schema_version_rejected() {
-        let text = sample()
-            .to_json_string()
-            .replacen("\"schema_version\": 1", "\"schema_version\": 99", 1);
-        let err = BenchFile::from_json_string(&text).unwrap_err();
-        assert!(err.contains("schema_version"), "{err}");
-    }
-
-    #[test]
-    fn hash_divergence_detected() {
-        let mut file = sample();
-        file.cases[1].state_hash = "0000000000000000".into();
-        let err = file.check_consistency().unwrap_err();
-        assert!(err.contains("bit-exact"), "{err}");
-    }
-
-    #[test]
-    fn deltas_computed_per_combination() {
-        let file = sample();
-        assert_eq!(file.deltas.len(), 1);
-        let d = &file.deltas[0];
-        assert_eq!(d.version, "A");
-        assert!((d.improvement_pct - 25.0).abs() < 1e-12);
-        assert!((file.host_engine_improvement_pct - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compare_same_deck_flags_hash_divergence() {
-        let old = sample();
-        let mut new = sample();
-        new.cases[1].steps_per_sec = 750.0;
-        new.cases[1].state_hash = "0123456789abcdef".into();
-        let rep = new.compare(&old);
-        assert!(rep.same_deck && rep.same_machine);
-        assert!(!rep.is_bit_exact());
-        assert_eq!(rep.hash_mismatches.len(), 1);
-        assert!(rep.hash_mismatches[0].contains("0123456789abcdef"), "{:?}", rep.hash_mismatches);
-        // Only the lean case moved: +20% on 625 -> 750.
-        assert!((rep.mean_lean_delta_pct - 20.0).abs() < 1e-9, "{}", rep.mean_lean_delta_pct);
-        assert_eq!(rep.lines.len(), 2);
-    }
-
-    #[test]
-    fn compare_different_deck_warns_and_skips_hashes() {
-        let old = sample();
-        let mut new = sample();
-        new.deck.nr = 32;
-        new.cases[0].state_hash = "ffffffffffffffff".into();
-        let rep = new.compare(&old);
-        assert!(!rep.same_deck);
-        assert!(rep.is_bit_exact(), "deck mismatch must disable hash comparison");
-        assert!(rep.warnings.iter().any(|w| w.contains("deck differs")), "{:?}", rep.warnings);
-    }
-
-    #[test]
-    fn compare_different_machine_warns_but_still_checks_hashes() {
-        let old = sample();
-        let mut new = sample();
-        new.machine.ncpu = 8;
-        new.cases[0].state_hash = "ffffffffffffffff".into();
-        let rep = new.compare(&old);
-        assert!(!rep.same_machine);
-        assert!(rep.warnings.iter().any(|w| w.contains("fingerprint differs")), "{:?}", rep.warnings);
-        assert!(!rep.is_bit_exact(), "hashes are machine-independent");
-    }
-
-    #[test]
-    fn compare_reports_missing_combinations() {
-        let old = sample();
-        let mut new = sample();
-        new.cases[1].threads = 2;
-        let rep = new.compare(&old);
-        assert!(rep.warnings.iter().any(|w| w.contains("no old case")), "{:?}", rep.warnings);
-        assert_eq!(rep.lines.len(), 1);
-    }
 
     #[test]
     fn ncpu_fingerprint_counts_processors() {

@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON — the workspace deliberately vendors no
-//! serde, and the persisted benchmark baseline (`BENCH_6.json`) needs
-//! both emission and strict re-parsing (schema-drift detection in CI).
+//! serde, and `perfbench` needs both emission of its result line and
+//! strict re-parsing of it.
 //!
 //! Objects preserve insertion order (a `Vec` of pairs, not a map) so the
 //! emitted file is stable and diffs cleanly.

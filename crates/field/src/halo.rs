@@ -28,9 +28,12 @@ pub fn unpack_phi_plane(a: &mut Array3, low: bool, buf: &[f64]) -> usize {
 /// The send buffers are `Arc`-backed so an exchange can put them on the
 /// wire without copying. A zero-copy send leaves the buffer shared until
 /// the receiver drops its reference, so [`PhiHalo::pack`] rotates in a
-/// spare buffer when the current one is still in flight — steady state
-/// settles on at most one spare per in-flight payload and never
-/// allocates again.
+/// spare buffer when the current one is still in flight. A lockstep
+/// exchange has at most one earlier payload per direction in flight when
+/// it packs: a neighbour drops our previous planes before it sends the
+/// planes we just received. [`PhiHalo::for_arrays`] reserves that one
+/// spare per direction up front, so packing never allocates, whatever
+/// the thread timing.
 #[derive(Debug)]
 pub struct PhiHalo {
     /// Send buffer toward the low-φ neighbour (shareable zero-copy).
@@ -59,7 +62,7 @@ impl PhiHalo {
             recv_low: vec![0.0; total],
             recv_high: vec![0.0; total],
             plane_lens,
-            spares: Vec::new(),
+            spares: vec![Arc::new(vec![0.0; total]), Arc::new(vec![0.0; total])],
         }
     }
 
@@ -73,7 +76,8 @@ impl PhiHalo {
         self.total_len() * std::mem::size_of::<f64>()
     }
 
-    /// Idle spare send buffers currently pooled (diagnostic).
+    /// Spare send buffers currently pooled, idle or still in flight
+    /// (diagnostic).
     pub fn spare_count(&self) -> usize {
         self.spares.len()
     }

@@ -27,8 +27,8 @@ pub mod parview;
 
 pub use array3::Array3;
 pub use parview::{
-    arm_captures, capture_begin, capture_end, disarm_captures, instrumentation_requested,
-    set_legacy_gate, ParView3, ViewAccess,
+    arm_captures, capture_begin, capture_end, disarm_captures, instrumentation_requested, ParView3,
+    ViewAccess,
 };
 pub use field::{Field, VecField};
 pub use halo::{pack_phi_plane, unpack_phi_plane, PhiHalo};

@@ -54,18 +54,12 @@ static CAPTURES_ACTIVE: AtomicUsize = AtomicUsize::new(0);
 /// kernel bodies whose views are built before the audited launch.
 static CAPTURES_ARMED: AtomicUsize = AtomicUsize::new(0);
 
-/// When nonzero, newly constructed views reinstate the historical
-/// per-access gate (one relaxed load of [`CAPTURES_ACTIVE`] on every
-/// `get`/`set`/`add`). The benchmark baseline's `legacy` mode uses this
-/// to measure the cost the construction-time gate removed.
-static LEGACY_GATE: AtomicUsize = AtomicUsize::new(0);
-
 /// Arm access capture: views constructed from now until the matching
 /// [`disarm_captures`] are *instrumented* — each `get`/`set`/`add`
 /// checks for an active capture on its thread. Views constructed while
-/// nothing is armed (and no capture or legacy gate is live) skip the
-/// check entirely, which lets the optimizer treat kernel bodies as
-/// branch-free straight-line array code. Arming nests (refcounted).
+/// nothing is armed and no capture is live skip the check entirely,
+/// which lets the optimizer treat kernel bodies as branch-free
+/// straight-line array code. Arming nests (refcounted).
 pub fn arm_captures() {
     CAPTURES_ARMED.fetch_add(1, Ordering::Relaxed);
 }
@@ -76,21 +70,13 @@ pub fn disarm_captures() {
     CAPTURES_ARMED.fetch_sub(1, Ordering::Relaxed);
 }
 
-/// Toggle the historical always-instrumented behaviour for newly
-/// constructed views (benchmark `legacy` mode; see [`LEGACY_GATE`]).
-pub fn set_legacy_gate(on: bool) {
-    LEGACY_GATE.store(on as usize, Ordering::Relaxed);
-}
-
 /// Whether kernels launched now should use instrumented views
-/// (`REC = true`): an auditor is armed, a capture is live somewhere, or
-/// the benchmark legacy gate is on. Kernel entry points consult this
+/// (`REC = true`): an auditor is armed or a capture is live somewhere.
+/// Kernel entry points consult this
 /// once per call to pick a monomorphized instantiation, so the decision
 /// costs nothing per element.
 pub fn instrumentation_requested() -> bool {
-    CAPTURES_ARMED.load(Ordering::Relaxed) != 0
-        || CAPTURES_ACTIVE.load(Ordering::Relaxed) != 0
-        || LEGACY_GATE.load(Ordering::Relaxed) != 0
+    CAPTURES_ARMED.load(Ordering::Relaxed) != 0 || CAPTURES_ACTIVE.load(Ordering::Relaxed) != 0
 }
 
 thread_local! {
@@ -103,8 +89,8 @@ thread_local! {
 /// without an intervening [`capture_end`] replaces the log.
 ///
 /// Only *instrumented* views record: a view is instrumented if, at its
-/// construction, an auditor was armed ([`arm_captures`]), a capture was
-/// already live anywhere, or the legacy gate was set. This is the hook
+/// construction, an auditor was armed ([`arm_captures`]) or a capture was
+/// already live anywhere. This is the hook
 /// the `stdpar` race auditor uses to observe kernel bodies; production
 /// runs never call it, and uninstrumented views cost nothing per access.
 pub fn capture_begin() {
@@ -481,15 +467,12 @@ mod tests {
     }
 
     #[test]
-    fn instrumentation_requested_tracks_arm_capture_and_legacy() {
+    fn instrumentation_requested_tracks_arm_and_capture() {
         // Positive assertions only: sibling tests capture concurrently,
         // so a quiet global state cannot be assumed here.
         arm_captures();
         assert!(instrumentation_requested());
         disarm_captures();
-        set_legacy_gate(true);
-        assert!(instrumentation_requested());
-        set_legacy_gate(false);
         capture_begin();
         assert!(instrumentation_requested());
         let _ = capture_end();

@@ -98,15 +98,7 @@ fn apply_physical_inner<const REC: bool>(
         let space_v = IndexSpace3 { i0: 0, i1: 1, j0: 0, j1: st.v.t.data.s2.min(s2), k0: 0, k1: s3 };
         let reads = [st.v.r.buf(), st.v.t.buf(), st.v.p.buf()];
         let writes = reads;
-        let legacy_theta;
-        let theta_c: &[f64] = if crate::perf::legacy_hot_path() {
-            // Historical per-call cost: the θ-center array was cloned on
-            // every boundary application instead of borrowed.
-            legacy_theta = grid.t.centers.clone();
-            &legacy_theta
-        } else {
-            &grid.t.centers
-        };
+        let theta_c: &[f64] = &grid.t.centers;
         let (vr, vt, vp) = (
             st.v.r.data.par_view_as::<REC>(),
             st.v.t.data.par_view_as::<REC>(),
@@ -288,19 +280,12 @@ fn polar_regularization_inner<const REC: bool>(
 
     for ring in rings {
         POLAR_SUMS.with(|cell| {
-        let mut fresh;
         let mut guard = cell.borrow_mut();
         // --- accumulate Σ_φ for ρ, T, v_φ per radius (array reductions) ---
         // Layout of the sums buffer: [rho(nr) | temp(nr) | vp(nr)].
-        let sums: &mut Vec<f64> = if crate::perf::legacy_hot_path() {
-            // Historical cost: a fresh sums buffer per ring per step.
-            fresh = vec![0.0; 3 * nr];
-            &mut fresh
-        } else {
-            guard.clear();
-            guard.resize(3 * nr, 0.0);
-            &mut guard
-        };
+        let sums: &mut Vec<f64> = &mut guard;
+        sums.clear();
+        sums.resize(3 * nr, 0.0);
         {
             let space = IndexSpace3 {
                 i0: g,

@@ -66,7 +66,7 @@ pub struct HaloExchanger {
     /// Paper-scale factor for this exchange's costs (plane ⇒ area scale).
     cost_scale: f64,
     /// Transport retry budget per receive: 0 keeps the unverified fast
-    /// path (legacy `recv`, bitwise-identical timing); > 0 switches to the
+    /// path (`send_pooled` / `recv_shared`); > 0 switches to the
     /// verified ACK/NACK transport that re-requests dropped or corrupted
     /// planes up to this many times before declaring the exchange failed.
     retries: u32,
@@ -191,14 +191,7 @@ impl HaloExchanger {
             "mpi_call_overhead",
         );
 
-        // The legacy toggle reinstates the historical per-exchange costs
-        // (send-buffer clones, rebuilt buffer-id lists, temporary ref
-        // collects) so the benchmark harness can measure the zero-clone
-        // path's before/after in one process. Bit-exact either way.
-        let legacy = minimpi::legacy_alloc();
-        if legacy {
-            self.bufid_cache = field_bufs.to_vec();
-        } else if self.bufid_cache.as_slice() != field_bufs {
+        if self.bufid_cache.as_slice() != field_bufs {
             self.bufid_cache.clear();
             self.bufid_cache.extend_from_slice(field_bufs);
         }
@@ -216,12 +209,7 @@ impl HaloExchanger {
             };
             // Real pack happens once; the kernel body is the per-point
             // traffic accounting only.
-            if legacy {
-                let refs: Vec<&Array3> = arrays.iter().map(|a| &**a).collect();
-                self.halo.pack(&refs);
-            } else {
-                self.halo.pack_mut(arrays);
-            }
+            self.halo.pack_mut(arrays);
             par.loop3(
                 &sites::HALO_PACK,
                 space,
@@ -250,30 +238,19 @@ impl HaloExchanger {
         let (lo, hi) = comm.phi_neighbors();
         let wire_bytes = self.halo.total_bytes() as f64 * self.cost_scale;
         if self.retries == 0 {
-            if legacy {
-                // Historical cost structure: clone each send plane onto
-                // the wire, receive into freshly-unwrapped vectors.
-                comm.send_with_cost(lo, TAG_DOWN, (*self.halo.send_low).clone(), path, &par.ctx, wire_bytes);
-                comm.send_with_cost(hi, TAG_UP, (*self.halo.send_high).clone(), path, &par.ctx, wire_bytes);
-                // My high ghost comes from the high neighbour's low plane (its
-                // DOWN-travelling message); my low ghost from the low neighbour's
-                // high plane (UP-travelling). DOWN is received first to match the
-                // senders' FIFO order when lo == hi.
-                let rh = comm.recv(hi, TAG_DOWN, &mut par.ctx);
-                let rl = comm.recv(lo, TAG_UP, &mut par.ctx);
-                self.halo.recv_low.copy_from_slice(&rl);
-                self.halo.recv_high.copy_from_slice(&rh);
-            } else {
-                // Zero-copy: the packed planes go on the wire as `Arc`
-                // clones; the receiver copies out of the shared buffer and
-                // drops it, releasing the sender's slot for the next pack.
-                comm.send_pooled(lo, TAG_DOWN, Arc::clone(&self.halo.send_low), path, &par.ctx, wire_bytes);
-                comm.send_pooled(hi, TAG_UP, Arc::clone(&self.halo.send_high), path, &par.ctx, wire_bytes);
-                let rh = comm.recv_shared(hi, TAG_DOWN, &mut par.ctx);
-                let rl = comm.recv_shared(lo, TAG_UP, &mut par.ctx);
-                self.halo.recv_low.copy_from_slice(&rl);
-                self.halo.recv_high.copy_from_slice(&rh);
-            }
+            // Zero-copy: the packed planes go on the wire as `Arc` clones;
+            // the receiver copies out of the shared buffer and drops it,
+            // releasing the sender's slot for the next pack. My high ghost
+            // comes from the high neighbour's low plane (its
+            // DOWN-travelling message); my low ghost from the low
+            // neighbour's high plane (UP-travelling). DOWN is received
+            // first to match the senders' FIFO order when lo == hi.
+            comm.send_pooled(lo, TAG_DOWN, Arc::clone(&self.halo.send_low), path, &par.ctx, wire_bytes);
+            comm.send_pooled(hi, TAG_UP, Arc::clone(&self.halo.send_high), path, &par.ctx, wire_bytes);
+            let rh = comm.recv_shared(hi, TAG_DOWN, &mut par.ctx);
+            let rl = comm.recv_shared(lo, TAG_UP, &mut par.ctx);
+            self.halo.recv_low.copy_from_slice(&rl);
+            self.halo.recv_high.copy_from_slice(&rh);
         } else {
             self.exchange_verified(par, comm, lo, hi, path, wire_bytes);
         }

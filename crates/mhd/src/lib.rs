@@ -36,7 +36,6 @@ pub mod checkpoint;
 pub mod diag;
 pub mod halo;
 pub mod ops;
-pub mod perf;
 pub mod physics;
 pub mod progress;
 pub mod run;

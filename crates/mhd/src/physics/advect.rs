@@ -24,7 +24,6 @@ pub fn mass_fluxes(par: &mut Par, grid: &SphericalGrid, flux: &mut VecField, rho
 
 fn mass_fluxes_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, flux: &mut VecField, rho: &Field, v: &VecField) {
     let (nr, nt, np) = (grid.nr, grid.nt, grid.np);
-    let rows = crate::perf::row_path();
     par.region(|par| {
         // r-faces: interior faces only (boundary faces handled by BCs).
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
@@ -33,22 +32,15 @@ fn mass_fluxes_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, flux: 
         let fr = flux.r.data.par_view_as::<REC>();
         let (rd, vr) = (&rho.data, &v.r.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::MASS_FLUX_R, space, Traffic::new(3, 1, 3), &reads, &writes, |j, k| {
-                let vel = vr.row(i0, i1, j, k);
-                let r_up = rd.row(i0 - 1, i1 - 1, j, k);
-                let r_dn = rd.row(i0, i1, j, k);
-                let out = fr.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    out[n] = vel[n] * upwind(vel[n], r_up[n], r_dn[n]);
-                }
-            });
-        } else {
-            par.loop3(&sites::MASS_FLUX_R, space, Traffic::new(3, 1, 3), &reads, &writes, |i, j, k| {
-                let vel = vr.get(i, j, k);
-                fr.set(i, j, k, vel * upwind(vel, rd.get(i - 1, j, k), rd.get(i, j, k)));
-            });
-        }
+        par.loop3_rows(&sites::MASS_FLUX_R, space, Traffic::new(3, 1, 3), &reads, &writes, |j, k| {
+            let vel = vr.row(i0, i1, j, k);
+            let r_up = rd.row(i0 - 1, i1 - 1, j, k);
+            let r_dn = rd.row(i0, i1, j, k);
+            let out = fr.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                out[n] = vel[n] * upwind(vel[n], r_up[n], r_dn[n]);
+            }
+        });
 
         let space = IndexSpace3::interior_trimmed(Stagger::FaceT, nr, nt, np, (0, 1, 0));
         let reads = [rho.buf(), v.t.buf()];
@@ -56,22 +48,15 @@ fn mass_fluxes_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, flux: 
         let ft = flux.t.data.par_view_as::<REC>();
         let (rd, vt) = (&rho.data, &v.t.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::MASS_FLUX_T, space, Traffic::new(3, 1, 3), &reads, &writes, |j, k| {
-                let vel = vt.row(i0, i1, j, k);
-                let r_up = rd.row(i0, i1, j - 1, k);
-                let r_dn = rd.row(i0, i1, j, k);
-                let out = ft.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    out[n] = vel[n] * upwind(vel[n], r_up[n], r_dn[n]);
-                }
-            });
-        } else {
-            par.loop3(&sites::MASS_FLUX_T, space, Traffic::new(3, 1, 3), &reads, &writes, |i, j, k| {
-                let vel = vt.get(i, j, k);
-                ft.set(i, j, k, vel * upwind(vel, rd.get(i, j - 1, k), rd.get(i, j, k)));
-            });
-        }
+        par.loop3_rows(&sites::MASS_FLUX_T, space, Traffic::new(3, 1, 3), &reads, &writes, |j, k| {
+            let vel = vt.row(i0, i1, j, k);
+            let r_up = rd.row(i0, i1, j - 1, k);
+            let r_dn = rd.row(i0, i1, j, k);
+            let out = ft.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                out[n] = vel[n] * upwind(vel[n], r_up[n], r_dn[n]);
+            }
+        });
 
         // φ-faces: all faces are interior (periodic; ghosts filled by halo).
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
@@ -80,22 +65,15 @@ fn mass_fluxes_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, flux: 
         let fp = flux.p.data.par_view_as::<REC>();
         let (rd, vp) = (&rho.data, &v.p.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::MASS_FLUX_P, space, Traffic::new(3, 1, 3), &reads, &writes, |j, k| {
-                let vel = vp.row(i0, i1, j, k);
-                let r_up = rd.row(i0, i1, j, k - 1);
-                let r_dn = rd.row(i0, i1, j, k);
-                let out = fp.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    out[n] = vel[n] * upwind(vel[n], r_up[n], r_dn[n]);
-                }
-            });
-        } else {
-            par.loop3(&sites::MASS_FLUX_P, space, Traffic::new(3, 1, 3), &reads, &writes, |i, j, k| {
-                let vel = vp.get(i, j, k);
-                fp.set(i, j, k, vel * upwind(vel, rd.get(i, j, k - 1), rd.get(i, j, k)));
-            });
-        }
+        par.loop3_rows(&sites::MASS_FLUX_P, space, Traffic::new(3, 1, 3), &reads, &writes, |j, k| {
+            let vel = vp.row(i0, i1, j, k);
+            let r_up = rd.row(i0, i1, j, k - 1);
+            let r_dn = rd.row(i0, i1, j, k);
+            let out = fp.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                out[n] = vel[n] * upwind(vel[n], r_up[n], r_dn[n]);
+            }
+        });
     });
 }
 
@@ -114,18 +92,11 @@ fn continuity_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, geom: &
     let writes = [rho.buf()];
     let rd = rho.data.par_view_as::<REC>();
     let (fr, ft, fp) = (&flux.r.data, &flux.t.data, &flux.p.data);
-    if crate::perf::row_path() {
-        let (i0, i1) = (space.i0, space.i1);
-        par.loop3_rows(&sites::DIV_MASS_FLUX, space, Traffic::new(7, 1, 14), &reads, &writes, |j, k| {
-            let out = rd.row_mut(i0, i1, j, k);
-            geom.div_row(fr, ft, fp, i0, i1, j, k, |n, d| out[n] += -dt * d);
-        });
-    } else {
-        par.loop3(&sites::DIV_MASS_FLUX, space, Traffic::new(7, 1, 14), &reads, &writes, |i, j, k| {
-            let d = geom.div(fr, ft, fp, i, j, k);
-            rd.add(i, j, k, -dt * d);
-        });
-    }
+    let (i0, i1) = (space.i0, space.i1);
+    par.loop3_rows(&sites::DIV_MASS_FLUX, space, Traffic::new(7, 1, 14), &reads, &writes, |j, k| {
+        let out = rd.row_mut(i0, i1, j, k);
+        geom.div_row(fr, ft, fp, i0, i1, j, k, |n, d| out[n] += -dt * d);
+    });
 }
 
 /// Temperature advection and adiabatic compression:

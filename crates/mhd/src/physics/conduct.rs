@@ -27,28 +27,6 @@ pub const TEMP_FLOOR: f64 = 0.02;
 /// Density floor.
 pub const RHO_FLOOR: f64 = 1.0e-8;
 
-/// Rebuild the radial/solid-angle flux-divergence coefficients the way
-/// the operators historically did on every call — kept behind the
-/// [`crate::perf::legacy_hot_path`] toggle so `bench_baseline` can
-/// measure the rebuild cost; the values are bitwise identical to the
-/// precomputed `SphericalGrid` arrays.
-fn legacy_geom(grid: &SphericalGrid) -> Option<(Vec<f64>, Vec<f64>, Vec<f64>)> {
-    if !crate::perf::legacy_hot_path() {
-        return None;
-    }
-    let nrc = grid.rc.len();
-    let dr3_inv: Vec<f64> = (0..nrc)
-        .map(|i| 3.0 / (grid.rf[i + 1].powi(3) - grid.rf[i].powi(3)))
-        .collect();
-    let drr2: Vec<f64> = (0..nrc).map(|i| 0.5 * (grid.rf2[i + 1] - grid.rf2[i])).collect();
-    let dcos_inv: Vec<f64> = grid
-        .dcos
-        .iter()
-        .map(|&d| if d.abs() < 1e-300 { 0.0 } else { 1.0 / d })
-        .collect();
-    Some((dr3_inv, drr2, dcos_inv))
-}
-
 /// Face conductivities `κ_face = κ₀ T_face^{5/2}` into `kface` (the
 /// `interp` routine sites). One loop per face family, fusable region.
 pub fn kappa_faces(par: &mut Par, grid: &SphericalGrid, kface: &mut VecField, temp: &Field, kappa0: f64) {
@@ -61,7 +39,6 @@ pub fn kappa_faces(par: &mut Par, grid: &SphericalGrid, kface: &mut VecField, te
 
 fn kappa_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, kface: &mut VecField, temp: &Field, kappa0: f64) {
     let (nr, nt, np) = (grid.nr, grid.nt, grid.np);
-    let rows = crate::perf::row_path();
     par.region(|par| {
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
         let reads = [temp.buf()];
@@ -69,66 +46,45 @@ fn kappa_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, kface:
         let o = kface.r.data.par_view_as::<REC>();
         let td = &temp.data;
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |j, k| {
-                let t_lo = td.row(i0 - 1, i1 - 1, j, k);
-                let t_hi = td.row(i0, i1, j, k);
-                let out = o.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let tf = s2c(t_lo[n], t_hi[n]).max(0.0);
-                    out[n] = kappa0 * tf * tf * tf.sqrt();
-                }
-            });
-        } else {
-            par.loop3(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |i, j, k| {
-                let tf = s2c(td.get(i - 1, j, k), td.get(i, j, k)).max(0.0);
-                o.set(i, j, k, kappa0 * tf * tf * tf.sqrt());
-            });
-        }
+        par.loop3_rows(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |j, k| {
+            let t_lo = td.row(i0 - 1, i1 - 1, j, k);
+            let t_hi = td.row(i0, i1, j, k);
+            let out = o.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let tf = s2c(t_lo[n], t_hi[n]).max(0.0);
+                out[n] = kappa0 * tf * tf * tf.sqrt();
+            }
+        });
         let space = IndexSpace3::interior_trimmed(Stagger::FaceT, nr, nt, np, (0, 1, 0));
         let reads = [temp.buf()];
         let writes = [kface.t.buf()];
         let o = kface.t.data.par_view_as::<REC>();
         let td = &temp.data;
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |j, k| {
-                let t_lo = td.row(i0, i1, j - 1, k);
-                let t_hi = td.row(i0, i1, j, k);
-                let out = o.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let tf = s2c(t_lo[n], t_hi[n]).max(0.0);
-                    out[n] = kappa0 * tf * tf * tf.sqrt();
-                }
-            });
-        } else {
-            par.loop3(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |i, j, k| {
-                let tf = s2c(td.get(i, j - 1, k), td.get(i, j, k)).max(0.0);
-                o.set(i, j, k, kappa0 * tf * tf * tf.sqrt());
-            });
-        }
+        par.loop3_rows(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |j, k| {
+            let t_lo = td.row(i0, i1, j - 1, k);
+            let t_hi = td.row(i0, i1, j, k);
+            let out = o.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let tf = s2c(t_lo[n], t_hi[n]).max(0.0);
+                out[n] = kappa0 * tf * tf * tf.sqrt();
+            }
+        });
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
         let reads = [temp.buf()];
         let writes = [kface.p.buf()];
         let o = kface.p.data.par_view_as::<REC>();
         let td = &temp.data;
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |j, k| {
-                let t_lo = td.row(i0, i1, j, k - 1);
-                let t_hi = td.row(i0, i1, j, k);
-                let out = o.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let tf = s2c(t_lo[n], t_hi[n]).max(0.0);
-                    out[n] = kappa0 * tf * tf * tf.sqrt();
-                }
-            });
-        } else {
-            par.loop3(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |i, j, k| {
-                let tf = s2c(td.get(i, j, k - 1), td.get(i, j, k)).max(0.0);
-                o.set(i, j, k, kappa0 * tf * tf * tf.sqrt());
-            });
-        }
+        par.loop3_rows(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |j, k| {
+            let t_lo = td.row(i0, i1, j, k - 1);
+            let t_hi = td.row(i0, i1, j, k);
+            let out = o.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let tf = s2c(t_lo[n], t_hi[n]).max(0.0);
+                out[n] = kappa0 * tf * tf * tf.sqrt();
+            }
+        });
     });
 }
 
@@ -164,82 +120,52 @@ fn conduction_op_impl<const REC: bool>(
     let (rf2, rc_inv, st_f, st_c_inv) = (&grid.rf2, &grid.rc_inv, &grid.st_f, &grid.st_c_inv);
     let (dfr_inv, dft_inv, dfp_inv) = (&grid.r.df_inv, &grid.t.df_inv, &grid.p.df_inv);
     // Exact flux-divergence coefficients (see DivGeom), precomputed on
-    // the grid; the legacy toggle rebuilds them per call instead.
-    let geom = legacy_geom(grid);
-    let (dr3_inv, drr2, dcos_inv) = match &geom {
-        Some((a, b, c)) => (a, b, c),
-        None => (&grid.dr3_inv, &grid.drr2, &grid.dcos_inv),
-    };
+    // the grid.
+    let (dr3_inv, drr2, dcos_inv) = (&grid.dr3_inv, &grid.drr2, &grid.dcos_inv);
     let (dtc, dpc_inv) = (&grid.t.dc, &grid.p.dc_inv);
     let gm1 = gamma - 1.0;
-    if crate::perf::row_path() {
-        let (i0, i1) = (space.i0, space.i1);
-        let rf2_s = &rf2[i0..i1 + 1];
-        let dfr_inv_s = &dfr_inv[i0..i1 + 1];
-        let rc_inv_s = &rc_inv[i0..i1];
-        let dr3_inv_s = &dr3_inv[i0..i1];
-        let drr2_s = &drr2[i0..i1];
-        par.loop3_rows(&sites::CONDUCT_OP, space, Traffic::new(12, 1, 34), &reads, &writes, |j, k| {
-            let y_c = yd.row(i0, i1, j, k);
-            let y_im = yd.row(i0 - 1, i1 - 1, j, k);
-            let y_ip = yd.row(i0 + 1, i1 + 1, j, k);
-            let y_jm = yd.row(i0, i1, j - 1, k);
-            let y_jp = yd.row(i0, i1, j + 1, k);
-            let y_km = yd.row(i0, i1, j, k - 1);
-            let y_kp = yd.row(i0, i1, j, k + 1);
-            let kr_c = kr.row(i0, i1, j, k);
-            let kr_p = kr.row(i0 + 1, i1 + 1, j, k);
-            let kt_c = kt.row(i0, i1, j, k);
-            let kt_jp = kt.row(i0, i1, j + 1, k);
-            let kp_c = kp.row(i0, i1, j, k);
-            let kp_kp = kp.row(i0, i1, j, k + 1);
-            let r_row = rd.row(i0, i1, j, k);
-            let (st_lo, st_hi) = (st_f[j], st_f[j + 1]);
-            let st_c_inv_j = st_c_inv[j];
-            let (dft_lo, dft_hi) = (dft_inv[j], dft_inv[j + 1]);
-            let (dfp_lo, dfp_hi) = (dfp_inv[k], dfp_inv[k + 1]);
-            let dcos_inv_j = dcos_inv[j];
-            let dtc_j = dtc[j];
-            let dpc_inv_k = dpc_inv[k];
-            let out = od.row_mut(i0, i1, j, k);
-            for n in 0..out.len() {
-                let fr_hi = kr_p[n] * (y_ip[n] - y_c[n]) * dfr_inv_s[n + 1];
-                let fr_lo = kr_c[n] * (y_c[n] - y_im[n]) * dfr_inv_s[n];
-                let ft_hi = kt_jp[n] * rc_inv_s[n] * (y_jp[n] - y_c[n]) * dft_hi;
-                let ft_lo = kt_c[n] * rc_inv_s[n] * (y_c[n] - y_jm[n]) * dft_lo;
-                let fp_hi = kp_kp[n] * rc_inv_s[n] * st_c_inv_j * (y_kp[n] - y_c[n]) * dfp_hi;
-                let fp_lo = kp_c[n] * rc_inv_s[n] * st_c_inv_j * (y_c[n] - y_km[n]) * dfp_lo;
-                let div = (rf2_s[n + 1] * fr_hi - rf2_s[n] * fr_lo) * dr3_inv_s[n]
-                    + (st_hi * ft_hi - st_lo * ft_lo) * drr2_s[n] * dr3_inv_s[n] * dcos_inv_j
-                    + (fp_hi - fp_lo) * drr2_s[n] * dtc_j * dr3_inv_s[n] * dcos_inv_j * dpc_inv_k;
-                out[n] = gm1 * div / r_row[n].max(RHO_FLOOR);
-            }
-        });
-        return;
-    }
-    par.loop3(&sites::CONDUCT_OP, space, Traffic::new(12, 1, 34), &reads, &writes, |i, j, k| {
-        // Conductive fluxes at the six faces (κ ∂y/∂n).
-        let fr_hi = kr.get(i + 1, j, k) * (yd.get(i + 1, j, k) - yd.get(i, j, k)) * dfr_inv[i + 1];
-        let fr_lo = kr.get(i, j, k) * (yd.get(i, j, k) - yd.get(i - 1, j, k)) * dfr_inv[i];
-        let ft_hi = kt.get(i, j + 1, k)
-            * rc_inv[i]
-            * (yd.get(i, j + 1, k) - yd.get(i, j, k))
-            * dft_inv[j + 1];
-        let ft_lo = kt.get(i, j, k) * rc_inv[i] * (yd.get(i, j, k) - yd.get(i, j - 1, k)) * dft_inv[j];
-        let fp_hi = kp.get(i, j, k + 1)
-            * rc_inv[i]
-            * st_c_inv[j]
-            * (yd.get(i, j, k + 1) - yd.get(i, j, k))
-            * dfp_inv[k + 1];
-        let fp_lo = kp.get(i, j, k)
-            * rc_inv[i]
-            * st_c_inv[j]
-            * (yd.get(i, j, k) - yd.get(i, j, k - 1))
-            * dfp_inv[k];
-        let div = (rf2[i + 1] * fr_hi - rf2[i] * fr_lo) * dr3_inv[i]
-            + (st_f[j + 1] * ft_hi - st_f[j] * ft_lo) * drr2[i] * dr3_inv[i] * dcos_inv[j]
-            + (fp_hi - fp_lo) * drr2[i] * dtc[j] * dr3_inv[i] * dcos_inv[j] * dpc_inv[k];
-        od.set(i, j, k, gm1 * div / rd.get(i, j, k).max(RHO_FLOOR));
+    let (i0, i1) = (space.i0, space.i1);
+    let rf2_s = &rf2[i0..i1 + 1];
+    let dfr_inv_s = &dfr_inv[i0..i1 + 1];
+    let rc_inv_s = &rc_inv[i0..i1];
+    let dr3_inv_s = &dr3_inv[i0..i1];
+    let drr2_s = &drr2[i0..i1];
+    par.loop3_rows(&sites::CONDUCT_OP, space, Traffic::new(12, 1, 34), &reads, &writes, |j, k| {
+        let y_c = yd.row(i0, i1, j, k);
+        let y_im = yd.row(i0 - 1, i1 - 1, j, k);
+        let y_ip = yd.row(i0 + 1, i1 + 1, j, k);
+        let y_jm = yd.row(i0, i1, j - 1, k);
+        let y_jp = yd.row(i0, i1, j + 1, k);
+        let y_km = yd.row(i0, i1, j, k - 1);
+        let y_kp = yd.row(i0, i1, j, k + 1);
+        let kr_c = kr.row(i0, i1, j, k);
+        let kr_p = kr.row(i0 + 1, i1 + 1, j, k);
+        let kt_c = kt.row(i0, i1, j, k);
+        let kt_jp = kt.row(i0, i1, j + 1, k);
+        let kp_c = kp.row(i0, i1, j, k);
+        let kp_kp = kp.row(i0, i1, j, k + 1);
+        let r_row = rd.row(i0, i1, j, k);
+        let (st_lo, st_hi) = (st_f[j], st_f[j + 1]);
+        let st_c_inv_j = st_c_inv[j];
+        let (dft_lo, dft_hi) = (dft_inv[j], dft_inv[j + 1]);
+        let (dfp_lo, dfp_hi) = (dfp_inv[k], dfp_inv[k + 1]);
+        let dcos_inv_j = dcos_inv[j];
+        let dtc_j = dtc[j];
+        let dpc_inv_k = dpc_inv[k];
+        let out = od.row_mut(i0, i1, j, k);
+        for n in 0..out.len() {
+            // Conductive fluxes at the six faces (κ ∂y/∂n).
+            let fr_hi = kr_p[n] * (y_ip[n] - y_c[n]) * dfr_inv_s[n + 1];
+            let fr_lo = kr_c[n] * (y_c[n] - y_im[n]) * dfr_inv_s[n];
+            let ft_hi = kt_jp[n] * rc_inv_s[n] * (y_jp[n] - y_c[n]) * dft_hi;
+            let ft_lo = kt_c[n] * rc_inv_s[n] * (y_c[n] - y_jm[n]) * dft_lo;
+            let fp_hi = kp_kp[n] * rc_inv_s[n] * st_c_inv_j * (y_kp[n] - y_c[n]) * dfp_hi;
+            let fp_lo = kp_c[n] * rc_inv_s[n] * st_c_inv_j * (y_c[n] - y_km[n]) * dfp_lo;
+            let div = (rf2_s[n + 1] * fr_hi - rf2_s[n] * fr_lo) * dr3_inv_s[n]
+                + (st_hi * ft_hi - st_lo * ft_lo) * drr2_s[n] * dr3_inv_s[n] * dcos_inv_j
+                + (fp_hi - fp_lo) * drr2_s[n] * dtc_j * dr3_inv_s[n] * dcos_inv_j * dpc_inv_k;
+            out[n] = gm1 * div / r_row[n].max(RHO_FLOOR);
+        }
     });
 }
 
@@ -385,53 +311,32 @@ fn conduction_div_impl<const REC: bool>(
         &flux.r.data, &flux.t.data, &flux.p.data, &rho.data,
     );
     let (rf2, st_f) = (&grid.rf2, &grid.st_f);
-    let geom = legacy_geom(grid);
-    let (dr3_inv, drr2, dcos_inv) = match &geom {
-        Some((a, b, c)) => (a, b, c),
-        None => (&grid.dr3_inv, &grid.drr2, &grid.dcos_inv),
-    };
+    let (dr3_inv, drr2, dcos_inv) = (&grid.dr3_inv, &grid.drr2, &grid.dcos_inv);
     let (dtc, dpc_inv) = (&grid.t.dc, &grid.p.dc_inv);
     let gm1 = gamma - 1.0;
-    if crate::perf::row_path() {
-        let (i0, i1) = (space.i0, space.i1);
-        let rf2_s = &rf2[i0..i1 + 1];
-        let dr3_inv_s = &dr3_inv[i0..i1];
-        let drr2_s = &drr2[i0..i1];
-        par.loop3_rows(&sites::CONDUCT_DIV, space, Traffic::new(8, 1, 20), &reads, &writes, |j, k| {
-            let fr_c = fr.row(i0, i1, j, k);
-            let fr_ip = fr.row(i0 + 1, i1 + 1, j, k);
-            let ft_c = ft.row(i0, i1, j, k);
-            let ft_jp = ft.row(i0, i1, j + 1, k);
-            let fp_c = fp.row(i0, i1, j, k);
-            let fp_kp = fp.row(i0, i1, j, k + 1);
-            let r_row = rd.row(i0, i1, j, k);
-            let (st_lo, st_hi) = (st_f[j], st_f[j + 1]);
-            let dcos_inv_j = dcos_inv[j];
-            let dtc_j = dtc[j];
-            let dpc_inv_k = dpc_inv[k];
-            let out = od.row_mut(i0, i1, j, k);
-            for n in 0..out.len() {
-                let div = (rf2_s[n + 1] * fr_ip[n] - rf2_s[n] * fr_c[n]) * dr3_inv_s[n]
-                    + (st_hi * ft_jp[n] - st_lo * ft_c[n]) * drr2_s[n] * dr3_inv_s[n] * dcos_inv_j
-                    + (fp_kp[n] - fp_c[n]) * drr2_s[n] * dtc_j * dr3_inv_s[n] * dcos_inv_j * dpc_inv_k;
-                out[n] = gm1 * div / r_row[n].max(RHO_FLOOR);
-            }
-        });
-        return;
-    }
-    par.loop3(&sites::CONDUCT_DIV, space, Traffic::new(8, 1, 20), &reads, &writes, |i, j, k| {
-        let div = (rf2[i + 1] * fr.get(i + 1, j, k) - rf2[i] * fr.get(i, j, k)) * dr3_inv[i]
-            + (st_f[j + 1] * ft.get(i, j + 1, k) - st_f[j] * ft.get(i, j, k))
-                * drr2[i]
-                * dr3_inv[i]
-                * dcos_inv[j]
-            + (fp.get(i, j, k + 1) - fp.get(i, j, k))
-                * drr2[i]
-                * dtc[j]
-                * dr3_inv[i]
-                * dcos_inv[j]
-                * dpc_inv[k];
-        od.set(i, j, k, gm1 * div / rd.get(i, j, k).max(RHO_FLOOR));
+    let (i0, i1) = (space.i0, space.i1);
+    let rf2_s = &rf2[i0..i1 + 1];
+    let dr3_inv_s = &dr3_inv[i0..i1];
+    let drr2_s = &drr2[i0..i1];
+    par.loop3_rows(&sites::CONDUCT_DIV, space, Traffic::new(8, 1, 20), &reads, &writes, |j, k| {
+        let fr_c = fr.row(i0, i1, j, k);
+        let fr_ip = fr.row(i0 + 1, i1 + 1, j, k);
+        let ft_c = ft.row(i0, i1, j, k);
+        let ft_jp = ft.row(i0, i1, j + 1, k);
+        let fp_c = fp.row(i0, i1, j, k);
+        let fp_kp = fp.row(i0, i1, j, k + 1);
+        let r_row = rd.row(i0, i1, j, k);
+        let (st_lo, st_hi) = (st_f[j], st_f[j + 1]);
+        let dcos_inv_j = dcos_inv[j];
+        let dtc_j = dtc[j];
+        let dpc_inv_k = dpc_inv[k];
+        let out = od.row_mut(i0, i1, j, k);
+        for n in 0..out.len() {
+            let div = (rf2_s[n + 1] * fr_ip[n] - rf2_s[n] * fr_c[n]) * dr3_inv_s[n]
+                + (st_hi * ft_jp[n] - st_lo * ft_c[n]) * drr2_s[n] * dr3_inv_s[n] * dcos_inv_j
+                + (fp_kp[n] - fp_c[n]) * drr2_s[n] * dtc_j * dr3_inv_s[n] * dcos_inv_j * dpc_inv_k;
+            out[n] = gm1 * div / r_row[n].max(RHO_FLOOR);
+        }
     });
 }
 
@@ -513,37 +418,24 @@ fn radiate_and_heat_impl<const REC: bool>(
         if radiation { RAD_COEF } else { 0.0 },
         if heating { HEAT_COEF } else { 0.0 },
     );
-    if crate::perf::row_path() {
-        let (i0, i1) = (space.i0, space.i1);
-        let rc_s = &rc[i0..i1];
-        par.loop3_rows(&sites::RADIATE_HEAT, space, Traffic::new(3, 1, 20), &reads, &writes, |j, k| {
-            let r_row = rd.row(i0, i1, j, k);
-            let lat = 0.55 + 0.9 * st_c[j] * st_c[j];
-            let out = td.row_mut(i0, i1, j, k);
-            for n in 0..out.len() {
-                let t = out[n];
-                let rho_c = r_row[n].max(RHO_FLOOR);
-                let heat = c_heat * lat * boost(rc_s[n], HEATING_LAMBDA_INV);
-                let rad = c_rad * rho_c * rho_c * radloss(t);
-                let dtemp = dt * gm1 * (heat - rad) / rho_c;
-                out[n] = (t + dtemp).max(0.5 * t.min(TEMP_FLOOR * 2.0));
-            }
-        });
-        return;
-    }
-    par.loop3(&sites::RADIATE_HEAT, space, Traffic::new(3, 1, 20), &reads, &writes, |i, j, k| {
-        let t = td.get(i, j, k);
-        let rho_c = rd.get(i, j, k).max(RHO_FLOOR);
+    let (i0, i1) = (space.i0, space.i1);
+    let rc_s = &rc[i0..i1];
+    par.loop3_rows(&sites::RADIATE_HEAT, space, Traffic::new(3, 1, 20), &reads, &writes, |j, k| {
+        let r_row = rd.row(i0, i1, j, k);
         // Streamer-weighted heating: stronger above the (closed-field)
         // equatorial belt, weaker over the polar coronal holes — the
         // latitude structure MAS heating models carry.
         let lat = 0.55 + 0.9 * st_c[j] * st_c[j];
-        let heat = c_heat * lat * boost(rc[i], HEATING_LAMBDA_INV);
-        let rad = c_rad * rho_c * rho_c * radloss(t);
-        // Limit the sink so one step cannot overshoot below zero.
-        let dtemp = dt * gm1 * (heat - rad) / rho_c;
-        let t_new = (t + dtemp).max(0.5 * t.min(TEMP_FLOOR * 2.0));
-        td.set(i, j, k, t_new);
+        let out = td.row_mut(i0, i1, j, k);
+        for n in 0..out.len() {
+            let t = out[n];
+            let rho_c = r_row[n].max(RHO_FLOOR);
+            let heat = c_heat * lat * boost(rc_s[n], HEATING_LAMBDA_INV);
+            let rad = c_rad * rho_c * rho_c * radloss(t);
+            // Limit the sink so one step cannot overshoot below zero.
+            let dtemp = dt * gm1 * (heat - rad) / rho_c;
+            out[n] = (t + dtemp).max(0.5 * t.min(TEMP_FLOOR * 2.0));
+        }
     });
 }
 
@@ -561,30 +453,19 @@ fn floors_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, temp: &mut 
     let reads = [temp.buf(), rho.buf()];
     let writes = [temp.buf(), rho.buf()];
     let (td, rd) = (temp.data.par_view_as::<REC>(), rho.data.par_view_as::<REC>());
-    if crate::perf::row_path() {
-        let (i0, i1) = (space.i0, space.i1);
-        par.loop3_rows(&sites::FLOORS, space, Traffic::new(2, 2, 2), &reads, &writes, |j, k| {
-            let out_t = td.row_mut(i0, i1, j, k);
-            let out_r = rd.row_mut(i0, i1, j, k);
-            // Branch form (not `.max`) so NaN propagation matches the
-            // scalar body bit-for-bit.
-            for n in 0..out_t.len() {
-                if out_t[n] < TEMP_FLOOR {
-                    out_t[n] = TEMP_FLOOR;
-                }
-                if out_r[n] < RHO_FLOOR {
-                    out_r[n] = RHO_FLOOR;
-                }
+    let (i0, i1) = (space.i0, space.i1);
+    par.loop3_rows(&sites::FLOORS, space, Traffic::new(2, 2, 2), &reads, &writes, |j, k| {
+        let out_t = td.row_mut(i0, i1, j, k);
+        let out_r = rd.row_mut(i0, i1, j, k);
+        // Branch form (not `.max`): a NaN fails the comparison and stays
+        // NaN, so the supervisor's non-finite check still sees it.
+        for n in 0..out_t.len() {
+            if out_t[n] < TEMP_FLOOR {
+                out_t[n] = TEMP_FLOOR;
             }
-        });
-        return;
-    }
-    par.loop3(&sites::FLOORS, space, Traffic::new(2, 2, 2), &reads, &writes, |i, j, k| {
-        if td.get(i, j, k) < TEMP_FLOOR {
-            td.set(i, j, k, TEMP_FLOOR);
-        }
-        if rd.get(i, j, k) < RHO_FLOOR {
-            rd.set(i, j, k, RHO_FLOOR);
+            if out_r[n] < RHO_FLOOR {
+                out_r[n] = RHO_FLOOR;
+            }
         }
     });
 }

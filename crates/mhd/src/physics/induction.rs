@@ -30,7 +30,6 @@ fn emf_impl<const REC: bool>(
     eta: f64,
 ) {
     let (nr, nt, np) = (grid.nr, grid.nt, grid.np);
-    let rows = crate::perf::row_path();
     par.region(|par| {
         // E_r on r-edges (r-cell i, θ-face j, φ-face k):
         // E_r = −(v̄_θ B̄_φ − v̄_φ B̄_θ) + η J_r.
@@ -42,35 +41,25 @@ fn emf_impl<const REC: bool>(
             &v.t.data, &v.p.data, &b.t.data, &b.p.data, &j.r.data,
         );
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::EMF_R, space, Traffic::new(9, 1, 16), &reads, &writes, |jx, k| {
-                let vt_km = vt.row(i0, i1, jx, k - 1);
-                let vt_c = vt.row(i0, i1, jx, k);
-                let vp_jm = vp.row(i0, i1, jx - 1, k);
-                let vp_c = vp.row(i0, i1, jx, k);
-                let bt_km = bt.row(i0, i1, jx, k - 1);
-                let bt_c = bt.row(i0, i1, jx, k);
-                let bp_jm = bp.row(i0, i1, jx - 1, k);
-                let bp_c = bp.row(i0, i1, jx, k);
-                let jr_row = jr.row(i0, i1, jx, k);
-                let out = er.row_mut(i0, i1, jx, k);
-                for n in 0..out.len() {
-                    let vt_e = avg2(vt_km[n], vt_c[n]);
-                    let vp_e = avg2(vp_jm[n], vp_c[n]);
-                    let bt_e = c2s(bt_km[n], bt_c[n]);
-                    let bp_e = c2s(bp_jm[n], bp_c[n]);
-                    out[n] = -(vt_e * bp_e - vp_e * bt_e) + eta * jr_row[n];
-                }
-            });
-        } else {
-            par.loop3(&sites::EMF_R, space, Traffic::new(9, 1, 16), &reads, &writes, |i, jx, k| {
-                let vt_e = avg2(vt.get(i, jx, k - 1), vt.get(i, jx, k));
-                let vp_e = avg2(vp.get(i, jx - 1, k), vp.get(i, jx, k));
-                let bt_e = c2s(bt.get(i, jx, k - 1), bt.get(i, jx, k));
-                let bp_e = c2s(bp.get(i, jx - 1, k), bp.get(i, jx, k));
-                er.set(i, jx, k, -(vt_e * bp_e - vp_e * bt_e) + eta * jr.get(i, jx, k));
-            });
-        }
+        par.loop3_rows(&sites::EMF_R, space, Traffic::new(9, 1, 16), &reads, &writes, |jx, k| {
+            let vt_km = vt.row(i0, i1, jx, k - 1);
+            let vt_c = vt.row(i0, i1, jx, k);
+            let vp_jm = vp.row(i0, i1, jx - 1, k);
+            let vp_c = vp.row(i0, i1, jx, k);
+            let bt_km = bt.row(i0, i1, jx, k - 1);
+            let bt_c = bt.row(i0, i1, jx, k);
+            let bp_jm = bp.row(i0, i1, jx - 1, k);
+            let bp_c = bp.row(i0, i1, jx, k);
+            let jr_row = jr.row(i0, i1, jx, k);
+            let out = er.row_mut(i0, i1, jx, k);
+            for n in 0..out.len() {
+                let vt_e = avg2(vt_km[n], vt_c[n]);
+                let vp_e = avg2(vp_jm[n], vp_c[n]);
+                let bt_e = c2s(bt_km[n], bt_c[n]);
+                let bp_e = c2s(bp_jm[n], bp_c[n]);
+                out[n] = -(vt_e * bp_e - vp_e * bt_e) + eta * jr_row[n];
+            }
+        });
 
         // E_θ on θ-edges (r-face i, θ-cell j, φ-face k):
         // E_θ = −(v̄_φ B̄_r − v̄_r B̄_φ) + η J_θ.
@@ -82,35 +71,25 @@ fn emf_impl<const REC: bool>(
             &v.p.data, &v.r.data, &b.r.data, &b.p.data, &j.t.data,
         );
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::EMF_T, space, Traffic::new(9, 1, 16), &reads, &writes, |jx, k| {
-                let vp_im = vp.row(i0 - 1, i1 - 1, jx, k);
-                let vp_c = vp.row(i0, i1, jx, k);
-                let vr_km = vr.row(i0, i1, jx, k - 1);
-                let vr_c = vr.row(i0, i1, jx, k);
-                let br_km = br.row(i0, i1, jx, k - 1);
-                let br_c = br.row(i0, i1, jx, k);
-                let bp_im = bp.row(i0 - 1, i1 - 1, jx, k);
-                let bp_c = bp.row(i0, i1, jx, k);
-                let jt_row = jt.row(i0, i1, jx, k);
-                let out = et.row_mut(i0, i1, jx, k);
-                for n in 0..out.len() {
-                    let vp_e = avg2(vp_im[n], vp_c[n]);
-                    let vr_e = avg2(vr_km[n], vr_c[n]);
-                    let br_e = c2s(br_km[n], br_c[n]);
-                    let bp_e = c2s(bp_im[n], bp_c[n]);
-                    out[n] = -(vp_e * br_e - vr_e * bp_e) + eta * jt_row[n];
-                }
-            });
-        } else {
-            par.loop3(&sites::EMF_T, space, Traffic::new(9, 1, 16), &reads, &writes, |i, jx, k| {
-                let vp_e = avg2(vp.get(i - 1, jx, k), vp.get(i, jx, k));
-                let vr_e = avg2(vr.get(i, jx, k - 1), vr.get(i, jx, k));
-                let br_e = c2s(br.get(i, jx, k - 1), br.get(i, jx, k));
-                let bp_e = c2s(bp.get(i - 1, jx, k), bp.get(i, jx, k));
-                et.set(i, jx, k, -(vp_e * br_e - vr_e * bp_e) + eta * jt.get(i, jx, k));
-            });
-        }
+        par.loop3_rows(&sites::EMF_T, space, Traffic::new(9, 1, 16), &reads, &writes, |jx, k| {
+            let vp_im = vp.row(i0 - 1, i1 - 1, jx, k);
+            let vp_c = vp.row(i0, i1, jx, k);
+            let vr_km = vr.row(i0, i1, jx, k - 1);
+            let vr_c = vr.row(i0, i1, jx, k);
+            let br_km = br.row(i0, i1, jx, k - 1);
+            let br_c = br.row(i0, i1, jx, k);
+            let bp_im = bp.row(i0 - 1, i1 - 1, jx, k);
+            let bp_c = bp.row(i0, i1, jx, k);
+            let jt_row = jt.row(i0, i1, jx, k);
+            let out = et.row_mut(i0, i1, jx, k);
+            for n in 0..out.len() {
+                let vp_e = avg2(vp_im[n], vp_c[n]);
+                let vr_e = avg2(vr_km[n], vr_c[n]);
+                let br_e = c2s(br_km[n], br_c[n]);
+                let bp_e = c2s(bp_im[n], bp_c[n]);
+                out[n] = -(vp_e * br_e - vr_e * bp_e) + eta * jt_row[n];
+            }
+        });
 
         // E_φ on φ-edges (r-face i, θ-face j, φ-cell k):
         // E_φ = −(v̄_r B̄_θ − v̄_θ B̄_r) + η J_φ.
@@ -122,35 +101,25 @@ fn emf_impl<const REC: bool>(
             &v.r.data, &v.t.data, &b.r.data, &b.t.data, &j.p.data,
         );
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::EMF_P, space, Traffic::new(9, 1, 16), &reads, &writes, |jx, k| {
-                let vr_jm = vr.row(i0, i1, jx - 1, k);
-                let vr_c = vr.row(i0, i1, jx, k);
-                let vt_im = vt.row(i0 - 1, i1 - 1, jx, k);
-                let vt_c = vt.row(i0, i1, jx, k);
-                let br_jm = br.row(i0, i1, jx - 1, k);
-                let br_c = br.row(i0, i1, jx, k);
-                let bt_im = bt.row(i0 - 1, i1 - 1, jx, k);
-                let bt_c = bt.row(i0, i1, jx, k);
-                let jp_row = jp.row(i0, i1, jx, k);
-                let out = ep.row_mut(i0, i1, jx, k);
-                for n in 0..out.len() {
-                    let vr_e = avg2(vr_jm[n], vr_c[n]);
-                    let vt_e = avg2(vt_im[n], vt_c[n]);
-                    let br_e = c2s(br_jm[n], br_c[n]);
-                    let bt_e = c2s(bt_im[n], bt_c[n]);
-                    out[n] = -(vr_e * bt_e - vt_e * br_e) + eta * jp_row[n];
-                }
-            });
-        } else {
-            par.loop3(&sites::EMF_P, space, Traffic::new(9, 1, 16), &reads, &writes, |i, jx, k| {
-                let vr_e = avg2(vr.get(i, jx - 1, k), vr.get(i, jx, k));
-                let vt_e = avg2(vt.get(i - 1, jx, k), vt.get(i, jx, k));
-                let br_e = c2s(br.get(i, jx - 1, k), br.get(i, jx, k));
-                let bt_e = c2s(bt.get(i - 1, jx, k), bt.get(i, jx, k));
-                ep.set(i, jx, k, -(vr_e * bt_e - vt_e * br_e) + eta * jp.get(i, jx, k));
-            });
-        }
+        par.loop3_rows(&sites::EMF_P, space, Traffic::new(9, 1, 16), &reads, &writes, |jx, k| {
+            let vr_jm = vr.row(i0, i1, jx - 1, k);
+            let vr_c = vr.row(i0, i1, jx, k);
+            let vt_im = vt.row(i0 - 1, i1 - 1, jx, k);
+            let vt_c = vt.row(i0, i1, jx, k);
+            let br_jm = br.row(i0, i1, jx - 1, k);
+            let br_c = br.row(i0, i1, jx, k);
+            let bt_im = bt.row(i0 - 1, i1 - 1, jx, k);
+            let bt_c = bt.row(i0, i1, jx, k);
+            let jp_row = jp.row(i0, i1, jx, k);
+            let out = ep.row_mut(i0, i1, jx, k);
+            for n in 0..out.len() {
+                let vr_e = avg2(vr_jm[n], vr_c[n]);
+                let vt_e = avg2(vt_im[n], vt_c[n]);
+                let br_e = c2s(br_jm[n], br_c[n]);
+                let bt_e = c2s(bt_im[n], bt_c[n]);
+                out[n] = -(vr_e * bt_e - vt_e * br_e) + eta * jp_row[n];
+            }
+        });
     });
 }
 
@@ -167,7 +136,6 @@ pub fn ct_update(par: &mut Par, grid: &SphericalGrid, ct: &CtGeom, b: &mut VecFi
 
 fn ct_update_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, ct: &CtGeom, b: &mut VecField, e: &VecField, dt: f64) {
     let (nr, nt, np) = (grid.nr, grid.nt, grid.np);
-    let rows = crate::perf::row_path();
     par.region(|par| {
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
         let reads = [e.t.buf(), e.p.buf(), b.r.buf()];
@@ -175,20 +143,13 @@ fn ct_update_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, ct: &CtG
         let br = b.r.data.par_view_as::<REC>();
         let (et, ep) = (&e.t.data, &e.p.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::CT_BR, space, Traffic::new(6, 1, 14), &reads, &writes, |j, k| {
-                let out = br.row_mut(i0, i1, j, k);
-                ct.circ_r_row(et, ep, i0, i1, j, k, |n, c| {
-                    let a = ct.area_r(i0 + n, j, k);
-                    out[n] += -dt * c / a;
-                });
+        par.loop3_rows(&sites::CT_BR, space, Traffic::new(6, 1, 14), &reads, &writes, |j, k| {
+            let out = br.row_mut(i0, i1, j, k);
+            ct.circ_r_row(et, ep, i0, i1, j, k, |n, c| {
+                let a = ct.area_r(i0 + n, j, k);
+                out[n] += -dt * c / a;
             });
-        } else {
-            par.loop3(&sites::CT_BR, space, Traffic::new(6, 1, 14), &reads, &writes, |i, j, k| {
-                let a = ct.area_r(i, j, k);
-                br.add(i, j, k, -dt * ct.circ_r(et, ep, i, j, k) / a);
-            });
-        }
+        });
 
         // θ-faces: skip polar faces (zero area) — trim one face at each
         // θ end (the local slab always carries the polar faces).
@@ -199,24 +160,15 @@ fn ct_update_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, ct: &CtG
         let bt = b.t.data.par_view_as::<REC>();
         let (er, ep) = (&e.r.data, &e.p.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::CT_BT, space, Traffic::new(6, 1, 14), &reads, &writes, |j, k| {
-                let out = bt.row_mut(i0, i1, j, k);
-                ct.circ_t_row(er, ep, i0, i1, j, k, |n, c| {
-                    let a = ct.area_t(i0 + n, j, k);
-                    if a > 0.0 {
-                        out[n] += -dt * c / a;
-                    }
-                });
-            });
-        } else {
-            par.loop3(&sites::CT_BT, space, Traffic::new(6, 1, 14), &reads, &writes, |i, j, k| {
-                let a = ct.area_t(i, j, k);
+        par.loop3_rows(&sites::CT_BT, space, Traffic::new(6, 1, 14), &reads, &writes, |j, k| {
+            let out = bt.row_mut(i0, i1, j, k);
+            ct.circ_t_row(er, ep, i0, i1, j, k, |n, c| {
+                let a = ct.area_t(i0 + n, j, k);
                 if a > 0.0 {
-                    bt.add(i, j, k, -dt * ct.circ_t(er, ep, i, j, k) / a);
+                    out[n] += -dt * c / a;
                 }
             });
-        }
+        });
 
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
         let reads = [e.r.buf(), e.t.buf(), b.p.buf()];
@@ -224,20 +176,13 @@ fn ct_update_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, ct: &CtG
         let bp = b.p.data.par_view_as::<REC>();
         let (er, et) = (&e.r.data, &e.t.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::CT_BP, space, Traffic::new(6, 1, 14), &reads, &writes, |j, k| {
-                let out = bp.row_mut(i0, i1, j, k);
-                ct.circ_p_row(er, et, i0, i1, j, k, |n, c| {
-                    let a = ct.area_p(i0 + n, j);
-                    out[n] += -dt * c / a;
-                });
+        par.loop3_rows(&sites::CT_BP, space, Traffic::new(6, 1, 14), &reads, &writes, |j, k| {
+            let out = bp.row_mut(i0, i1, j, k);
+            ct.circ_p_row(er, et, i0, i1, j, k, |n, c| {
+                let a = ct.area_p(i0 + n, j);
+                out[n] += -dt * c / a;
             });
-        } else {
-            par.loop3(&sites::CT_BP, space, Traffic::new(6, 1, 14), &reads, &writes, |i, j, k| {
-                let a = ct.area_p(i, j);
-                bp.add(i, j, k, -dt * ct.circ_p(er, et, i, j, k) / a);
-            });
-        }
+        });
     });
 }
 

@@ -31,20 +31,14 @@ fn pressure_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, pres: &mu
     let writes = [pres.buf()];
     let pd = pres.data.par_view_as::<REC>();
     let (rd, td) = (&rho.data, &temp.data);
-    if crate::perf::row_path() {
-        let (i0, i1) = (space.i0, space.i1);
-        par.loop3_rows(&sites::PRESSURE, space, Traffic::new(2, 1, 1), &reads, &writes, |j, k| {
-            let r_row = rd.row(i0, i1, j, k);
-            let t_row = td.row(i0, i1, j, k);
-            let out = pd.row_mut(i0, i1, j, k);
-            for n in 0..out.len() {
-                out[n] = r_row[n] * t_row[n];
-            }
-        });
-        return;
-    }
-    par.loop3(&sites::PRESSURE, space, Traffic::new(2, 1, 1), &reads, &writes, |i, j, k| {
-        pd.set(i, j, k, rd.get(i, j, k) * td.get(i, j, k));
+    let (i0, i1) = (space.i0, space.i1);
+    par.loop3_rows(&sites::PRESSURE, space, Traffic::new(2, 1, 1), &reads, &writes, |j, k| {
+        let r_row = rd.row(i0, i1, j, k);
+        let t_row = td.row(i0, i1, j, k);
+        let out = pd.row_mut(i0, i1, j, k);
+        for n in 0..out.len() {
+            out[n] = r_row[n] * t_row[n];
+        }
     });
 }
 
@@ -63,7 +57,6 @@ fn current_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, j_out: &mu
     let (rc, rc_inv, rf_inv) = (&grid.rc, &grid.rc_inv, &grid.rf_inv);
     let (st_c, st_f_inv, st_c_inv) = (&grid.st_c, &grid.st_f_inv, &grid.st_c_inv);
     let (dtf_inv, dpf_inv, drf_inv) = (&grid.t.df_inv, &grid.p.df_inv, &grid.r.df_inv);
-    let rows = crate::perf::row_path();
     par.region(|par| {
         // J_r on r-edges (r-cell i, θ-face j, φ-face k).
         let space = IndexSpace3::interior_trimmed(Stagger::EdgeR, nr, nt, np, (0, 1, 0));
@@ -72,29 +65,21 @@ fn current_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, j_out: &mu
         let jr = j_out.r.data.par_view_as::<REC>();
         let (bt, bp) = (&b.t.data, &b.p.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            let rc_inv_s = &rc_inv[i0..i1];
-            par.loop3_rows(&sites::CURL_B_R, space, Traffic::new(5, 1, 10), &reads, &writes, |j, k| {
-                let bp_c = bp.row(i0, i1, j, k);
-                let bp_jm = bp.row(i0, i1, j - 1, k);
-                let bt_c = bt.row(i0, i1, j, k);
-                let bt_km = bt.row(i0, i1, j, k - 1);
-                let (st_jm, st_j) = (st_c[j - 1], st_c[j]);
-                let (dtf_j, dpf_k, stf_j) = (dtf_inv[j], dpf_inv[k], st_f_inv[j]);
-                let out = jr.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let dsin_bp = (st_j * bp_c[n] - st_jm * bp_jm[n]) * dtf_j;
-                    let dbt = (bt_c[n] - bt_km[n]) * dpf_k;
-                    out[n] = rc_inv_s[n] * stf_j * (dsin_bp - dbt);
-                }
-            });
-        } else {
-            par.loop3(&sites::CURL_B_R, space, Traffic::new(5, 1, 10), &reads, &writes, |i, j, k| {
-                let dsin_bp = (st_c[j] * bp.get(i, j, k) - st_c[j - 1] * bp.get(i, j - 1, k)) * dtf_inv[j];
-                let dbt = (bt.get(i, j, k) - bt.get(i, j, k - 1)) * dpf_inv[k];
-                jr.set(i, j, k, rc_inv[i] * st_f_inv[j] * (dsin_bp - dbt));
-            });
-        }
+        let rc_inv_s = &rc_inv[i0..i1];
+        par.loop3_rows(&sites::CURL_B_R, space, Traffic::new(5, 1, 10), &reads, &writes, |j, k| {
+            let bp_c = bp.row(i0, i1, j, k);
+            let bp_jm = bp.row(i0, i1, j - 1, k);
+            let bt_c = bt.row(i0, i1, j, k);
+            let bt_km = bt.row(i0, i1, j, k - 1);
+            let (st_jm, st_j) = (st_c[j - 1], st_c[j]);
+            let (dtf_j, dpf_k, stf_j) = (dtf_inv[j], dpf_inv[k], st_f_inv[j]);
+            let out = jr.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let dsin_bp = (st_j * bp_c[n] - st_jm * bp_jm[n]) * dtf_j;
+                let dbt = (bt_c[n] - bt_km[n]) * dpf_k;
+                out[n] = rc_inv_s[n] * stf_j * (dsin_bp - dbt);
+            }
+        });
 
         // J_θ on θ-edges (r-face i, θ-cell j, φ-face k).
         let space = IndexSpace3::interior_trimmed(Stagger::EdgeT, nr, nt, np, (1, 0, 0));
@@ -103,31 +88,23 @@ fn current_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, j_out: &mu
         let jt = j_out.t.data.par_view_as::<REC>();
         let (br, bp) = (&b.r.data, &b.p.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            // rc_s[n] = rc[i-1], rc_s[n+1] = rc[i].
-            let rc_s = &rc[i0 - 1..i1];
-            let drf_s = &drf_inv[i0..i1];
-            let rf_inv_s = &rf_inv[i0..i1];
-            par.loop3_rows(&sites::CURL_B_T, space, Traffic::new(5, 1, 10), &reads, &writes, |j, k| {
-                let br_c = br.row(i0, i1, j, k);
-                let br_km = br.row(i0, i1, j, k - 1);
-                let bp_c = bp.row(i0, i1, j, k);
-                let bp_im = bp.row(i0 - 1, i1 - 1, j, k);
-                let (dpf_k, stc_j) = (dpf_inv[k], st_c_inv[j]);
-                let out = jt.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let dbr = (br_c[n] - br_km[n]) * dpf_k;
-                    let drbp = (rc_s[n + 1] * bp_c[n] - rc_s[n] * bp_im[n]) * drf_s[n];
-                    out[n] = rf_inv_s[n] * (stc_j * dbr - drbp);
-                }
-            });
-        } else {
-            par.loop3(&sites::CURL_B_T, space, Traffic::new(5, 1, 10), &reads, &writes, |i, j, k| {
-                let dbr = (br.get(i, j, k) - br.get(i, j, k - 1)) * dpf_inv[k];
-                let drbp = (rc[i] * bp.get(i, j, k) - rc[i - 1] * bp.get(i - 1, j, k)) * drf_inv[i];
-                jt.set(i, j, k, rf_inv[i] * (st_c_inv[j] * dbr - drbp));
-            });
-        }
+        // rc_s[n] = rc[i-1], rc_s[n+1] = rc[i].
+        let rc_s = &rc[i0 - 1..i1];
+        let drf_s = &drf_inv[i0..i1];
+        let rf_inv_s = &rf_inv[i0..i1];
+        par.loop3_rows(&sites::CURL_B_T, space, Traffic::new(5, 1, 10), &reads, &writes, |j, k| {
+            let br_c = br.row(i0, i1, j, k);
+            let br_km = br.row(i0, i1, j, k - 1);
+            let bp_c = bp.row(i0, i1, j, k);
+            let bp_im = bp.row(i0 - 1, i1 - 1, j, k);
+            let (dpf_k, stc_j) = (dpf_inv[k], st_c_inv[j]);
+            let out = jt.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let dbr = (br_c[n] - br_km[n]) * dpf_k;
+                let drbp = (rc_s[n + 1] * bp_c[n] - rc_s[n] * bp_im[n]) * drf_s[n];
+                out[n] = rf_inv_s[n] * (stc_j * dbr - drbp);
+            }
+        });
 
         // J_φ on φ-edges (r-face i, θ-face j, φ-cell k).
         let space = IndexSpace3::interior_trimmed(Stagger::EdgeP, nr, nt, np, (1, 1, 0));
@@ -136,30 +113,22 @@ fn current_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, j_out: &mu
         let jp = j_out.p.data.par_view_as::<REC>();
         let (br, bt) = (&b.r.data, &b.t.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            let rc_s = &rc[i0 - 1..i1];
-            let drf_s = &drf_inv[i0..i1];
-            let rf_inv_s = &rf_inv[i0..i1];
-            par.loop3_rows(&sites::CURL_B_P, space, Traffic::new(5, 1, 10), &reads, &writes, |j, k| {
-                let bt_c = bt.row(i0, i1, j, k);
-                let bt_im = bt.row(i0 - 1, i1 - 1, j, k);
-                let br_c = br.row(i0, i1, j, k);
-                let br_jm = br.row(i0, i1, j - 1, k);
-                let dtf_j = dtf_inv[j];
-                let out = jp.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let drbt = (rc_s[n + 1] * bt_c[n] - rc_s[n] * bt_im[n]) * drf_s[n];
-                    let dbr = (br_c[n] - br_jm[n]) * dtf_j;
-                    out[n] = rf_inv_s[n] * (drbt - dbr);
-                }
-            });
-        } else {
-            par.loop3(&sites::CURL_B_P, space, Traffic::new(5, 1, 10), &reads, &writes, |i, j, k| {
-                let drbt = (rc[i] * bt.get(i, j, k) - rc[i - 1] * bt.get(i - 1, j, k)) * drf_inv[i];
-                let dbr = (br.get(i, j, k) - br.get(i, j - 1, k)) * dtf_inv[j];
-                jp.set(i, j, k, rf_inv[i] * (drbt - dbr));
-            });
-        }
+        let rc_s = &rc[i0 - 1..i1];
+        let drf_s = &drf_inv[i0..i1];
+        let rf_inv_s = &rf_inv[i0..i1];
+        par.loop3_rows(&sites::CURL_B_P, space, Traffic::new(5, 1, 10), &reads, &writes, |j, k| {
+            let bt_c = bt.row(i0, i1, j, k);
+            let bt_im = bt.row(i0 - 1, i1 - 1, j, k);
+            let br_c = br.row(i0, i1, j, k);
+            let br_jm = br.row(i0, i1, j - 1, k);
+            let dtf_j = dtf_inv[j];
+            let out = jp.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let drbt = (rc_s[n + 1] * bt_c[n] - rc_s[n] * bt_im[n]) * drf_s[n];
+                let dbr = (br_c[n] - br_jm[n]) * dtf_j;
+                out[n] = rf_inv_s[n] * (drbt - dbr);
+            }
+        });
     });
 }
 
@@ -174,7 +143,6 @@ pub fn rho_to_faces(par: &mut Par, grid: &SphericalGrid, rho_face: &mut VecField
 
 fn rho_to_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, rho_face: &mut VecField, rho: &Field) {
     let (nr, nt, np) = (grid.nr, grid.nt, grid.np);
-    let rows = crate::perf::row_path();
     par.region(|par| {
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
         let reads = [rho.buf()];
@@ -182,60 +150,42 @@ fn rho_to_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, rho_f
         let o = rho_face.r.data.par_view_as::<REC>();
         let rd = &rho.data;
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::RHO_FACE_R, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
-                let r_lo = rd.row(i0 - 1, i1 - 1, j, k);
-                let r_hi = rd.row(i0, i1, j, k);
-                let out = o.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    out[n] = s2c(r_lo[n], r_hi[n]);
-                }
-            });
-        } else {
-            par.loop3(&sites::RHO_FACE_R, space, Traffic::new(2, 1, 2), &reads, &writes, |i, j, k| {
-                o.set(i, j, k, s2c(rd.get(i - 1, j, k), rd.get(i, j, k)));
-            });
-        }
+        par.loop3_rows(&sites::RHO_FACE_R, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
+            let r_lo = rd.row(i0 - 1, i1 - 1, j, k);
+            let r_hi = rd.row(i0, i1, j, k);
+            let out = o.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                out[n] = s2c(r_lo[n], r_hi[n]);
+            }
+        });
         let space = IndexSpace3::interior_trimmed(Stagger::FaceT, nr, nt, np, (0, 1, 0));
         let reads = [rho.buf()];
         let writes = [rho_face.t.buf()];
         let o = rho_face.t.data.par_view_as::<REC>();
         let rd = &rho.data;
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::RHO_FACE_T, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
-                let r_lo = rd.row(i0, i1, j - 1, k);
-                let r_hi = rd.row(i0, i1, j, k);
-                let out = o.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    out[n] = s2c(r_lo[n], r_hi[n]);
-                }
-            });
-        } else {
-            par.loop3(&sites::RHO_FACE_T, space, Traffic::new(2, 1, 2), &reads, &writes, |i, j, k| {
-                o.set(i, j, k, s2c(rd.get(i, j - 1, k), rd.get(i, j, k)));
-            });
-        }
+        par.loop3_rows(&sites::RHO_FACE_T, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
+            let r_lo = rd.row(i0, i1, j - 1, k);
+            let r_hi = rd.row(i0, i1, j, k);
+            let out = o.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                out[n] = s2c(r_lo[n], r_hi[n]);
+            }
+        });
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
         let reads = [rho.buf()];
         let writes = [rho_face.p.buf()];
         let o = rho_face.p.data.par_view_as::<REC>();
         let rd = &rho.data;
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            par.loop3_rows(&sites::RHO_FACE_P, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
-                let r_lo = rd.row(i0, i1, j, k - 1);
-                let r_hi = rd.row(i0, i1, j, k);
-                let out = o.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    out[n] = s2c(r_lo[n], r_hi[n]);
-                }
-            });
-        } else {
-            par.loop3(&sites::RHO_FACE_P, space, Traffic::new(2, 1, 2), &reads, &writes, |i, j, k| {
-                o.set(i, j, k, s2c(rd.get(i, j, k - 1), rd.get(i, j, k)));
-            });
-        }
+        par.loop3_rows(&sites::RHO_FACE_P, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
+            let r_lo = rd.row(i0, i1, j, k - 1);
+            let r_hi = rd.row(i0, i1, j, k);
+            let out = o.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                out[n] = s2c(r_lo[n], r_hi[n]);
+            }
+        });
     });
 }
 
@@ -257,7 +207,6 @@ fn advect_velocity_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, fo
     let (dcr, dfr) = (&grid.r.dc, &grid.r.df);
     let (dct, dft) = (&grid.t.dc, &grid.t.df);
     let (dcp, dfp) = (&grid.p.dc, &grid.p.df);
-    let rows = crate::perf::row_path();
     par.region(|par| {
         // --- v_r on r-faces ---
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
@@ -266,86 +215,58 @@ fn advect_velocity_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, fo
         let o = force.r.data.par_view_as::<REC>();
         let (vr, vt, vp) = (&v.r.data, &v.t.data, &v.p.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            // dcr_s[n] = dcr[i-1], dcr_s[n+1] = dcr[i].
-            let dcr_s = &dcr[i0 - 1..i1];
-            let rf_inv_s = &rf_inv[i0..i1];
-            par.loop3_rows(&sites::ADVECT_V_R, space, Traffic::new(12, 1, 30), &reads, &writes, |j, k| {
-                let vr_c = vr.row(i0, i1, j, k);
-                let vr_im = vr.row(i0 - 1, i1 - 1, j, k);
-                let vr_ip = vr.row(i0 + 1, i1 + 1, j, k);
-                let vr_jm = vr.row(i0, i1, j - 1, k);
-                let vr_jp = vr.row(i0, i1, j + 1, k);
-                let vr_km = vr.row(i0, i1, j, k - 1);
-                let vr_kp = vr.row(i0, i1, j, k + 1);
-                let vt_im_j = vt.row(i0 - 1, i1 - 1, j, k);
-                let vt_i_j = vt.row(i0, i1, j, k);
-                let vt_im_jp = vt.row(i0 - 1, i1 - 1, j + 1, k);
-                let vt_i_jp = vt.row(i0, i1, j + 1, k);
-                let vp_im_k = vp.row(i0 - 1, i1 - 1, j, k);
-                let vp_i_k = vp.row(i0, i1, j, k);
-                let vp_im_kp = vp.row(i0 - 1, i1 - 1, j, k + 1);
-                let vp_i_kp = vp.row(i0, i1, j, k + 1);
-                let (dft_j, dft_jp) = (dft[j], dft[j + 1]);
-                let (dfp_k, dfp_kp) = (dfp[k], dfp[k + 1]);
-                let stc_j = st_c_inv[j];
-                let out = o.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let f0 = vr_c[n];
-                    let ur = f0;
-                    let ut = sv2cv(vt_im_j[n], vt_i_j[n], vt_im_jp[n], vt_i_jp[n]);
-                    let up = sv2cv(vp_im_k[n], vp_i_k[n], vp_im_kp[n], vp_i_kp[n]);
-                    let gr = if ur >= 0.0 {
-                        (f0 - vr_im[n]) / dcr_s[n]
+        // dcr_s[n] = dcr[i-1], dcr_s[n+1] = dcr[i].
+        let dcr_s = &dcr[i0 - 1..i1];
+        let rf_inv_s = &rf_inv[i0..i1];
+        par.loop3_rows(&sites::ADVECT_V_R, space, Traffic::new(12, 1, 30), &reads, &writes, |j, k| {
+            let vr_c = vr.row(i0, i1, j, k);
+            let vr_im = vr.row(i0 - 1, i1 - 1, j, k);
+            let vr_ip = vr.row(i0 + 1, i1 + 1, j, k);
+            let vr_jm = vr.row(i0, i1, j - 1, k);
+            let vr_jp = vr.row(i0, i1, j + 1, k);
+            let vr_km = vr.row(i0, i1, j, k - 1);
+            let vr_kp = vr.row(i0, i1, j, k + 1);
+            let vt_im_j = vt.row(i0 - 1, i1 - 1, j, k);
+            let vt_i_j = vt.row(i0, i1, j, k);
+            let vt_im_jp = vt.row(i0 - 1, i1 - 1, j + 1, k);
+            let vt_i_jp = vt.row(i0, i1, j + 1, k);
+            let vp_im_k = vp.row(i0 - 1, i1 - 1, j, k);
+            let vp_i_k = vp.row(i0, i1, j, k);
+            let vp_im_kp = vp.row(i0 - 1, i1 - 1, j, k + 1);
+            let vp_i_kp = vp.row(i0, i1, j, k + 1);
+            let (dft_j, dft_jp) = (dft[j], dft[j + 1]);
+            let (dfp_k, dfp_kp) = (dfp[k], dfp[k + 1]);
+            let stc_j = st_c_inv[j];
+            let out = o.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let f0 = vr_c[n];
+                // Advecting velocity at the r-face.
+                let ur = f0;
+                let ut = sv2cv(vt_im_j[n], vt_i_j[n], vt_im_jp[n], vt_i_jp[n]);
+                let up = sv2cv(vp_im_k[n], vp_i_k[n], vp_im_kp[n], vp_i_kp[n]);
+                // Upwind gradients on the r-face lattice (spacing between
+                // r-faces along r is the cell width).
+                let gr = if ur >= 0.0 {
+                    (f0 - vr_im[n]) / dcr_s[n]
+                } else {
+                    (vr_ip[n] - f0) / dcr_s[n + 1]
+                };
+                let gt = rf_inv_s[n]
+                    * if ut >= 0.0 {
+                        (f0 - vr_jm[n]) / dft_j
                     } else {
-                        (vr_ip[n] - f0) / dcr_s[n + 1]
+                        (vr_jp[n] - f0) / dft_jp
                     };
-                    let gt = rf_inv_s[n]
-                        * if ut >= 0.0 {
-                            (f0 - vr_jm[n]) / dft_j
-                        } else {
-                            (vr_jp[n] - f0) / dft_jp
-                        };
-                    let gp = rf_inv_s[n]
-                        * stc_j
-                        * if up >= 0.0 {
-                            (f0 - vr_km[n]) / dfp_k
-                        } else {
-                            (vr_kp[n] - f0) / dfp_kp
-                        };
-                    out[n] = -(ur * gr + ut * gt + up * gp);
-                }
-            });
-        } else {
-        par.loop3(&sites::ADVECT_V_R, space, Traffic::new(12, 1, 30), &reads, &writes, |i, j, k| {
-            let f0 = vr.get(i, j, k);
-            // Advecting velocity at the r-face.
-            let ur = f0;
-            let ut = sv2cv(vt.get(i - 1, j, k), vt.get(i, j, k), vt.get(i - 1, j + 1, k), vt.get(i, j + 1, k));
-            let up = sv2cv(vp.get(i - 1, j, k), vp.get(i, j, k), vp.get(i - 1, j, k + 1), vp.get(i, j, k + 1));
-            // Upwind gradients on the r-face lattice (spacing between
-            // r-faces along r is the cell width).
-            let gr = if ur >= 0.0 {
-                (f0 - vr.get(i - 1, j, k)) / dcr[i - 1]
-            } else {
-                (vr.get(i + 1, j, k) - f0) / dcr[i]
-            };
-            let gt = rf_inv[i]
-                * if ut >= 0.0 {
-                    (f0 - vr.get(i, j - 1, k)) / dft[j]
-                } else {
-                    (vr.get(i, j + 1, k) - f0) / dft[j + 1]
-                };
-            let gp = rf_inv[i]
-                * st_c_inv[j]
-                * if up >= 0.0 {
-                    (f0 - vr.get(i, j, k - 1)) / dfp[k]
-                } else {
-                    (vr.get(i, j, k + 1) - f0) / dfp[k + 1]
-                };
-            o.set(i, j, k, -(ur * gr + ut * gt + up * gp));
+                let gp = rf_inv_s[n]
+                    * stc_j
+                    * if up >= 0.0 {
+                        (f0 - vr_km[n]) / dfp_k
+                    } else {
+                        (vr_kp[n] - f0) / dfp_kp
+                    };
+                out[n] = -(ur * gr + ut * gt + up * gp);
+            }
         });
-        }
 
         // --- v_θ on θ-faces ---
         let space = IndexSpace3::interior_trimmed(Stagger::FaceT, nr, nt, np, (0, 1, 0));
@@ -354,83 +275,55 @@ fn advect_velocity_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, fo
         let o = force.t.data.par_view_as::<REC>();
         let (vr, vt, vp) = (&v.r.data, &v.t.data, &v.p.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            // dfr_s[n] = dfr[i], dfr_s[n+1] = dfr[i+1].
-            let dfr_s = &dfr[i0..i1 + 1];
-            let rc_inv_s = &rc_inv[i0..i1];
-            par.loop3_rows(&sites::ADVECT_V_T, space, Traffic::new(12, 1, 30), &reads, &writes, |j, k| {
-                let vt_c = vt.row(i0, i1, j, k);
-                let vt_im = vt.row(i0 - 1, i1 - 1, j, k);
-                let vt_ip = vt.row(i0 + 1, i1 + 1, j, k);
-                let vt_jm = vt.row(i0, i1, j - 1, k);
-                let vt_jp = vt.row(i0, i1, j + 1, k);
-                let vt_km = vt.row(i0, i1, j, k - 1);
-                let vt_kp = vt.row(i0, i1, j, k + 1);
-                let vr_i_jm = vr.row(i0, i1, j - 1, k);
-                let vr_i_j = vr.row(i0, i1, j, k);
-                let vr_ip_jm = vr.row(i0 + 1, i1 + 1, j - 1, k);
-                let vr_ip_j = vr.row(i0 + 1, i1 + 1, j, k);
-                let vp_jm_k = vp.row(i0, i1, j - 1, k);
-                let vp_j_k = vp.row(i0, i1, j, k);
-                let vp_jm_kp = vp.row(i0, i1, j - 1, k + 1);
-                let vp_j_kp = vp.row(i0, i1, j, k + 1);
-                let (dct_jm, dct_j) = (dct[j - 1], dct[j]);
-                let (dfp_k, dfp_kp) = (dfp[k], dfp[k + 1]);
-                let stf_j = st_f_inv[j];
-                let out = o.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let f0 = vt_c[n];
-                    let ur = sv2cv(vr_i_jm[n], vr_i_j[n], vr_ip_jm[n], vr_ip_j[n]);
-                    let ut = f0;
-                    let up = sv2cv(vp_jm_k[n], vp_j_k[n], vp_jm_kp[n], vp_j_kp[n]);
-                    let gr = if ur >= 0.0 {
-                        (f0 - vt_im[n]) / dfr_s[n]
+        // dfr_s[n] = dfr[i], dfr_s[n+1] = dfr[i+1].
+        let dfr_s = &dfr[i0..i1 + 1];
+        let rc_inv_s = &rc_inv[i0..i1];
+        par.loop3_rows(&sites::ADVECT_V_T, space, Traffic::new(12, 1, 30), &reads, &writes, |j, k| {
+            let vt_c = vt.row(i0, i1, j, k);
+            let vt_im = vt.row(i0 - 1, i1 - 1, j, k);
+            let vt_ip = vt.row(i0 + 1, i1 + 1, j, k);
+            let vt_jm = vt.row(i0, i1, j - 1, k);
+            let vt_jp = vt.row(i0, i1, j + 1, k);
+            let vt_km = vt.row(i0, i1, j, k - 1);
+            let vt_kp = vt.row(i0, i1, j, k + 1);
+            let vr_i_jm = vr.row(i0, i1, j - 1, k);
+            let vr_i_j = vr.row(i0, i1, j, k);
+            let vr_ip_jm = vr.row(i0 + 1, i1 + 1, j - 1, k);
+            let vr_ip_j = vr.row(i0 + 1, i1 + 1, j, k);
+            let vp_jm_k = vp.row(i0, i1, j - 1, k);
+            let vp_j_k = vp.row(i0, i1, j, k);
+            let vp_jm_kp = vp.row(i0, i1, j - 1, k + 1);
+            let vp_j_kp = vp.row(i0, i1, j, k + 1);
+            let (dct_jm, dct_j) = (dct[j - 1], dct[j]);
+            let (dfp_k, dfp_kp) = (dfp[k], dfp[k + 1]);
+            let stf_j = st_f_inv[j];
+            let out = o.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let f0 = vt_c[n];
+                let ur = sv2cv(vr_i_jm[n], vr_i_j[n], vr_ip_jm[n], vr_ip_j[n]);
+                let ut = f0;
+                let up = sv2cv(vp_jm_k[n], vp_j_k[n], vp_jm_kp[n], vp_j_kp[n]);
+                let gr = if ur >= 0.0 {
+                    (f0 - vt_im[n]) / dfr_s[n]
+                } else {
+                    (vt_ip[n] - f0) / dfr_s[n + 1]
+                };
+                let gt = rc_inv_s[n]
+                    * if ut >= 0.0 {
+                        (f0 - vt_jm[n]) / dct_jm
                     } else {
-                        (vt_ip[n] - f0) / dfr_s[n + 1]
+                        (vt_jp[n] - f0) / dct_j
                     };
-                    let gt = rc_inv_s[n]
-                        * if ut >= 0.0 {
-                            (f0 - vt_jm[n]) / dct_jm
-                        } else {
-                            (vt_jp[n] - f0) / dct_j
-                        };
-                    let gp = rc_inv_s[n]
-                        * stf_j
-                        * if up >= 0.0 {
-                            (f0 - vt_km[n]) / dfp_k
-                        } else {
-                            (vt_kp[n] - f0) / dfp_kp
-                        };
-                    out[n] = -(ur * gr + ut * gt + up * gp);
-                }
-            });
-        } else {
-        par.loop3(&sites::ADVECT_V_T, space, Traffic::new(12, 1, 30), &reads, &writes, |i, j, k| {
-            let f0 = vt.get(i, j, k);
-            let ur = sv2cv(vr.get(i, j - 1, k), vr.get(i, j, k), vr.get(i + 1, j - 1, k), vr.get(i + 1, j, k));
-            let ut = f0;
-            let up = sv2cv(vp.get(i, j - 1, k), vp.get(i, j, k), vp.get(i, j - 1, k + 1), vp.get(i, j, k + 1));
-            let gr = if ur >= 0.0 {
-                (f0 - vt.get(i - 1, j, k)) / dfr[i]
-            } else {
-                (vt.get(i + 1, j, k) - f0) / dfr[i + 1]
-            };
-            let gt = rc_inv[i]
-                * if ut >= 0.0 {
-                    (f0 - vt.get(i, j - 1, k)) / dct[j - 1]
-                } else {
-                    (vt.get(i, j + 1, k) - f0) / dct[j]
-                };
-            let gp = rc_inv[i]
-                * st_f_inv[j]
-                * if up >= 0.0 {
-                    (f0 - vt.get(i, j, k - 1)) / dfp[k]
-                } else {
-                    (vt.get(i, j, k + 1) - f0) / dfp[k + 1]
-                };
-            o.set(i, j, k, -(ur * gr + ut * gt + up * gp));
+                let gp = rc_inv_s[n]
+                    * stf_j
+                    * if up >= 0.0 {
+                        (f0 - vt_km[n]) / dfp_k
+                    } else {
+                        (vt_kp[n] - f0) / dfp_kp
+                    };
+                out[n] = -(ur * gr + ut * gt + up * gp);
+            }
         });
-        }
 
         // --- v_φ on φ-faces ---
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
@@ -439,82 +332,54 @@ fn advect_velocity_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, fo
         let o = force.p.data.par_view_as::<REC>();
         let (vr, vt, vp) = (&v.r.data, &v.t.data, &v.p.data);
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            let dfr_s = &dfr[i0..i1 + 1];
-            let rc_inv_s = &rc_inv[i0..i1];
-            par.loop3_rows(&sites::ADVECT_V_P, space, Traffic::new(12, 1, 30), &reads, &writes, |j, k| {
-                let vp_c = vp.row(i0, i1, j, k);
-                let vp_im = vp.row(i0 - 1, i1 - 1, j, k);
-                let vp_ip = vp.row(i0 + 1, i1 + 1, j, k);
-                let vp_jm = vp.row(i0, i1, j - 1, k);
-                let vp_jp = vp.row(i0, i1, j + 1, k);
-                let vp_km = vp.row(i0, i1, j, k - 1);
-                let vp_kp = vp.row(i0, i1, j, k + 1);
-                let vr_i_km = vr.row(i0, i1, j, k - 1);
-                let vr_i_k = vr.row(i0, i1, j, k);
-                let vr_ip_km = vr.row(i0 + 1, i1 + 1, j, k - 1);
-                let vr_ip_k = vr.row(i0 + 1, i1 + 1, j, k);
-                let vt_j_km = vt.row(i0, i1, j, k - 1);
-                let vt_j_k = vt.row(i0, i1, j, k);
-                let vt_jp_km = vt.row(i0, i1, j + 1, k - 1);
-                let vt_jp_k = vt.row(i0, i1, j + 1, k);
-                let (dft_j, dft_jp) = (dft[j], dft[j + 1]);
-                let (dcp_km, dcp_k) = (dcp[k - 1], dcp[k]);
-                let stc_j = st_c_inv[j];
-                let out = o.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let f0 = vp_c[n];
-                    let ur = sv2cv(vr_i_km[n], vr_i_k[n], vr_ip_km[n], vr_ip_k[n]);
-                    let ut = sv2cv(vt_j_km[n], vt_j_k[n], vt_jp_km[n], vt_jp_k[n]);
-                    let up = f0;
-                    let gr = if ur >= 0.0 {
-                        (f0 - vp_im[n]) / dfr_s[n]
+        let dfr_s = &dfr[i0..i1 + 1];
+        let rc_inv_s = &rc_inv[i0..i1];
+        par.loop3_rows(&sites::ADVECT_V_P, space, Traffic::new(12, 1, 30), &reads, &writes, |j, k| {
+            let vp_c = vp.row(i0, i1, j, k);
+            let vp_im = vp.row(i0 - 1, i1 - 1, j, k);
+            let vp_ip = vp.row(i0 + 1, i1 + 1, j, k);
+            let vp_jm = vp.row(i0, i1, j - 1, k);
+            let vp_jp = vp.row(i0, i1, j + 1, k);
+            let vp_km = vp.row(i0, i1, j, k - 1);
+            let vp_kp = vp.row(i0, i1, j, k + 1);
+            let vr_i_km = vr.row(i0, i1, j, k - 1);
+            let vr_i_k = vr.row(i0, i1, j, k);
+            let vr_ip_km = vr.row(i0 + 1, i1 + 1, j, k - 1);
+            let vr_ip_k = vr.row(i0 + 1, i1 + 1, j, k);
+            let vt_j_km = vt.row(i0, i1, j, k - 1);
+            let vt_j_k = vt.row(i0, i1, j, k);
+            let vt_jp_km = vt.row(i0, i1, j + 1, k - 1);
+            let vt_jp_k = vt.row(i0, i1, j + 1, k);
+            let (dft_j, dft_jp) = (dft[j], dft[j + 1]);
+            let (dcp_km, dcp_k) = (dcp[k - 1], dcp[k]);
+            let stc_j = st_c_inv[j];
+            let out = o.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let f0 = vp_c[n];
+                let ur = sv2cv(vr_i_km[n], vr_i_k[n], vr_ip_km[n], vr_ip_k[n]);
+                let ut = sv2cv(vt_j_km[n], vt_j_k[n], vt_jp_km[n], vt_jp_k[n]);
+                let up = f0;
+                let gr = if ur >= 0.0 {
+                    (f0 - vp_im[n]) / dfr_s[n]
+                } else {
+                    (vp_ip[n] - f0) / dfr_s[n + 1]
+                };
+                let gt = rc_inv_s[n]
+                    * if ut >= 0.0 {
+                        (f0 - vp_jm[n]) / dft_j
                     } else {
-                        (vp_ip[n] - f0) / dfr_s[n + 1]
+                        (vp_jp[n] - f0) / dft_jp
                     };
-                    let gt = rc_inv_s[n]
-                        * if ut >= 0.0 {
-                            (f0 - vp_jm[n]) / dft_j
-                        } else {
-                            (vp_jp[n] - f0) / dft_jp
-                        };
-                    let gp = rc_inv_s[n]
-                        * stc_j
-                        * if up >= 0.0 {
-                            (f0 - vp_km[n]) / dcp_km
-                        } else {
-                            (vp_kp[n] - f0) / dcp_k
-                        };
-                    out[n] = -(ur * gr + ut * gt + up * gp);
-                }
-            });
-        } else {
-        par.loop3(&sites::ADVECT_V_P, space, Traffic::new(12, 1, 30), &reads, &writes, |i, j, k| {
-            let f0 = vp.get(i, j, k);
-            let ur = sv2cv(vr.get(i, j, k - 1), vr.get(i, j, k), vr.get(i + 1, j, k - 1), vr.get(i + 1, j, k));
-            let ut = sv2cv(vt.get(i, j, k - 1), vt.get(i, j, k), vt.get(i, j + 1, k - 1), vt.get(i, j + 1, k));
-            let up = f0;
-            let gr = if ur >= 0.0 {
-                (f0 - vp.get(i - 1, j, k)) / dfr[i]
-            } else {
-                (vp.get(i + 1, j, k) - f0) / dfr[i + 1]
-            };
-            let gt = rc_inv[i]
-                * if ut >= 0.0 {
-                    (f0 - vp.get(i, j - 1, k)) / dft[j]
-                } else {
-                    (vp.get(i, j + 1, k) - f0) / dft[j + 1]
-                };
-            let gp = rc_inv[i]
-                * st_c_inv[j]
-                * if up >= 0.0 {
-                    (f0 - vp.get(i, j, k - 1)) / dcp[k - 1]
-                } else {
-                    (vp.get(i, j, k + 1) - f0) / dcp[k]
-                };
-            o.set(i, j, k, -(ur * gr + ut * gt + up * gp));
+                let gp = rc_inv_s[n]
+                    * stc_j
+                    * if up >= 0.0 {
+                        (f0 - vp_km[n]) / dcp_km
+                    } else {
+                        (vp_kp[n] - f0) / dcp_k
+                    };
+                out[n] = -(ur * gr + ut * gt + up * gp);
+            }
         });
-        }
     });
 }
 
@@ -550,7 +415,6 @@ fn momentum_update_impl<const REC: bool>(
     let st_c_inv = &grid.st_c_inv;
     let (dfr_inv, dft_inv, dfp_inv) = (&grid.r.df_inv, &grid.t.df_inv, &grid.p.df_inv);
     let g0 = if gravity { G0 } else { 0.0 };
-    let rows = crate::perf::row_path();
     par.region(|par| {
         // --- r-component ---
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
@@ -565,55 +429,40 @@ fn momentum_update_impl<const REC: bool>(
             &b.t.data, &b.p.data, &rho_face.r.data, &force.r.data,
         );
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            let dfr_inv_s = &dfr_inv[i0..i1];
-            let rf_s = &rf[i0..i1];
-            par.loop3_rows(&sites::MOMENTUM_R, space, Traffic::new(16, 1, 36), &reads, &writes, |j, k| {
-                let pd_c = pd.row(i0, i1, j, k);
-                let pd_im = pd.row(i0 - 1, i1 - 1, j, k);
-                let jt_k = jt.row(i0, i1, j, k);
-                let jt_kp = jt.row(i0, i1, j, k + 1);
-                let jp_j = jp.row(i0, i1, j, k);
-                let jp_jp = jp.row(i0, i1, j + 1, k);
-                let bp_im_k = bp.row(i0 - 1, i1 - 1, j, k);
-                let bp_i_k = bp.row(i0, i1, j, k);
-                let bp_im_kp = bp.row(i0 - 1, i1 - 1, j, k + 1);
-                let bp_i_kp = bp.row(i0, i1, j, k + 1);
-                let bt_im_j = bt.row(i0 - 1, i1 - 1, j, k);
-                let bt_i_j = bt.row(i0, i1, j, k);
-                let bt_im_jp = bt.row(i0 - 1, i1 - 1, j + 1, k);
-                let bt_i_jp = bt.row(i0, i1, j + 1, k);
-                let rho_row = rf_r.row(i0, i1, j, k);
-                let adv_row = adv.row(i0, i1, j, k);
-                let out = vr.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let gradp = (pd_c[n] - pd_im[n]) * dfr_inv_s[n];
-                    let jt_f = avg2(jt_k[n], jt_kp[n]);
-                    let jp_f = avg2(jp_j[n], jp_jp[n]);
-                    let bp_f = sv2cv(bp_im_k[n], bp_i_k[n], bp_im_kp[n], bp_i_kp[n]);
-                    let bt_f = sv2cv(bt_im_j[n], bt_i_j[n], bt_im_jp[n], bt_i_jp[n]);
-                    let lorentz = jt_f * bp_f - jp_f * bt_f;
-                    let rho_f = rho_row[n].max(1e-10);
-                    let grav = -g0 / (rf_s[n] * rf_s[n]);
-                    let dv = dt * ((lorentz - gradp) / rho_f + grav + adv_row[n]);
-                    out[n] += dv;
-                }
-            });
-        } else {
-        par.loop3(&sites::MOMENTUM_R, space, Traffic::new(16, 1, 36), &reads, &writes, |i, j, k| {
-            let gradp = (pd.get(i, j, k) - pd.get(i - 1, j, k)) * dfr_inv[i];
-            // J×B r-component on the r-face: J_θ B̄_φ − J_φ B̄_θ.
-            let jt_f = avg2(jt.get(i, j, k), jt.get(i, j, k + 1));
-            let jp_f = avg2(jp.get(i, j, k), jp.get(i, j + 1, k));
-            let bp_f = sv2cv(bp.get(i - 1, j, k), bp.get(i, j, k), bp.get(i - 1, j, k + 1), bp.get(i, j, k + 1));
-            let bt_f = sv2cv(bt.get(i - 1, j, k), bt.get(i, j, k), bt.get(i - 1, j + 1, k), bt.get(i, j + 1, k));
-            let lorentz = jt_f * bp_f - jp_f * bt_f;
-            let rho_f = rf_r.get(i, j, k).max(1e-10);
-            let grav = -g0 / (rf[i] * rf[i]);
-            let dv = dt * ((lorentz - gradp) / rho_f + grav + adv.get(i, j, k));
-            vr.add(i, j, k, dv);
+        let dfr_inv_s = &dfr_inv[i0..i1];
+        let rf_s = &rf[i0..i1];
+        par.loop3_rows(&sites::MOMENTUM_R, space, Traffic::new(16, 1, 36), &reads, &writes, |j, k| {
+            let pd_c = pd.row(i0, i1, j, k);
+            let pd_im = pd.row(i0 - 1, i1 - 1, j, k);
+            let jt_k = jt.row(i0, i1, j, k);
+            let jt_kp = jt.row(i0, i1, j, k + 1);
+            let jp_j = jp.row(i0, i1, j, k);
+            let jp_jp = jp.row(i0, i1, j + 1, k);
+            let bp_im_k = bp.row(i0 - 1, i1 - 1, j, k);
+            let bp_i_k = bp.row(i0, i1, j, k);
+            let bp_im_kp = bp.row(i0 - 1, i1 - 1, j, k + 1);
+            let bp_i_kp = bp.row(i0, i1, j, k + 1);
+            let bt_im_j = bt.row(i0 - 1, i1 - 1, j, k);
+            let bt_i_j = bt.row(i0, i1, j, k);
+            let bt_im_jp = bt.row(i0 - 1, i1 - 1, j + 1, k);
+            let bt_i_jp = bt.row(i0, i1, j + 1, k);
+            let rho_row = rf_r.row(i0, i1, j, k);
+            let adv_row = adv.row(i0, i1, j, k);
+            let out = vr.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let gradp = (pd_c[n] - pd_im[n]) * dfr_inv_s[n];
+                // J×B r-component on the r-face: J_θ B̄_φ − J_φ B̄_θ.
+                let jt_f = avg2(jt_k[n], jt_kp[n]);
+                let jp_f = avg2(jp_j[n], jp_jp[n]);
+                let bp_f = sv2cv(bp_im_k[n], bp_i_k[n], bp_im_kp[n], bp_i_kp[n]);
+                let bt_f = sv2cv(bt_im_j[n], bt_i_j[n], bt_im_jp[n], bt_i_jp[n]);
+                let lorentz = jt_f * bp_f - jp_f * bt_f;
+                let rho_f = rho_row[n].max(1e-10);
+                let grav = -g0 / (rf_s[n] * rf_s[n]);
+                let dv = dt * ((lorentz - gradp) / rho_f + grav + adv_row[n]);
+                out[n] += dv;
+            }
         });
-        }
 
         // --- θ-component ---
         let space = IndexSpace3::interior_trimmed(Stagger::FaceT, nr, nt, np, (0, 1, 0));
@@ -628,53 +477,39 @@ fn momentum_update_impl<const REC: bool>(
             &b.r.data, &b.p.data, &rho_face.t.data, &force.t.data,
         );
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            let rc_inv_s = &rc_inv[i0..i1];
-            par.loop3_rows(&sites::MOMENTUM_T, space, Traffic::new(16, 1, 36), &reads, &writes, |j, k| {
-                let pd_c = pd.row(i0, i1, j, k);
-                let pd_jm = pd.row(i0, i1, j - 1, k);
-                let jp_i = jp.row(i0, i1, j, k);
-                let jp_ip = jp.row(i0 + 1, i1 + 1, j, k);
-                let jr_k = jr.row(i0, i1, j, k);
-                let jr_kp = jr.row(i0, i1, j, k + 1);
-                let br_jm_i = br.row(i0, i1, j - 1, k);
-                let br_j_i = br.row(i0, i1, j, k);
-                let br_jm_ip = br.row(i0 + 1, i1 + 1, j - 1, k);
-                let br_j_ip = br.row(i0 + 1, i1 + 1, j, k);
-                let bp_jm_k = bp.row(i0, i1, j - 1, k);
-                let bp_j_k = bp.row(i0, i1, j, k);
-                let bp_jm_kp = bp.row(i0, i1, j - 1, k + 1);
-                let bp_j_kp = bp.row(i0, i1, j, k + 1);
-                let rho_row = rf_t.row(i0, i1, j, k);
-                let adv_row = adv.row(i0, i1, j, k);
-                let dft_j = dft_inv[j];
-                let out = vt.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let gradp = rc_inv_s[n] * (pd_c[n] - pd_jm[n]) * dft_j;
-                    let jp_f = avg2(jp_i[n], jp_ip[n]);
-                    let jr_f = avg2(jr_k[n], jr_kp[n]);
-                    let br_f = sv2cv(br_jm_i[n], br_j_i[n], br_jm_ip[n], br_j_ip[n]);
-                    let bp_f = sv2cv(bp_jm_k[n], bp_j_k[n], bp_jm_kp[n], bp_j_kp[n]);
-                    let lorentz = jp_f * br_f - jr_f * bp_f;
-                    let rho_f = rho_row[n].max(1e-10);
-                    let dv = dt * ((lorentz - gradp) / rho_f + adv_row[n]);
-                    out[n] += dv;
-                }
-            });
-        } else {
-        par.loop3(&sites::MOMENTUM_T, space, Traffic::new(16, 1, 36), &reads, &writes, |i, j, k| {
-            let gradp = rc_inv[i] * (pd.get(i, j, k) - pd.get(i, j - 1, k)) * dft_inv[j];
-            // (J×B)_θ = J_φ B̄_r − J_r B̄_φ on the θ-face.
-            let jp_f = avg2(jp.get(i, j, k), jp.get(i + 1, j, k));
-            let jr_f = avg2(jr.get(i, j, k), jr.get(i, j, k + 1));
-            let br_f = sv2cv(br.get(i, j - 1, k), br.get(i, j, k), br.get(i + 1, j - 1, k), br.get(i + 1, j, k));
-            let bp_f = sv2cv(bp.get(i, j - 1, k), bp.get(i, j, k), bp.get(i, j - 1, k + 1), bp.get(i, j, k + 1));
-            let lorentz = jp_f * br_f - jr_f * bp_f;
-            let rho_f = rf_t.get(i, j, k).max(1e-10);
-            let dv = dt * ((lorentz - gradp) / rho_f + adv.get(i, j, k));
-            vt.add(i, j, k, dv);
+        let rc_inv_s = &rc_inv[i0..i1];
+        par.loop3_rows(&sites::MOMENTUM_T, space, Traffic::new(16, 1, 36), &reads, &writes, |j, k| {
+            let pd_c = pd.row(i0, i1, j, k);
+            let pd_jm = pd.row(i0, i1, j - 1, k);
+            let jp_i = jp.row(i0, i1, j, k);
+            let jp_ip = jp.row(i0 + 1, i1 + 1, j, k);
+            let jr_k = jr.row(i0, i1, j, k);
+            let jr_kp = jr.row(i0, i1, j, k + 1);
+            let br_jm_i = br.row(i0, i1, j - 1, k);
+            let br_j_i = br.row(i0, i1, j, k);
+            let br_jm_ip = br.row(i0 + 1, i1 + 1, j - 1, k);
+            let br_j_ip = br.row(i0 + 1, i1 + 1, j, k);
+            let bp_jm_k = bp.row(i0, i1, j - 1, k);
+            let bp_j_k = bp.row(i0, i1, j, k);
+            let bp_jm_kp = bp.row(i0, i1, j - 1, k + 1);
+            let bp_j_kp = bp.row(i0, i1, j, k + 1);
+            let rho_row = rf_t.row(i0, i1, j, k);
+            let adv_row = adv.row(i0, i1, j, k);
+            let dft_j = dft_inv[j];
+            let out = vt.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let gradp = rc_inv_s[n] * (pd_c[n] - pd_jm[n]) * dft_j;
+                // (J×B)_θ = J_φ B̄_r − J_r B̄_φ on the θ-face.
+                let jp_f = avg2(jp_i[n], jp_ip[n]);
+                let jr_f = avg2(jr_k[n], jr_kp[n]);
+                let br_f = sv2cv(br_jm_i[n], br_j_i[n], br_jm_ip[n], br_j_ip[n]);
+                let bp_f = sv2cv(bp_jm_k[n], bp_j_k[n], bp_jm_kp[n], bp_j_kp[n]);
+                let lorentz = jp_f * br_f - jr_f * bp_f;
+                let rho_f = rho_row[n].max(1e-10);
+                let dv = dt * ((lorentz - gradp) / rho_f + adv_row[n]);
+                out[n] += dv;
+            }
         });
-        }
 
         // --- φ-component ---
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
@@ -689,53 +524,39 @@ fn momentum_update_impl<const REC: bool>(
             &b.r.data, &b.t.data, &rho_face.p.data, &force.p.data,
         );
         let (i0, i1) = (space.i0, space.i1);
-        if rows {
-            let rc_inv_s = &rc_inv[i0..i1];
-            par.loop3_rows(&sites::MOMENTUM_P, space, Traffic::new(16, 1, 36), &reads, &writes, |j, k| {
-                let pd_c = pd.row(i0, i1, j, k);
-                let pd_km = pd.row(i0, i1, j, k - 1);
-                let jr_j = jr.row(i0, i1, j, k);
-                let jr_jp = jr.row(i0, i1, j + 1, k);
-                let jt_i = jt.row(i0, i1, j, k);
-                let jt_ip = jt.row(i0 + 1, i1 + 1, j, k);
-                let bt_j_km = bt.row(i0, i1, j, k - 1);
-                let bt_j_k = bt.row(i0, i1, j, k);
-                let bt_jp_km = bt.row(i0, i1, j + 1, k - 1);
-                let bt_jp_k = bt.row(i0, i1, j + 1, k);
-                let br_i_km = br.row(i0, i1, j, k - 1);
-                let br_i_k = br.row(i0, i1, j, k);
-                let br_ip_km = br.row(i0 + 1, i1 + 1, j, k - 1);
-                let br_ip_k = br.row(i0 + 1, i1 + 1, j, k);
-                let rho_row = rf_p.row(i0, i1, j, k);
-                let adv_row = adv.row(i0, i1, j, k);
-                let (stc_j, dfp_k) = (st_c_inv[j], dfp_inv[k]);
-                let out = vp.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    let gradp = rc_inv_s[n] * stc_j * (pd_c[n] - pd_km[n]) * dfp_k;
-                    let jr_f = avg2(jr_j[n], jr_jp[n]);
-                    let jt_f = avg2(jt_i[n], jt_ip[n]);
-                    let bt_f = sv2cv(bt_j_km[n], bt_j_k[n], bt_jp_km[n], bt_jp_k[n]);
-                    let br_f = sv2cv(br_i_km[n], br_i_k[n], br_ip_km[n], br_ip_k[n]);
-                    let lorentz = jr_f * bt_f - jt_f * br_f;
-                    let rho_f = rho_row[n].max(1e-10);
-                    let dv = dt * ((lorentz - gradp) / rho_f + adv_row[n]);
-                    out[n] += dv;
-                }
-            });
-        } else {
-        par.loop3(&sites::MOMENTUM_P, space, Traffic::new(16, 1, 36), &reads, &writes, |i, j, k| {
-            let gradp = rc_inv[i] * st_c_inv[j] * (pd.get(i, j, k) - pd.get(i, j, k - 1)) * dfp_inv[k];
-            // (J×B)_φ = J_r B̄_θ − J_θ B̄_r on the φ-face.
-            let jr_f = avg2(jr.get(i, j, k), jr.get(i, j + 1, k));
-            let jt_f = avg2(jt.get(i, j, k), jt.get(i + 1, j, k));
-            let bt_f = sv2cv(bt.get(i, j, k - 1), bt.get(i, j, k), bt.get(i, j + 1, k - 1), bt.get(i, j + 1, k));
-            let br_f = sv2cv(br.get(i, j, k - 1), br.get(i, j, k), br.get(i + 1, j, k - 1), br.get(i + 1, j, k));
-            let lorentz = jr_f * bt_f - jt_f * br_f;
-            let rho_f = rf_p.get(i, j, k).max(1e-10);
-            let dv = dt * ((lorentz - gradp) / rho_f + adv.get(i, j, k));
-            vp.add(i, j, k, dv);
+        let rc_inv_s = &rc_inv[i0..i1];
+        par.loop3_rows(&sites::MOMENTUM_P, space, Traffic::new(16, 1, 36), &reads, &writes, |j, k| {
+            let pd_c = pd.row(i0, i1, j, k);
+            let pd_km = pd.row(i0, i1, j, k - 1);
+            let jr_j = jr.row(i0, i1, j, k);
+            let jr_jp = jr.row(i0, i1, j + 1, k);
+            let jt_i = jt.row(i0, i1, j, k);
+            let jt_ip = jt.row(i0 + 1, i1 + 1, j, k);
+            let bt_j_km = bt.row(i0, i1, j, k - 1);
+            let bt_j_k = bt.row(i0, i1, j, k);
+            let bt_jp_km = bt.row(i0, i1, j + 1, k - 1);
+            let bt_jp_k = bt.row(i0, i1, j + 1, k);
+            let br_i_km = br.row(i0, i1, j, k - 1);
+            let br_i_k = br.row(i0, i1, j, k);
+            let br_ip_km = br.row(i0 + 1, i1 + 1, j, k - 1);
+            let br_ip_k = br.row(i0 + 1, i1 + 1, j, k);
+            let rho_row = rf_p.row(i0, i1, j, k);
+            let adv_row = adv.row(i0, i1, j, k);
+            let (stc_j, dfp_k) = (st_c_inv[j], dfp_inv[k]);
+            let out = vp.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let gradp = rc_inv_s[n] * stc_j * (pd_c[n] - pd_km[n]) * dfp_k;
+                // (J×B)_φ = J_r B̄_θ − J_θ B̄_r on the φ-face.
+                let jr_f = avg2(jr_j[n], jr_jp[n]);
+                let jt_f = avg2(jt_i[n], jt_ip[n]);
+                let bt_f = sv2cv(bt_j_km[n], bt_j_k[n], bt_jp_km[n], bt_jp_k[n]);
+                let br_f = sv2cv(br_i_km[n], br_i_k[n], br_ip_km[n], br_ip_k[n]);
+                let lorentz = jr_f * bt_f - jt_f * br_f;
+                let rho_f = rho_row[n].max(1e-10);
+                let dv = dt * ((lorentz - gradp) / rho_f + adv_row[n]);
+                out[n] += dv;
+            }
         });
-        }
     });
 }
 

@@ -65,7 +65,6 @@ fn solve_viscosity_impl<const REC: bool>(
         par.wrapper_alloc("pcg_work_init", buf, len, || data.fill(0.0));
     }
 
-    let rows = crate::perf::row_path();
     let (i0, i1) = (space.i0, space.i1);
 
     // Ghosts of x must be current for the initial operator application.
@@ -86,52 +85,31 @@ fn solve_viscosity_impl<const REC: bool>(
         work.p.data.fill(0.0);
         let rd = work.r.data.par_view_as::<REC>();
         let xd = &x.data;
-        if rows {
-            par.loop3_rows(&sites::PCG_SETUP, space, Traffic::new(8, 3, 20), &reads, &writes, |j, k| {
-                let out = rd.row_mut(i0, i1, j, k);
-                lap.apply_row(xd, i0, i1, j, k, |n, l| out[n] = nu_dt * l);
-            });
-        } else {
-            par.loop3(&sites::PCG_SETUP, space, Traffic::new(8, 3, 20), &reads, &writes, |i, j, k| {
-                rd.set(i, j, k, nu_dt * lap.apply(xd, i, j, k));
-            });
-        }
+        par.loop3_rows(&sites::PCG_SETUP, space, Traffic::new(8, 3, 20), &reads, &writes, |j, k| {
+            let out = rd.row_mut(i0, i1, j, k);
+            lap.apply_row(xd, i0, i1, j, k, |n, l| out[n] = nu_dt * l);
+        });
     }
 
     // Norm of the right-hand side for the relative tolerance.
     let mut rr = {
         let reads = [work.r.buf()];
         let rd = &work.r.data;
-        if rows {
-            par.reduce_scalar_rows(
-                &sites::PCG_NORM,
-                space,
-                Traffic::new(1, 0, 2),
-                &reads,
-                ReduceOp::Sum,
-                0.0,
-                |mut acc, j, k| {
-                    let r_row = rd.row(i0, i1, j, k);
-                    for &v in r_row {
-                        acc += v * v;
-                    }
-                    acc
-                },
-            )
-        } else {
-            par.reduce_scalar(
-                &sites::PCG_NORM,
-                space,
-                Traffic::new(1, 0, 2),
-                &reads,
-                ReduceOp::Sum,
-                0.0,
-                |i, j, k| {
-                    let v = rd.get(i, j, k);
-                    v * v
-                },
-            )
-        }
+        par.reduce_scalar_rows(
+            &sites::PCG_NORM,
+            space,
+            Traffic::new(1, 0, 2),
+            &reads,
+            ReduceOp::Sum,
+            0.0,
+            |mut acc, j, k| {
+                let r_row = rd.row(i0, i1, j, k);
+                for &v in r_row {
+                    acc += v * v;
+                }
+                acc
+            },
+        )
     };
     {
         let mut v = [rr];
@@ -157,54 +135,35 @@ fn solve_viscosity_impl<const REC: bool>(
             let writes = [work.z.buf()];
             let zd = work.z.data.par_view_as::<REC>();
             let rd = &work.r.data;
-            if rows {
-                par.loop3_rows(&sites::PCG_PRECOND, space, Traffic::new(1, 1, 4), &reads, &writes, |j, k| {
-                    let r_row = rd.row(i0, i1, j, k);
-                    let out = zd.row_mut(i0, i1, j, k);
-                    lap.diagonal_row(i0, i1, j, k, |n, d| {
-                        let diag = 1.0 - nu_dt * d;
-                        out[n] = r_row[n] / diag;
-                    });
+            par.loop3_rows(&sites::PCG_PRECOND, space, Traffic::new(1, 1, 4), &reads, &writes, |j, k| {
+                let r_row = rd.row(i0, i1, j, k);
+                let out = zd.row_mut(i0, i1, j, k);
+                lap.diagonal_row(i0, i1, j, k, |n, d| {
+                    let diag = 1.0 - nu_dt * d;
+                    out[n] = r_row[n] / diag;
                 });
-            } else {
-                par.loop3(&sites::PCG_PRECOND, space, Traffic::new(1, 1, 4), &reads, &writes, |i, j, k| {
-                    let diag = 1.0 - nu_dt * lap.diagonal(i, j, k);
-                    zd.set(i, j, k, rd.get(i, j, k) / diag);
-                });
-            }
+            });
         }
         // rz = ⟨r, z⟩ (global).
         let mut rz = {
             let reads = [work.r.buf(), work.z.buf()];
             let (rd, zd) = (&work.r.data, &work.z.data);
-            if rows {
-                par.reduce_scalar_rows(
-                    &sites::PCG_DOT_RZ,
-                    space,
-                    Traffic::new(2, 0, 2),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |mut acc, j, k| {
-                        let r_row = rd.row(i0, i1, j, k);
-                        let z_row = zd.row(i0, i1, j, k);
-                        for n in 0..r_row.len() {
-                            acc += r_row[n] * z_row[n];
-                        }
-                        acc
-                    },
-                )
-            } else {
-                par.reduce_scalar(
-                    &sites::PCG_DOT_RZ,
-                    space,
-                    Traffic::new(2, 0, 2),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |i, j, k| rd.get(i, j, k) * zd.get(i, j, k),
-                )
-            }
+            par.reduce_scalar_rows(
+                &sites::PCG_DOT_RZ,
+                space,
+                Traffic::new(2, 0, 2),
+                &reads,
+                ReduceOp::Sum,
+                0.0,
+                |mut acc, j, k| {
+                    let r_row = rd.row(i0, i1, j, k);
+                    let z_row = zd.row(i0, i1, j, k);
+                    for n in 0..r_row.len() {
+                        acc += r_row[n] * z_row[n];
+                    }
+                    acc
+                },
+            )
         };
         {
             let mut v = [rz];
@@ -219,19 +178,13 @@ fn solve_viscosity_impl<const REC: bool>(
             let writes = [work.p.buf()];
             let pd = work.p.data.par_view_as::<REC>();
             let zd = &work.z.data;
-            if rows {
-                par.loop3_rows(&sites::PCG_UPDATE_P, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
-                    let z_row = zd.row(i0, i1, j, k);
-                    let out = pd.row_mut(i0, i1, j, k);
-                    for n in 0..out.len() {
-                        out[n] = z_row[n] + beta * out[n];
-                    }
-                });
-            } else {
-                par.loop3(&sites::PCG_UPDATE_P, space, Traffic::new(2, 1, 2), &reads, &writes, |i, j, k| {
-                    pd.set(i, j, k, zd.get(i, j, k) + beta * pd.get(i, j, k));
-                });
-            }
+            par.loop3_rows(&sites::PCG_UPDATE_P, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
+                let z_row = zd.row(i0, i1, j, k);
+                let out = pd.row_mut(i0, i1, j, k);
+                for n in 0..out.len() {
+                    out[n] = z_row[n] + beta * out[n];
+                }
+            });
         }
         // Halo exchange of the search direction (Fig. 4's transfers).
         {
@@ -245,50 +198,32 @@ fn solve_viscosity_impl<const REC: bool>(
             let writes = [work.ap.buf()];
             let apd = work.ap.data.par_view_as::<REC>();
             let pd = &work.p.data;
-            if rows {
-                par.loop3_rows(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |j, k| {
-                    let p_row = pd.row(i0, i1, j, k);
-                    let out = apd.row_mut(i0, i1, j, k);
-                    lap.apply_row(pd, i0, i1, j, k, |n, l| out[n] = p_row[n] - nu_dt * l);
-                });
-            } else {
-                par.loop3(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |i, j, k| {
-                    apd.set(i, j, k, pd.get(i, j, k) - nu_dt * lap.apply(pd, i, j, k));
-                });
-            }
+            par.loop3_rows(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |j, k| {
+                let p_row = pd.row(i0, i1, j, k);
+                let out = apd.row_mut(i0, i1, j, k);
+                lap.apply_row(pd, i0, i1, j, k, |n, l| out[n] = p_row[n] - nu_dt * l);
+            });
         }
         // pap = ⟨p, Ap⟩ (global).
         let mut pap = {
             let reads = [work.p.buf(), work.ap.buf()];
             let (pd, apd) = (&work.p.data, &work.ap.data);
-            if rows {
-                par.reduce_scalar_rows(
-                    &sites::PCG_DOT_PAP,
-                    space,
-                    Traffic::new(2, 0, 2),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |mut acc, j, k| {
-                        let p_row = pd.row(i0, i1, j, k);
-                        let ap_row = apd.row(i0, i1, j, k);
-                        for n in 0..p_row.len() {
-                            acc += p_row[n] * ap_row[n];
-                        }
-                        acc
-                    },
-                )
-            } else {
-                par.reduce_scalar(
-                    &sites::PCG_DOT_PAP,
-                    space,
-                    Traffic::new(2, 0, 2),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |i, j, k| pd.get(i, j, k) * apd.get(i, j, k),
-                )
-            }
+            par.reduce_scalar_rows(
+                &sites::PCG_DOT_PAP,
+                space,
+                Traffic::new(2, 0, 2),
+                &reads,
+                ReduceOp::Sum,
+                0.0,
+                |mut acc, j, k| {
+                    let p_row = pd.row(i0, i1, j, k);
+                    let ap_row = apd.row(i0, i1, j, k);
+                    for n in 0..p_row.len() {
+                        acc += p_row[n] * ap_row[n];
+                    }
+                    acc
+                },
+            )
         };
         {
             let mut v = [pap];
@@ -304,44 +239,27 @@ fn solve_viscosity_impl<const REC: bool>(
             // own point — tile-safe, so the site stays parallel.
             let (dd, rd) = (work.rhs.data.par_view_as::<REC>(), work.r.data.par_view_as::<REC>());
             let (pd, apd) = (&work.p.data, &work.ap.data);
-            if rows {
-                par.reduce_scalar_rows(
-                    &sites::PCG_AXPY_XR,
-                    space,
-                    Traffic::new(4, 2, 6),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |mut acc, j, k| {
-                        let p_row = pd.row(i0, i1, j, k);
-                        let ap_row = apd.row(i0, i1, j, k);
-                        let d_row = dd.row_mut(i0, i1, j, k);
-                        let r_row = rd.row_mut(i0, i1, j, k);
-                        for n in 0..p_row.len() {
-                            d_row[n] += alpha * p_row[n];
-                            let rv = r_row[n] - alpha * ap_row[n];
-                            r_row[n] = rv;
-                            acc += rv * rv;
-                        }
-                        acc
-                    },
-                )
-            } else {
-                par.reduce_scalar(
-                    &sites::PCG_AXPY_XR,
-                    space,
-                    Traffic::new(4, 2, 6),
-                    &reads,
-                    ReduceOp::Sum,
-                    0.0,
-                    |i, j, k| {
-                        dd.add(i, j, k, alpha * pd.get(i, j, k));
-                        let rv = rd.get(i, j, k) - alpha * apd.get(i, j, k);
-                        rd.set(i, j, k, rv);
-                        rv * rv
-                    },
-                )
-            }
+            par.reduce_scalar_rows(
+                &sites::PCG_AXPY_XR,
+                space,
+                Traffic::new(4, 2, 6),
+                &reads,
+                ReduceOp::Sum,
+                0.0,
+                |mut acc, j, k| {
+                    let p_row = pd.row(i0, i1, j, k);
+                    let ap_row = apd.row(i0, i1, j, k);
+                    let d_row = dd.row_mut(i0, i1, j, k);
+                    let r_row = rd.row_mut(i0, i1, j, k);
+                    for n in 0..p_row.len() {
+                        d_row[n] += alpha * p_row[n];
+                        let rv = r_row[n] - alpha * ap_row[n];
+                        r_row[n] = rv;
+                        acc += rv * rv;
+                    }
+                    acc
+                },
+            )
         };
         {
             let mut v = [rr_new];
@@ -361,19 +279,13 @@ fn solve_viscosity_impl<const REC: bool>(
         let writes = [x.buf()];
         let xd = x.data.par_view_as::<REC>();
         let dd = &work.rhs.data;
-        if rows {
-            par.loop3_rows(&sites::PCG_APPLY_DX, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
-                let d_row = dd.row(i0, i1, j, k);
-                let out = xd.row_mut(i0, i1, j, k);
-                for n in 0..out.len() {
-                    out[n] += d_row[n];
-                }
-            });
-        } else {
-            par.loop3(&sites::PCG_APPLY_DX, space, Traffic::new(2, 1, 2), &reads, &writes, |i, j, k| {
-                xd.add(i, j, k, dd.get(i, j, k));
-            });
-        }
+        par.loop3_rows(&sites::PCG_APPLY_DX, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
+            let d_row = dd.row(i0, i1, j, k);
+            let out = xd.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                out[n] += d_row[n];
+            }
+        });
     }
 
     PcgResult {

@@ -116,7 +116,6 @@ where
     let (s, substeps) = rkl2_stage_count(dt, dt_expl, max_stages);
     let dt_sub = dt / substeps as f64;
     let mut op_count = 0;
-    let rows = crate::perf::row_path();
     let (i0, i1) = (space.i0, space.i1);
 
     for _ in 0..substeps {
@@ -132,20 +131,14 @@ where
             let writes = [y_prev.buf()];
             let yp = y_prev.data.par_view_as::<REC>();
             let (y0d, l0) = (&y0.data, &ly0.data);
-            if rows {
-                par.loop3_rows(&sites::STS_STAGE, space, Traffic::new(2, 1, 3), &reads, &writes, |j, k| {
-                    let y0_row = y0d.row(i0, i1, j, k);
-                    let l0_row = l0.row(i0, i1, j, k);
-                    let out = yp.row_mut(i0, i1, j, k);
-                    for n in 0..out.len() {
-                        out[n] = y0_row[n] + mu1t * dt_sub * l0_row[n];
-                    }
-                });
-            } else {
-                par.loop3(&sites::STS_STAGE, space, Traffic::new(2, 1, 3), &reads, &writes, |i, j, k| {
-                    yp.set(i, j, k, y0d.get(i, j, k) + mu1t * dt_sub * l0.get(i, j, k));
-                });
-            }
+            par.loop3_rows(&sites::STS_STAGE, space, Traffic::new(2, 1, 3), &reads, &writes, |j, k| {
+                let y0_row = y0d.row(i0, i1, j, k);
+                let l0_row = l0.row(i0, i1, j, k);
+                let out = yp.row_mut(i0, i1, j, k);
+                for n in 0..out.len() {
+                    out[n] = y0_row[n] + mu1t * dt_sub * l0_row[n];
+                }
+            });
         }
         y_prev2.data.copy_from(&y0.data);
 
@@ -173,31 +166,20 @@ where
                     &ly.data,
                     &ly0.data,
                 );
-                if rows {
-                    par.loop3_rows(&sites::STS_STAGE, space, Traffic::new(5, 1, 10), &reads, &writes, |j, k| {
-                        let yp_row = yp.row(i0, i1, j, k);
-                        let y0_row = y0d.row(i0, i1, j, k);
-                        let ly_row = lyd.row(i0, i1, j, k);
-                        let ly0_row = ly0d.row(i0, i1, j, k);
-                        let out = yp2.row_mut(i0, i1, j, k);
-                        for n in 0..out.len() {
-                            out[n] = mu * yp_row[n]
-                                + nu * out[n]
-                                + (1.0 - mu - nu) * y0_row[n]
-                                + mut_ * dt_sub * ly_row[n]
-                                + gt * dt_sub * ly0_row[n];
-                        }
-                    });
-                } else {
-                    par.loop3(&sites::STS_STAGE, space, Traffic::new(5, 1, 10), &reads, &writes, |i, j, k| {
-                        let y_new = mu * yp.get(i, j, k)
-                            + nu * yp2.get(i, j, k)
-                            + (1.0 - mu - nu) * y0d.get(i, j, k)
-                            + mut_ * dt_sub * lyd.get(i, j, k)
-                            + gt * dt_sub * ly0d.get(i, j, k);
-                        yp2.set(i, j, k, y_new);
-                    });
-                }
+                par.loop3_rows(&sites::STS_STAGE, space, Traffic::new(5, 1, 10), &reads, &writes, |j, k| {
+                    let yp_row = yp.row(i0, i1, j, k);
+                    let y0_row = y0d.row(i0, i1, j, k);
+                    let ly_row = lyd.row(i0, i1, j, k);
+                    let ly0_row = ly0d.row(i0, i1, j, k);
+                    let out = yp2.row_mut(i0, i1, j, k);
+                    for n in 0..out.len() {
+                        out[n] = mu * yp_row[n]
+                            + nu * out[n]
+                            + (1.0 - mu - nu) * y0_row[n]
+                            + mut_ * dt_sub * ly_row[n]
+                            + gt * dt_sub * ly0_row[n];
+                    }
+                });
             }
             // Rotate: Y_{j-1} ↔ Y_j for the next stage.
             std::mem::swap(&mut y_prev.data, &mut y_prev2.data);
@@ -347,17 +329,11 @@ fn advance_viscosity_sts_impl<const REC: bool>(
             let writes = [out.buf()];
             let od = out.data.par_view_as::<REC>();
             let yd = &y.data;
-            if crate::perf::row_path() {
-                let (i0, i1) = (space.i0, space.i1);
-                par.loop3_rows(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |j, k| {
-                    let out_row = od.row_mut(i0, i1, j, k);
-                    lap.apply_row(yd, i0, i1, j, k, |n, l| out_row[n] = nu * l);
-                });
-            } else {
-                par.loop3(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |i, j, k| {
-                    od.set(i, j, k, nu * lap.apply(yd, i, j, k));
-                });
-            }
+            let (i0, i1) = (space.i0, space.i1);
+            par.loop3_rows(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |j, k| {
+                let out_row = od.row_mut(i0, i1, j, k);
+                lap.apply_row(yd, i0, i1, j, k, |n, l| out_row[n] = nu * l);
+            });
         },
     )
 }

@@ -113,12 +113,6 @@ pub fn cfl_dt(par: &mut Par, comm: &Comm, sim_grid: &mas_grid::SphericalGrid, st
 
 /// Advance the simulation by one step.
 pub fn advance(sim: &mut Simulation, comm: &Comm) -> StepInfo {
-    if crate::perf::legacy_hot_path() {
-        // Historical per-step cost: the whole deck — heap-backed Strings
-        // included — was cloned each advance just to detach the config
-        // borrows from `sim`. The scalar sections are `Copy` now.
-        std::hint::black_box(sim.deck.clone());
-    }
     let physics = sim.deck.physics;
     let time_cfg = sim.deck.time;
     let solver = sim.deck.solver;

@@ -15,26 +15,9 @@ use crate::chan::{Receiver, RecvTimeoutError, Sender};
 use crate::detector::{Liveness, LivenessHandle};
 use gpusim::{DeviceContext, Phase, TimeCategory};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// When set, collectives reinstate the pre-pooling allocation behaviour
-/// (`to_vec` per contribution, `clone` per broadcast fan-out) so the
-/// benchmark harness can measure the pooling optimization's before/after
-/// in a single process. Results are bit-exact either way — only the
-/// allocation pattern changes.
-static LEGACY_ALLOC: AtomicBool = AtomicBool::new(false);
-
-/// Toggle the legacy (pre-pooling) collective allocation behaviour.
-pub fn set_legacy_alloc(on: bool) {
-    LEGACY_ALLOC.store(on, Ordering::SeqCst);
-}
-
-/// Whether the legacy collective allocation path is active.
-pub fn legacy_alloc() -> bool {
-    LEGACY_ALLOC.load(Ordering::Relaxed)
-}
 
 /// Message tag (the solver uses a small fixed set; tags are asserted, not
 /// matched out of order — all communication patterns in MAS are
@@ -389,8 +372,10 @@ pub struct Comm {
     /// zero-overhead path). Armed by the run supervisor alongside fault
     /// injection so a lost message becomes a diagnosable failure.
     recv_deadline: Cell<Option<Duration>>,
-    /// Reusable collective payload buffers (see [`Comm::pooled_payload`]).
-    payload_pool: RefCell<Vec<Arc<Vec<f64>>>>,
+    /// This rank's reusable [`Comm::allreduce`] contribution buffer.
+    contrib_buf: RefCell<Arc<Vec<f64>>>,
+    /// Root-side reusable [`Comm::allreduce`] broadcast buffer.
+    bcast_buf: RefCell<Arc<Vec<f64>>>,
     /// Root-side gather scratch for [`Comm::allreduce`], reused per call.
     contribs_scratch: RefCell<Vec<Option<Contribution>>>,
     /// Root-side fold accumulator for [`Comm::allreduce`], reused per call.
@@ -430,29 +415,35 @@ impl Comm {
             send_seq: (0..size).map(|_| Cell::new(0)).collect(),
             recv_seq: (0..size).map(|_| Cell::new(0)).collect(),
             recv_deadline: Cell::new(None),
-            payload_pool: RefCell::new(Vec::new()),
+            contrib_buf: RefCell::new(Arc::new(Vec::new())),
+            bcast_buf: RefCell::new(Arc::new(Vec::new())),
             contribs_scratch: RefCell::new(Vec::new()),
             reduce_scratch: RefCell::new(Vec::new()),
         }
     }
 
-    /// Acquire a pooled payload buffer filled with `vals`. A slot is
-    /// reusable once every receiver has dropped its `Arc` (strong count
-    /// back to 1 — only the pool's own reference left), so steady-state
-    /// collective traffic recycles a handful of buffers instead of
-    /// allocating per call.
-    fn pooled_payload(&self, vals: &[f64]) -> Arc<Vec<f64>> {
-        let mut pool = self.payload_pool.borrow_mut();
-        for slot in pool.iter_mut() {
-            if let Some(buf) = Arc::get_mut(slot) {
+    /// Fill the reusable payload buffer in `slot` with `vals` and return a
+    /// shared handle to it. The buffer is refilled in place when every
+    /// receiver has dropped its `Arc` (only the slot's own reference
+    /// left) and replaced by a fresh one otherwise.
+    ///
+    /// [`Comm::allreduce`] keeps one slot per role, and each is free again
+    /// by the time it is refilled: the root drops every contribution
+    /// before it broadcasts, and a rank enters the next allreduce only
+    /// after it has copied and dropped the previous broadcast. So steady
+    /// state never replaces a buffer, and a buffer grows only when a
+    /// payload is larger than any before it in that role — the same calls
+    /// in the same order on every run, whatever the thread timing.
+    fn fill_shared(slot: &RefCell<Arc<Vec<f64>>>, vals: &[f64]) -> Arc<Vec<f64>> {
+        let mut slot = slot.borrow_mut();
+        match Arc::get_mut(&mut slot) {
+            Some(buf) => {
                 buf.clear();
                 buf.extend_from_slice(vals);
-                return Arc::clone(slot);
             }
+            None => *slot = Arc::new(vals.to_vec()),
         }
-        let fresh = Arc::new(vals.to_vec());
-        pool.push(Arc::clone(&fresh));
-        fresh
+        Arc::clone(&slot)
     }
 
     /// Arm `fault` for the next point-to-point send from this rank. The
@@ -1009,94 +1000,51 @@ impl Comm {
     /// `max_i(t_i) + cost(P, bytes)`.
     ///
     /// Steady state is allocation-free: contributions and the broadcast
-    /// result ride pooled `Arc` buffers that return to their pool when the
-    /// receiver drops them, and the root folds into reusable scratch.
-    /// [`set_legacy_alloc`] reinstates the historical per-call
-    /// `to_vec`/`clone` churn for before/after benchmarking — bit-exact
-    /// either way.
+    /// result ride reusable `Arc` buffers (see [`Comm::fill_shared`]), and
+    /// the root folds into reusable scratch.
     pub fn allreduce(&self, op: ReduceOp, vals: &mut [f64], ctx: &mut DeviceContext) {
         self.check_fenced();
-        let legacy = legacy_alloc();
         let t_now = ctx.clock.now_us();
         let epoch = self.epoch();
-        let contribution = if legacy {
-            Arc::new(vals.to_vec())
-        } else {
-            self.pooled_payload(vals)
-        };
+        let contribution = Self::fill_shared(&self.contrib_buf, vals);
         self.to_root
             .send((self.rank, contribution, t_now, epoch))
             .expect("root hung up");
         if let Some(rx) = &self.from_ranks {
-            if legacy {
-                // I am root: collect all contributions in rank order,
-                // allocating per call as the pre-pooling code did.
-                let mut contribs: Vec<Option<(Arc<Vec<f64>>, f64)>> = vec![None; self.size];
-                let mut got = 0;
-                while got < self.size {
-                    let (r, v, t, _e) = self.recv_collective(rx, "allreduce(gather)", |m| m.3);
-                    if contribs[r].is_none() {
-                        got += 1;
-                    }
-                    contribs[r] = Some((v, t));
+            // I am root: gather into reusable scratch, fold in rank order
+            // into the reusable accumulator, broadcast one reusable buffer
+            // shared by every rank.
+            let mut contribs = self.contribs_scratch.borrow_mut();
+            contribs.clear();
+            contribs.resize_with(self.size, || None);
+            let mut got = 0;
+            while got < self.size {
+                let (r, v, t, _e) = self.recv_collective(rx, "allreduce(gather)", |m| m.3);
+                if contribs[r].is_none() {
+                    got += 1;
                 }
-                let mut acc: Option<Vec<f64>> = None;
-                let mut t_sync = 0.0_f64;
-                for c in contribs.into_iter() {
-                    let (v, t) = c.expect("missing contribution");
-                    t_sync = t_sync.max(t);
-                    let v = Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone());
-                    acc = Some(match acc {
-                        None => v,
-                        Some(mut a) => {
-                            for (ai, &vi) in a.iter_mut().zip(&v) {
-                                *ai = op.apply(*ai, vi);
-                            }
-                            a
-                        }
-                    });
-                }
-                let result = acc.expect("size >= 1");
-                for s in &self.to_ranks {
-                    s.send((Arc::new(result.clone()), t_sync, epoch))
-                        .expect("rank hung up");
-                }
-            } else {
-                // I am root: gather into reusable scratch, fold in rank
-                // order into the reusable accumulator, broadcast a pooled
-                // buffer shared by every rank.
-                let mut contribs = self.contribs_scratch.borrow_mut();
-                contribs.clear();
-                contribs.resize_with(self.size, || None);
-                let mut got = 0;
-                while got < self.size {
-                    let (r, v, t, _e) = self.recv_collective(rx, "allreduce(gather)", |m| m.3);
-                    if contribs[r].is_none() {
-                        got += 1;
-                    }
-                    contribs[r] = Some((v, t));
-                }
-                let mut acc = self.reduce_scratch.borrow_mut();
-                acc.clear();
-                let mut t_sync = 0.0_f64;
-                for (i, c) in contribs.iter().enumerate() {
-                    let (v, t) = c.as_ref().expect("missing contribution");
-                    t_sync = t_sync.max(*t);
-                    if i == 0 {
-                        acc.extend_from_slice(v);
-                    } else {
-                        for (ai, &vi) in acc.iter_mut().zip(v.iter()) {
-                            *ai = op.apply(*ai, vi);
-                        }
+                contribs[r] = Some((v, t));
+            }
+            let mut acc = self.reduce_scratch.borrow_mut();
+            acc.clear();
+            let mut t_sync = 0.0_f64;
+            for (i, c) in contribs.iter().enumerate() {
+                let (v, t) = c.as_ref().expect("missing contribution");
+                t_sync = t_sync.max(*t);
+                if i == 0 {
+                    acc.extend_from_slice(v);
+                } else {
+                    for (ai, &vi) in acc.iter_mut().zip(v.iter()) {
+                        *ai = op.apply(*ai, vi);
                     }
                 }
-                // Release the contribution Arcs before acquiring the
-                // broadcast buffer so their pool slots become reusable.
-                contribs.clear();
-                let out = self.pooled_payload(&acc);
-                for s in &self.to_ranks {
-                    s.send((Arc::clone(&out), t_sync, epoch)).expect("rank hung up");
-                }
+            }
+            // Release the contribution Arcs before broadcasting, so every
+            // rank's contribution buffer is free for its next call.
+            contribs.clear();
+            let out = Self::fill_shared(&self.bcast_buf, &acc);
+            for s in &self.to_ranks {
+                s.send((Arc::clone(&out), t_sync, epoch)).expect("rank hung up");
             }
         }
         let (result, t_sync, _e) = self.recv_collective(&self.from_root, "allreduce(bcast)", |m| m.2);

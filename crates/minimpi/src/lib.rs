@@ -27,10 +27,7 @@ pub mod comm;
 pub mod detector;
 pub mod world;
 
-pub use comm::{
-    legacy_alloc, set_legacy_alloc, Comm, CommFailure, NetFault, NetPath, RecvFailure, ReduceOp,
-    Tag,
-};
+pub use comm::{Comm, CommFailure, NetFault, NetPath, RecvFailure, ReduceOp, Tag};
 pub use detector::HeartbeatCfg;
 pub use world::{RankPanic, Resilience, ResilientReport, RespawnEvent, World};
 

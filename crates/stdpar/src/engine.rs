@@ -172,14 +172,9 @@ impl Pool {
         let task: &'static (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(task) };
         // Reuse the persistent claim counter (an `Arc` clone is a refcount
-        // bump, not an allocation); the legacy toggle reinstates the
-        // historical fresh-`Arc`-per-dispatch cost for benchmarking.
-        let next = if crate::perf::legacy_alloc() {
-            Arc::new(AtomicUsize::new(0))
-        } else {
-            self.claim.store(0, Ordering::SeqCst);
-            Arc::clone(&self.claim)
-        };
+        // bump, not an allocation).
+        self.claim.store(0, Ordering::SeqCst);
+        let next = Arc::clone(&self.claim);
         {
             let mut st = self.shared.state.lock().expect("engine poisoned");
             debug_assert!(st.job.is_none(), "engine jobs do not nest");

@@ -458,53 +458,13 @@ impl Par {
         r
     }
 
-    /// Execute `body` over `space` under the site's tiling: Serial sites
-    /// and single-tile spaces run in Fortran order on the caller (the
-    /// unified serial fast path — no tile census, matching the reduction
-    /// forms); Outer sites run one k-plane per tile, dispatched to the
-    /// engine when large enough, or serially under instrumentation when
-    /// the race auditor claims the launch. Charges the engine's tile
-    /// census to the profiler (thread-count independent).
-    ///
-    /// Generic over the body (`?Sized` included) so the per-*point* call
-    /// is monomorphized — the body inlines into the tile loops and can
-    /// vectorize. Only the per-*tile* hop through the engine is erased.
-    /// Instantiating with `F = dyn Fn(..)` reproduces the historical
-    /// per-point indirect dispatch; `loop3` does exactly that under the
-    /// legacy-hot-path toggle so the benchmark can measure it.
-    fn execute_tiles<F>(&mut self, site: &Site, space: IndexSpace3, tile_k: usize, body: &F)
-    where
-        F: Fn(usize, usize, usize) + Sync + ?Sized,
-    {
-        let nk = space.k1.saturating_sub(space.k0);
-        if site.tiling == Tiling::Serial || nk <= 1 {
-            space.for_each(body);
-            return;
-        }
-        self.ctx.prof.note_host_tiles(nk as u64);
-        let k0 = space.k0;
-        let plane = |t: usize| {
-            let k = k0 + t;
-            for j in space.j0..space.j1 {
-                for i in space.i0..space.i1 {
-                    body(i, j, k);
-                }
-            }
-        };
-        if self.audit.wants(site, space, nk) {
-            // The audit always observes per-plane footprints; the engine
-            // chunking below is invisible to it (and to the census).
-            self.audit.run_audited_tiles(site.name, k0, nk, &plane);
-        } else {
-            dispatch_chunked(&mut self.engine, nk, tile_k, space.len(), &plane);
-        }
-    }
-
     /// A plain (or routine-calling / atomic-scatter) parallel loop nest.
     ///
     /// `body(i, j, k)` is invoked for every point of `space`; `traffic`
     /// describes per-point memory traffic for the model; `reads`/`writes`
-    /// are the model buffers touched (for UM paging).
+    /// are the model buffers touched (for UM paging). Executes as
+    /// [`Par::loop3_rows`] with each row's points visited in ascending
+    /// `i`, so both forms share one launch and tiling path.
     ///
     /// # Iteration-independence contract
     /// Like a Fortran `do concurrent` body: on a [`Tiling::Outer`] site,
@@ -522,23 +482,12 @@ impl Par {
     ) where
         F: Fn(usize, usize, usize) + Sync,
     {
-        debug_assert!(matches!(
-            site.class,
-            LoopClass::Parallel | LoopClass::CallsRoutine | LoopClass::AtomicUpdate
-        ));
-        self.prepare_launch(site);
-        let (slot, scaled, tile_k) = self.plan(site, space);
-        let exec = self.ctx.launch(site.name, scaled, traffic, reads, writes);
-        if crate::perf::legacy_alloc() {
-            // Historical dispatch: body erased to `dyn Fn`, one indirect
-            // call per grid point (identical iteration order and FP
-            // results — only the call overhead differs). Chunking is
-            // disabled too: the historical engine dispatched per plane.
-            self.execute_tiles(site, space, 1, &body as &(dyn Fn(usize, usize, usize) + Sync));
-        } else {
-            self.execute_tiles(site, space, tile_k, &body);
-        }
-        self.registry.note_slot(slot, space.len(), exec);
+        let (i0, i1) = (space.i0, space.i1);
+        self.loop3_rows(site, space, traffic, reads, writes, |j, k| {
+            for i in i0..i1 {
+                body(i, j, k);
+            }
+        });
     }
 
     /// The row-sliced form of [`Par::loop3`]: `body(j, k)` is invoked
@@ -550,14 +499,14 @@ impl Par {
     /// analogue of the paper's requirement that `do concurrent` bodies
     /// expose contiguous innermost access to the optimizer.
     ///
-    /// Everything else is identical to `loop3`: same launch charge, same
-    /// site census, same host-tile census, same per-k-plane tiling (row
-    /// bodies that evaluate the same per-point expressions produce
-    /// bit-identical state), and the same iteration-independence
-    /// contract — on a [`Tiling::Outer`] site each `(j, k)` row must
-    /// write only rows it owns and read no row another k-plane writes.
-    /// The race auditor observes the row path at element granularity
-    /// (row accessors record per-element footprints).
+    /// Serial sites and single-plane spaces run the rows in Fortran order
+    /// on the caller (the unified serial fast path — no tile census);
+    /// other sites run per k-plane through [`Par::run_planes`]. The
+    /// iteration-independence contract of [`Par::loop3`] applies per row:
+    /// on a [`Tiling::Outer`] site each `(j, k)` row must write only rows
+    /// it owns and read no row another k-plane writes. The race auditor
+    /// observes rows at element granularity (row accessors record
+    /// per-element footprints).
     pub fn loop3_rows<F>(
         &mut self,
         site: &Site,
@@ -577,171 +526,41 @@ impl Par {
         let (slot, scaled, tile_k) = self.plan(site, space);
         let exec = self.ctx.launch(site.name, scaled, traffic, reads, writes);
         let nk = space.k1.saturating_sub(space.k0);
+        let plane = |t: usize| {
+            let k = space.k0 + t;
+            for j in space.j0..space.j1 {
+                body(j, k);
+            }
+        };
         if site.tiling == Tiling::Serial || nk <= 1 {
-            // Unified serial fast path: rows in Fortran order (k outer,
-            // j inner), matching `for_each`'s plane/row order.
-            for k in space.k0..space.k1 {
-                for j in space.j0..space.j1 {
-                    body(j, k);
-                }
-            }
+            (0..nk).for_each(plane);
         } else {
-            self.ctx.prof.note_host_tiles(nk as u64);
-            let k0 = space.k0;
-            let plane = |t: usize| {
-                let k = k0 + t;
-                for j in space.j0..space.j1 {
-                    body(j, k);
-                }
-            };
-            if self.audit.wants(site, space, nk) {
-                self.audit.run_audited_tiles(site.name, k0, nk, &plane);
-            } else {
-                dispatch_chunked(&mut self.engine, nk, tile_k, space.len(), &plane);
-            }
+            self.run_planes(site, space, nk, tile_k, &plane);
         }
         self.registry.note_slot(slot, space.len(), exec);
     }
 
-    /// The deterministic tiled reduction: one partial per k-plane tile
-    /// (computed in-tile in Fortran order), combined *in tile order* on
-    /// the calling thread. The decomposition depends only on `space`, so
-    /// the result is bit-identical for every engine width.
-    fn fold_tiled<F>(
+    /// The tiled launch shared by every kernel form: `plane(t)` runs once
+    /// for each k-plane `t` (plane `space.k0 + t`) of a multi-plane
+    /// space and is counted in the host-tile census. The planes either
+    /// run serially under capture, when the race auditor claims the
+    /// launch, or go to the engine in chunks of `tile_k` planes. The
+    /// audit always observes per-plane footprints; the chunking is
+    /// invisible to it and to the census.
+    fn run_planes(
         &mut self,
         site: &Site,
         space: IndexSpace3,
+        nk: usize,
         tile_k: usize,
-        op: ReduceOp,
-        init: f64,
-        body: &F,
-    ) -> f64
-    where
-        F: Fn(usize, usize, usize) -> f64 + Sync + ?Sized,
-    {
-        let nk = space.k1.saturating_sub(space.k0);
-        if site.tiling == Tiling::Serial || nk <= 1 {
-            // Unified serial fast path (also taken at nk == 1, where a
-            // single tile cannot race and dispatch would only add
-            // overhead): plain Fortran-order fold, no tile census —
-            // consistent with `execute_tiles` and `reduce_array`.
-            let mut acc = init;
-            space.for_each(|i, j, k| acc = op_apply(op, acc, body(i, j, k)));
-            return acc;
-        }
-        let ident = op_identity(op);
-        // Steady state reuses the shared scratch buffer; the legacy toggle
-        // reinstates the historical per-launch allocation for the
-        // benchmark harness's before/after measurement.
-        let legacy = crate::perf::legacy_alloc();
-        let mut partials;
-        if legacy {
-            partials = vec![ident; nk];
+        plane: &(dyn Fn(usize) + Sync),
+    ) {
+        self.ctx.prof.note_host_tiles(nk as u64);
+        if self.audit.wants(site, space, nk) {
+            self.audit.run_audited_tiles(site.name, space.k0, nk, plane);
         } else {
-            partials = std::mem::take(&mut self.scratch);
-            partials.clear();
-            partials.resize(nk, ident);
+            dispatch_chunked(&mut self.engine, nk, tile_k, space.len(), plane);
         }
-        {
-            let ps = SyncSlice::new(&mut partials);
-            self.ctx.prof.note_host_tiles(nk as u64);
-            let k0 = space.k0;
-            // One partial per *plane* regardless of engine chunking, so
-            // the combine order below is fixed by the space alone.
-            let tile = |t: usize| {
-                let k = k0 + t;
-                let mut acc = ident;
-                for j in space.j0..space.j1 {
-                    for i in space.i0..space.i1 {
-                        acc = op_apply(op, acc, body(i, j, k));
-                    }
-                }
-                ps.set(t, acc);
-            };
-            if self.audit.wants(site, space, nk) {
-                // The audited pass *is* the launch: tiles run serially
-                // under capture, writing the same per-tile partials, so
-                // the combine below keeps the engine's exact FP order.
-                self.audit.run_audited_tiles(site.name, k0, nk, &tile);
-            } else {
-                dispatch_chunked(&mut self.engine, nk, tile_k, space.len(), &tile);
-            }
-        }
-        let mut acc = init;
-        for &p in partials.iter() {
-            acc = op_apply(op, acc, p);
-        }
-        if !legacy {
-            self.scratch = partials;
-        }
-        acc
-    }
-
-    /// Row-sliced fold (see [`Par::reduce_scalar_rows`]): `body(acc, j, k)`
-    /// folds the row's `space.i0..space.i1` window into `acc` itself —
-    /// applying the op per element in ascending `i` — and returns the
-    /// updated accumulator. The per-plane partial and plane-order combine
-    /// are identical to [`Par::fold_tiled`], so a row body that applies
-    /// the same per-point expressions reduces bit-identically to the
-    /// scalar path.
-    fn fold_tiled_rows<F>(
-        &mut self,
-        site: &Site,
-        space: IndexSpace3,
-        tile_k: usize,
-        op: ReduceOp,
-        init: f64,
-        body: &F,
-    ) -> f64
-    where
-        F: Fn(f64, usize, usize) -> f64 + Sync,
-    {
-        let nk = space.k1.saturating_sub(space.k0);
-        if site.tiling == Tiling::Serial || nk <= 1 {
-            let mut acc = init;
-            for k in space.k0..space.k1 {
-                for j in space.j0..space.j1 {
-                    acc = body(acc, j, k);
-                }
-            }
-            return acc;
-        }
-        let ident = op_identity(op);
-        let legacy = crate::perf::legacy_alloc();
-        let mut partials;
-        if legacy {
-            partials = vec![ident; nk];
-        } else {
-            partials = std::mem::take(&mut self.scratch);
-            partials.clear();
-            partials.resize(nk, ident);
-        }
-        {
-            let ps = SyncSlice::new(&mut partials);
-            self.ctx.prof.note_host_tiles(nk as u64);
-            let k0 = space.k0;
-            let tile = |t: usize| {
-                let k = k0 + t;
-                let mut acc = ident;
-                for j in space.j0..space.j1 {
-                    acc = body(acc, j, k);
-                }
-                ps.set(t, acc);
-            };
-            if self.audit.wants(site, space, nk) {
-                self.audit.run_audited_tiles(site.name, k0, nk, &tile);
-            } else {
-                dispatch_chunked(&mut self.engine, nk, tile_k, space.len(), &tile);
-            }
-        }
-        let mut acc = init;
-        for &p in partials.iter() {
-            acc = op_apply(op, acc, p);
-        }
-        if !legacy {
-            self.scratch = partials;
-        }
-        acc
     }
 
     /// Scalar reduction over a loop nest (CFL minima, PCG dot products).
@@ -768,18 +587,17 @@ impl Par {
             site.class,
             LoopClass::ScalarReduction | LoopClass::KernelsIntrinsic
         ));
-        self.reduce_scalar_unchecked(site, space, traffic, reads, op, init, body)
+        self.reduce_points(site, space, traffic, reads, op, init, body)
     }
 
     /// The row-sliced form of [`Par::reduce_scalar`]: `body(acc, j, k)`
     /// folds the `space.i0..space.i1` window of row `(j, k)` into `acc`
     /// — applying `op` per element **in ascending `i`**, e.g.
     /// `row.iter().fold(acc, |a, &v| a + term(v))` for a sum — and
-    /// returns the updated accumulator. Because the fold order within a
-    /// row and the per-plane/plane-order combine are exactly the scalar
-    /// path's, a row body evaluating the same per-point expressions
-    /// reduces bit-identically. Launch charge, census, and traffic are
-    /// identical to `reduce_scalar`.
+    /// returns the updated accumulator. `reduce_scalar` runs through
+    /// this fold with exactly that row body, so a row body evaluating
+    /// the same per-point expressions reduces bit-identically. Launch
+    /// charge, census, and traffic are identical to `reduce_scalar`.
     #[allow(clippy::too_many_arguments)]
     pub fn reduce_scalar_rows<F>(
         &mut self,
@@ -798,12 +616,7 @@ impl Par {
             site.class,
             LoopClass::ScalarReduction | LoopClass::KernelsIntrinsic
         ));
-        self.prepare_launch(site);
-        let (slot, scaled, tile_k) = self.plan(site, space);
-        let exec = self.ctx.launch(site.name, scaled, traffic, reads, &[]);
-        let acc = self.fold_tiled_rows(site, space, tile_k, op, init, &body);
-        self.registry.note_slot(slot, space.len(), exec);
-        acc
+        self.reduce_rows(site, space, traffic, reads, op, init, body)
     }
 
     /// Array reduction: each point contributes `(target, value)` and the
@@ -845,33 +658,24 @@ impl Par {
 
         let nk = space.k1.saturating_sub(space.k0);
         if site.tiling == Tiling::Serial || nk <= 1 {
-            // Unified serial fast path (see `fold_tiled`): direct
+            // Unified serial fast path (see `loop3_rows`): direct
             // accumulation, no tile census.
             space.for_each(|i, j, k| {
                 let (t, v) = body(i, j, k);
                 out[t] += v;
             });
         } else {
-            // One dense partial row per tile, accumulated in-tile in
-            // Fortran order, then combined row-by-row in tile order.
-            // Scratch reuse / legacy churn as in `fold_tiled`; legacy
-            // mode also keeps the historical per-plane dispatch.
+            // One dense partial row per plane, accumulated in-plane in
+            // Fortran order, then combined row-by-row in plane order.
+            // Steady state reuses the shared scratch buffer.
             let width = out.len();
-            let legacy = crate::perf::legacy_alloc();
-            let tile_k = if legacy { 1 } else { tile_k };
-            let mut partials;
-            if legacy {
-                partials = vec![0.0; nk * width];
-            } else {
-                partials = std::mem::take(&mut self.scratch);
-                partials.clear();
-                partials.resize(nk * width, 0.0);
-            }
+            let mut partials = std::mem::take(&mut self.scratch);
+            partials.clear();
+            partials.resize(nk * width, 0.0);
             {
                 let ps = SyncSlice::new(&mut partials);
-                self.ctx.prof.note_host_tiles(nk as u64);
                 let k0 = space.k0;
-                let tile = |t: usize| {
+                self.run_planes(site, space, nk, tile_k, &|t: usize| {
                     let k = k0 + t;
                     let row = t * width;
                     for j in space.j0..space.j1 {
@@ -881,12 +685,7 @@ impl Par {
                             ps.add(row + target, v);
                         }
                     }
-                };
-                if self.audit.wants(site, space, nk) {
-                    self.audit.run_audited_tiles(site.name, k0, nk, &tile);
-                } else {
-                    dispatch_chunked(&mut self.engine, nk, tile_k, space.len(), &tile);
-                }
+                });
             }
             for t in 0..nk {
                 let row = &partials[t * width..(t + 1) * width];
@@ -894,9 +693,7 @@ impl Par {
                     *o += p;
                 }
             }
-            if !legacy {
-                self.scratch = partials;
-            }
+            self.scratch = partials;
         }
         self.registry.note_slot(slot, space.len(), exec);
     }
@@ -919,11 +716,13 @@ impl Par {
         F: Fn(usize, usize, usize) -> f64 + Sync,
     {
         debug_assert_eq!(site.class as u8, LoopClass::KernelsIntrinsic as u8);
-        self.reduce_scalar_unchecked(site, space, traffic, reads, op, init, body)
+        self.reduce_points(site, space, traffic, reads, op, init, body)
     }
 
+    /// Point form of [`Par::reduce_rows`]: each row folds its points'
+    /// values into the accumulator in ascending `i`.
     #[allow(clippy::too_many_arguments)]
-    fn reduce_scalar_unchecked<F>(
+    fn reduce_points<F>(
         &mut self,
         site: &Site,
         space: IndexSpace3,
@@ -936,22 +735,66 @@ impl Par {
     where
         F: Fn(usize, usize, usize) -> f64 + Sync,
     {
+        let (i0, i1) = (space.i0, space.i1);
+        self.reduce_rows(site, space, traffic, reads, op, init, |mut acc, j, k| {
+            for i in i0..i1 {
+                acc = op_apply(op, acc, body(i, j, k));
+            }
+            acc
+        })
+    }
+
+    /// The deterministic tiled reduction behind every scalar-reduction
+    /// form. Serial sites and single-plane spaces fold every row in
+    /// Fortran order on the caller, starting from `init`. Otherwise each
+    /// k-plane folds its rows into its own partial, independent of the
+    /// engine chunking, and the partials combine in plane order on the
+    /// calling thread. The decomposition depends only on `space`, so the
+    /// result is bit-identical for every engine width and tile size.
+    #[allow(clippy::too_many_arguments)]
+    fn reduce_rows<F>(
+        &mut self,
+        site: &Site,
+        space: IndexSpace3,
+        traffic: Traffic,
+        reads: &[BufferId],
+        op: ReduceOp,
+        init: f64,
+        body: F,
+    ) -> f64
+    where
+        F: Fn(f64, usize, usize) -> f64 + Sync,
+    {
         self.prepare_launch(site);
         let (slot, scaled, tile_k) = self.plan(site, space);
         let exec = self.ctx.launch(site.name, scaled, traffic, reads, &[]);
-        let acc = if crate::perf::legacy_alloc() {
-            // Historical dispatch (see `loop3`): per-point `dyn` calls,
-            // per-plane engine dispatch.
-            self.fold_tiled(
-                site,
-                space,
-                1,
-                op,
-                init,
-                &body as &(dyn Fn(usize, usize, usize) -> f64 + Sync),
-            )
+        let nk = space.k1.saturating_sub(space.k0);
+        let fold_plane = |mut acc: f64, t: usize| {
+            let k = space.k0 + t;
+            for j in space.j0..space.j1 {
+                acc = body(acc, j, k);
+            }
+            acc
+        };
+        let acc = if site.tiling == Tiling::Serial || nk <= 1 {
+            (0..nk).fold(init, fold_plane)
         } else {
-            self.fold_tiled(site, space, tile_k, op, init, &body)
+            let ident = op_identity(op);
+            // Steady state reuses the shared scratch buffer.
+            let mut partials = std::mem::take(&mut self.scratch);
+            partials.clear();
+            partials.resize(nk, ident);
+            {
+                let ps = SyncSlice::new(&mut partials);
+                // The audited pass writes the same per-plane partials, so
+                // the combine below keeps the engine's exact FP order.
+                self.run_planes(site, space, nk, tile_k, &|t: usize| {
+                    ps.set(t, fold_plane(ident, t));
+                });
+            }
+            let acc = partials.iter().fold(init, |a, &p| op_apply(op, a, p));
+            self.scratch = partials;
+            acc
         };
         self.registry.note_slot(slot, space.len(), exec);
         acc
@@ -1391,9 +1234,7 @@ mod tests {
 
     /// Single-tile (nk == 1) spaces take the serial fast path in every
     /// kernel form — no engine dispatch, no host-tile census — while
-    /// nk > 1 spaces are always counted. Regression test for the old
-    /// asymmetry where `fold_tiled`/`reduce_array` still dispatched
-    /// nk == 1 through the engine without counting it.
+    /// nk > 1 spaces are always counted.
     #[test]
     fn single_tile_spaces_take_serial_path_with_no_census() {
         let thin = IndexSpace3 {
@@ -1442,12 +1283,11 @@ mod tests {
         assert_eq!(p.ctx.prof.host_tiles, 12);
     }
 
-    /// The tentpole bit-exactness claim at unit scope: a row-sliced body
-    /// computing the same per-point expressions as a scalar body yields
-    /// bit-identical arrays and reductions, for any thread count and any
-    /// forced tile size.
+    /// The point forms (`loop3`, `reduce_scalar`) and row bodies that
+    /// compute the same per-point expressions yield bit-identical arrays
+    /// and reductions, for any thread count and any forced tile size.
     #[test]
-    fn row_path_matches_scalar_path_bitwise() {
+    fn row_and_point_forms_match_bitwise() {
         use mas_field::Array3;
         static FILL_S: Site = Site::par3("row_vs_scalar_fill_s");
         static FILL_R: Site = Site::par3("row_vs_scalar_fill_r");
@@ -1532,12 +1372,12 @@ mod tests {
                 assert_eq!(
                     run(threads, tile_k, false),
                     reference,
-                    "scalar path t={threads} tile_k={tile_k}"
+                    "point form t={threads} tile_k={tile_k}"
                 );
                 assert_eq!(
                     run(threads, tile_k, true),
                     reference,
-                    "row path t={threads} tile_k={tile_k}"
+                    "row form t={threads} tile_k={tile_k}"
                 );
             }
         }

@@ -25,7 +25,6 @@
 pub mod audit;
 pub mod engine;
 pub mod exec;
-pub mod perf;
 pub mod race;
 pub mod site;
 pub mod version;

@@ -297,6 +297,17 @@ fn respond(server: &Arc<Server>, req: Request) -> String {
     }
 }
 
+/// Send `line` and its newline in a single write. Two writes would leave
+/// as two segments, and on a persistent connection Nagle's algorithm
+/// then holds the second until the peer's delayed ACK — tens of
+/// milliseconds per reply.
+fn send_line(out: &mut TcpStream, line: &str) -> std::io::Result<()> {
+    let mut buf = String::with_capacity(line.len() + 1);
+    buf.push_str(line);
+    buf.push('\n');
+    out.write_all(buf.as_bytes())
+}
+
 /// Accept loop: one thread per connection, one response line per
 /// request line, every read bounded in both size and time. Returns when
 /// a `shutdown` or `drain` request arrives (after honouring it).
@@ -324,25 +335,23 @@ fn serve(listener: TcpListener, server: Arc<Server>, deadline: Option<Duration>)
                     Ok(WireRead::TooLong) => {
                         // The stream may be mid-line garbage: answer and
                         // close rather than trying to resynchronise.
-                        let _ = writeln!(
-                            out,
-                            "err request line exceeds {} bytes",
-                            wire::MAX_LINE
+                        let _ = send_line(
+                            &mut out,
+                            &format!("err request line exceeds {} bytes", wire::MAX_LINE),
                         );
                         return;
                     }
                     Ok(WireRead::BadUtf8) => {
                         // The line boundary is intact; the connection
                         // can continue.
-                        let _ = writeln!(out, "err request is not valid UTF-8");
-                        let _ = out.flush();
+                        let _ = send_line(&mut out, "err request is not valid UTF-8");
                         continue;
                     }
                     Err(e)
                         if e.kind() == std::io::ErrorKind::WouldBlock
                             || e.kind() == std::io::ErrorKind::TimedOut =>
                     {
-                        let _ = writeln!(out, "err idle timeout; closing connection");
+                        let _ = send_line(&mut out, "err idle timeout; closing connection");
                         return;
                     }
                     Err(_) => return,
@@ -353,10 +362,9 @@ fn serve(listener: TcpListener, server: Arc<Server>, deadline: Option<Duration>)
                 let req = match wire::parse_request(&line) {
                     Ok(req) => req,
                     Err(e) => {
-                        if writeln!(out, "err {}", wire::escape(&e)).is_err() {
+                        if send_line(&mut out, &format!("err {}", wire::escape(&e))).is_err() {
                             return;
                         }
-                        let _ = out.flush();
                         continue;
                     }
                 };
@@ -374,10 +382,9 @@ fn serve(listener: TcpListener, server: Arc<Server>, deadline: Option<Duration>)
                     }
                     req => (respond(&server, req), false),
                 };
-                if writeln!(out, "{reply}").is_err() {
+                if send_line(&mut out, &reply).is_err() {
                     return;
                 }
-                let _ = out.flush();
                 if stops {
                     stop.store(true, Ordering::SeqCst);
                     // Unblock the accept loop with a throwaway connection.

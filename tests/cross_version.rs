@@ -2,7 +2,9 @@
 //! produce the same physical solution, while the virtual-platform
 //! performance model orders them the way the paper measures.
 
+use mas::config::GridCfg;
 use mas::prelude::*;
+use mas_bench::baseline::fold_hashes;
 
 fn run_all() -> Vec<RunReport> {
     let mut deck = Deck::preset_quickstart();
@@ -72,47 +74,27 @@ fn determinism_matrix_across_thread_counts() {
     }
 }
 
-/// The row-sliced kernel path is a pure execution-strategy change: for
-/// every code version, runs through the scalar `loop3` bodies and the
-/// row-sliced `loop3_rows` bodies must agree *bitwise* — same final-state
-/// hash, model wall clock, kernel census, host-tile census, directive
-/// census, and diagnostics — at every host-engine width. Row bodies
-/// evaluate the same per-point expressions in the same order; only the
-/// shape the optimizer sees (contiguous `&[f64]` rows) differs.
+/// The golden-hash anchor for the one-body hot kernels: `BENCH_7.json`'s
+/// deck (quickstart physics on a 20×16×24 grid, 10 steps, seed 1) must
+/// reproduce the folded state hashes committed there, under every code
+/// version, at 1 rank × 1 thread and at 2 ranks × 2 threads.
 #[test]
-fn determinism_matrix_across_row_paths() {
+fn golden_state_hashes_match_bench_7() {
     let mut deck = Deck::preset_quickstart();
-    deck.time.n_steps = 3;
-    deck.output.hist_interval = 3;
-    for &v in CodeVersion::ALL.iter() {
-        let mut reference = None;
-        for rows in [false, true] {
-            for threads in [1usize, 2, 4] {
-                let mut d = deck.clone();
-                d.host_threads = threads;
-                mas::mhd::perf::set_row_path(rows);
-                let r = mas::mhd::run_single_rank(&d, v);
-                mas::mhd::perf::set_row_path(true);
-                let audit = mas::stdpar::DirectiveAudit::new(&r.registry);
-                let census = audit.census(v).total();
-                let key = (
-                    r.state_hash,
-                    r.wall_us.to_bits(),
-                    r.kernel_launches,
-                    r.host_tiles,
-                    census,
-                    r.hist.last().map(|h| {
-                        (h.diag.mass.to_bits(), h.diag.etherm.to_bits(), h.diag.emag.to_bits())
-                    }),
-                );
-                match &reference {
-                    None => reference = Some(key),
-                    Some(base) => assert_eq!(
-                        &key, base,
-                        "{v:?} rows={rows} t={threads} diverged from the scalar 1-thread run"
-                    ),
-                }
-            }
+    deck.grid = GridCfg { nr: 20, nt: 16, np: 24, rmax: 10.0 };
+    deck.time.n_steps = 10;
+    deck.output.hist_interval = 0;
+    for (ranks, threads, golden) in [(1, 1, "9b8592cc36c27c36"), (2, 2, "2b32f96fdc8359f1")] {
+        deck.host_threads = threads;
+        for v in CodeVersion::ALL {
+            let report =
+                mas::mhd::run_multi_rank(&deck, v, DeviceSpec::a100_40gb(), ranks, 1, false);
+            let hashes: Vec<u64> = report.ranks.iter().map(|r| r.state_hash).collect();
+            assert_eq!(
+                fold_hashes(&hashes),
+                golden,
+                "{v:?} at {ranks} rank(s) x {threads} thread(s)"
+            );
         }
     }
 }
