@@ -9,6 +9,11 @@
 //! Every iteration performs one halo exchange (the peer-to-peer vs
 //! unified-memory transfer the paper's Fig. 4 profiles), two global dot
 //! products (allreduce), and three streaming kernels.
+//!
+//! On the host, the operator and the preconditioner each run in one
+//! sweep with the dot product that reads their output
+//! ([`Par::fused_rows`]), so an iteration makes three host sweeps for
+//! five modeled launches; the modeled device still books every launch.
 
 use crate::halo::HaloExchanger;
 use crate::ops::deriv::LapStencil;
@@ -18,7 +23,7 @@ use gpusim::Traffic;
 use mas_field::Field;
 use mas_grid::IndexSpace3;
 use minimpi::{Comm, ReduceOp};
-use stdpar::Par;
+use stdpar::{Launch, Par};
 
 /// Outcome of one PCG solve.
 #[derive(Clone, Copy, Debug)]
@@ -74,42 +79,27 @@ fn solve_viscosity_impl<const REC: bool>(
         hx.exchange(par, comm, &mut arrays, &xb);
     }
 
-    // r ← ν·Δt ∇²(x);  δ (work.rhs) ← 0;  p ← 0 (set inside setup kernel).
-    {
+    // r ← ν·Δt ∇²(x), fused with its norm ⟨r, r⟩ for the relative
+    // tolerance. δ (work.rhs) and p start at zero, as do the ghosts and
+    // boundaries of the correction system: `wrapper_alloc` zeroed them.
+    let mut rr = {
         let reads = [x.buf()];
         let writes = [work.r.buf(), work.rhs.buf(), work.p.buf()];
-        // Whole-array zero first so ghosts/boundaries of the correction
-        // system are exactly zero.
-        work.r.data.fill(0.0);
-        work.rhs.data.fill(0.0);
-        work.p.data.fill(0.0);
+        let norm_reads = [work.r.buf()];
+        let launches = [
+            Launch::rows(&sites::PCG_SETUP, Traffic::new(8, 3, 20), &reads, &writes),
+            Launch::reduce(&sites::PCG_NORM, Traffic::new(1, 0, 2), &norm_reads),
+        ];
         let rd = work.r.data.par_view_as::<REC>();
         let xd = &x.data;
-        par.loop3_rows(&sites::PCG_SETUP, space, Traffic::new(8, 3, 20), &reads, &writes, |j, k| {
+        par.fused_rows(space, &launches, ReduceOp::Sum, 0.0, |mut acc, j, k| {
             let out = rd.row_mut(i0, i1, j, k);
             lap.apply_row(xd, i0, i1, j, k, |n, l| out[n] = nu_dt * l);
-        });
-    }
-
-    // Norm of the right-hand side for the relative tolerance.
-    let mut rr = {
-        let reads = [work.r.buf()];
-        let rd = &work.r.data;
-        par.reduce_scalar_rows(
-            &sites::PCG_NORM,
-            space,
-            Traffic::new(1, 0, 2),
-            &reads,
-            ReduceOp::Sum,
-            0.0,
-            |mut acc, j, k| {
-                let r_row = rd.row(i0, i1, j, k);
-                for &v in r_row {
-                    acc += v * v;
-                }
-                acc
-            },
-        )
+            for &v in out.iter() {
+                acc += v * v;
+            }
+            acc
+        })
     };
     {
         let mut v = [rr];
@@ -129,41 +119,29 @@ fn solve_viscosity_impl<const REC: bool>(
     let mut rel_res = 1.0;
     let mut iters = 0;
     for it in 0..max_iter {
-        // z ← M⁻¹ r (Jacobi).
-        {
+        // z ← M⁻¹ r (Jacobi), fused with rz = ⟨r, z⟩ (global).
+        let mut rz = {
             let reads = [work.r.buf()];
             let writes = [work.z.buf()];
+            let dot_reads = [work.r.buf(), work.z.buf()];
+            let launches = [
+                Launch::rows(&sites::PCG_PRECOND, Traffic::new(1, 1, 4), &reads, &writes),
+                Launch::reduce(&sites::PCG_DOT_RZ, Traffic::new(2, 0, 2), &dot_reads),
+            ];
             let zd = work.z.data.par_view_as::<REC>();
             let rd = &work.r.data;
-            par.loop3_rows(&sites::PCG_PRECOND, space, Traffic::new(1, 1, 4), &reads, &writes, |j, k| {
+            par.fused_rows(space, &launches, ReduceOp::Sum, 0.0, |mut acc, j, k| {
                 let r_row = rd.row(i0, i1, j, k);
                 let out = zd.row_mut(i0, i1, j, k);
                 lap.diagonal_row(i0, i1, j, k, |n, d| {
                     let diag = 1.0 - nu_dt * d;
                     out[n] = r_row[n] / diag;
                 });
-            });
-        }
-        // rz = ⟨r, z⟩ (global).
-        let mut rz = {
-            let reads = [work.r.buf(), work.z.buf()];
-            let (rd, zd) = (&work.r.data, &work.z.data);
-            par.reduce_scalar_rows(
-                &sites::PCG_DOT_RZ,
-                space,
-                Traffic::new(2, 0, 2),
-                &reads,
-                ReduceOp::Sum,
-                0.0,
-                |mut acc, j, k| {
-                    let r_row = rd.row(i0, i1, j, k);
-                    let z_row = zd.row(i0, i1, j, k);
-                    for n in 0..r_row.len() {
-                        acc += r_row[n] * z_row[n];
-                    }
-                    acc
-                },
-            )
+                for n in 0..r_row.len() {
+                    acc += r_row[n] * out[n];
+                }
+                acc
+            })
         };
         {
             let mut v = [rz];
@@ -192,38 +170,26 @@ fn solve_viscosity_impl<const REC: bool>(
             let mut arrays = [&mut work.p.data];
             hx.exchange(par, comm, &mut arrays, &bufs);
         }
-        // ap ← A p = p − ν·Δt ∇² p.
-        {
+        // ap ← A p = p − ν·Δt ∇² p, fused with pap = ⟨p, Ap⟩ (global).
+        let mut pap = {
             let reads = [work.p.buf()];
             let writes = [work.ap.buf()];
+            let dot_reads = [work.p.buf(), work.ap.buf()];
+            let launches = [
+                Launch::rows(&sites::VISC_APPLY, Traffic::new(8, 1, 24), &reads, &writes),
+                Launch::reduce(&sites::PCG_DOT_PAP, Traffic::new(2, 0, 2), &dot_reads),
+            ];
             let apd = work.ap.data.par_view_as::<REC>();
             let pd = &work.p.data;
-            par.loop3_rows(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |j, k| {
+            par.fused_rows(space, &launches, ReduceOp::Sum, 0.0, |mut acc, j, k| {
                 let p_row = pd.row(i0, i1, j, k);
                 let out = apd.row_mut(i0, i1, j, k);
                 lap.apply_row(pd, i0, i1, j, k, |n, l| out[n] = p_row[n] - nu_dt * l);
-            });
-        }
-        // pap = ⟨p, Ap⟩ (global).
-        let mut pap = {
-            let reads = [work.p.buf(), work.ap.buf()];
-            let (pd, apd) = (&work.p.data, &work.ap.data);
-            par.reduce_scalar_rows(
-                &sites::PCG_DOT_PAP,
-                space,
-                Traffic::new(2, 0, 2),
-                &reads,
-                ReduceOp::Sum,
-                0.0,
-                |mut acc, j, k| {
-                    let p_row = pd.row(i0, i1, j, k);
-                    let ap_row = apd.row(i0, i1, j, k);
-                    for n in 0..p_row.len() {
-                        acc += p_row[n] * ap_row[n];
-                    }
-                    acc
-                },
-            )
+                for n in 0..p_row.len() {
+                    acc += p_row[n] * out[n];
+                }
+                acc
+            })
         };
         {
             let mut v = [pap];

@@ -23,13 +23,15 @@ fn explicit_viscosity_update<const REC: bool>(
     dt: f64,
     nu: f64,
 ) {
+    let (i0, i1) = (space.i0, space.i1);
     {
         let reads = [comp.buf()];
         let writes = [work.ap.buf()];
         let od = work.ap.data.par_view_as::<REC>();
         let yd = &comp.data;
-        par.loop3(&sites::VISC_APPLY, space, gpusim::Traffic::new(8, 1, 24), &reads, &writes, |i, j, k| {
-            od.set(i, j, k, lap.apply(yd, i, j, k));
+        par.loop3_rows(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |j, k| {
+            let out = od.row_mut(i0, i1, j, k);
+            lap.apply_row(yd, i0, i1, j, k, |n, l| out[n] = l);
         });
     }
     {
@@ -37,8 +39,12 @@ fn explicit_viscosity_update<const REC: bool>(
         let writes = [comp.buf()];
         let vd = comp.data.par_view_as::<REC>();
         let ld = &work.ap.data;
-        par.loop3(&sites::PCG_APPLY_DX, space, gpusim::Traffic::new(2, 1, 3), &reads, &writes, |i, j, k| {
-            vd.add(i, j, k, dt * nu * ld.get(i, j, k));
+        par.loop3_rows(&sites::PCG_APPLY_DX, space, Traffic::new(2, 1, 3), &reads, &writes, |j, k| {
+            let l_row = ld.row(i0, i1, j, k);
+            let out = vd.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                out[n] += dt * nu * l_row[n];
+            }
         });
     }
 }

@@ -147,6 +147,56 @@ impl Default for CostScales {
     }
 }
 
+/// One modeled kernel launch of a fused host sweep ([`Par::fused_rows`]):
+/// the site, traffic and buffers its own unfused call would pass.
+#[derive(Clone, Copy, Debug)]
+pub struct Launch<'a> {
+    site: &'a Site,
+    traffic: Traffic,
+    reads: &'a [BufferId],
+    writes: &'a [BufferId],
+}
+
+impl<'a> Launch<'a> {
+    /// A row loop, booked as [`Par::loop3_rows`] books it.
+    pub fn rows(
+        site: &'a Site,
+        traffic: Traffic,
+        reads: &'a [BufferId],
+        writes: &'a [BufferId],
+    ) -> Self {
+        debug_assert!(is_row_loop(site));
+        Launch {
+            site,
+            traffic,
+            reads,
+            writes,
+        }
+    }
+
+    /// A scalar reduction, booked as [`Par::reduce_scalar_rows`] books it.
+    pub fn reduce(site: &'a Site, traffic: Traffic, reads: &'a [BufferId]) -> Self {
+        debug_assert!(matches!(
+            site.class,
+            LoopClass::ScalarReduction | LoopClass::KernelsIntrinsic
+        ));
+        Launch {
+            site,
+            traffic,
+            reads,
+            writes: &[],
+        }
+    }
+}
+
+/// Whether `site` is launched through the row-loop form.
+fn is_row_loop(site: &Site) -> bool {
+    matches!(
+        site.class,
+        LoopClass::Parallel | LoopClass::CallsRoutine | LoopClass::AtomicUpdate
+    )
+}
+
 /// Builder for [`Par`] — replaces the old positional
 /// `Par::new(spec, version, rank, seed)` constructor.
 ///
@@ -518,13 +568,8 @@ impl Par {
     ) where
         F: Fn(usize, usize) + Sync,
     {
-        debug_assert!(matches!(
-            site.class,
-            LoopClass::Parallel | LoopClass::CallsRoutine | LoopClass::AtomicUpdate
-        ));
-        self.prepare_launch(site);
-        let (slot, scaled, tile_k) = self.plan(site, space);
-        let exec = self.ctx.launch(site.name, scaled, traffic, reads, writes);
+        debug_assert!(is_row_loop(site));
+        let (slot, tile_k, exec) = self.book(site, space, traffic, reads, writes);
         let nk = space.k1.saturating_sub(space.k0);
         let plane = |t: usize| {
             let k = space.k0 + t;
@@ -538,6 +583,69 @@ impl Par {
             self.run_planes(site, space, nk, tile_k, &plane);
         }
         self.registry.note_slot(slot, space.len(), exec);
+    }
+
+    /// Book one modeled launch of `site` over `space` on the device
+    /// model: apply the site's launch mode, look up its plan and charge
+    /// the launch. Returns the registry slot, the engine tile size and
+    /// the modeled time, for the registry note that closes the launch.
+    fn book(
+        &mut self,
+        site: &Site,
+        space: IndexSpace3,
+        traffic: Traffic,
+        reads: &[BufferId],
+        writes: &[BufferId],
+    ) -> (usize, usize, f64) {
+        self.prepare_launch(site);
+        let (slot, scaled, tile_k) = self.plan(site, space);
+        let exec = self.ctx.launch(site.name, scaled, traffic, reads, writes);
+        (slot, tile_k, exec)
+    }
+
+    /// Several modeled launches, one host sweep: the fused-launch form.
+    ///
+    /// Each of `launches` is booked on the device model exactly as its
+    /// own [`Par::loop3_rows`] or [`Par::reduce_scalar_rows`] call would
+    /// book it, in order — launch mode, plan, charge, registry note — so
+    /// the model clock, UM paging, the jitter stream, the launch count
+    /// and every per-site registry row are those of the separate calls.
+    /// Then `body(acc, j, k)` runs **once** per row of `space`, under the
+    /// first launch's site (its tiling, tile plan and race audit), and is
+    /// folded exactly as [`Par::reduce_scalar_rows`] folds: per-plane
+    /// partials combined in plane order from `init`, or one Fortran-order
+    /// fold for serial and single-plane spaces. The host-tile census
+    /// counts the one sweep.
+    ///
+    /// The body does the work of every launch for its row, in launch
+    /// order: a row loop followed by a reduction writes its whole row
+    /// first (the loop that vectorizes), then folds that row into `acc`
+    /// in ascending `i` — so the fold, and every array, is bit-identical
+    /// to the unfused calls. All launches must share one tiling.
+    pub fn fused_rows<F>(
+        &mut self,
+        space: IndexSpace3,
+        launches: &[Launch<'_>],
+        op: ReduceOp,
+        init: f64,
+        body: F,
+    ) -> f64
+    where
+        F: Fn(f64, usize, usize) -> f64 + Sync,
+    {
+        let sweep = launches[0].site;
+        let mut tile_k = 1;
+        for l in launches {
+            assert_eq!(
+                l.site.tiling, sweep.tiling,
+                "fused launches must share one tiling"
+            );
+            let (slot, tk, exec) = self.book(l.site, space, l.traffic, l.reads, l.writes);
+            self.registry.note_slot(slot, space.len(), exec);
+            // One space on one engine: every launch plans the same tiles.
+            tile_k = tk;
+        }
+        self.fold_rows(sweep, space, tile_k, op, init, body)
     }
 
     /// The tiled launch shared by every kernel form: `plane(t)` runs once
@@ -642,7 +750,6 @@ impl Par {
         F: Fn(usize, usize, usize) -> (usize, f64) + Sync,
     {
         debug_assert_eq!(site.class as u8, LoopClass::ArrayReduction as u8);
-        self.prepare_launch(site);
         let penalty = match self.policy.array_reduce {
             ArrayReduceStrategy::AccAtomic | ArrayReduceStrategy::DcAtomic => ATOMIC_PENALTY,
             ArrayReduceStrategy::LoopFlip => LOOP_FLIP_PENALTY,
@@ -653,8 +760,7 @@ impl Par {
             writes: traffic.writes,
             flops: traffic.flops,
         };
-        let (slot, scaled, tile_k) = self.plan(site, space);
-        let exec = self.ctx.launch(site.name, scaled, eff, reads, writes);
+        let (slot, tile_k, exec) = self.book(site, space, eff, reads, writes);
 
         let nk = space.k1.saturating_sub(space.k0);
         if site.tiling == Tiling::Serial || nk <= 1 {
@@ -744,13 +850,8 @@ impl Par {
         })
     }
 
-    /// The deterministic tiled reduction behind every scalar-reduction
-    /// form. Serial sites and single-plane spaces fold every row in
-    /// Fortran order on the caller, starting from `init`. Otherwise each
-    /// k-plane folds its rows into its own partial, independent of the
-    /// engine chunking, and the partials combine in plane order on the
-    /// calling thread. The decomposition depends only on `space`, so the
-    /// result is bit-identical for every engine width and tile size.
+    /// The scalar-reduction launch behind every scalar-reduction form:
+    /// book the launch, fold the rows ([`Par::fold_rows`]), note it.
     #[allow(clippy::too_many_arguments)]
     fn reduce_rows<F>(
         &mut self,
@@ -765,9 +866,32 @@ impl Par {
     where
         F: Fn(f64, usize, usize) -> f64 + Sync,
     {
-        self.prepare_launch(site);
-        let (slot, scaled, tile_k) = self.plan(site, space);
-        let exec = self.ctx.launch(site.name, scaled, traffic, reads, &[]);
+        let (slot, tile_k, exec) = self.book(site, space, traffic, reads, &[]);
+        let acc = self.fold_rows(site, space, tile_k, op, init, body);
+        self.registry.note_slot(slot, space.len(), exec);
+        acc
+    }
+
+    /// The deterministic tiled fold behind every scalar reduction and
+    /// every fused sweep. Serial sites and single-plane spaces fold every
+    /// row in Fortran order on the caller, starting from `init`.
+    /// Otherwise each k-plane folds its rows into its own partial,
+    /// independent of the engine chunking, and the partials combine in
+    /// plane order on the calling thread. The decomposition depends only
+    /// on `space`, so the result is bit-identical for every engine width
+    /// and tile size.
+    fn fold_rows<F>(
+        &mut self,
+        site: &Site,
+        space: IndexSpace3,
+        tile_k: usize,
+        op: ReduceOp,
+        init: f64,
+        body: F,
+    ) -> f64
+    where
+        F: Fn(f64, usize, usize) -> f64 + Sync,
+    {
         let nk = space.k1.saturating_sub(space.k0);
         let fold_plane = |mut acc: f64, t: usize| {
             let k = space.k0 + t;
@@ -776,27 +900,24 @@ impl Par {
             }
             acc
         };
-        let acc = if site.tiling == Tiling::Serial || nk <= 1 {
-            (0..nk).fold(init, fold_plane)
-        } else {
-            let ident = op_identity(op);
-            // Steady state reuses the shared scratch buffer.
-            let mut partials = std::mem::take(&mut self.scratch);
-            partials.clear();
-            partials.resize(nk, ident);
-            {
-                let ps = SyncSlice::new(&mut partials);
-                // The audited pass writes the same per-plane partials, so
-                // the combine below keeps the engine's exact FP order.
-                self.run_planes(site, space, nk, tile_k, &|t: usize| {
-                    ps.set(t, fold_plane(ident, t));
-                });
-            }
-            let acc = partials.iter().fold(init, |a, &p| op_apply(op, a, p));
-            self.scratch = partials;
-            acc
-        };
-        self.registry.note_slot(slot, space.len(), exec);
+        if site.tiling == Tiling::Serial || nk <= 1 {
+            return (0..nk).fold(init, fold_plane);
+        }
+        let ident = op_identity(op);
+        // Steady state reuses the shared scratch buffer.
+        let mut partials = std::mem::take(&mut self.scratch);
+        partials.clear();
+        partials.resize(nk, ident);
+        {
+            let ps = SyncSlice::new(&mut partials);
+            // The audited pass writes the same per-plane partials, so
+            // the combine below keeps the engine's exact FP order.
+            self.run_planes(site, space, nk, tile_k, &|t: usize| {
+                ps.set(t, fold_plane(ident, t));
+            });
+        }
+        let acc = partials.iter().fold(init, |a, &p| op_apply(op, a, p));
+        self.scratch = partials;
         acc
     }
 
@@ -1379,6 +1500,118 @@ mod tests {
                     reference,
                     "row form t={threads} tile_k={tile_k}"
                 );
+            }
+        }
+    }
+
+    /// The fused-launch form books on the model exactly what the separate
+    /// calls book — clock bits (jitter on), launch and byte counts, every
+    /// per-site registry row — and computes the same array and reduction
+    /// bits, at every engine width, on tiled and single-plane spaces.
+    /// Only the host-tile census differs: it counts the one sweep.
+    #[test]
+    fn fused_sweep_matches_separate_launches() {
+        use mas_field::Array3;
+        static FILL: Site = Site::par3("fused_fill");
+        static DOT: Site = Site::new("fused_dot", LoopClass::ScalarReduction, 3).heavy();
+
+        let run = |v: CodeVersion, threads: usize, nk: usize, fused: bool| {
+            let mut p = Par::builder(DeviceSpec::a100_40gb())
+                .version(v)
+                .threads(threads)
+                .seed(7)
+                .build();
+            p.ctx.set_phase(gpusim::Phase::Compute);
+            let mut x = Array3::zeros(12, 10, 16);
+            let mut y = Array3::zeros(12, 10, 16);
+            let bx = p.ctx.mem.register(x.bytes(), "x");
+            let by = p.ctx.mem.register(y.bytes(), "y");
+            if p.policy.data_mode == DataMode::Manual {
+                p.ctx.enter_data(bx);
+                p.ctx.enter_data(by);
+            }
+            for (n, e) in x.as_mut_slice().iter_mut().enumerate() {
+                *e = (n as f64 * 0.37).cos();
+            }
+            let sp = IndexSpace3 {
+                i0: 1,
+                i1: 11,
+                j0: 1,
+                j1: 9,
+                k0: 1,
+                k1: 1 + nk,
+            };
+            let (fill, dot) = (Traffic::new(1, 1, 4), Traffic::new(2, 0, 2));
+            let (xs, ys, xys) = ([bx], [by], [bx, by]);
+            let mut sums = Vec::new();
+            for _ in 0..3 {
+                let yv = y.par_view_as::<false>();
+                let fill_row = |j: usize, k: usize| {
+                    let xr = x.row(sp.i0, sp.i1, j, k);
+                    let out = yv.row_mut(sp.i0, sp.i1, j, k);
+                    for n in 0..out.len() {
+                        out[n] = (1.5 * xr[n]).sin() / (2.0 + xr[n]);
+                    }
+                    out
+                };
+                let dot_row = |mut acc: f64, xr: &[f64], yr: &[f64]| {
+                    for n in 0..xr.len() {
+                        acc += xr[n] * yr[n];
+                    }
+                    acc
+                };
+                let s = if fused {
+                    let launches = [
+                        Launch::rows(&FILL, fill, &xs, &ys),
+                        Launch::reduce(&DOT, dot, &xys),
+                    ];
+                    p.fused_rows(sp, &launches, ReduceOp::Sum, 0.25, |acc, j, k| {
+                        let out = fill_row(j, k);
+                        dot_row(acc, x.row(sp.i0, sp.i1, j, k), out)
+                    })
+                } else {
+                    p.loop3_rows(&FILL, sp, fill, &xs, &ys, |j, k| {
+                        fill_row(j, k);
+                    });
+                    p.reduce_scalar_rows(&DOT, sp, dot, &xys, ReduceOp::Sum, 0.25, |acc, j, k| {
+                        dot_row(acc, x.row(sp.i0, sp.i1, j, k), yv.row(sp.i0, sp.i1, j, k))
+                    })
+                };
+                sums.push(s.to_bits());
+            }
+            let hash = y
+                .as_slice()
+                .iter()
+                .fold(0u64, |h, e| h.rotate_left(7) ^ e.to_bits());
+            let sites: Vec<_> = p
+                .registry
+                .sites()
+                .map(|s| (s.site.name, s.invocations, s.points, s.model_us.to_bits()))
+                .collect();
+            let model = (
+                p.ctx.clock.now_us().to_bits(),
+                p.ctx.prof.kernel_launches,
+                p.ctx.prof.kernel_bytes.to_bits(),
+                sites,
+            );
+            ((sums, hash, model), p.ctx.prof.host_tiles)
+        };
+
+        for v in [CodeVersion::A, CodeVersion::D2xu] {
+            for nk in [1, 12] {
+                let (reference, tiles) = run(v, 1, nk, false);
+                assert_eq!(tiles, if nk > 1 { 2 * 3 * nk as u64 } else { 0 });
+                for threads in [1, 2, 4] {
+                    let (separate, _) = run(v, threads, nk, false);
+                    assert_eq!(separate, reference, "{v:?} separate t={threads} nk={nk}");
+                    let (fused, fused_tiles) = run(v, threads, nk, true);
+                    assert_eq!(fused, reference, "{v:?} fused t={threads} nk={nk}");
+                    assert_eq!(
+                        fused_tiles,
+                        tiles / 2,
+                        "the census counts one sweep per pair"
+                    );
+                }
             }
         }
     }

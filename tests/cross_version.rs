@@ -2,7 +2,7 @@
 //! produce the same physical solution, while the virtual-platform
 //! performance model orders them the way the paper measures.
 
-use mas::config::GridCfg;
+use mas::config::{GridCfg, ViscSolver};
 use mas::prelude::*;
 use mas_bench::baseline::fold_hashes;
 
@@ -80,11 +80,42 @@ fn determinism_matrix_across_thread_counts() {
 /// version, at 1 rank × 1 thread and at 2 ranks × 2 threads.
 #[test]
 fn golden_state_hashes_match_bench_7() {
+    assert_golden_on_bench_7_deck("pcg", |_| {}, ["9b8592cc36c27c36", "2b32f96fdc8359f1"]);
+}
+
+/// The same anchor for the solver paths the default deck does not take:
+/// RKL2 super-time-stepped viscosity, explicit viscosity, and PCG
+/// viscosity with field-aligned conduction. Hashes recorded before the
+/// PCG host fusion and the static Jacobi diagonal; they must not move.
+#[test]
+fn golden_state_hashes_for_sts_explicit_and_aligned_paths() {
+    assert_golden_on_bench_7_deck(
+        "sts",
+        |d| d.solver.visc_solver = ViscSolver::Sts,
+        ["4940b88af34e905e", "b6b570b42ea5addd"],
+    );
+    assert_golden_on_bench_7_deck(
+        "explicit",
+        |d| d.solver.visc_solver = ViscSolver::Explicit,
+        ["b500167557d30978", "7750e165b1bddb07"],
+    );
+    assert_golden_on_bench_7_deck(
+        "pcg + aligned conduction",
+        |d| d.solver.aligned_conduction = true,
+        ["34d2b11b9e65c6c8", "717d6f68f360d3f7"],
+    );
+}
+
+/// Run the `BENCH_7` deck, adjusted by `tweak`, under every code version
+/// at 1 rank × 1 thread and 2 ranks × 2 threads, and compare the folded
+/// state hashes with `golden` (in that order).
+fn assert_golden_on_bench_7_deck(label: &str, tweak: impl Fn(&mut Deck), golden: [&str; 2]) {
     let mut deck = Deck::preset_quickstart();
     deck.grid = GridCfg { nr: 20, nt: 16, np: 24, rmax: 10.0 };
     deck.time.n_steps = 10;
     deck.output.hist_interval = 0;
-    for (ranks, threads, golden) in [(1, 1, "9b8592cc36c27c36"), (2, 2, "2b32f96fdc8359f1")] {
+    tweak(&mut deck);
+    for ((ranks, threads), golden) in [(1, 1), (2, 2)].into_iter().zip(golden) {
         deck.host_threads = threads;
         for v in CodeVersion::ALL {
             let report =
@@ -93,7 +124,7 @@ fn golden_state_hashes_match_bench_7() {
             assert_eq!(
                 fold_hashes(&hashes),
                 golden,
-                "{v:?} at {ranks} rank(s) x {threads} thread(s)"
+                "{label}: {v:?} at {ranks} rank(s) x {threads} thread(s)"
             );
         }
     }
