@@ -284,8 +284,7 @@ pub struct Deck {
     /// Host-engine tile width: k-planes grouped per dispatch chunk.
     /// 0 = auto-tune from (iteration-space shape, thread count) per kernel
     /// site. Any value produces bit-identical physics — only the dispatch
-    /// granularity (and thus wall clock) changes. The `MAS_TILE_K`
-    /// environment variable overrides this key.
+    /// granularity (and thus wall clock) changes.
     pub tile_k: usize,
     /// Grid section.
     pub grid: GridCfg,

@@ -26,10 +26,7 @@ pub mod norms;
 pub mod parview;
 
 pub use array3::Array3;
-pub use parview::{
-    arm_captures, capture_begin, capture_end, disarm_captures, instrumentation_requested, ParView3,
-    ViewAccess,
-};
+pub use parview::{arm_captures, capture_begin, capture_end, disarm_captures, ParView3, ViewAccess};
 pub use field::{Field, VecField};
 pub use halo::{pack_phi_plane, unpack_phi_plane, PhiHalo};
 pub use norms::{dot, linf_diff, linf_norm, rel_l2_diff, weighted_l2};

@@ -55,11 +55,11 @@ static CAPTURES_ACTIVE: AtomicUsize = AtomicUsize::new(0);
 static CAPTURES_ARMED: AtomicUsize = AtomicUsize::new(0);
 
 /// Arm access capture: views constructed from now until the matching
-/// [`disarm_captures`] are *instrumented* — each `get`/`set`/`add`
-/// checks for an active capture on its thread. Views constructed while
-/// nothing is armed and no capture is live skip the check entirely,
-/// which lets the optimizer treat kernel bodies as branch-free
-/// straight-line array code. Arming nests (refcounted).
+/// [`disarm_captures`] are *instrumented* — each access checks for an
+/// active capture on its thread. Views constructed while nothing is
+/// armed and no capture is live skip that check: they pay one
+/// predictable `bool` test per `row`/`row_mut` call and one per
+/// `get`/`set`/`add`. Arming nests (refcounted).
 pub fn arm_captures() {
     CAPTURES_ARMED.fetch_add(1, Ordering::Relaxed);
 }
@@ -70,12 +70,10 @@ pub fn disarm_captures() {
     CAPTURES_ARMED.fetch_sub(1, Ordering::Relaxed);
 }
 
-/// Whether kernels launched now should use instrumented views
-/// (`REC = true`): an auditor is armed or a capture is live somewhere.
-/// Kernel entry points consult this
-/// once per call to pick a monomorphized instantiation, so the decision
-/// costs nothing per element.
-pub fn instrumentation_requested() -> bool {
+/// Whether a view built now should be instrumented: an auditor is armed
+/// or a capture is live somewhere. [`Array3::par_view`] consults this
+/// once per view, and the view keeps the answer for its lifetime.
+fn instrumentation_requested() -> bool {
     CAPTURES_ARMED.load(Ordering::Relaxed) != 0 || CAPTURES_ACTIVE.load(Ordering::Relaxed) != 0
 }
 
@@ -92,7 +90,7 @@ thread_local! {
 /// construction, an auditor was armed ([`arm_captures`]) or a capture was
 /// already live anywhere. This is the hook
 /// the `stdpar` race auditor uses to observe kernel bodies; production
-/// runs never call it, and uninstrumented views cost nothing per access.
+/// runs never call it, and uninstrumented views never consult it.
 pub fn capture_begin() {
     CAPTURE_LOG.with(|log| {
         let mut slot = log.borrow_mut();
@@ -153,31 +151,31 @@ fn record_slow(base: usize, i: usize, j: usize, k: usize, write: bool) {
 ///
 /// Obtained from [`Array3::par_view`]; borrows the array mutably for its
 /// lifetime, so all other access paths are frozen while it exists.
+///
+/// `rec` is the instrumentation decision, made once when the view is
+/// built. An instrumented view records its accesses into the current
+/// thread's capture log (if any); an uninstrumented one tests the flag
+/// and goes straight to the load or store.
 #[derive(Clone, Copy)]
-/// The `REC` const parameter decides **at compile time** whether
-/// accesses consult the capture machinery. `REC = true` (the default)
-/// is the historical behaviour: every access pays one relaxed load of
-/// the process-wide capture gate. `REC = false` compiles `get`/`set`/
-/// `add` down to bare loads and stores, which lets the optimizer treat
-/// kernel bodies as straight-line array code. Kernel entry points pick
-/// the instantiation once per call via [`instrumentation_requested`].
-pub struct ParView3<'a, const REC: bool = true> {
+pub struct ParView3<'a> {
     ptr: *mut f64,
     s1: usize,
     s2: usize,
     s3: usize,
     len: usize,
+    rec: bool,
     _marker: PhantomData<&'a mut [f64]>,
 }
 
 // SAFETY: the view behaves like `&mut [f64]` split element-wise across
 // iterations; the caller upholds the disjoint-write contract above and
-// the unique borrow prevents aliasing from outside the kernel body.
-unsafe impl<const REC: bool> Send for ParView3<'_, REC> {}
-unsafe impl<const REC: bool> Sync for ParView3<'_, REC> {}
+// the unique borrow prevents aliasing from outside the kernel body. The
+// extents and `rec` are plain values no access ever writes.
+unsafe impl Send for ParView3<'_> {}
+unsafe impl Sync for ParView3<'_> {}
 
-impl<'a, const REC: bool> ParView3<'a, REC> {
-    pub(crate) fn new(a: &'a mut Array3) -> Self {
+impl<'a> ParView3<'a> {
+    pub(crate) fn new(a: &'a mut Array3, rec: bool) -> Self {
         let (s1, s2, s3) = (a.s1, a.s2, a.s3);
         let s = a.as_mut_slice();
         ParView3 {
@@ -186,6 +184,7 @@ impl<'a, const REC: bool> ParView3<'a, REC> {
             s2,
             s3,
             len: s.len(),
+            rec,
             _marker: PhantomData,
         }
     }
@@ -224,7 +223,7 @@ impl<'a, const REC: bool> ParView3<'a, REC> {
     pub fn get(&self, i: usize, j: usize, k: usize) -> f64 {
         let ix = self.idx(i, j, k);
         debug_assert!(ix < self.len);
-        if REC {
+        if self.rec {
             maybe_record(self.ptr as usize, i, j, k, false);
         }
         // SAFETY: in-bounds (asserted in debug); caller upholds the
@@ -237,7 +236,7 @@ impl<'a, const REC: bool> ParView3<'a, REC> {
     pub fn set(&self, i: usize, j: usize, k: usize, v: f64) {
         let ix = self.idx(i, j, k);
         debug_assert!(ix < self.len);
-        if REC {
+        if self.rec {
             maybe_record(self.ptr as usize, i, j, k, true);
         }
         // SAFETY: as for `get`; the element belongs to this iteration.
@@ -251,7 +250,7 @@ impl<'a, const REC: bool> ParView3<'a, REC> {
         debug_assert!(ix < self.len);
         // A read-modify-write is both a read and a write for the
         // iteration-independence contract.
-        if REC {
+        if self.rec {
             maybe_record(self.ptr as usize, i, j, k, false);
             maybe_record(self.ptr as usize, i, j, k, true);
         }
@@ -263,13 +262,13 @@ impl<'a, const REC: bool> ParView3<'a, REC> {
     /// Borrow the contiguous innermost-axis (i) window `i0..i1` of the
     /// row at `(j, k)` for reading — the row-sliced kernel path.
     ///
-    /// Instrumented views (`REC = true`) record one read per element of
-    /// the window at call time, so the race auditor sees the same
-    /// element-granular footprint the scalar path produces.
+    /// Instrumented views record one read per element of the window at
+    /// call time, so the race auditor sees the same element-granular
+    /// footprint the scalar path produces.
     #[inline]
     pub fn row(&self, i0: usize, i1: usize, j: usize, k: usize) -> &'a [f64] {
         debug_assert!(i0 <= i1 && i1 <= self.s1 && j < self.s2 && k < self.s3);
-        if REC {
+        if self.rec {
             for i in i0..i1 {
                 maybe_record(self.ptr as usize, i, j, k, false);
             }
@@ -296,7 +295,7 @@ impl<'a, const REC: bool> ParView3<'a, REC> {
     #[allow(clippy::mut_from_ref)] // shared-write view; see the contract above
     pub fn row_mut(&self, i0: usize, i1: usize, j: usize, k: usize) -> &'a mut [f64] {
         debug_assert!(i0 <= i1 && i1 <= self.s1 && j < self.s2 && k < self.s3);
-        if REC {
+        if self.rec {
             for i in i0..i1 {
                 maybe_record(self.ptr as usize, i, j, k, false);
                 maybe_record(self.ptr as usize, i, j, k, true);
@@ -316,19 +315,11 @@ impl Array3 {
     /// array is mutably borrowed for the view's lifetime; see the
     /// `parview` module docs for the iteration-independence contract.
     ///
-    /// The returned view is instrumented (`REC = true`, the historical
-    /// behaviour). Hot kernels that have a monomorphized uninstrumented
-    /// variant use [`Array3::par_view_as`] instead.
+    /// The view is instrumented if an auditor is armed
+    /// ([`arm_captures`]) or a capture is live ([`capture_begin`]) now,
+    /// and keeps that decision for its lifetime.
     pub fn par_view(&mut self) -> ParView3<'_> {
-        ParView3::new(self)
-    }
-
-    /// A [`ParView3`] with the instrumentation decision made at compile
-    /// time. Kernel entry points choose `REC` once per call from
-    /// [`instrumentation_requested`]; `REC = false` views compile to
-    /// bare loads/stores (no capture-gate check per access).
-    pub fn par_view_as<const REC: bool>(&mut self) -> ParView3<'_, REC> {
-        ParView3::new(self)
+        ParView3::new(self, instrumentation_requested())
     }
 }
 
@@ -413,9 +404,9 @@ mod tests {
         let mut a = Array3::zeros(2, 2, 2);
         let mut b = Array3::zeros(2, 2, 2);
         {
-            // `REC = false`: bare loads/stores, invisible to captures.
-            let raw = a.par_view_as::<false>();
-            let hot = b.par_view();
+            // Built uninstrumented: invisible to captures.
+            let raw = ParView3::new(&mut a, false);
+            let hot = ParView3::new(&mut b, true);
             capture_begin();
             raw.set(0, 0, 0, 1.0);
             raw.add(0, 0, 0, 0.5);
@@ -434,7 +425,7 @@ mod tests {
         let mut a = Array3::zeros(4, 3, 3);
         let s1 = a.s1;
         {
-            let v = a.par_view_as::<false>();
+            let v = a.par_view();
             let w = v.row_mut(1, s1 - 1, 2, 3);
             for (t, x) in w.iter_mut().enumerate() {
                 *x = 10.0 + t as f64;

@@ -242,24 +242,6 @@ impl DeviceContext {
         self.apply_mem_charges();
     }
 
-    /// Charge a bulk device↔host copy (explicit staging path), e.g. for
-    /// non-CUDA-aware MPI.
-    pub fn charge_copy(&mut self, bytes: f64, to_device: bool, name: &'static str) {
-        let us = self.spec.copy_time_us(bytes);
-        let cat = if to_device {
-            TimeCategory::MemcpyH2D
-        } else {
-            TimeCategory::MemcpyD2H
-        };
-        self.charge(us, cat, name);
-    }
-
-    /// Charge a GPU peer-to-peer transfer.
-    pub fn charge_p2p(&mut self, bytes: f64, name: &'static str) {
-        let us = self.spec.p2p_time_us(bytes);
-        self.charge(us, TimeCategory::P2P, name);
-    }
-
     /// Model wall time so far, µs (compute + MPI phases).
     pub fn wall_us(&self) -> f64 {
         self.prof.wall_us()

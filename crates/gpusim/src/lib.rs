@@ -48,8 +48,3 @@ pub use spec::{DeviceSpec, Traffic};
 
 /// Microseconds per minute — the paper reports wall clock in minutes.
 pub const US_PER_MIN: f64 = 60.0e6;
-
-/// Convert model microseconds to minutes.
-pub fn us_to_min(us: f64) -> f64 {
-    us / US_PER_MIN
-}

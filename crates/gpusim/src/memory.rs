@@ -115,16 +115,6 @@ impl MemoryManager {
         self.buffers[id.0 as usize].residency
     }
 
-    /// Size of a buffer.
-    pub fn bytes_of(&self, id: BufferId) -> usize {
-        self.buffers[id.0 as usize].bytes
-    }
-
-    /// Label of a buffer.
-    pub fn label_of(&self, id: BufferId) -> &'static str {
-        self.buffers[id.0 as usize].label
-    }
-
     /// `!$acc enter data copyin(...)` — manual mode only; UM ignores it
     /// (exactly as running Code 2 with `-gpu=managed` ignores the data
     /// directives, paper §IV-C).
@@ -142,21 +132,6 @@ impl MemoryManager {
                 cat: TimeCategory::MemcpyH2D,
                 name: "enter_data",
             });
-        }
-    }
-
-    /// `!$acc exit data` — drop the device copy (no time charge).
-    pub fn exit_data(&mut self, id: BufferId) {
-        if self.mode != DataMode::Manual {
-            return;
-        }
-        let b = &mut self.buffers[id.0 as usize];
-        if b.residency == Residency::Device {
-            // Device-only data is lost unless updated first; the solver
-            // never does this for live data, but tests exercise it.
-            b.residency = Residency::Host;
-        } else if b.residency == Residency::Synced {
-            b.residency = Residency::Host;
         }
     }
 

@@ -157,11 +157,6 @@ impl Profiler {
         self.record_spans = on;
     }
 
-    /// Whether spans are being kept.
-    pub fn recording_spans(&self) -> bool {
-        self.record_spans
-    }
-
     /// Record a charge of `dur` µs ending at time `t1`.
     pub fn record(&mut self, t1: f64, dur: f64, cat: TimeCategory, phase: Phase, name: &'static str) {
         self.phase_us[phase_index(phase)] += dur;
@@ -195,11 +190,6 @@ impl Profiler {
     /// Recorded spans (empty unless recording was enabled).
     pub fn spans(&self) -> &[Span] {
         &self.spans
-    }
-
-    /// Drop recorded spans but keep totals.
-    pub fn clear_spans(&mut self) {
-        self.spans.clear();
     }
 
     /// Merge another rank's totals into this one (used for reductions in

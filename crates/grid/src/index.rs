@@ -96,12 +96,6 @@ impl IndexSpace3 {
         Self { i0: p, i1: p + 1, ..*self }
     }
 
-    /// Restrict to a single plane `j == p`.
-    pub fn plane_j(&self, p: usize) -> Self {
-        assert!(p >= self.j0 && p < self.j1);
-        Self { j0: p, j1: p + 1, ..*self }
-    }
-
     /// Restrict to a single plane `k == p`.
     pub fn plane_k(&self, p: usize) -> Self {
         assert!(p >= self.k0 && p < self.k1);

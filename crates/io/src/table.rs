@@ -36,11 +36,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render to a string.
     pub fn render(&self) -> String {
         let ncol = self

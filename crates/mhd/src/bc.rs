@@ -14,18 +14,10 @@ use stdpar::Par;
 /// Fill the r/θ ghost layers of a cell-centered field with zero-gradient
 /// (Neumann) values — used for solver stage variables.
 pub fn neumann_ghosts_rt(par: &mut Par, _grid: &SphericalGrid, f: &mut Field) {
-    if mas_field::instrumentation_requested() {
-        neumann_ghosts_rt_impl::<true>(par, _grid, f)
-    } else {
-        neumann_ghosts_rt_impl::<false>(par, _grid, f)
-    }
-}
-
-fn neumann_ghosts_rt_impl<const REC: bool>(par: &mut Par, _grid: &SphericalGrid, f: &mut Field) {
     let g = NGHOST;
     let (s1, s2, s3) = (f.data.s1, f.data.s2, f.data.s3);
     let buf = [f.buf()];
-    let d = f.data.par_view_as::<REC>();
+    let d = f.data.par_view();
     // Plane kernels are charged at the surface scale.
     par.with_area_scale(|par| {
         // r ghosts (two j-k planes).
@@ -61,14 +53,10 @@ fn neumann_ghosts_rt_impl<const REC: bool>(par: &mut Par, _grid: &SphericalGrid,
 ///   the axis faces.
 pub fn apply_physical(par: &mut Par, grid: &SphericalGrid, st: &mut State, phys: &PhysicsCfg, time: f64) {
     // All boundary kernels are plane-sized: charge at the surface scale.
-    if mas_field::instrumentation_requested() {
-        par.with_area_scale(|par| apply_physical_inner::<true>(par, grid, st, phys, time));
-    } else {
-        par.with_area_scale(|par| apply_physical_inner::<false>(par, grid, st, phys, time));
-    }
+    par.with_area_scale(|par| apply_physical_inner(par, grid, st, phys, time));
 }
 
-fn apply_physical_inner<const REC: bool>(
+fn apply_physical_inner(
     par: &mut Par,
     grid: &SphericalGrid,
     st: &mut State,
@@ -86,7 +74,7 @@ fn apply_physical_inner<const REC: bool>(
         let space = IndexSpace3 { i0: 0, i1: 1, j0: 0, j1: s2, k0: 0, k1: s3 };
         let reads = [st.rho.buf(), st.temp.buf()];
         let writes = [st.rho.buf(), st.temp.buf()];
-        let (rd, td) = (st.rho.data.par_view_as::<REC>(), st.temp.data.par_view_as::<REC>());
+        let (rd, td) = (st.rho.data.par_view(), st.temp.data.par_view());
         par.loop3(&sites::BC_INNER, space, Traffic::new(2, 2, 2), &reads, &writes, |_, j, k| {
             rd.set(g - 1, j, k, rho0);
             td.set(g - 1, j, k, t0);
@@ -100,9 +88,9 @@ fn apply_physical_inner<const REC: bool>(
         let writes = reads;
         let theta_c: &[f64] = &grid.t.centers;
         let (vr, vt, vp) = (
-            st.v.r.data.par_view_as::<REC>(),
-            st.v.t.data.par_view_as::<REC>(),
-            st.v.p.data.par_view_as::<REC>(),
+            st.v.r.data.par_view(),
+            st.v.t.data.par_view(),
+            st.v.p.data.par_view(),
         );
         let ramp = (time / 0.05).min(1.0); // smooth spin-up of the driver
         par.loop3(&sites::BC_INNER, space_v, Traffic::new(3, 3, 6), &reads, &writes, |_, j, k| {
@@ -132,9 +120,9 @@ fn apply_physical_inner<const REC: bool>(
         let reads = [st.b.r.buf(), st.b.t.buf(), st.b.p.buf()];
         let writes = reads;
         let (br, bt, bp) = (
-            st.b.r.data.par_view_as::<REC>(),
-            st.b.t.data.par_view_as::<REC>(),
-            st.b.p.data.par_view_as::<REC>(),
+            st.b.r.data.par_view(),
+            st.b.t.data.par_view(),
+            st.b.p.data.par_view(),
         );
         par.loop3(&sites::BC_INNER, space, Traffic::new(3, 3, 0), &reads, &writes, |_, j, k| {
             let r_in = br.get(g, j, k);
@@ -159,16 +147,16 @@ fn apply_physical_inner<const REC: bool>(
             st.b.r.buf(), st.b.t.buf(), st.b.p.buf(),
         ];
         let writes = reads;
-        let (rd, td) = (st.rho.data.par_view_as::<REC>(), st.temp.data.par_view_as::<REC>());
+        let (rd, td) = (st.rho.data.par_view(), st.temp.data.par_view());
         let (vr, vt, vp) = (
-            st.v.r.data.par_view_as::<REC>(),
-            st.v.t.data.par_view_as::<REC>(),
-            st.v.p.data.par_view_as::<REC>(),
+            st.v.r.data.par_view(),
+            st.v.t.data.par_view(),
+            st.v.p.data.par_view(),
         );
         let (br, bt, bp) = (
-            st.b.r.data.par_view_as::<REC>(),
-            st.b.t.data.par_view_as::<REC>(),
-            st.b.p.data.par_view_as::<REC>(),
+            st.b.r.data.par_view(),
+            st.b.t.data.par_view(),
+            st.b.p.data.par_view(),
         );
         par.loop3(&sites::BC_OUTER, space, Traffic::new(8, 8, 6), &reads, &writes, |_, j, k| {
             let v = rd.get(s1c - 2, j, k);
@@ -203,16 +191,16 @@ fn apply_physical_inner<const REC: bool>(
             st.b.r.buf(), st.b.t.buf(), st.b.p.buf(),
         ];
         let writes = reads;
-        let (rd, td) = (st.rho.data.par_view_as::<REC>(), st.temp.data.par_view_as::<REC>());
+        let (rd, td) = (st.rho.data.par_view(), st.temp.data.par_view());
         let (vr, vt, vp) = (
-            st.v.r.data.par_view_as::<REC>(),
-            st.v.t.data.par_view_as::<REC>(),
-            st.v.p.data.par_view_as::<REC>(),
+            st.v.r.data.par_view(),
+            st.v.t.data.par_view(),
+            st.v.p.data.par_view(),
         );
         let (br, bt, bp) = (
-            st.b.r.data.par_view_as::<REC>(),
-            st.b.t.data.par_view_as::<REC>(),
-            st.b.p.data.par_view_as::<REC>(),
+            st.b.r.data.par_view(),
+            st.b.t.data.par_view(),
+            st.b.p.data.par_view(),
         );
         let pin_axis = grid.has_poles;
         par.loop3(&sites::BC_THETA, space, Traffic::new(12, 14, 0), &reads, &writes, |i, _, k| {
@@ -252,11 +240,7 @@ pub fn polar_regularization(par: &mut Par, comm: &Comm, grid: &SphericalGrid, st
     if !grid.has_poles {
         return;
     }
-    if mas_field::instrumentation_requested() {
-        par.with_area_scale(|par| polar_regularization_inner::<true>(par, comm, grid, st));
-    } else {
-        par.with_area_scale(|par| polar_regularization_inner::<false>(par, comm, grid, st));
-    }
+    par.with_area_scale(|par| polar_regularization_inner(par, comm, grid, st));
 }
 
 // Per-rank scratch for the polar ring sums (ranks are threads, so a
@@ -267,7 +251,7 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-fn polar_regularization_inner<const REC: bool>(
+fn polar_regularization_inner(
     par: &mut Par,
     comm: &Comm,
     grid: &SphericalGrid,
@@ -349,9 +333,9 @@ fn polar_regularization_inner<const REC: bool>(
             let reads = [st.rho.buf(), st.temp.buf(), st.v.p.buf()];
             let writes = reads;
             let (rd, td, vp) = (
-                st.rho.data.par_view_as::<REC>(),
-                st.temp.data.par_view_as::<REC>(),
-                st.v.p.data.par_view_as::<REC>(),
+                st.rho.data.par_view(),
+                st.temp.data.par_view(),
+                st.v.p.data.par_view(),
             );
             let sums: &[f64] = sums;
             par.loop3(&sites::POLAR_SCATTER, space, Traffic::new(1, 3, 0), &reads, &writes, |i, j, k| {

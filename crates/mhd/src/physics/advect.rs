@@ -15,21 +15,13 @@ use stdpar::Par;
 /// into `flux`. The three loops are data-independent, so the OpenACC
 /// version fuses them into one kernel (one `parallel` region).
 pub fn mass_fluxes(par: &mut Par, grid: &SphericalGrid, flux: &mut VecField, rho: &Field, v: &VecField) {
-    if mas_field::instrumentation_requested() {
-        mass_fluxes_impl::<true>(par, grid, flux, rho, v)
-    } else {
-        mass_fluxes_impl::<false>(par, grid, flux, rho, v)
-    }
-}
-
-fn mass_fluxes_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, flux: &mut VecField, rho: &Field, v: &VecField) {
     let (nr, nt, np) = (grid.nr, grid.nt, grid.np);
     par.region(|par| {
         // r-faces: interior faces only (boundary faces handled by BCs).
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
         let reads = [rho.buf(), v.r.buf()];
         let writes = [flux.r.buf()];
-        let fr = flux.r.data.par_view_as::<REC>();
+        let fr = flux.r.data.par_view();
         let (rd, vr) = (&rho.data, &v.r.data);
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::MASS_FLUX_R, space, Traffic::new(3, 1, 3), &reads, &writes, |j, k| {
@@ -45,7 +37,7 @@ fn mass_fluxes_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, flux: 
         let space = IndexSpace3::interior_trimmed(Stagger::FaceT, nr, nt, np, (0, 1, 0));
         let reads = [rho.buf(), v.t.buf()];
         let writes = [flux.t.buf()];
-        let ft = flux.t.data.par_view_as::<REC>();
+        let ft = flux.t.data.par_view();
         let (rd, vt) = (&rho.data, &v.t.data);
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::MASS_FLUX_T, space, Traffic::new(3, 1, 3), &reads, &writes, |j, k| {
@@ -62,7 +54,7 @@ fn mass_fluxes_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, flux: 
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
         let reads = [rho.buf(), v.p.buf()];
         let writes = [flux.p.buf()];
-        let fp = flux.p.data.par_view_as::<REC>();
+        let fp = flux.p.data.par_view();
         let (rd, vp) = (&rho.data, &v.p.data);
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::MASS_FLUX_P, space, Traffic::new(3, 1, 3), &reads, &writes, |j, k| {
@@ -79,18 +71,10 @@ fn mass_fluxes_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, flux: 
 
 /// Conservative continuity update `ρ ← ρ − Δt ∇·F`.
 pub fn continuity(par: &mut Par, grid: &SphericalGrid, geom: &DivGeom, rho: &mut Field, flux: &VecField, dt: f64) {
-    if mas_field::instrumentation_requested() {
-        continuity_impl::<true>(par, grid, geom, rho, flux, dt)
-    } else {
-        continuity_impl::<false>(par, grid, geom, rho, flux, dt)
-    }
-}
-
-fn continuity_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, geom: &DivGeom, rho: &mut Field, flux: &VecField, dt: f64) {
     let space = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
     let reads = [flux.r.buf(), flux.t.buf(), flux.p.buf(), rho.buf()];
     let writes = [rho.buf()];
-    let rd = rho.data.par_view_as::<REC>();
+    let rd = rho.data.par_view();
     let (fr, ft, fp) = (&flux.r.data, &flux.t.data, &flux.p.data);
     let (i0, i1) = (space.i0, space.i1);
     par.loop3_rows(&sites::DIV_MASS_FLUX, space, Traffic::new(7, 1, 14), &reads, &writes, |j, k| {
@@ -123,16 +107,7 @@ pub fn advect_temperature(
 /// `Tiling::Outer` (the pre-PR-1 mistake) and assert the dynamic auditor
 /// flags it; production code should always call [`advect_temperature`].
 #[allow(clippy::too_many_arguments)]
-pub fn advect_temperature_at(par: &mut Par, site: &stdpar::Site, grid: &SphericalGrid, geom: &DivGeom, temp: &mut Field, v: &VecField, dt: f64, gamma: f64) {
-    if mas_field::instrumentation_requested() {
-        advect_temperature_at_impl::<true>(par, site, grid, geom, temp, v, dt, gamma)
-    } else {
-        advect_temperature_at_impl::<false>(par, site, grid, geom, temp, v, dt, gamma)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn advect_temperature_at_impl<const REC: bool>(
+pub fn advect_temperature_at(
     par: &mut Par,
     site: &stdpar::Site,
     grid: &SphericalGrid,
@@ -145,41 +120,54 @@ fn advect_temperature_at_impl<const REC: bool>(
     let space = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
     let reads = [temp.buf(), v.r.buf(), v.t.buf(), v.p.buf()];
     let writes = [temp.buf()];
-    // `td` is both read (at k ± 1) and written: sites::TEMP_ADVECT is
-    // declared `serial()`, so the engine runs the k-planes in order on one
-    // thread and the view's get/set stay well-defined.
-    let td = temp.data.par_view_as::<REC>();
+    // `td` is both read (at j ± 1, k ± 1) and written: sites::TEMP_ADVECT
+    // is declared `serial()`, so the engine runs the rows in Fortran order
+    // on one thread, and rows j - 1 and k - 1 already hold new values.
+    let td = temp.data.par_view();
     let (vr, vt, vp) = (&v.r.data, &v.t.data, &v.p.data);
     let (rc_inv, st_c_inv) = (&grid.rc_inv, &grid.st_c_inv);
     let (dfr, dft, dfp) = (&grid.r.df, &grid.t.df, &grid.p.df);
     let gm1 = gamma - 1.0;
-    par.loop3(site, space, Traffic::new(12, 1, 30), &reads, &writes, |i, j, k| {
-        let t0 = td.get(i, j, k);
-        // Cell-centered advecting velocity.
-        let vrc = avg2(vr.get(i, j, k), vr.get(i + 1, j, k));
-        let vtc = avg2(vt.get(i, j, k), vt.get(i, j + 1, k));
-        let vpc = avg2(vp.get(i, j, k), vp.get(i, j, k + 1));
-        // Upwind one-sided gradients.
-        let dtr = if vrc >= 0.0 {
-            (t0 - td.get(i - 1, j, k)) / dfr[i]
-        } else {
-            (td.get(i + 1, j, k) - t0) / dfr[i + 1]
-        };
-        let dtt = rc_inv[i]
-            * if vtc >= 0.0 {
-                (t0 - td.get(i, j - 1, k)) / dft[j]
+    let (i0, i1) = (space.i0, space.i1);
+    par.loop3_rows(site, space, Traffic::new(12, 1, 30), &reads, &writes, |j, k| {
+        // One window over the row and its two r ghosts: `w[n + 1]` is T
+        // at `i0 + n`. Updating it in place in ascending i makes the
+        // `i - 1` read see the new value and the `i + 1` read the old
+        // one, as a point-by-point sweep does.
+        let w = td.row_mut(i0 - 1, i1 + 1, j, k);
+        let (t_jm, t_jp) = (td.row(i0, i1, j - 1, k), td.row(i0, i1, j + 1, k));
+        let (t_km, t_kp) = (td.row(i0, i1, j, k - 1), td.row(i0, i1, j, k + 1));
+        let (vr_c, vr_p) = (vr.row(i0, i1, j, k), vr.row(i0 + 1, i1 + 1, j, k));
+        let (vt_c, vt_p) = (vt.row(i0, i1, j, k), vt.row(i0, i1, j + 1, k));
+        let (vp_c, vp_p) = (vp.row(i0, i1, j, k), vp.row(i0, i1, j, k + 1));
+        geom.div_row(vr, vt, vp, i0, i1, j, k, |n, divv| {
+            let i = i0 + n;
+            let t0 = w[n + 1];
+            // Cell-centered advecting velocity.
+            let vrc = avg2(vr_c[n], vr_p[n]);
+            let vtc = avg2(vt_c[n], vt_p[n]);
+            let vpc = avg2(vp_c[n], vp_p[n]);
+            // Upwind one-sided gradients.
+            let dtr = if vrc >= 0.0 {
+                (t0 - w[n]) / dfr[i]
             } else {
-                (td.get(i, j + 1, k) - t0) / dft[j + 1]
+                (w[n + 2] - t0) / dfr[i + 1]
             };
-        let dtp = rc_inv[i]
-            * st_c_inv[j]
-            * if vpc >= 0.0 {
-                (t0 - td.get(i, j, k - 1)) / dfp[k]
-            } else {
-                (td.get(i, j, k + 1) - t0) / dfp[k + 1]
-            };
-        let divv = geom.div(vr, vt, vp, i, j, k);
-        td.set(i, j, k, t0 - dt * (vrc * dtr + vtc * dtt + vpc * dtp + gm1 * t0 * divv));
+            let dtt = rc_inv[i]
+                * if vtc >= 0.0 {
+                    (t0 - t_jm[n]) / dft[j]
+                } else {
+                    (t_jp[n] - t0) / dft[j + 1]
+                };
+            let dtp = rc_inv[i]
+                * st_c_inv[j]
+                * if vpc >= 0.0 {
+                    (t0 - t_km[n]) / dfp[k]
+                } else {
+                    (t_kp[n] - t0) / dfp[k + 1]
+                };
+            w[n + 1] = t0 - dt * (vrc * dtr + vtc * dtt + vpc * dtp + gm1 * t0 * divv);
+        });
     });
 }
 

@@ -30,20 +30,12 @@ pub const RHO_FLOOR: f64 = 1.0e-8;
 /// Face conductivities `κ_face = κ₀ T_face^{5/2}` into `kface` (the
 /// `interp` routine sites). One loop per face family, fusable region.
 pub fn kappa_faces(par: &mut Par, grid: &SphericalGrid, kface: &mut VecField, temp: &Field, kappa0: f64) {
-    if mas_field::instrumentation_requested() {
-        kappa_faces_impl::<true>(par, grid, kface, temp, kappa0)
-    } else {
-        kappa_faces_impl::<false>(par, grid, kface, temp, kappa0)
-    }
-}
-
-fn kappa_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, kface: &mut VecField, temp: &Field, kappa0: f64) {
     let (nr, nt, np) = (grid.nr, grid.nt, grid.np);
     par.region(|par| {
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
         let reads = [temp.buf()];
         let writes = [kface.r.buf()];
-        let o = kface.r.data.par_view_as::<REC>();
+        let o = kface.r.data.par_view();
         let td = &temp.data;
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |j, k| {
@@ -58,7 +50,7 @@ fn kappa_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, kface:
         let space = IndexSpace3::interior_trimmed(Stagger::FaceT, nr, nt, np, (0, 1, 0));
         let reads = [temp.buf()];
         let writes = [kface.t.buf()];
-        let o = kface.t.data.par_view_as::<REC>();
+        let o = kface.t.data.par_view();
         let td = &temp.data;
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |j, k| {
@@ -73,7 +65,7 @@ fn kappa_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, kface:
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
         let reads = [temp.buf()];
         let writes = [kface.p.buf()];
-        let o = kface.p.data.par_view_as::<REC>();
+        let o = kface.p.data.par_view();
         let td = &temp.data;
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::KAPPA_FACE, space, Traffic::new(2, 1, 6), &reads, &writes, |j, k| {
@@ -92,16 +84,7 @@ fn kappa_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, kface:
 /// `L(y) = (γ−1)/ρ · ∇·(κ_face ∇y)` into `out` — the RKL2 stage operator
 /// (flux form, exact metric).
 #[allow(clippy::too_many_arguments)]
-pub fn conduction_op(par: &mut Par, grid: &SphericalGrid, out: &mut Field, y: &Field, kface: &VecField, rho: &Field, gamma: f64) {
-    if mas_field::instrumentation_requested() {
-        conduction_op_impl::<true>(par, grid, out, y, kface, rho, gamma)
-    } else {
-        conduction_op_impl::<false>(par, grid, out, y, kface, rho, gamma)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn conduction_op_impl<const REC: bool>(
+pub fn conduction_op(
     par: &mut Par,
     grid: &SphericalGrid,
     out: &mut Field,
@@ -113,7 +96,7 @@ fn conduction_op_impl<const REC: bool>(
     let space = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
     let reads = [y.buf(), kface.r.buf(), kface.t.buf(), kface.p.buf(), rho.buf()];
     let writes = [out.buf()];
-    let od = out.data.par_view_as::<REC>();
+    let od = out.data.par_view();
     let (yd, kr, kt, kp, rd) = (
         &y.data, &kface.r.data, &kface.t.data, &kface.p.data, &rho.data,
     );
@@ -178,15 +161,7 @@ pub const ALIGNED_ISO_FRACTION: f64 = 0.01;
 /// three face families, written into `flux_out` — the production-MAS
 /// anisotropic operator (`CallsRoutine` sites: `b` and the tangential
 /// gradients are averaged to the faces with `sv2cv`/`interp`).
-pub fn aligned_flux(par: &mut Par, grid: &SphericalGrid, flux_out: &mut VecField, temp: &Field, kface: &VecField, b: &VecField) {
-    if mas_field::instrumentation_requested() {
-        aligned_flux_impl::<true>(par, grid, flux_out, temp, kface, b)
-    } else {
-        aligned_flux_impl::<false>(par, grid, flux_out, temp, kface, b)
-    }
-}
-
-fn aligned_flux_impl<const REC: bool>(
+pub fn aligned_flux(
     par: &mut Par,
     grid: &SphericalGrid,
     flux_out: &mut VecField,
@@ -207,7 +182,7 @@ fn aligned_flux_impl<const REC: bool>(
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
         let reads = [temp.buf(), kface.r.buf(), b.r.buf(), b.t.buf(), b.p.buf()];
         let writes = [flux_out.r.buf()];
-        let o = flux_out.r.data.par_view_as::<REC>();
+        let o = flux_out.r.data.par_view();
         let (td, kr, br, bt, bp) = (
             &temp.data, &kface.r.data, &b.r.data, &b.t.data, &b.p.data,
         );
@@ -235,7 +210,7 @@ fn aligned_flux_impl<const REC: bool>(
         let space = IndexSpace3::interior_trimmed(Stagger::FaceT, nr, nt, np, (0, 1, 0));
         let reads = [temp.buf(), kface.t.buf(), b.r.buf(), b.t.buf(), b.p.buf()];
         let writes = [flux_out.t.buf()];
-        let o = flux_out.t.data.par_view_as::<REC>();
+        let o = flux_out.t.data.par_view();
         let (td, kt, br, bt, bp) = (
             &temp.data, &kface.t.data, &b.r.data, &b.t.data, &b.p.data,
         );
@@ -261,7 +236,7 @@ fn aligned_flux_impl<const REC: bool>(
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
         let reads = [temp.buf(), kface.p.buf(), b.r.buf(), b.t.buf(), b.p.buf()];
         let writes = [flux_out.p.buf()];
-        let o = flux_out.p.data.par_view_as::<REC>();
+        let o = flux_out.p.data.par_view();
         let (td, kp, br, bt, bp) = (
             &temp.data, &kface.p.data, &b.r.data, &b.t.data, &b.p.data,
         );
@@ -287,15 +262,7 @@ fn aligned_flux_impl<const REC: bool>(
 
 /// Divergence of precomputed conductive fluxes:
 /// `out = (γ−1)/ρ · ∇·F` (exact flux form; partner of [`aligned_flux`]).
-pub fn conduction_div(par: &mut Par, grid: &SphericalGrid, out: &mut Field, flux: &VecField, rho: &Field, gamma: f64) {
-    if mas_field::instrumentation_requested() {
-        conduction_div_impl::<true>(par, grid, out, flux, rho, gamma)
-    } else {
-        conduction_div_impl::<false>(par, grid, out, flux, rho, gamma)
-    }
-}
-
-fn conduction_div_impl<const REC: bool>(
+pub fn conduction_div(
     par: &mut Par,
     grid: &SphericalGrid,
     out: &mut Field,
@@ -306,7 +273,7 @@ fn conduction_div_impl<const REC: bool>(
     let space = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
     let reads = [flux.r.buf(), flux.t.buf(), flux.p.buf(), rho.buf()];
     let writes = [out.buf()];
-    let od = out.data.par_view_as::<REC>();
+    let od = out.data.par_view();
     let (fr, ft, fp, rd) = (
         &flux.r.data, &flux.t.data, &flux.p.data, &rho.data,
     );
@@ -384,16 +351,7 @@ pub fn conduction_dt_explicit(
 /// `T ← T + Δt (γ−1)/ρ [ H₀ e^{−(r−1)/λ} − ρ² Λ(T) ]` (the `radloss` /
 /// `boost` routine site), followed by nothing — floors are separate.
 #[allow(clippy::too_many_arguments)]
-pub fn radiate_and_heat(par: &mut Par, grid: &SphericalGrid, temp: &mut Field, rho: &Field, dt: f64, gamma: f64, radiation: bool, heating: bool) {
-    if mas_field::instrumentation_requested() {
-        radiate_and_heat_impl::<true>(par, grid, temp, rho, dt, gamma, radiation, heating)
-    } else {
-        radiate_and_heat_impl::<false>(par, grid, temp, rho, dt, gamma, radiation, heating)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn radiate_and_heat_impl<const REC: bool>(
+pub fn radiate_and_heat(
     par: &mut Par,
     grid: &SphericalGrid,
     temp: &mut Field,
@@ -409,7 +367,7 @@ fn radiate_and_heat_impl<const REC: bool>(
     let space = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
     let reads = [temp.buf(), rho.buf()];
     let writes = [temp.buf()];
-    let td = temp.data.par_view_as::<REC>();
+    let td = temp.data.par_view();
     let rd = &rho.data;
     let rc = &grid.rc;
     let st_c = &grid.st_c;
@@ -441,18 +399,10 @@ fn radiate_and_heat_impl<const REC: bool>(
 
 /// Apply temperature and density floors.
 pub fn floors(par: &mut Par, grid: &SphericalGrid, temp: &mut Field, rho: &mut Field) {
-    if mas_field::instrumentation_requested() {
-        floors_impl::<true>(par, grid, temp, rho)
-    } else {
-        floors_impl::<false>(par, grid, temp, rho)
-    }
-}
-
-fn floors_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, temp: &mut Field, rho: &mut Field) {
     let space = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
     let reads = [temp.buf(), rho.buf()];
     let writes = [temp.buf(), rho.buf()];
-    let (td, rd) = (temp.data.par_view_as::<REC>(), rho.data.par_view_as::<REC>());
+    let (td, rd) = (temp.data.par_view(), rho.data.par_view());
     let (i0, i1) = (space.i0, space.i1);
     par.loop3_rows(&sites::FLOORS, space, Traffic::new(2, 2, 2), &reads, &writes, |j, k| {
         let out_t = td.row_mut(i0, i1, j, k);

@@ -12,15 +12,7 @@ use stdpar::Par;
 /// Assemble the electromotive force `E = −v×B + ηJ` on all three edge
 /// families. The `v` and `B` face components are averaged to the edges
 /// with the `c2s`/`sv2cv` routine calls the paper's Codes 5–6 must inline.
-pub fn emf(par: &mut Par, grid: &SphericalGrid, e_out: &mut VecField, v: &VecField, b: &VecField, j: &VecField, eta: f64) {
-    if mas_field::instrumentation_requested() {
-        emf_impl::<true>(par, grid, e_out, v, b, j, eta)
-    } else {
-        emf_impl::<false>(par, grid, e_out, v, b, j, eta)
-    }
-}
-
-fn emf_impl<const REC: bool>(
+pub fn emf(
     par: &mut Par,
     grid: &SphericalGrid,
     e_out: &mut VecField,
@@ -36,7 +28,7 @@ fn emf_impl<const REC: bool>(
         let space = IndexSpace3::interior_trimmed(Stagger::EdgeR, nr, nt, np, (0, 1, 0));
         let reads = [v.t.buf(), v.p.buf(), b.t.buf(), b.p.buf(), j.r.buf()];
         let writes = [e_out.r.buf()];
-        let er = e_out.r.data.par_view_as::<REC>();
+        let er = e_out.r.data.par_view();
         let (vt, vp, bt, bp, jr) = (
             &v.t.data, &v.p.data, &b.t.data, &b.p.data, &j.r.data,
         );
@@ -66,7 +58,7 @@ fn emf_impl<const REC: bool>(
         let space = IndexSpace3::interior_trimmed(Stagger::EdgeT, nr, nt, np, (1, 0, 0));
         let reads = [v.p.buf(), v.r.buf(), b.r.buf(), b.p.buf(), j.t.buf()];
         let writes = [e_out.t.buf()];
-        let et = e_out.t.data.par_view_as::<REC>();
+        let et = e_out.t.data.par_view();
         let (vp, vr, br, bp, jt) = (
             &v.p.data, &v.r.data, &b.r.data, &b.p.data, &j.t.data,
         );
@@ -96,7 +88,7 @@ fn emf_impl<const REC: bool>(
         let space = IndexSpace3::interior_trimmed(Stagger::EdgeP, nr, nt, np, (1, 1, 0));
         let reads = [v.r.buf(), v.t.buf(), b.r.buf(), b.t.buf(), j.p.buf()];
         let writes = [e_out.p.buf()];
-        let ep = e_out.p.data.par_view_as::<REC>();
+        let ep = e_out.p.data.par_view();
         let (vr, vt, br, bt, jp) = (
             &v.r.data, &v.t.data, &b.r.data, &b.t.data, &j.p.data,
         );
@@ -127,20 +119,12 @@ fn emf_impl<const REC: bool>(
 /// form. Boundary faces (and zero-area polar faces) are skipped; they are
 /// governed by the boundary conditions.
 pub fn ct_update(par: &mut Par, grid: &SphericalGrid, ct: &CtGeom, b: &mut VecField, e: &VecField, dt: f64) {
-    if mas_field::instrumentation_requested() {
-        ct_update_impl::<true>(par, grid, ct, b, e, dt)
-    } else {
-        ct_update_impl::<false>(par, grid, ct, b, e, dt)
-    }
-}
-
-fn ct_update_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, ct: &CtGeom, b: &mut VecField, e: &VecField, dt: f64) {
     let (nr, nt, np) = (grid.nr, grid.nt, grid.np);
     par.region(|par| {
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
         let reads = [e.t.buf(), e.p.buf(), b.r.buf()];
         let writes = [b.r.buf()];
-        let br = b.r.data.par_view_as::<REC>();
+        let br = b.r.data.par_view();
         let (et, ep) = (&e.t.data, &e.p.data);
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::CT_BR, space, Traffic::new(6, 1, 14), &reads, &writes, |j, k| {
@@ -157,7 +141,7 @@ fn ct_update_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, ct: &CtG
         let space = IndexSpace3::interior_trimmed(Stagger::FaceT, nr, nt, np, (0, trim_t, 0));
         let reads = [e.r.buf(), e.p.buf(), b.t.buf()];
         let writes = [b.t.buf()];
-        let bt = b.t.data.par_view_as::<REC>();
+        let bt = b.t.data.par_view();
         let (er, ep) = (&e.r.data, &e.p.data);
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::CT_BT, space, Traffic::new(6, 1, 14), &reads, &writes, |j, k| {
@@ -173,7 +157,7 @@ fn ct_update_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, ct: &CtG
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
         let reads = [e.r.buf(), e.t.buf(), b.p.buf()];
         let writes = [b.p.buf()];
-        let bp = b.p.data.par_view_as::<REC>();
+        let bp = b.p.data.par_view();
         let (er, et) = (&e.r.data, &e.t.data);
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::CT_BP, space, Traffic::new(6, 1, 14), &reads, &writes, |j, k| {

@@ -16,20 +16,12 @@ pub const G0: f64 = 2.0;
 /// pressure gradient needs p in the ghosts — this saves a halo exchange,
 /// exactly as MAS computes EOS quantities over the extended mesh).
 pub fn pressure(par: &mut Par, grid: &SphericalGrid, pres: &mut Field, rho: &Field, temp: &Field) {
-    if mas_field::instrumentation_requested() {
-        pressure_impl::<true>(par, grid, pres, rho, temp)
-    } else {
-        pressure_impl::<false>(par, grid, pres, rho, temp)
-    }
-}
-
-fn pressure_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, pres: &mut Field, rho: &Field, temp: &Field) {
     let mut space = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
     space.k0 -= 1;
     space.k1 += 1;
     let reads = [rho.buf(), temp.buf()];
     let writes = [pres.buf()];
-    let pd = pres.data.par_view_as::<REC>();
+    let pd = pres.data.par_view();
     let (rd, td) = (&rho.data, &temp.data);
     let (i0, i1) = (space.i0, space.i1);
     par.loop3_rows(&sites::PRESSURE, space, Traffic::new(2, 1, 1), &reads, &writes, |j, k| {
@@ -45,14 +37,6 @@ fn pressure_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, pres: &mu
 /// Current density `J = ∇×B` on edges (differential form with metric
 /// factors; the CT *update* uses the exact circulation form instead).
 pub fn current(par: &mut Par, grid: &SphericalGrid, j_out: &mut VecField, b: &VecField) {
-    if mas_field::instrumentation_requested() {
-        current_impl::<true>(par, grid, j_out, b)
-    } else {
-        current_impl::<false>(par, grid, j_out, b)
-    }
-}
-
-fn current_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, j_out: &mut VecField, b: &VecField) {
     let (nr, nt, np) = (grid.nr, grid.nt, grid.np);
     let (rc, rc_inv, rf_inv) = (&grid.rc, &grid.rc_inv, &grid.rf_inv);
     let (st_c, st_f_inv, st_c_inv) = (&grid.st_c, &grid.st_f_inv, &grid.st_c_inv);
@@ -62,7 +46,7 @@ fn current_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, j_out: &mu
         let space = IndexSpace3::interior_trimmed(Stagger::EdgeR, nr, nt, np, (0, 1, 0));
         let reads = [b.t.buf(), b.p.buf()];
         let writes = [j_out.r.buf()];
-        let jr = j_out.r.data.par_view_as::<REC>();
+        let jr = j_out.r.data.par_view();
         let (bt, bp) = (&b.t.data, &b.p.data);
         let (i0, i1) = (space.i0, space.i1);
         let rc_inv_s = &rc_inv[i0..i1];
@@ -85,7 +69,7 @@ fn current_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, j_out: &mu
         let space = IndexSpace3::interior_trimmed(Stagger::EdgeT, nr, nt, np, (1, 0, 0));
         let reads = [b.r.buf(), b.p.buf()];
         let writes = [j_out.t.buf()];
-        let jt = j_out.t.data.par_view_as::<REC>();
+        let jt = j_out.t.data.par_view();
         let (br, bp) = (&b.r.data, &b.p.data);
         let (i0, i1) = (space.i0, space.i1);
         // rc_s[n] = rc[i-1], rc_s[n+1] = rc[i].
@@ -110,7 +94,7 @@ fn current_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, j_out: &mu
         let space = IndexSpace3::interior_trimmed(Stagger::EdgeP, nr, nt, np, (1, 1, 0));
         let reads = [b.r.buf(), b.t.buf()];
         let writes = [j_out.p.buf()];
-        let jp = j_out.p.data.par_view_as::<REC>();
+        let jp = j_out.p.data.par_view();
         let (br, bt) = (&b.r.data, &b.t.data);
         let (i0, i1) = (space.i0, space.i1);
         let rc_s = &rc[i0 - 1..i1];
@@ -134,20 +118,12 @@ fn current_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, j_out: &mu
 
 /// Density averaged to the three face families (`s2c` routine sites).
 pub fn rho_to_faces(par: &mut Par, grid: &SphericalGrid, rho_face: &mut VecField, rho: &Field) {
-    if mas_field::instrumentation_requested() {
-        rho_to_faces_impl::<true>(par, grid, rho_face, rho)
-    } else {
-        rho_to_faces_impl::<false>(par, grid, rho_face, rho)
-    }
-}
-
-fn rho_to_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, rho_face: &mut VecField, rho: &Field) {
     let (nr, nt, np) = (grid.nr, grid.nt, grid.np);
     par.region(|par| {
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
         let reads = [rho.buf()];
         let writes = [rho_face.r.buf()];
-        let o = rho_face.r.data.par_view_as::<REC>();
+        let o = rho_face.r.data.par_view();
         let rd = &rho.data;
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::RHO_FACE_R, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
@@ -161,7 +137,7 @@ fn rho_to_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, rho_f
         let space = IndexSpace3::interior_trimmed(Stagger::FaceT, nr, nt, np, (0, 1, 0));
         let reads = [rho.buf()];
         let writes = [rho_face.t.buf()];
-        let o = rho_face.t.data.par_view_as::<REC>();
+        let o = rho_face.t.data.par_view();
         let rd = &rho.data;
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::RHO_FACE_T, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
@@ -175,7 +151,7 @@ fn rho_to_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, rho_f
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
         let reads = [rho.buf()];
         let writes = [rho_face.p.buf()];
-        let o = rho_face.p.data.par_view_as::<REC>();
+        let o = rho_face.p.data.par_view();
         let rd = &rho.data;
         let (i0, i1) = (space.i0, space.i1);
         par.loop3_rows(&sites::RHO_FACE_P, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
@@ -193,14 +169,6 @@ fn rho_to_faces_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, rho_f
 /// `force` (each component advected as a scalar on its own staggering —
 /// curvature cross-terms are absorbed by the documented simplification).
 pub fn advect_velocity(par: &mut Par, grid: &SphericalGrid, force: &mut VecField, v: &VecField) {
-    if mas_field::instrumentation_requested() {
-        advect_velocity_impl::<true>(par, grid, force, v)
-    } else {
-        advect_velocity_impl::<false>(par, grid, force, v)
-    }
-}
-
-fn advect_velocity_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, force: &mut VecField, v: &VecField) {
     let (nr, nt, np) = (grid.nr, grid.nt, grid.np);
     let (rf_inv, rc_inv) = (&grid.rf_inv, &grid.rc_inv);
     let (st_c_inv, st_f_inv) = (&grid.st_c_inv, &grid.st_f_inv);
@@ -212,7 +180,7 @@ fn advect_velocity_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, fo
         let space = IndexSpace3::interior_trimmed(Stagger::FaceR, nr, nt, np, (1, 0, 0));
         let reads = [v.r.buf(), v.t.buf(), v.p.buf()];
         let writes = [force.r.buf()];
-        let o = force.r.data.par_view_as::<REC>();
+        let o = force.r.data.par_view();
         let (vr, vt, vp) = (&v.r.data, &v.t.data, &v.p.data);
         let (i0, i1) = (space.i0, space.i1);
         // dcr_s[n] = dcr[i-1], dcr_s[n+1] = dcr[i].
@@ -272,7 +240,7 @@ fn advect_velocity_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, fo
         let space = IndexSpace3::interior_trimmed(Stagger::FaceT, nr, nt, np, (0, 1, 0));
         let reads = [v.r.buf(), v.t.buf(), v.p.buf()];
         let writes = [force.t.buf()];
-        let o = force.t.data.par_view_as::<REC>();
+        let o = force.t.data.par_view();
         let (vr, vt, vp) = (&v.r.data, &v.t.data, &v.p.data);
         let (i0, i1) = (space.i0, space.i1);
         // dfr_s[n] = dfr[i], dfr_s[n+1] = dfr[i+1].
@@ -329,7 +297,7 @@ fn advect_velocity_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, fo
         let space = IndexSpace3::interior(Stagger::FaceP, nr, nt, np);
         let reads = [v.r.buf(), v.t.buf(), v.p.buf()];
         let writes = [force.p.buf()];
-        let o = force.p.data.par_view_as::<REC>();
+        let o = force.p.data.par_view();
         let (vr, vt, vp) = (&v.r.data, &v.t.data, &v.p.data);
         let (i0, i1) = (space.i0, space.i1);
         let dfr_s = &dfr[i0..i1 + 1];
@@ -389,16 +357,7 @@ fn advect_velocity_impl<const REC: bool>(par: &mut Par, grid: &SphericalGrid, fo
 /// `g` acts on the radial component only, and `J×B` is averaged from
 /// edges to faces (`sv2cv`/`interp` routine sites).
 #[allow(clippy::too_many_arguments)]
-pub fn momentum_update(par: &mut Par, grid: &SphericalGrid, v: &mut VecField, force: &VecField, pres: &Field, jf: &VecField, b: &VecField, rho_face: &VecField, dt: f64, gravity: bool) {
-    if mas_field::instrumentation_requested() {
-        momentum_update_impl::<true>(par, grid, v, force, pres, jf, b, rho_face, dt, gravity)
-    } else {
-        momentum_update_impl::<false>(par, grid, v, force, pres, jf, b, rho_face, dt, gravity)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn momentum_update_impl<const REC: bool>(
+pub fn momentum_update(
     par: &mut Par,
     grid: &SphericalGrid,
     v: &mut VecField,
@@ -423,7 +382,7 @@ fn momentum_update_impl<const REC: bool>(
             rho_face.r.buf(), force.r.buf(), v.r.buf(),
         ];
         let writes = [v.r.buf()];
-        let vr = v.r.data.par_view_as::<REC>();
+        let vr = v.r.data.par_view();
         let (pd, jt, jp, bt, bp, rf_r, adv) = (
             &pres.data, &jf.t.data, &jf.p.data,
             &b.t.data, &b.p.data, &rho_face.r.data, &force.r.data,
@@ -471,7 +430,7 @@ fn momentum_update_impl<const REC: bool>(
             rho_face.t.buf(), force.t.buf(), v.t.buf(),
         ];
         let writes = [v.t.buf()];
-        let vt = v.t.data.par_view_as::<REC>();
+        let vt = v.t.data.par_view();
         let (pd, jr, jp, br, bp, rf_t, adv) = (
             &pres.data, &jf.r.data, &jf.p.data,
             &b.r.data, &b.p.data, &rho_face.t.data, &force.t.data,
@@ -518,7 +477,7 @@ fn momentum_update_impl<const REC: bool>(
             rho_face.p.buf(), force.p.buf(), v.p.buf(),
         ];
         let writes = [v.p.buf()];
-        let vp = v.p.data.par_view_as::<REC>();
+        let vp = v.p.data.par_view();
         let (pd, jr, jt, br, bt, rf_p, adv) = (
             &pres.data, &jf.r.data, &jf.t.data,
             &b.r.data, &b.t.data, &rho_face.p.data, &force.p.data,

@@ -57,7 +57,7 @@ pub struct RunReport {
     /// every site whose iteration space spans more than one k-plane.
     /// `tile_k` is the number of k-planes grouped per host-engine
     /// dispatch chunk — auto-tuned from (shape, thread count) unless
-    /// overridden via the deck's `tile_k` or `MAS_TILE_K`.
+    /// overridden via the deck's `tile_k`.
     pub tile_plans: Vec<(&'static str, usize, usize)>,
 }
 
@@ -65,11 +65,6 @@ impl RunReport {
     /// Wall time in model seconds.
     pub fn wall_seconds(&self) -> f64 {
         self.wall_us / 1e6
-    }
-
-    /// Wall time in model minutes (the paper's unit).
-    pub fn wall_minutes(&self) -> f64 {
-        self.wall_us / gpusim::US_PER_MIN
     }
 
     /// MPI share of wall time.

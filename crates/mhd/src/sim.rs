@@ -222,8 +222,7 @@ impl Simulation {
             builder = builder.threads(deck.host_threads);
         }
         if deck.tile_k > 0 {
-            // 0 keeps the per-site auto-tuner; MAS_TILE_K (resolved in
-            // ParBuilder::build) wins over both.
+            // 0 keeps the per-site auto-tuner.
             builder = builder.tile_k(deck.tile_k);
         }
         if deck.par_audit {

@@ -39,16 +39,7 @@ pub struct PcgResult {
 /// Solve `(I − ν·Δt ∇²) x = x_in` in place over `space` (the component's
 /// updatable interior). Returns the iteration record.
 #[allow(clippy::too_many_arguments)]
-pub fn solve_viscosity(par: &mut Par, comm: &Comm, lap: &LapStencil, space: IndexSpace3, x: &mut Field, work: &mut PcgWork, hx: &mut HaloExchanger, nu_dt: f64, tol: f64, max_iter: usize) -> PcgResult {
-    if mas_field::instrumentation_requested() {
-        solve_viscosity_impl::<true>(par, comm, lap, space, x, work, hx, nu_dt, tol, max_iter)
-    } else {
-        solve_viscosity_impl::<false>(par, comm, lap, space, x, work, hx, nu_dt, tol, max_iter)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn solve_viscosity_impl<const REC: bool>(
+pub fn solve_viscosity(
     par: &mut Par,
     comm: &Comm,
     lap: &LapStencil,
@@ -90,9 +81,9 @@ fn solve_viscosity_impl<const REC: bool>(
             Launch::rows(&sites::PCG_SETUP, Traffic::new(8, 3, 20), &reads, &writes),
             Launch::reduce(&sites::PCG_NORM, Traffic::new(1, 0, 2), &norm_reads),
         ];
-        let rd = work.r.data.par_view_as::<REC>();
-        let dd = work.rhs.data.par_view_as::<REC>();
-        let pd = work.p.data.par_view_as::<REC>();
+        let rd = work.r.data.par_view();
+        let dd = work.rhs.data.par_view();
+        let pd = work.p.data.par_view();
         let xd = &x.data;
         par.fused_rows(space, &launches, ReduceOp::Sum, 0.0, |mut acc, j, k| {
             dd.row_mut(i0, i1, j, k).fill(0.0);
@@ -132,7 +123,7 @@ fn solve_viscosity_impl<const REC: bool>(
                 Launch::rows(&sites::PCG_PRECOND, Traffic::new(1, 1, 4), &reads, &writes),
                 Launch::reduce(&sites::PCG_DOT_RZ, Traffic::new(2, 0, 2), &dot_reads),
             ];
-            let zd = work.z.data.par_view_as::<REC>();
+            let zd = work.z.data.par_view();
             let rd = &work.r.data;
             par.fused_rows(space, &launches, ReduceOp::Sum, 0.0, |mut acc, j, k| {
                 let r_row = rd.row(i0, i1, j, k);
@@ -158,7 +149,7 @@ fn solve_viscosity_impl<const REC: bool>(
         {
             let reads = [work.z.buf(), work.p.buf()];
             let writes = [work.p.buf()];
-            let pd = work.p.data.par_view_as::<REC>();
+            let pd = work.p.data.par_view();
             let zd = &work.z.data;
             par.loop3_rows(&sites::PCG_UPDATE_P, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
                 let z_row = zd.row(i0, i1, j, k);
@@ -183,7 +174,7 @@ fn solve_viscosity_impl<const REC: bool>(
                 Launch::rows(&sites::VISC_APPLY, Traffic::new(8, 1, 24), &reads, &writes),
                 Launch::reduce(&sites::PCG_DOT_PAP, Traffic::new(2, 0, 2), &dot_reads),
             ];
-            let apd = work.ap.data.par_view_as::<REC>();
+            let apd = work.ap.data.par_view();
             let pd = &work.p.data;
             par.fused_rows(space, &launches, ReduceOp::Sum, 0.0, |mut acc, j, k| {
                 let p_row = pd.row(i0, i1, j, k);
@@ -207,7 +198,7 @@ fn solve_viscosity_impl<const REC: bool>(
             let reads = [work.p.buf(), work.ap.buf(), work.rhs.buf(), work.r.buf()];
             // Fused axpy: the reduction body also writes δ and r at its
             // own point — tile-safe, so the site stays parallel.
-            let (dd, rd) = (work.rhs.data.par_view_as::<REC>(), work.r.data.par_view_as::<REC>());
+            let (dd, rd) = (work.rhs.data.par_view(), work.r.data.par_view());
             let (pd, apd) = (&work.p.data, &work.ap.data);
             par.reduce_scalar_rows(
                 &sites::PCG_AXPY_XR,
@@ -247,7 +238,7 @@ fn solve_viscosity_impl<const REC: bool>(
     {
         let reads = [work.rhs.buf(), x.buf()];
         let writes = [x.buf()];
-        let xd = x.data.par_view_as::<REC>();
+        let xd = x.data.par_view();
         let dd = &work.rhs.data;
         par.loop3_rows(&sites::PCG_APPLY_DX, space, Traffic::new(2, 1, 2), &reads, &writes, |j, k| {
             let d_row = dd.row(i0, i1, j, k);

@@ -79,35 +79,6 @@ pub fn rkl2_advance<F>(
     dt: f64,
     dt_expl: f64,
     max_stages: usize,
-    apply_op: F,
-) -> usize
-where
-    F: FnMut(&mut Par, &mut Field, &mut Field),
-{
-    if mas_field::instrumentation_requested() {
-        rkl2_advance_impl::<true, F>(
-            par, space, target, y_prev, y_prev2, y0, ly0, ly, dt, dt_expl, max_stages, apply_op,
-        )
-    } else {
-        rkl2_advance_impl::<false, F>(
-            par, space, target, y_prev, y_prev2, y0, ly0, ly, dt, dt_expl, max_stages, apply_op,
-        )
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rkl2_advance_impl<const REC: bool, F>(
-    par: &mut Par,
-    space: IndexSpace3,
-    target: &mut Field,
-    y_prev: &mut Field,
-    y_prev2: &mut Field,
-    y0: &mut Field,
-    ly0: &mut Field,
-    ly: &mut Field,
-    dt: f64,
-    dt_expl: f64,
-    max_stages: usize,
     mut apply_op: F,
 ) -> usize
 where
@@ -129,7 +100,7 @@ where
         {
             let reads = [y0.buf(), ly0.buf()];
             let writes = [y_prev.buf()];
-            let yp = y_prev.data.par_view_as::<REC>();
+            let yp = y_prev.data.par_view();
             let (y0d, l0) = (&y0.data, &ly0.data);
             par.loop3_rows(&sites::STS_STAGE, space, Traffic::new(2, 1, 3), &reads, &writes, |j, k| {
                 let y0_row = y0d.row(i0, i1, j, k);
@@ -159,7 +130,7 @@ where
             {
                 let reads = [y_prev.buf(), y_prev2.buf(), y0.buf(), ly.buf(), ly0.buf()];
                 let writes = [y_prev2.buf()];
-                let yp2 = y_prev2.data.par_view_as::<REC>();
+                let yp2 = y_prev2.data.par_view();
                 let (yp, y0d, lyd, ly0d) = (
                     &y_prev.data,
                     &y0.data,
@@ -278,34 +249,8 @@ pub fn advance_viscosity_sts(
     dt_expl: f64,
     max_stages: usize,
 ) -> usize {
-    if mas_field::instrumentation_requested() {
-        advance_viscosity_sts_impl::<true>(
-            par, comm, grid, v_comp, lap, work, hx, space, nu, dt, dt_expl, max_stages,
-        )
-    } else {
-        advance_viscosity_sts_impl::<false>(
-            par, comm, grid, v_comp, lap, work, hx, space, nu, dt, dt_expl, max_stages,
-        )
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn advance_viscosity_sts_impl<const REC: bool>(
-    par: &mut Par,
-    comm: &Comm,
-    grid: &SphericalGrid,
-    v_comp: &mut Field,
-    lap: &LapStencil,
-    work: &mut PcgWork,
-    hx: &mut HaloExchanger,
-    space: IndexSpace3,
-    nu: f64,
-    dt: f64,
-    dt_expl: f64,
-    max_stages: usize,
-) -> usize {
     let PcgWork { r, z, p, ap, rhs } = work;
-    rkl2_advance_impl::<REC, _>(
+    rkl2_advance(
         par,
         space,
         v_comp,
@@ -326,7 +271,7 @@ fn advance_viscosity_sts_impl<const REC: bool>(
             }
             let reads = [y.buf()];
             let writes = [out.buf()];
-            let od = out.data.par_view_as::<REC>();
+            let od = out.data.par_view();
             let yd = &y.data;
             let (i0, i1) = (space.i0, space.i1);
             par.loop3_rows(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |j, k| {

@@ -13,8 +13,7 @@ use stdpar::Par;
 
 /// One explicit viscous Euler update of a velocity component:
 /// `L ← ν-free ∇²v` into the PCG `ap` workspace, then `v += dt ν L`.
-/// Monomorphized over view instrumentation like the physics kernels.
-fn explicit_viscosity_update<const REC: bool>(
+fn explicit_viscosity_update(
     par: &mut Par,
     comp: &mut mas_field::Field,
     work: &mut crate::state::PcgWork,
@@ -27,7 +26,7 @@ fn explicit_viscosity_update<const REC: bool>(
     {
         let reads = [comp.buf()];
         let writes = [work.ap.buf()];
-        let od = work.ap.data.par_view_as::<REC>();
+        let od = work.ap.data.par_view();
         let yd = &comp.data;
         par.loop3_rows(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |j, k| {
             let out = od.row_mut(i0, i1, j, k);
@@ -37,7 +36,7 @@ fn explicit_viscosity_update<const REC: bool>(
     {
         let reads = [work.ap.buf(), comp.buf()];
         let writes = [comp.buf()];
-        let vd = comp.data.par_view_as::<REC>();
+        let vd = comp.data.par_view();
         let ld = &work.ap.data;
         par.loop3_rows(&sites::PCG_APPLY_DX, space, Traffic::new(2, 1, 3), &reads, &writes, |j, k| {
             let l_row = ld.row(i0, i1, j, k);
@@ -229,11 +228,7 @@ pub fn advance(sim: &mut Simulation, comm: &Comm) -> StepInfo {
                         let mut arrays = [&mut comp.data];
                         hx.exchange(&mut sim.par, comm, &mut arrays, &bufs);
                     }
-                    if mas_field::instrumentation_requested() {
-                        explicit_viscosity_update::<true>(&mut sim.par, comp, work, lap, space, dt, nu);
-                    } else {
-                        explicit_viscosity_update::<false>(&mut sim.par, comp, work, lap, space, dt, nu);
-                    }
+                    explicit_viscosity_update(&mut sim.par, comp, work, lap, space, dt, nu);
                     pcg_iters += 1;
                 }
             }

@@ -500,11 +500,6 @@ impl Comm {
         self.armed_count.set(count);
     }
 
-    /// The currently-armed (not yet fired) fault, if any.
-    pub fn armed_net_fault(&self) -> Option<NetFault> {
-        self.armed_fault.get()
-    }
-
     /// Bound every subsequent [`Comm::recv`] by a wall-clock `deadline`
     /// (`None` restores unbounded blocking). With a deadline armed, a
     /// message that never arrives panics with a diagnosable timeout
@@ -690,23 +685,7 @@ impl Comm {
     /// overlap the receiver's other work).
     pub fn send(&self, dst: usize, tag: Tag, data: Vec<f64>, path: NetPath, ctx: &DeviceContext) {
         let bytes = (data.len() * 8) as f64;
-        self.send_with_cost(dst, tag, data, path, ctx, bytes);
-    }
-
-    /// Like [`Comm::send`], but with an explicit model byte count for the
-    /// transfer cost — used by the paper-scale extrapolation, where the
-    /// payload is the scaled test problem but the wire cost must reflect
-    /// the production problem's halo size.
-    pub fn send_with_cost(
-        &self,
-        dst: usize,
-        tag: Tag,
-        data: Vec<f64>,
-        path: NetPath,
-        ctx: &DeviceContext,
-        cost_bytes: f64,
-    ) {
-        self.send_payload(dst, tag, Arc::new(data), path, ctx, cost_bytes);
+        self.send_payload(dst, tag, Arc::new(data), path, ctx, bytes);
     }
 
     /// Zero-copy send of an `Arc`-backed payload — the pooled-buffer fast
@@ -962,26 +941,14 @@ impl Comm {
         Ok(Arc::try_unwrap(msg.data).unwrap_or_else(|a| (*a).clone()))
     }
 
-    /// Like [`Comm::try_recv`], but accepts any of `tags` from `src` and
-    /// returns which one arrived. The per-pair FIFO reorders two logical
-    /// streams the moment one message is lost (the follower arrives in
-    /// the dropped one's place); a receiver insisting on one specific
-    /// tag would consume-and-drop its peer's healthy message. Matching
-    /// against the full outstanding set makes the verified transport
-    /// order-tolerant.
-    pub fn try_recv_any(
-        &self,
-        src: usize,
-        tags: &[Tag],
-        ctx: &mut DeviceContext,
-        deadline: Duration,
-    ) -> Result<(Tag, Vec<f64>), RecvFailure> {
-        self.try_recv_any_shared(src, tags, ctx, deadline)
-            .map(|(t, d)| (t, Arc::try_unwrap(d).unwrap_or_else(|a| (*a).clone())))
-    }
-
-    /// [`Comm::try_recv_any`] without unwrapping the shared payload — the
-    /// verified pooled-halo path copies out of the `Arc` and drops it.
+    /// Like [`Comm::try_recv`], but accepts any of `tags` from `src`,
+    /// returns which one arrived and leaves the payload shared (the
+    /// verified pooled-halo path copies out of the `Arc` and drops it).
+    /// The per-pair FIFO reorders two logical streams the moment one
+    /// message is lost (the follower arrives in the dropped one's
+    /// place); a receiver insisting on one specific tag would
+    /// consume-and-drop its peer's healthy message. Matching against the
+    /// full outstanding set makes the verified transport order-tolerant.
     pub fn try_recv_any_shared(
         &self,
         src: usize,

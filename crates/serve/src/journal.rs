@@ -57,11 +57,11 @@
 use crate::cache::CacheKey;
 use crate::job::JobSpec;
 use mas_config::Deck;
-use mas_io::dump::{crc32, Crc32};
+use mas_io::dump::crc32;
 use mas_mhd::{MultiRankReport, RunReport};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"MASJRNL\0";
@@ -915,21 +915,6 @@ impl Journal {
 pub fn verify(path: &Path) -> io::Result<(usize, Option<String>)> {
     let rep = replay(path)?;
     Ok((rep.records.len(), rep.torn))
-}
-
-/// Streaming CRC of a whole journal file (a cheap content fingerprint
-/// for "did compaction preserve the state" checks in tests).
-pub fn file_crc(path: &Path) -> io::Result<u32> {
-    let mut f = File::open(path)?;
-    let mut crc = Crc32::new();
-    let mut buf = [0u8; 8192];
-    loop {
-        let n = f.read(&mut buf)?;
-        if n == 0 {
-            return Ok(crc.value());
-        }
-        crc.update(&buf[..n]);
-    }
 }
 
 #[cfg(test)]

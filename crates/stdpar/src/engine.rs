@@ -53,49 +53,7 @@ pub fn default_host_threads() -> usize {
 /// it saves; the engine runs the (identical) tile plan on the caller.
 /// Execution-side only — the tile decomposition and reduction order are
 /// unaffected, so results do not change across the threshold.
-/// Overridable per process via [`PAR_MIN_POINTS_ENV`].
 pub(crate) const PAR_DISPATCH_MIN_POINTS: usize = 4096;
-
-/// Environment variable overriding [`PAR_DISPATCH_MIN_POINTS`]: the
-/// minimum iteration-point count for a parallel dispatch. `0` means
-/// "always dispatch when the plan has more than one tile". Garbage
-/// values abort loudly at engine construction (misconfigured perf
-/// tuning must not silently fall back to the default).
-pub const PAR_MIN_POINTS_ENV: &str = "MAS_PAR_MIN_POINTS";
-
-/// Strict parse of the [`PAR_MIN_POINTS_ENV`] override, separated from
-/// the env read so it unit-tests without process-global state (the
-/// `parse_recv_deadline` idiom from `mas-mhd`): unset means "use the
-/// default", anything set must be a whole non-negative integer.
-pub(crate) fn parse_min_points(
-    raw: Result<String, std::env::VarError>,
-) -> Result<Option<usize>, String> {
-    match raw {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(_)) => Err(format!(
-            "{PAR_MIN_POINTS_ENV} is set but not valid unicode; expected a \
-             non-negative integer point count"
-        )),
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(format!(
-                "{PAR_MIN_POINTS_ENV}={s:?} is not a non-negative integer \
-                 point count (e.g. 4096; 0 = always dispatch)"
-            )),
-        },
-    }
-}
-
-/// Resolve the dispatch threshold: the env override if present, else
-/// [`PAR_DISPATCH_MIN_POINTS`]. Panics (loudly, naming the variable) on
-/// an unparseable override.
-fn resolve_min_points() -> usize {
-    match parse_min_points(std::env::var(PAR_MIN_POINTS_ENV)) {
-        Ok(Some(n)) => n,
-        Ok(None) => PAR_DISPATCH_MIN_POINTS,
-        Err(e) => panic!("{e}"),
-    }
-}
 
 /// A job in flight: tile-claim counter + the erased tile function.
 struct Job {
@@ -264,8 +222,6 @@ impl Pool {
 /// [`ParBuilder::threads`](crate::ParBuilder::threads).
 pub struct Engine {
     threads: usize,
-    /// Dispatch threshold in iteration points (see [`PAR_MIN_POINTS_ENV`]).
-    min_points: usize,
     pool: Option<Pool>,
 }
 
@@ -273,7 +229,6 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("threads", &self.threads)
-            .field("min_points", &self.min_points)
             .field("pool_live", &self.pool.is_some())
             .finish()
     }
@@ -281,12 +236,10 @@ impl std::fmt::Debug for Engine {
 
 impl Engine {
     /// Engine of width `threads` (≥ 1). No threads are spawned until the
-    /// first parallel dispatch. The dispatch threshold is resolved here
-    /// (once) from [`PAR_MIN_POINTS_ENV`]; a garbage override panics.
+    /// first parallel dispatch.
     pub fn new(threads: usize) -> Self {
         Engine {
             threads: threads.max(1),
-            min_points: resolve_min_points(),
             pool: None,
         }
     }
@@ -300,7 +253,7 @@ impl Engine {
     /// pool. Purely an execution decision: results are identical either
     /// way because the tile plan is fixed.
     pub(crate) fn wants_parallel(&self, n_tiles: usize, n_points: usize) -> bool {
-        self.threads > 1 && n_tiles > 1 && n_points >= self.min_points
+        self.threads > 1 && n_tiles > 1 && n_points >= PAR_DISPATCH_MIN_POINTS
     }
 
     /// Execute `task(tile)` for `0..n_tiles`; concurrently when
@@ -423,46 +376,6 @@ mod tests {
     #[test]
     fn threads_are_clamped_to_one() {
         assert_eq!(Engine::new(0).threads(), 1);
-    }
-
-    /// Strict `MAS_PAR_MIN_POINTS` parsing (the `parse_recv_deadline`
-    /// idiom): unset falls back, valid values parse with trimming, and
-    /// garbage is rejected loudly with an error naming the variable.
-    #[test]
-    fn min_points_override_parses_strictly() {
-        use std::env::VarError;
-        assert_eq!(parse_min_points(Err(VarError::NotPresent)), Ok(None));
-        assert_eq!(parse_min_points(Ok("0".into())), Ok(Some(0)));
-        assert_eq!(parse_min_points(Ok("4096".into())), Ok(Some(4096)));
-        assert_eq!(parse_min_points(Ok(" 512 ".into())), Ok(Some(512)));
-        for bad in ["", "many", "12.5", "-1", "4k", "0x10"] {
-            let err = parse_min_points(Ok(bad.into()))
-                .expect_err(&format!("{bad:?} must be rejected"));
-            assert!(
-                err.contains(PAR_MIN_POINTS_ENV),
-                "error must name the variable: {err}"
-            );
-            assert!(
-                err.contains("non-negative integer"),
-                "error must state the expected format: {err}"
-            );
-        }
-    }
-
-    /// A zero threshold makes every multi-tile job eligible for the
-    /// pool; the threshold is read per engine, so results stay identical
-    /// (only who executes changes).
-    #[test]
-    fn min_points_zero_always_dispatches() {
-        let mut e = Engine::new(2);
-        e.min_points = 0;
-        assert!(e.wants_parallel(2, 1));
-        let hits = AtomicUsize::new(0);
-        e.run_tiles(4, 1, &|_t| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-        assert!(e.pool.is_some(), "threshold 0 dispatches even tiny jobs");
     }
 
     #[test]

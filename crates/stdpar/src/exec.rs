@@ -38,31 +38,6 @@ fn audit_env_default() -> bool {
         .unwrap_or(false)
 }
 
-/// Environment variable forcing the engine tile size in k-planes
-/// (`0` = adaptive). Overrides [`ParBuilder::tile_k`] (the deck's
-/// `tile_k` key). Garbage values abort loudly at build time.
-pub const TILE_K_ENV: &str = "MAS_TILE_K";
-
-/// Strict parse of the [`TILE_K_ENV`] override (same idiom as the
-/// engine's `MAS_PAR_MIN_POINTS`): unset means "no override", anything
-/// set must be a whole non-negative integer (`0` = adaptive).
-fn parse_tile_k(raw: Result<String, std::env::VarError>) -> Result<Option<usize>, String> {
-    match raw {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(_)) => Err(format!(
-            "{TILE_K_ENV} is set but not valid unicode; expected a \
-             non-negative integer k-plane count"
-        )),
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(format!(
-                "{TILE_K_ENV}={s:?} is not a non-negative integer k-plane \
-                 count (0 = adaptive)"
-            )),
-        },
-    }
-}
-
 /// Points a dispatch chunk should carry before per-chunk overhead
 /// (claim-counter hop + closure call) stops mattering. Drives the
 /// adaptive [`auto_tile_k`] grouping.
@@ -270,8 +245,7 @@ impl ParBuilder {
     }
 
     /// Force the engine tile size to `n` k-planes per dispatch chunk
-    /// (`0`, the default, keeps the adaptive per-site choice). The
-    /// [`TILE_K_ENV`] environment variable overrides this. Purely an
+    /// (`0`, the default, keeps the adaptive per-site choice). Purely an
     /// execution knob: results are bit-identical for every value.
     pub fn tile_k(mut self, n: usize) -> Self {
         self.tile_k = n;
@@ -284,11 +258,6 @@ impl ParBuilder {
         let ctx = DeviceContext::new(self.spec, policy.data_mode, self.rank, self.seed);
         let threads = self.threads.unwrap_or_else(default_host_threads);
         let audit_on = self.audit.unwrap_or_else(audit_env_default);
-        let tile_k = match parse_tile_k(std::env::var(TILE_K_ENV)) {
-            Ok(Some(n)) => n,
-            Ok(None) => self.tile_k,
-            Err(e) => panic!("{e}"),
-        };
         Par {
             ctx,
             policy,
@@ -296,7 +265,7 @@ impl ParBuilder {
             engine: Engine::new(threads),
             point_scale: self.scales.volume,
             scales: self.scales,
-            tile_k_override: tile_k,
+            tile_k_override: self.tile_k,
             plans: HashMap::new(),
             audit: RaceAuditor::new(audit_on),
             scratch: Vec::new(),
@@ -1427,7 +1396,7 @@ mod tests {
                 (1.0 + (i + 3 * j + 7 * k) as f64).sqrt().sin()
             };
             let (sum, tiles) = {
-                let v = a.par_view_as::<false>();
+                let v = a.par_view();
                 if rows {
                     p.loop3_rows(&FILL_R, sp, Traffic::new(1, 1, 2), &[b], &[b], |j, k| {
                         let row = v.row_mut(sp.i0, sp.i1, j, k);
@@ -1533,7 +1502,7 @@ mod tests {
             let (xs, ys, xys) = ([bx], [by], [bx, by]);
             let mut sums = Vec::new();
             for _ in 0..3 {
-                let yv = y.par_view_as::<false>();
+                let yv = y.par_view();
                 let fill_row = |j: usize, k: usize| {
                     let xr = x.row(sp.i0, sp.i1, j, k);
                     let out = yv.row_mut(sp.i0, sp.i1, j, k);

@@ -30,8 +30,8 @@ pub mod site;
 pub mod version;
 
 pub use audit::{DirectiveAudit, DirectiveCensus, VersionLines};
-pub use engine::{default_host_threads, HOST_THREADS_ENV, PAR_MIN_POINTS_ENV};
-pub use exec::{CostScales, Launch, Par, ParBuilder, PAR_AUDIT_ENV, TILE_K_ENV};
+pub use engine::{default_host_threads, HOST_THREADS_ENV};
+pub use exec::{CostScales, Launch, Par, ParBuilder, PAR_AUDIT_ENV};
 pub use race::{RaceAudit, RaceKind, RaceViolation};
 pub use site::{LoopClass, RegionId, Site, SiteId, SiteRegistry, SiteStats, Tiling};
 pub use version::{ArrayReduceStrategy, CodeVersion, LoopStyle, Policy};

@@ -141,7 +141,7 @@ fn mutant_body_matches_production_body_under_audit() {
 /// the scalar path: a `loop3_rows` kernel whose `(j, k)` iteration
 /// writes its own row window but *reads* the same buffer's row in the
 /// next k-plane violates the iteration-independence contract across k
-/// tiles, and the auditor must flag it just as it flags the scalar
+/// tiles, and the auditor must flag it just as it flags the
 /// `temp_advect` mutant.
 #[test]
 fn auditor_flags_overlapping_row_windows() {
@@ -164,7 +164,7 @@ fn auditor_flags_overlapping_row_windows() {
     let b = par.ctx.mem.register(a.bytes(), "rowbuf");
     par.ctx.enter_data(b);
     let sp = IndexSpace3 { i0: 1, i1: 7, j0: 1, j1: 5, k0: 1, k1: 7 };
-    let v = a.par_view_as::<true>();
+    let v = a.par_view();
     par.loop3_rows(&ROW_OVERLAP_MUTANT, sp, Traffic::new(1, 1, 1), &[b], &[b], |j, k| {
         // Deliberate contract violation: read the row another k-plane
         // owns (k+1, or k-1 at the top edge) while writing our own.
