@@ -150,9 +150,7 @@ pub struct ResilienceCfg {
     /// rollback path. 0 disables the verified transport.
     pub halo_retries: u32,
     /// Receive deadline in milliseconds applied during supervised runs
-    /// (0 = supervisor default). Also overridable at runtime via the
-    /// `MAS_RECV_DEADLINE_MS` environment variable, which wins over
-    /// this key.
+    /// (0 = supervisor default).
     pub recv_deadline_ms: u64,
 }
 

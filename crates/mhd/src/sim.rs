@@ -172,25 +172,6 @@ impl Simulation {
         }
     }
 
-    /// Build a rank-local simulation — thin delegate kept for one release;
-    /// prefer [`Simulation::builder`].
-    pub fn new(
-        deck: &Deck,
-        version: CodeVersion,
-        spec: DeviceSpec,
-        rank: usize,
-        n_ranks: usize,
-        seed: u64,
-    ) -> Self {
-        Simulation::builder(deck)
-            .version(version)
-            .device(spec)
-            .rank(rank)
-            .world(n_ranks)
-            .seed(seed)
-            .build()
-    }
-
     fn construct(
         deck: &Deck,
         version: CodeVersion,
@@ -521,14 +502,10 @@ mod tests {
     fn quickstart_simulation_runs_and_stays_finite() {
         minimpi::World::run(1, |comm| {
             let deck = Deck::preset_quickstart();
-            let mut sim = Simulation::new(
-                &deck,
-                CodeVersion::Ad,
-                DeviceSpec::a100_40gb(),
-                0,
-                1,
-                42,
-            );
+            let mut sim = Simulation::builder(&deck)
+                .version(CodeVersion::Ad)
+                .seed(42)
+                .build();
             let infos = sim.run(&comm);
             assert_eq!(infos.len(), deck.time.n_steps);
             assert!(sim.state.find_non_finite().is_none());

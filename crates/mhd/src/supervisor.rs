@@ -66,54 +66,13 @@ const RECV_DEADLINE: Duration = Duration::from_secs(30);
 /// default.
 const RECV_DEADLINE_DROP: Duration = Duration::from_secs(2);
 
-/// Parse `MAS_RECV_DEADLINE_MS` strictly. Unset is fine (`Ok(None)`:
-/// deck/default precedence applies), but a value that is set and
-/// malformed — not a number, not valid unicode, or zero — is a loud
-/// error naming the variable, **not** a silent fall-through to the deck
-/// default: a typo in a job script must fail the run, not quietly run
-/// it with a 30 s deadline the operator believes they overrode.
-fn recv_deadline_env() -> Result<Option<Duration>, String> {
-    parse_recv_deadline(std::env::var("MAS_RECV_DEADLINE_MS"))
-}
-
-/// The pure parsing half of [`recv_deadline_env`], split out so the
-/// strictness policy is unit-testable without mutating process-global
-/// environment state under a concurrent test runner.
-fn parse_recv_deadline(
-    raw: Result<String, std::env::VarError>,
-) -> Result<Option<Duration>, String> {
-    match raw {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err("MAS_RECV_DEADLINE_MS is set but not valid unicode; expected a positive \
-                 integer millisecond count"
-                .into())
-        }
-        Ok(s) => match s.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => Ok(Some(Duration::from_millis(ms))),
-            Ok(_) => Err(format!(
-                "MAS_RECV_DEADLINE_MS must be a positive integer millisecond count, got '{s}' \
-                 (unset the variable to use the deck/default deadline)"
-            )),
-            Err(_) => Err(format!(
-                "MAS_RECV_DEADLINE_MS must be a positive integer millisecond count, got '{s}'"
-            )),
-        },
-    }
-}
-
-/// Resolve the supervised receive deadline. Precedence: the
-/// `MAS_RECV_DEADLINE_MS` environment variable (malformed values are an
-/// error, see [`recv_deadline_env`]), then the deck's
-/// `resilience.recv_deadline_ms` key, then a plan-dependent default.
-fn recv_deadline_for(deck: &Deck, plan: Option<&FaultPlan>) -> Result<Duration, String> {
-    if let Some(d) = recv_deadline_env()? {
-        return Ok(d);
-    }
+/// Resolve the supervised receive deadline: the deck's
+/// `resilience.recv_deadline_ms` key, else a plan-dependent default.
+fn recv_deadline_for(deck: &Deck, plan: Option<&FaultPlan>) -> Duration {
     if deck.resilience.recv_deadline_ms > 0 {
-        return Ok(Duration::from_millis(deck.resilience.recv_deadline_ms));
+        return Duration::from_millis(deck.resilience.recv_deadline_ms);
     }
-    Ok(match plan {
+    match plan {
         // Plans that kill a message or a whole rank: survivors must time
         // out (in p2p receives and in collectives) rather than block, and
         // the tests should not wait half a minute for that.
@@ -122,7 +81,7 @@ fn recv_deadline_for(deck: &Deck, plan: Option<&FaultPlan>) -> Result<Duration, 
         // reach the recovery fence promptly.
         _ if deck.resilience.max_respawns > 0 => RECV_DEADLINE_DROP,
         _ => RECV_DEADLINE,
-    })
+    }
 }
 
 /// How long a recovery fence may wait for all participants: survivors
@@ -541,7 +500,7 @@ fn supervise(
     progress: Option<&ProgressFn>,
 ) -> Result<(), String> {
     sim.begin_compute(comm);
-    comm.set_recv_deadline(Some(recv_deadline_for(&sim.deck, plan)?));
+    comm.set_recv_deadline(Some(recv_deadline_for(&sim.deck, plan)));
 
     let ckpt_int = sim.deck.checkpoint.interval;
     let dir = PathBuf::from(sim.deck.checkpoint.dir.clone());
@@ -742,16 +701,6 @@ pub fn run_supervised_with_progress(
     record_spans: bool,
     progress: Option<ProgressFn>,
 ) -> Result<MultiRankReport, RunError> {
-    // A malformed MAS_RECV_DEADLINE_MS fails the run before any rank
-    // spawns — on every path, including plain unsupervised runs that
-    // would never read it, so the operator's typo cannot ride along
-    // unnoticed until the first supervised run.
-    if let Err(message) = recv_deadline_env() {
-        return Err(RunError {
-            failures: vec![RankFailure::Failed { rank: 0, message }],
-            respawns_exhausted: false,
-        });
-    }
     if deck.resilience.max_respawns > 0 {
         return run_resilient_supervised(
             deck, version, spec, n_ranks, seed, record_spans, progress,
@@ -922,10 +871,7 @@ fn run_resilient_supervised(
         max_respawns: deck.resilience.max_respawns,
     };
     let max_fences = deck.resilience.max_respawns;
-    let deadline = recv_deadline_for(&deck, plan.as_ref()).map_err(|message| RunError {
-        failures: vec![RankFailure::Failed { rank: 0, message }],
-        respawns_exhausted: false,
-    })?;
+    let deadline = recv_deadline_for(&deck, plan.as_ref());
 
     let report = World::run_resilient(n_ranks, cfg, {
         let deck = deck.clone();
@@ -1581,47 +1527,6 @@ mod tests {
         assert_eq!(parse_error_kind("bogus"), io::ErrorKind::Other);
         let deck = Deck::default();
         assert!(FaultPlan::from_deck(&deck).is_none(), "default deck is inert");
-    }
-
-    #[test]
-    fn recv_deadline_parse_is_strict() {
-        use std::env::VarError;
-        // Unset is fine: deck/default precedence applies.
-        assert_eq!(parse_recv_deadline(Err(VarError::NotPresent)), Ok(None));
-        // Well-formed values parse, with whitespace tolerance.
-        assert_eq!(
-            parse_recv_deadline(Ok("250".into())),
-            Ok(Some(Duration::from_millis(250)))
-        );
-        assert_eq!(
-            parse_recv_deadline(Ok(" 250 ".into())),
-            Ok(Some(Duration::from_millis(250)))
-        );
-        // Garbage is a loud error naming the variable — never a silent
-        // fall-through to the deck/default deadline.
-        for bad in ["fast", "", "12.5", "-1", "0", "100ms"] {
-            let err = parse_recv_deadline(Ok(bad.into()))
-                .expect_err("malformed values must be rejected");
-            assert!(err.contains("MAS_RECV_DEADLINE_MS"), "{bad:?}: {err}");
-            assert!(err.contains("positive integer"), "{bad:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn malformed_recv_deadline_env_fails_run_loudly() {
-        // The env var is validated eagerly — before any rank spawns, even
-        // for plain unsupervised decks that would never read it — so the
-        // set/run/remove window here is microseconds wide.
-        std::env::set_var("MAS_RECV_DEADLINE_MS", "garbage");
-        let res = run_supervised(&small_deck(), CodeVersion::A, spec(), 1, 1, false);
-        std::env::remove_var("MAS_RECV_DEADLINE_MS");
-        let err = res.expect_err("a garbage MAS_RECV_DEADLINE_MS must fail the run");
-        assert!(!err.respawns_exhausted);
-        assert_eq!(err.failures.len(), 1);
-        assert_eq!(err.failures[0].rank(), 0);
-        let msg = err.failures[0].message();
-        assert!(msg.contains("MAS_RECV_DEADLINE_MS"), "{msg}");
-        assert!(msg.contains("garbage"), "{msg}");
     }
 
     #[test]

@@ -1,7 +1,5 @@
-//! Clients: the in-process [`Client`] (the job API against a [`Server`]
-//! in the same process — what the integration tests exercise
-//! end-to-end) and the [`RemoteClient`] (the same verbs over the TCP
-//! wire protocol, with bounded retry-with-backoff).
+//! The [`RemoteClient`]: the job verbs over the TCP wire protocol, with
+//! bounded retry-with-backoff.
 //!
 //! Retrying a submission is safe *because* submission is idempotent
 //! under the cache key: if the first attempt actually reached the
@@ -10,83 +8,11 @@
 //! claim-time cache probe collapses to zero steps. At-least-once
 //! delivery therefore costs nothing beyond a duplicate job id.
 
-use crate::job::{JobId, JobSpec, JobStatus};
-use crate::server::{Server, ServerStats, SubmitError};
+use crate::job::JobSpec;
 use crate::wire::{self, WireRead};
-use mas_mhd::MultiRankReport;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
-
-/// A handle onto a server. Cheap to clone; many clients may drive one
-/// server concurrently.
-#[derive(Clone)]
-pub struct Client {
-    server: Arc<Server>,
-}
-
-impl Client {
-    /// Connect to an in-process server.
-    pub fn connect(server: Arc<Server>) -> Self {
-        Self { server }
-    }
-
-    /// Submit a job (see [`Server::submit`]).
-    pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
-        self.server.submit(spec)
-    }
-
-    /// Poll a job's status.
-    pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        self.server.status(id)
-    }
-
-    /// The recovery events streamed so far.
-    pub fn recovery_log(&self, id: JobId) -> Option<Vec<String>> {
-        self.server.recovery_log(id)
-    }
-
-    /// Block until the job finishes; returns its final status.
-    pub fn wait(&self, id: JobId) -> Option<JobStatus> {
-        self.server.wait(id)
-    }
-
-    /// Fetch a finished job's result.
-    #[allow(clippy::type_complexity)]
-    pub fn result(&self, id: JobId) -> Option<Result<Arc<MultiRankReport>, String>> {
-        self.server.result(id)
-    }
-
-    /// Cancel a job (cooperative when it is already running).
-    pub fn cancel(&self, id: JobId) -> Result<(), String> {
-        self.server.cancel(id)
-    }
-
-    /// Server-wide counters.
-    pub fn stats(&self) -> ServerStats {
-        self.server.stats()
-    }
-
-    /// Quarantined run keys with their final failure messages.
-    pub fn quarantine_list(&self) -> Vec<(crate::cache::CacheKey, String)> {
-        self.server.quarantine_list()
-    }
-
-    /// Clear the quarantine (all keys, or one deck hash); returns how
-    /// many keys were cleared.
-    pub fn quarantine_clear(&self, deck_hash: Option<u64>) -> usize {
-        self.server.quarantine_clear(deck_hash)
-    }
-
-    /// Submit and block to completion: the one-call convenience path.
-    /// Returns the final status; inspect/fetch the report via
-    /// [`Client::result`].
-    pub fn run(&self, spec: JobSpec) -> Result<JobStatus, SubmitError> {
-        let id = self.submit(spec)?;
-        Ok(self.wait(id).expect("submitted job exists"))
-    }
-}
 
 /// How a [`RemoteClient`] survives transient failures: a bounded number
 /// of attempts with exponential backoff between them, plus an I/O

@@ -23,8 +23,7 @@
 //! * [`journal`] — the write-ahead journal that makes the server
 //!   crash-only: every state transition is a CRC32-framed, fsync'd
 //!   record, replayed by [`Server::recover`] after a crash or restart;
-//! * [`client`] — the in-process client (what the integration tests
-//!   drive end-to-end) and the retrying TCP [`RemoteClient`];
+//! * [`client`] — the retrying TCP [`RemoteClient`];
 //! * [`wire`] — the line protocol spoken by the `mas_serve` TCP binary,
 //!   including the bounded line reader the server's edge uses.
 //!
@@ -40,6 +39,6 @@ pub mod server;
 pub mod wire;
 
 pub use cache::CacheKey;
-pub use client::{Client, RemoteClient, RetryPolicy};
+pub use client::{RemoteClient, RetryPolicy};
 pub use job::{JobId, JobSpec, JobState, JobStatus};
 pub use server::{RecoverySummary, Server, ServerConfig, ServerStats, SubmitError};

@@ -410,9 +410,9 @@ impl fmt::Display for RecoverySummary {
 }
 
 /// The long-running scheduler. Create with [`Server::start`] (in-memory)
-/// or [`Server::recover`] (journaled, crash-only); submit through it (or
-/// a [`crate::Client`]); stop with [`Server::shutdown`] +
-/// [`Server::join`], or gracefully with [`Server::drain`].
+/// or [`Server::recover`] (journaled, crash-only); submit through it;
+/// stop with [`Server::shutdown`] + [`Server::join`], or gracefully with
+/// [`Server::drain`].
 pub struct Server {
     cfg: ServerConfig,
     pool: Arc<DevicePool>,
@@ -736,26 +736,25 @@ impl Server {
                 worker_panics: 0,
             },
         );
-
-        // Lease-ledger invariant: the pool is a fresh incarnation, so
-        // every lease the dead server held is gone — nothing may be
-        // busy, and grant/release counters must balance at zero. The
-        // re-enqueued jobs will take *new* leases; a stale lease from
-        // the previous incarnation can never be released into this pool
-        // (gpusim rejects cross-incarnation releases).
-        let ps = server.pool.stats();
-        assert_eq!(
-            (ps.busy, ps.leases_granted - ps.leases_released),
-            (0, 0),
-            "recovered pool must start with a balanced, empty lease ledger"
-        );
-
         Ok((server, summary))
     }
 
     fn spawn(cfg: ServerConfig, sched: Sched) -> Arc<Server> {
         assert!(cfg.n_workers > 0, "server needs at least one worker");
         let pool = Arc::new(DevicePool::new(cfg.device.clone(), cfg.n_devices));
+        // Lease-ledger invariant: the pool is a fresh incarnation, so
+        // every lease a dead predecessor held is gone — nothing may be
+        // busy, and grant/release counters must balance at zero. Checked
+        // before any worker starts: a worker that claims a recovered job
+        // takes a *new* lease at once. A stale lease from the previous
+        // incarnation can never be released into this pool (gpusim
+        // rejects cross-incarnation releases).
+        let ps = pool.stats();
+        assert_eq!(
+            (ps.busy, ps.leases_granted - ps.leases_released),
+            (0, 0),
+            "recovered pool must start with a balanced, empty lease ledger"
+        );
         let server = Arc::new(Server {
             cfg,
             pool,

@@ -5,12 +5,12 @@
 //!
 //! The process-level soak of the same machinery (SIGKILL restarts,
 //! connection chaos, bit-exactness vs an undisturbed baseline) lives in
-//! `mas_serve --chaos-drill`, run by CI; these tests pin the semantics
-//! deterministically in-process.
+//! the root package's `tests/serve_chaos.rs`; these tests pin the
+//! semantics deterministically in-process.
 
 use gpusim::DeviceSpec;
 use mas_config::Deck;
-use mas_serve::{Client, JobSpec, JobState, Server, ServerConfig, SubmitError};
+use mas_serve::{JobSpec, JobState, Server, ServerConfig, SubmitError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,23 +28,21 @@ fn panic_deck() -> Deck {
     d
 }
 
-fn boot_with(f: impl FnOnce(&mut ServerConfig)) -> (Arc<Server>, Client) {
+fn boot_with(f: impl FnOnce(&mut ServerConfig)) -> Arc<Server> {
     let mut cfg = ServerConfig::new(DeviceSpec::a100_40gb(), 2);
     cfg.n_workers = 2;
     f(&mut cfg);
-    let server = Server::start(cfg);
-    let client = Client::connect(server.clone());
-    (server, client)
+    Server::start(cfg)
 }
 
 #[test]
 fn panicking_deck_is_quarantined_after_max_attempts_and_others_keep_running() {
-    let (server, client) = boot_with(|_| {});
+    let server = boot_with(|_| {});
 
-    let id = client
+    let id = server
         .submit(JobSpec::new(panic_deck()).seed(7).max_attempts(2))
         .expect("submit accepted");
-    let status = client.wait(id).expect("job exists");
+    let status = server.wait(id).expect("job exists");
     assert_eq!(status.state, JobState::Quarantined);
     assert!(
         status.error.as_deref().unwrap_or("").contains("worker panicked"),
@@ -57,29 +55,29 @@ fn panicking_deck_is_quarantined_after_max_attempts_and_others_keep_running() {
     assert_eq!(stats.quarantine_keys, 1);
 
     // The same run is refused at submit time now — no third crash.
-    match client.submit(JobSpec::new(panic_deck()).seed(7)) {
+    match server.submit(JobSpec::new(panic_deck()).seed(7)) {
         Err(SubmitError::Quarantined { message }) => {
             assert!(message.contains("worker panicked"), "refusal carries the cause")
         }
         other => panic!("expected Quarantined, got {other:?}"),
     }
     // A different seed is a different run — not collateral damage.
-    let ok = client
+    let ok = server
         .submit(JobSpec::new(panic_deck()).seed(8).max_attempts(1))
         .expect("different key accepted");
-    assert_eq!(client.wait(ok).unwrap().state, JobState::Quarantined);
+    assert_eq!(server.wait(ok).unwrap().state, JobState::Quarantined);
 
     // The worker pool survived both crash loops: normal work still runs.
-    let normal = client
+    let normal = server
         .submit(JobSpec::new(tiny_deck(4)).seed(9))
         .expect("normal submit");
-    assert_eq!(client.wait(normal).unwrap().state, JobState::Done);
+    assert_eq!(server.wait(normal).unwrap().state, JobState::Done);
 
     // Operator clears the quarantine; the key submits again.
-    assert_eq!(client.quarantine_list().len(), 2);
-    assert_eq!(client.quarantine_clear(None), 2);
-    assert!(client.quarantine_list().is_empty());
-    client
+    assert_eq!(server.quarantine_list().len(), 2);
+    assert_eq!(server.quarantine_clear(None), 2);
+    assert!(server.quarantine_list().is_empty());
+    server
         .submit(JobSpec::new(panic_deck()).seed(7).max_attempts(1))
         .expect("cleared key accepted again");
 
@@ -89,7 +87,7 @@ fn panicking_deck_is_quarantined_after_max_attempts_and_others_keep_running() {
 
 #[test]
 fn sick_device_goes_suspect_and_the_canary_reinstates_it() {
-    let (server, client) = boot_with(|cfg| {
+    let server = boot_with(|cfg| {
         cfg.n_workers = 1;
         cfg.canary_every = Duration::from_millis(10);
     });
@@ -97,10 +95,10 @@ fn sick_device_goes_suspect_and_the_canary_reinstates_it() {
     // Three scripted faults on device 0: each failed lease is blamed on
     // it, the third consecutive failure pulls it from rotation.
     server.pool().inject_fault(0, 3).expect("inject");
-    let id = client
+    let id = server
         .submit(JobSpec::new(tiny_deck(4)).seed(7).max_attempts(6))
         .expect("submit");
-    let status = client.wait(id).expect("job exists");
+    let status = server.wait(id).expect("job exists");
     assert_eq!(
         status.state,
         JobState::Done,
@@ -130,7 +128,7 @@ fn sick_device_goes_suspect_and_the_canary_reinstates_it() {
 
 #[test]
 fn overload_sheds_lowest_priority_and_high_priority_still_completes() {
-    let (server, client) = boot_with(|cfg| {
+    let server = boot_with(|cfg| {
         cfg.n_devices = 1;
         cfg.n_workers = 1;
         cfg.max_queue = 8;
@@ -141,29 +139,29 @@ fn overload_sheds_lowest_priority_and_high_priority_still_completes() {
     // Fill the single worker, then the queue up to the watermark. The
     // blocker must be *claimed* before anything else queues, or the
     // watermark counts it and sheds the wrong job.
-    let blocker = client
+    let blocker = server
         .submit(JobSpec::new(tiny_deck(1000)).seed(1).priority(9))
         .expect("blocker");
     for _ in 0..2000 {
-        if client.status(blocker).expect("blocker exists").state != JobState::Queued {
+        if server.status(blocker).expect("blocker exists").state != JobState::Queued {
             break;
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_ne!(client.status(blocker).unwrap().state, JobState::Queued);
-    let victim = client
+    assert_ne!(server.status(blocker).unwrap().state, JobState::Queued);
+    let victim = server
         .submit(JobSpec::new(tiny_deck(4)).seed(2).priority(1))
         .expect("victim queued");
-    let keeper = client
+    let keeper = server
         .submit(JobSpec::new(tiny_deck(4)).seed(3).priority(3))
         .expect("keeper queued");
 
     // A higher-priority newcomer displaces the lowest-priority queued
     // job instead of being turned away.
-    let high = client
+    let high = server
         .submit(JobSpec::new(tiny_deck(4)).seed(4).priority(5))
         .expect("high-priority newcomer accepted under overload");
-    let shed = client.status(victim).expect("victim exists");
+    let shed = server.status(victim).expect("victim exists");
     assert_eq!(shed.state, JobState::Cancelled);
     let msg = shed.error.as_deref().unwrap_or("");
     assert!(
@@ -172,14 +170,14 @@ fn overload_sheds_lowest_priority_and_high_priority_still_completes() {
     );
 
     // A lower-priority newcomer is turned away with the retry hint.
-    match client.submit(JobSpec::new(tiny_deck(4)).seed(5).priority(0)) {
+    match server.submit(JobSpec::new(tiny_deck(4)).seed(5).priority(0)) {
         Err(SubmitError::Overloaded { retry_after_ms }) => assert_eq!(retry_after_ms, 750),
         other => panic!("expected Overloaded, got {other:?}"),
     }
 
     for id in [blocker, keeper, high] {
         assert_eq!(
-            client.wait(id).unwrap().state,
+            server.wait(id).unwrap().state,
             JobState::Done,
             "{id} completes despite the overload"
         );
@@ -194,12 +192,12 @@ fn overload_sheds_lowest_priority_and_high_priority_still_completes() {
 
 #[test]
 fn deadline_fails_a_running_job_cooperatively() {
-    let (server, client) = boot_with(|_| {});
+    let server = boot_with(|_| {});
 
-    let id = client
+    let id = server
         .submit(JobSpec::new(tiny_deck(200_000)).seed(7).deadline_ms(150))
         .expect("submit");
-    let status = client.wait(id).expect("job exists");
+    let status = server.wait(id).expect("job exists");
     assert_eq!(status.state, JobState::Failed);
     assert!(
         status.error.as_deref().unwrap_or("").contains("deadline exceeded"),
@@ -215,8 +213,8 @@ fn deadline_fails_a_running_job_cooperatively() {
     // Deadlines come from the deck's &serve section too.
     let mut deck = tiny_deck(200_000);
     deck.serve.deadline_ms = 150;
-    let id = client.submit(JobSpec::new(deck).seed(8)).expect("submit");
-    let status = client.wait(id).expect("job exists");
+    let id = server.submit(JobSpec::new(deck).seed(8)).expect("submit");
+    let status = server.wait(id).expect("job exists");
     assert_eq!(status.state, JobState::Failed);
 
     // The devices the deadlined jobs held are all back.
@@ -229,23 +227,23 @@ fn deadline_fails_a_running_job_cooperatively() {
 
 #[test]
 fn expired_deadline_fails_a_queued_job_without_running_it() {
-    let (server, client) = boot_with(|cfg| {
+    let server = boot_with(|cfg| {
         cfg.n_devices = 1;
         cfg.n_workers = 1;
     });
 
     // The blocker holds the only worker well past the queued job's
     // deadline; the queued job must die in the queue, zero steps run.
-    let blocker = client
+    let blocker = server
         .submit(JobSpec::new(tiny_deck(600)).seed(1))
         .expect("blocker");
-    let doomed = client
+    let doomed = server
         .submit(JobSpec::new(tiny_deck(4)).seed(2).deadline_ms(40))
         .expect("queued");
-    let status = client.wait(doomed).expect("job exists");
+    let status = server.wait(doomed).expect("job exists");
     assert_eq!(status.state, JobState::Failed);
     assert_eq!(status.steps_done, 0, "never claimed a device");
-    assert_eq!(client.wait(blocker).unwrap().state, JobState::Done);
+    assert_eq!(server.wait(blocker).unwrap().state, JobState::Done);
 
     server.shutdown();
     server.join();

@@ -5,14 +5,14 @@
 //! a real server that is then dropped without graceful shutdown (its
 //! workers idle — nothing more will be written), or forged/corrupted on
 //! disk byte-by-byte. The process-level SIGKILL variant of these checks
-//! lives in `mas_serve --restart-drill` (run by CI), which kills a real
-//! child server mid-job; these tests pin the replay semantics
+//! lives in the root package's `tests/serve_chaos.rs`, which kills a
+//! real `mas_serve` child mid-job; these tests pin the replay semantics
 //! deterministically.
 
 use gpusim::DeviceSpec;
 use mas_config::Deck;
 use mas_serve::journal::{self, Journal, Record};
-use mas_serve::{Client, JobId, JobSpec, JobState, Server, ServerConfig};
+use mas_serve::{JobId, JobSpec, JobState, Server, ServerConfig};
 use std::path::PathBuf;
 use stdpar::CodeVersion;
 
@@ -39,10 +39,9 @@ fn state_dir(name: &str) -> PathBuf {
 /// hashes — the uninterrupted baseline.
 fn baseline_hashes(spec: JobSpec) -> Vec<u64> {
     let server = Server::start(cfg(2, 2));
-    let client = Client::connect(server.clone());
-    let id = client.submit(spec).expect("baseline submit");
-    assert_eq!(client.wait(id).unwrap().state, JobState::Done);
-    let report = client.result(id).unwrap().expect("baseline result");
+    let id = server.submit(spec).expect("baseline submit");
+    assert_eq!(server.wait(id).unwrap().state, JobState::Done);
+    let report = server.result(id).unwrap().expect("baseline result");
     let hashes = report.ranks.iter().map(|r| r.state_hash).collect();
     server.shutdown();
     server.join();
@@ -72,11 +71,10 @@ fn forged_interrupted_journal_requeues_and_completes_bit_exact() {
     assert_eq!(summary.done, 0);
     assert!(summary.torn.is_none());
 
-    let client = Client::connect(server.clone());
     for (id, spec) in [(1u64, spec1), (2u64, spec2)] {
-        let status = client.wait(JobId(id)).expect("recovered job exists");
+        let status = server.wait(JobId(id)).expect("recovered job exists");
         assert_eq!(status.state, JobState::Done, "job {id} finished after recovery");
-        let report = client.result(JobId(id)).unwrap().expect("result");
+        let report = server.result(JobId(id)).unwrap().expect("result");
         let got: Vec<u64> = report.ranks.iter().map(|r| r.state_hash).collect();
         assert_eq!(
             got,
@@ -96,10 +94,9 @@ fn completed_results_survive_restart_as_zero_step_cache_hits() {
     // Life 1: complete a job, then die without any graceful shutdown.
     let hashes_before: Vec<u64> = {
         let (server, _) = Server::recover(cfg(2, 2), &dir).expect("first boot");
-        let client = Client::connect(server.clone());
-        let id = client.submit(spec.clone()).expect("submit");
-        assert_eq!(client.wait(id).unwrap().state, JobState::Done);
-        let report = client.result(id).unwrap().expect("result");
+        let id = server.submit(spec.clone()).expect("submit");
+        assert_eq!(server.wait(id).unwrap().state, JobState::Done);
+        let report = server.result(id).unwrap().expect("result");
         report.ranks.iter().map(|r| r.state_hash).collect()
         // Server dropped here: workers idle, journal closed mid-life —
         // exactly what SIGKILL after the last fsync looks like on disk.
@@ -110,17 +107,16 @@ fn completed_results_survive_restart_as_zero_step_cache_hits() {
     assert_eq!(summary.done, 1);
     assert_eq!(summary.cache_entries, 1);
     assert_eq!(summary.requeued, 0);
-    let client = Client::connect(server.clone());
 
     // The old job id still answers, result intact.
-    let report = client.result(JobId(1)).expect("known id").expect("result kept");
+    let report = server.result(JobId(1)).expect("known id").expect("result kept");
     let restored: Vec<u64> = report.ranks.iter().map(|r| r.state_hash).collect();
     assert_eq!(restored, hashes_before, "rehydrated report is bit-identical");
 
     // A resubmission is a submit-time cache hit: zero steps executed.
     let steps0 = server.total_steps();
-    let id = client.submit(spec).expect("resubmit");
-    let status = client.wait(id).unwrap();
+    let id = server.submit(spec).expect("resubmit");
+    let status = server.wait(id).unwrap();
     assert_eq!(status.state, JobState::Done);
     assert!(status.cached, "served from the recovered cache");
     assert_eq!(server.total_steps(), steps0, "zero steps after restart");
@@ -134,9 +130,8 @@ fn recovery_is_idempotent() {
     let spec = JobSpec::new(tiny_deck(4)).seed(3);
     {
         let (server, _) = Server::recover(cfg(2, 2), &dir).expect("first boot");
-        let client = Client::connect(server.clone());
-        let id = client.submit(spec).expect("submit");
-        assert_eq!(client.wait(id).unwrap().state, JobState::Done);
+        let id = server.submit(spec).expect("submit");
+        assert_eq!(server.wait(id).unwrap().state, JobState::Done);
     }
     // Boot twice more without doing anything: each replay must
     // reconstruct the same state, growing the journal only by its Boot
@@ -158,9 +153,8 @@ fn torn_tail_is_truncated_and_valid_prefix_survives() {
     let spec = JobSpec::new(tiny_deck(4)).seed(5);
     {
         let (server, _) = Server::recover(cfg(2, 2), &dir).expect("first boot");
-        let client = Client::connect(server.clone());
-        let id = client.submit(spec.clone()).expect("submit");
-        assert_eq!(client.wait(id).unwrap().state, JobState::Done);
+        let id = server.submit(spec.clone()).expect("submit");
+        assert_eq!(server.wait(id).unwrap().state, JobState::Done);
     }
     // Simulate dying mid-append: a frame header promising more bytes
     // than exist.
@@ -175,8 +169,7 @@ fn torn_tail_is_truncated_and_valid_prefix_survives() {
     assert!(summary.truncated_bytes > 0);
     assert_eq!(summary.done, 1, "valid prefix fully preserved");
     assert_eq!(summary.cache_entries, 1);
-    let client = Client::connect(server.clone());
-    assert!(client.result(JobId(1)).unwrap().is_ok());
+    assert!(server.result(JobId(1)).unwrap().is_ok());
     drop(server);
 
     // The tail is gone from disk: the next life sees a clean journal.
@@ -214,10 +207,9 @@ fn flipped_byte_never_resurrects_a_record() {
     let (server, summary) = Server::recover(cfg(2, 2), &dir).expect("recover");
     assert!(summary.torn.is_some());
     assert_eq!(summary.requeued, 1, "only the intact submission replays");
-    let client = Client::connect(server.clone());
-    assert!(client.status(JobId(1)).is_some());
-    assert!(client.status(JobId(2)).is_none(), "corrupted record never resurrects");
-    assert_eq!(client.wait(JobId(1)).unwrap().state, JobState::Done);
+    assert!(server.status(JobId(1)).is_some());
+    assert!(server.status(JobId(2)).is_none(), "corrupted record never resurrects");
+    assert_eq!(server.wait(JobId(1)).unwrap().state, JobState::Done);
     server.shutdown();
     server.join();
 }
@@ -231,12 +223,11 @@ fn evictions_are_journaled_and_survive_restart() {
         let mut c = cfg(2, 2);
         c.cache_max_entries = 1;
         let (server, _) = Server::recover(c, &dir).expect("first boot");
-        let client = Client::connect(server.clone());
         for spec in [spec1.clone(), spec2.clone()] {
-            let id = client.submit(spec).expect("submit");
-            assert_eq!(client.wait(id).unwrap().state, JobState::Done);
+            let id = server.submit(spec).expect("submit");
+            assert_eq!(server.wait(id).unwrap().state, JobState::Done);
         }
-        let stats = client.stats();
+        let stats = server.stats();
         assert_eq!(stats.cache_entries, 1, "bound enforced live");
         assert_eq!(stats.cache_evictions, 1);
     }
@@ -246,19 +237,18 @@ fn evictions_are_journaled_and_survive_restart() {
     let (server, summary) = Server::recover(c, &dir).expect("second boot");
     assert_eq!(summary.cache_entries, 1, "evicted entry stays evicted across restart");
     assert_eq!(summary.done, 2, "both completions survive");
-    let client = Client::connect(server.clone());
     // Job 2's result is the one still cached; job 1 completed but its
     // report was evicted before the restart — a structured error, not a
     // panic or a silently wrong answer.
-    assert!(client.result(JobId(2)).unwrap().is_ok());
-    let gone = client.result(JobId(1)).unwrap();
+    assert!(server.result(JobId(2)).unwrap().is_ok());
+    let gone = server.result(JobId(1)).unwrap();
     assert!(gone.is_err(), "evicted result answers structurally: {gone:?}");
     assert!(gone.unwrap_err().contains("evicted"));
 
     // Resubmitting the evicted deck recomputes (a miss, not a hit).
     let steps0 = server.total_steps();
-    let id = client.submit(spec1).expect("resubmit evicted");
-    assert_eq!(client.wait(id).unwrap().state, JobState::Done);
+    let id = server.submit(spec1).expect("resubmit evicted");
+    assert_eq!(server.wait(id).unwrap().state, JobState::Done);
     assert!(server.total_steps() > steps0, "evicted result is recomputed");
     server.shutdown();
     server.join();
@@ -268,19 +258,17 @@ fn evictions_are_journaled_and_survive_restart() {
 fn drain_finishes_everything_and_the_next_life_requeues_nothing() {
     let dir = state_dir("drain");
     let (server, _) = Server::recover(cfg(2, 1), &dir).expect("boot");
-    let client = Client::connect(server.clone());
     let mut ids = Vec::new();
     for seed in [21u64, 22, 23] {
-        ids.push(client.submit(JobSpec::new(tiny_deck(4)).seed(seed)).expect("submit"));
+        ids.push(server.submit(JobSpec::new(tiny_deck(4)).seed(seed)).expect("submit"));
     }
     server.drain();
     server.join();
     for id in ids {
-        assert_eq!(client.status(id).unwrap().state, JobState::Done, "{id} finished in drain");
+        assert_eq!(server.status(id).unwrap().state, JobState::Done, "{id} finished in drain");
     }
     // Intake is closed once draining.
-    assert!(client.submit(JobSpec::new(tiny_deck(4)).seed(99)).is_err());
-    drop(client);
+    assert!(server.submit(JobSpec::new(tiny_deck(4)).seed(99)).is_err());
     drop(server);
 
     let (_, summary) = Server::recover(cfg(2, 1), &dir).expect("post-drain boot");
@@ -305,9 +293,8 @@ fn duplicate_recovered_submissions_collapse_at_claim_time() {
     }
     let (server, summary) = Server::recover(cfg(2, 1), &dir).expect("recover");
     assert_eq!(summary.requeued, 2);
-    let client = Client::connect(server.clone());
-    let s1 = client.wait(JobId(1)).unwrap();
-    let s2 = client.wait(JobId(2)).unwrap();
+    let s1 = server.wait(JobId(1)).unwrap();
+    let s2 = server.wait(JobId(2)).unwrap();
     assert_eq!((s1.state, s2.state), (JobState::Done, JobState::Done));
     assert!(
         s1.cached != s2.cached,
@@ -315,8 +302,8 @@ fn duplicate_recovered_submissions_collapse_at_claim_time() {
         s1.cached,
         s2.cached
     );
-    let r1 = client.result(JobId(1)).unwrap().expect("result 1");
-    let r2 = client.result(JobId(2)).unwrap().expect("result 2");
+    let r1 = server.result(JobId(1)).unwrap().expect("result 1");
+    let r2 = server.result(JobId(2)).unwrap().expect("result 2");
     assert_eq!(
         r1.ranks.iter().map(|r| r.state_hash).collect::<Vec<_>>(),
         r2.ranks.iter().map(|r| r.state_hash).collect::<Vec<_>>(),
@@ -357,12 +344,11 @@ fn stale_code_rev_cache_entries_are_dropped() {
     let (server, summary) = Server::recover(cfg(2, 1), &dir).expect("recover");
     assert_eq!(summary.dropped_stale_cache, 1);
     assert_eq!(summary.cache_entries, 0);
-    let client = Client::connect(server.clone());
     // The job is Done but its (stale) result is gone — structured error.
-    assert!(client.result(JobId(1)).unwrap().is_err());
+    assert!(server.result(JobId(1)).unwrap().is_err());
     // Resubmission recomputes with this build.
-    let id = client.submit(spec).expect("resubmit");
-    let status = client.wait(id).unwrap();
+    let id = server.submit(spec).expect("resubmit");
+    let status = server.wait(id).unwrap();
     assert_eq!(status.state, JobState::Done);
     assert!(!status.cached, "stale entry was not served");
     server.shutdown();
@@ -382,9 +368,8 @@ fn pool_ledger_is_balanced_after_recovery_while_jobs_rerun() {
         j.append(1, &Record::Started { id: 1 }).unwrap();
     }
     let (server, _) = Server::recover(cfg(2, 1), &dir).expect("recover");
-    let client = Client::connect(server.clone());
-    assert_eq!(client.wait(JobId(1)).unwrap().state, JobState::Done);
-    let stats = client.stats();
+    assert_eq!(server.wait(JobId(1)).unwrap().state, JobState::Done);
+    let stats = server.stats();
     // Every lease taken after recovery was returned; nothing leaked
     // across the restart boundary.
     assert_eq!(stats.pool.busy, 0);
@@ -405,9 +390,8 @@ fn quarantine_survives_restart_and_clear_is_journaled() {
     // without grace.
     {
         let (server, _) = Server::recover(cfg(2, 2), &dir).expect("first boot");
-        let client = Client::connect(server.clone());
-        let id = client.submit(spec.clone()).expect("submit");
-        assert_eq!(client.wait(id).unwrap().state, JobState::Quarantined);
+        let id = server.submit(spec.clone()).expect("submit");
+        assert_eq!(server.wait(id).unwrap().state, JobState::Quarantined);
     }
 
     // Life 2: the quarantine replays from the journal and still refuses
@@ -417,23 +401,49 @@ fn quarantine_survives_restart_and_clear_is_journaled() {
         assert_eq!(summary.quarantined, 1, "job restored in Quarantined state");
         assert_eq!(summary.quarantine_keys, 1, "key still embargoed");
         assert_eq!(summary.requeued, 0, "a quarantined job is terminal, not interrupted");
-        let client = Client::connect(server.clone());
         assert!(
             matches!(
-                client.submit(spec.clone()),
+                server.submit(spec.clone()),
                 Err(mas_serve::SubmitError::Quarantined { .. })
             ),
             "resubmission refused after restart"
         );
         // Operator lifts it; the clear is itself journaled.
-        assert_eq!(client.quarantine_clear(None), 1);
+        assert_eq!(server.quarantine_clear(None), 1);
     }
 
     // Life 3: the clear survives too — the key submits again.
     let (server, summary) = Server::recover(cfg(2, 2), &dir).expect("third boot");
     assert_eq!(summary.quarantine_keys, 0, "cleared quarantine stays cleared");
-    let client = Client::connect(server.clone());
-    client.submit(spec).expect("cleared key accepted after restart");
+    server.submit(spec).expect("cleared key accepted after restart");
     server.shutdown();
     server.join();
+}
+
+#[test]
+fn recovery_checks_the_lease_ledger_before_workers_claim_requeued_jobs() {
+    // Workers claim requeued jobs, and lease devices for them, as soon
+    // as they start. Many one-step jobs on many workers make a ledger
+    // check that runs after the workers start see those leases within a
+    // few rounds.
+    let dir = state_dir("ledger_race");
+    for _round in 0..40 {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        {
+            let (mut j, _) = Journal::open(dir.join("journal.log")).unwrap();
+            j.append(1, &Record::Boot).unwrap();
+            for id in 1..=8u64 {
+                j.append(1, &Record::submitted(id, &JobSpec::new(tiny_deck(1)).seed(id)))
+                    .unwrap();
+            }
+        }
+        let (server, summary) = Server::recover(cfg(8, 8), &dir).expect("recover");
+        assert_eq!(summary.requeued, 8);
+        for id in 1..=8 {
+            assert_eq!(server.wait(JobId(id)).unwrap().state, JobState::Done);
+        }
+        server.shutdown();
+        server.join();
+    }
 }

@@ -1,4 +1,4 @@
-//! End-to-end integration tests driven through the in-process client:
+//! End-to-end integration tests driven through `Server`'s job API:
 //! concurrent scheduling with bit-exact physics, content-addressed
 //! cache hits, quota/backpressure rejections, structured bad-deck
 //! failures, cooperative cancellation, priority ordering, and rank-death
@@ -6,7 +6,7 @@
 
 use gpusim::DeviceSpec;
 use mas_config::{Deck, FaultKind};
-use mas_serve::{Client, JobSpec, JobState, Server, ServerConfig, SubmitError};
+use mas_serve::{JobSpec, JobState, Server, ServerConfig, SubmitError};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,14 +19,12 @@ fn tiny_deck(n_steps: usize) -> Deck {
     d
 }
 
-fn boot(n_devices: usize, n_workers: usize, max_queue: usize, quota: usize) -> (Arc<Server>, Client) {
+fn boot(n_devices: usize, n_workers: usize, max_queue: usize, quota: usize) -> Arc<Server> {
     let mut cfg = ServerConfig::new(DeviceSpec::a100_40gb(), n_devices);
     cfg.n_workers = n_workers;
     cfg.max_queue = max_queue;
     cfg.tenant_quota = quota;
-    let server = Server::start(cfg);
-    let client = Client::connect(server.clone());
-    (server, client)
+    Server::start(cfg)
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -37,9 +35,9 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 /// Poll until the job leaves `Queued` (bounded; panics on timeout).
-fn await_running(client: &Client, id: mas_serve::JobId) {
+fn await_running(server: &Server, id: mas_serve::JobId) {
     for _ in 0..2000 {
-        let s = client.status(id).expect("job exists");
+        let s = server.status(id).expect("job exists");
         if s.state != JobState::Queued {
             return;
         }
@@ -60,27 +58,27 @@ fn concurrent_jobs_finish_bit_exact_to_standalone_runs() {
         mas_mhd::run_supervised(&deck_b, CodeVersion::Ad, DeviceSpec::a100_40gb(), 1, 9, false)
             .expect("standalone b");
 
-    let (server, client) = boot(2, 2, 8, 8);
-    let ja = client
+    let server = boot(2, 2, 8, 8);
+    let ja = server
         .submit(JobSpec::new(deck_a).version(CodeVersion::A).seed(7).tenant("a"))
         .unwrap();
-    let jb = client
+    let jb = server
         .submit(JobSpec::new(deck_b).version(CodeVersion::Ad).seed(9).tenant("b"))
         .unwrap();
 
-    let sa = client.wait(ja).unwrap();
-    let sb = client.wait(jb).unwrap();
+    let sa = server.wait(ja).unwrap();
+    let sb = server.wait(jb).unwrap();
     assert_eq!(sa.state, JobState::Done, "{:?}", sa.error);
     assert_eq!(sb.state, JobState::Done, "{:?}", sb.error);
     assert_eq!(sa.steps_done, 4);
     assert_eq!(sb.steps_done, 6);
 
-    let ra = client.result(ja).unwrap().unwrap();
-    let rb = client.result(jb).unwrap().unwrap();
+    let ra = server.result(ja).unwrap().unwrap();
+    let rb = server.result(jb).unwrap().unwrap();
     assert_eq!(ra.ranks[0].state_hash, base_a.ranks[0].state_hash, "deck a");
     assert_eq!(rb.ranks[0].state_hash, base_b.ranks[0].state_hash, "deck b");
 
-    let stats = client.stats();
+    let stats = server.stats();
     assert_eq!(stats.done, 2);
     assert_eq!(stats.pool.leases_granted, 2);
     assert_eq!(stats.pool.leases_released, 2);
@@ -94,28 +92,28 @@ fn multi_rank_job_is_bit_exact_and_leases_one_device_per_rank() {
     let base = mas_mhd::run_supervised(&deck, CodeVersion::A, DeviceSpec::a100_40gb(), 2, 11, false)
         .expect("standalone 2-rank");
 
-    let (server, client) = boot(2, 1, 8, 8);
-    let status = client
-        .run(JobSpec::new(deck).ranks(2).seed(11))
-        .expect("submit");
+    let server = boot(2, 1, 8, 8);
+    let id = server.submit(JobSpec::new(deck).ranks(2).seed(11)).expect("submit");
+    let status = server.wait(id).unwrap();
     assert_eq!(status.state, JobState::Done, "{:?}", status.error);
-    let rep = client.result(status.id).unwrap().unwrap();
+    let rep = server.result(status.id).unwrap().unwrap();
     assert_eq!(rep.ranks.len(), 2);
     for (a, b) in base.ranks.iter().zip(&rep.ranks) {
         assert_eq!(a.state_hash, b.state_hash, "rank {}", a.rank);
     }
     // Both devices were held at once by the one job.
-    assert_eq!(client.stats().pool.peak_busy, 2);
+    assert_eq!(server.stats().pool.peak_busy, 2);
     server.shutdown();
     server.join();
 }
 
 #[test]
 fn resubmission_is_a_cache_hit_running_zero_steps() {
-    let (server, client) = boot(1, 1, 8, 8);
+    let server = boot(1, 1, 8, 8);
     let spec = JobSpec::new(tiny_deck(4)).seed(7).tenant("a");
 
-    let first = client.run(spec.clone()).unwrap();
+    let id = server.submit(spec.clone()).unwrap();
+    let first = server.wait(id).unwrap();
     assert_eq!(first.state, JobState::Done, "{:?}", first.error);
     assert!(!first.cached);
     let steps_after_first = server.total_steps();
@@ -123,24 +121,24 @@ fn resubmission_is_a_cache_hit_running_zero_steps() {
 
     // Identical resubmission — even from another tenant at another
     // priority: the run identity is (deck content, version, ranks, seed).
-    let second = client
-        .run(spec.clone().tenant("b").priority(9))
-        .unwrap();
+    let id = server.submit(spec.clone().tenant("b").priority(9)).unwrap();
+    let second = server.wait(id).unwrap();
     assert_eq!(second.state, JobState::Done);
     assert!(second.cached, "resubmission must be served from the cache");
     assert_eq!(server.total_steps(), steps_after_first, "zero new steps");
 
-    let r1 = client.result(first.id).unwrap().unwrap();
-    let r2 = client.result(second.id).unwrap().unwrap();
+    let r1 = server.result(first.id).unwrap().unwrap();
+    let r2 = server.result(second.id).unwrap().unwrap();
     assert!(Arc::ptr_eq(&r1, &r2), "cache returns the same report");
 
     // A genuinely different run (new seed) is a miss and executes.
-    let third = client.run(spec.seed(8)).unwrap();
+    let id = server.submit(spec.seed(8)).unwrap();
+    let third = server.wait(id).unwrap();
     assert_eq!(third.state, JobState::Done);
     assert!(!third.cached);
     assert_eq!(server.total_steps(), steps_after_first + 4);
 
-    let stats = client.stats();
+    let stats = server.stats();
     assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.cache_misses, 2);
     server.shutdown();
@@ -149,34 +147,34 @@ fn resubmission_is_a_cache_hit_running_zero_steps() {
 
 #[test]
 fn quota_and_backpressure_reject_structured() {
-    let (server, client) = boot(1, 1, 2, 2);
+    let server = boot(1, 1, 2, 2);
     let long = tiny_deck(100_000); // cancelled below; never runs out
 
     // Tenant a: one running + one queued = at quota.
-    let j1 = client.submit(JobSpec::new(long.clone()).tenant("a").seed(1)).unwrap();
-    await_running(&client, j1);
-    let j2 = client.submit(JobSpec::new(long.clone()).tenant("a").seed(2)).unwrap();
+    let j1 = server.submit(JobSpec::new(long.clone()).tenant("a").seed(1)).unwrap();
+    await_running(&server, j1);
+    let j2 = server.submit(JobSpec::new(long.clone()).tenant("a").seed(2)).unwrap();
     assert_eq!(
-        client.submit(JobSpec::new(long.clone()).tenant("a").seed(3)),
+        server.submit(JobSpec::new(long.clone()).tenant("a").seed(3)),
         Err(SubmitError::QuotaExceeded { tenant: "a".into(), quota: 2 })
     );
 
     // Tenant b is under quota but fills the queue — then hits backpressure.
-    let j3 = client.submit(JobSpec::new(long.clone()).tenant("b").seed(4)).unwrap();
+    let j3 = server.submit(JobSpec::new(long.clone()).tenant("b").seed(4)).unwrap();
     assert_eq!(
-        client.submit(JobSpec::new(long.clone()).tenant("b").seed(5)),
+        server.submit(JobSpec::new(long.clone()).tenant("b").seed(5)),
         Err(SubmitError::QueueFull { capacity: 2 })
     );
 
     // Cancelling a queued job frees its quota and queue slot.
-    client.cancel(j2).unwrap();
-    assert_eq!(client.status(j2).unwrap().state, JobState::Cancelled);
-    let j4 = client.submit(JobSpec::new(long.clone()).tenant("b").seed(5)).unwrap();
+    server.cancel(j2).unwrap();
+    assert_eq!(server.status(j2).unwrap().state, JobState::Cancelled);
+    let j4 = server.submit(JobSpec::new(long.clone()).tenant("b").seed(5)).unwrap();
 
     // Cancel the running job cooperatively: it must end Cancelled (not
     // Failed), with the cancellation visible in the error message.
-    client.cancel(j1).unwrap();
-    let s1 = client.wait(j1).unwrap();
+    server.cancel(j1).unwrap();
+    let s1 = server.wait(j1).unwrap();
     assert_eq!(s1.state, JobState::Cancelled);
     assert!(
         s1.error.as_deref().unwrap_or("").contains("cancelled"),
@@ -185,7 +183,7 @@ fn quota_and_backpressure_reject_structured() {
     );
 
     for id in [j3, j4] {
-        let _ = client.cancel(id);
+        let _ = server.cancel(id);
     }
     server.shutdown();
     server.join();
@@ -193,11 +191,11 @@ fn quota_and_backpressure_reject_structured() {
 
 #[test]
 fn invalid_deck_and_infeasible_jobs_are_rejected_at_submit() {
-    let (server, client) = boot(2, 1, 8, 8);
+    let server = boot(2, 1, 8, 8);
 
     let mut bad = tiny_deck(4);
     bad.physics.gamma = 5.0;
-    match client.submit(JobSpec::new(bad)) {
+    match server.submit(JobSpec::new(bad)) {
         Err(SubmitError::InvalidDeck(e)) => {
             assert!(e.problems.iter().any(|p| p.contains("gamma")), "{e}");
             assert!(e.to_string().starts_with("invalid deck:"), "{e}");
@@ -206,7 +204,7 @@ fn invalid_deck_and_infeasible_jobs_are_rejected_at_submit() {
     }
 
     assert_eq!(
-        client.submit(JobSpec::new(tiny_deck(4)).ranks(3)),
+        server.submit(JobSpec::new(tiny_deck(4)).ranks(3)),
         Err(SubmitError::Infeasible {
             needed: 3,
             pool: 2,
@@ -214,7 +212,7 @@ fn invalid_deck_and_infeasible_jobs_are_rejected_at_submit() {
         })
     );
     assert_eq!(
-        client.submit(JobSpec::new(tiny_deck(4)).ranks(0)),
+        server.submit(JobSpec::new(tiny_deck(4)).ranks(0)),
         Err(SubmitError::Infeasible {
             needed: 0,
             pool: 2,
@@ -223,7 +221,7 @@ fn invalid_deck_and_infeasible_jobs_are_rejected_at_submit() {
     );
 
     // Nothing was admitted.
-    let stats = client.stats();
+    let stats = server.stats();
     assert_eq!((stats.queued, stats.running, stats.done), (0, 0, 0));
     server.shutdown();
     server.join();
@@ -231,26 +229,26 @@ fn invalid_deck_and_infeasible_jobs_are_rejected_at_submit() {
 
 #[test]
 fn higher_priority_queued_job_runs_first() {
-    let (server, client) = boot(1, 1, 8, 8);
+    let server = boot(1, 1, 8, 8);
     let long = tiny_deck(100_000);
 
-    let blocker = client.submit(JobSpec::new(long.clone()).seed(1)).unwrap();
-    await_running(&client, blocker);
-    let low = client.submit(JobSpec::new(long.clone()).seed(2).priority(0)).unwrap();
-    let high = client.submit(JobSpec::new(long.clone()).seed(3).priority(5)).unwrap();
+    let blocker = server.submit(JobSpec::new(long.clone()).seed(1)).unwrap();
+    await_running(&server, blocker);
+    let low = server.submit(JobSpec::new(long.clone()).seed(2).priority(0)).unwrap();
+    let high = server.submit(JobSpec::new(long.clone()).seed(3).priority(5)).unwrap();
 
-    client.cancel(blocker).unwrap();
-    assert_eq!(client.wait(blocker).unwrap().state, JobState::Cancelled);
+    server.cancel(blocker).unwrap();
+    assert_eq!(server.wait(blocker).unwrap().state, JobState::Cancelled);
 
     // The worker must pick the high-priority job even though the
     // low-priority one was submitted earlier.
-    await_running(&client, high);
-    assert_eq!(client.status(high).unwrap().state, JobState::Running);
-    assert_eq!(client.status(low).unwrap().state, JobState::Queued);
+    await_running(&server, high);
+    assert_eq!(server.status(high).unwrap().state, JobState::Running);
+    assert_eq!(server.status(low).unwrap().state, JobState::Queued);
 
     for id in [high, low] {
-        let _ = client.cancel(id);
-        let _ = client.wait(id);
+        let _ = server.cancel(id);
+        let _ = server.wait(id);
     }
     server.shutdown();
     server.join();
@@ -278,22 +276,23 @@ fn rank_death_mid_job_recovers_under_the_scheduler() {
     deck.fault.rank = 1;
     deck.fault.count = 1;
 
-    let (server, client) = boot(2, 1, 8, 8);
-    let status = client
-        .run(JobSpec::new(deck).version(CodeVersion::Ad).ranks(2).seed(17))
+    let server = boot(2, 1, 8, 8);
+    let id = server
+        .submit(JobSpec::new(deck).version(CodeVersion::Ad).ranks(2).seed(17))
         .expect("submit");
+    let status = server.wait(id).unwrap();
     assert_eq!(status.state, JobState::Done, "{:?}", status.error);
     assert!(
         status.recovery_events > 0,
         "the death and restore must be streamed as progress"
     );
-    let log = client.recovery_log(status.id).unwrap();
+    let log = server.recovery_log(status.id).unwrap();
     assert!(
         log.iter().any(|l| l.contains("restored")),
         "recovery log: {log:?}"
     );
 
-    let rep = client.result(status.id).unwrap().unwrap();
+    let rep = server.result(status.id).unwrap().unwrap();
     for (a, b) in base.ranks.iter().zip(&rep.ranks) {
         assert_eq!(
             a.state_hash, b.state_hash,
@@ -309,22 +308,22 @@ fn rank_death_mid_job_recovers_under_the_scheduler() {
 
 #[test]
 fn shutdown_cancels_queued_work_and_rejects_new_submissions() {
-    let (server, client) = boot(1, 1, 8, 8);
+    let server = boot(1, 1, 8, 8);
     let long = tiny_deck(100_000);
-    let running = client.submit(JobSpec::new(long.clone()).seed(1)).unwrap();
-    await_running(&client, running);
-    let queued = client.submit(JobSpec::new(long.clone()).seed(2)).unwrap();
+    let running = server.submit(JobSpec::new(long.clone()).seed(1)).unwrap();
+    await_running(&server, running);
+    let queued = server.submit(JobSpec::new(long.clone()).seed(2)).unwrap();
 
     server.shutdown();
     assert_eq!(
-        client.submit(JobSpec::new(long).seed(3)),
+        server.submit(JobSpec::new(long).seed(3)),
         Err(SubmitError::ShuttingDown)
     );
-    let s = client.wait(queued).unwrap();
+    let s = server.wait(queued).unwrap();
     assert_eq!(s.state, JobState::Cancelled);
     assert_eq!(s.error.as_deref(), Some("server shutdown"));
     // The running job is asked to stop cooperatively and the workers
     // drain: join() must return.
     server.join();
-    assert_eq!(client.status(running).unwrap().state, JobState::Cancelled);
+    assert_eq!(server.status(running).unwrap().state, JobState::Cancelled);
 }
