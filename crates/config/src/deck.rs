@@ -134,13 +134,10 @@ pub struct CheckpointCfg {
 /// `minimpi::World::run_resilient`). Everything defaults to *off*:
 /// `max_respawns = 0` keeps runs on the classic try-run path where a
 /// rank death is terminal, and `halo_retries = 0` keeps the halo
-/// exchange on the unverified fast path.
+/// exchange on the unverified fast path. A rank counts as dead when its
+/// worker panics; a hung rank is not detected.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResilienceCfg {
-    /// Heartbeat interval in milliseconds for the failure detector.
-    pub heartbeat_ms: u64,
-    /// Consecutive missed heartbeats before a rank is declared dead.
-    pub miss_budget: u32,
     /// How many dead ranks the world will respawn before a death becomes
     /// terminal. 0 disables the resilient execution path entirely.
     pub max_respawns: usize,
@@ -279,11 +276,6 @@ pub struct Deck {
     /// way; default off. The `MAS_PAR_AUDIT=1` environment variable also
     /// enables it when this key is false.
     pub par_audit: bool,
-    /// Host-engine tile width: k-planes grouped per dispatch chunk.
-    /// 0 = auto-tune from (iteration-space shape, thread count) per kernel
-    /// site. Any value produces bit-identical physics — only the dispatch
-    /// granularity (and thus wall clock) changes.
-    pub tile_k: usize,
     /// Grid section.
     pub grid: GridCfg,
     /// Physics section.
@@ -311,7 +303,6 @@ impl Default for Deck {
             paper_cells: 0,
             host_threads: 0,
             par_audit: false,
-            tile_k: 0,
             grid: GridCfg {
                 nr: 48,
                 nt: 40,
@@ -351,8 +342,6 @@ impl Default for Deck {
                 max_recoveries: 3,
             },
             resilience: ResilienceCfg {
-                heartbeat_ms: 25,
-                miss_budget: 4,
                 max_respawns: 0,
                 halo_retries: 0,
                 recv_deadline_ms: 0,
@@ -393,7 +382,6 @@ impl Deck {
             ("run", "paper_cells") => self.paper_cells = v.as_usize()?,
             ("run", "host_threads") => self.host_threads = v.as_usize()?,
             ("run", "par_audit") => self.par_audit = v.as_bool()?,
-            ("run", "tile_k") => self.tile_k = v.as_usize()?,
             ("grid", "nr") => self.grid.nr = v.as_usize()?,
             ("grid", "nt") => self.grid.nt = v.as_usize()?,
             ("grid", "np") => self.grid.np = v.as_usize()?,
@@ -440,12 +428,6 @@ impl Deck {
             ("fault", "rank") => self.fault.rank = v.as_usize()?,
             ("fault", "io_error") => self.fault.io_error = v.as_str()?.to_string(),
             ("fault", "count") => self.fault.count = v.as_usize()? as u32,
-            ("resilience", "heartbeat_ms") => {
-                self.resilience.heartbeat_ms = v.as_usize()? as u64
-            }
-            ("resilience", "miss_budget") => {
-                self.resilience.miss_budget = v.as_usize()? as u32
-            }
             ("resilience", "max_respawns") => {
                 self.resilience.max_respawns = v.as_usize()?
             }
@@ -482,7 +464,7 @@ impl Deck {
     fn identity_text(&self) -> String {
         let b = |x: bool| if x { ".true." } else { ".false." };
         format!(
-            "&run\n  problem = '{}'\n  paper_cells = {}\n  host_threads = {}\n  par_audit = {}\n  tile_k = {}\n/\n\
+            "&run\n  problem = '{}'\n  paper_cells = {}\n  host_threads = {}\n  par_audit = {}\n/\n\
              &grid\n  nr = {}\n  nt = {}\n  np = {}\n  rmax = {}\n/\n\
              &physics\n  gamma = {}\n  visc = {}\n  eta = {}\n  kappa0 = {}\n  \
              radiation = {}\n  heating = {}\n  gravity = {}\n  rho0 = {}\n  \
@@ -493,14 +475,12 @@ impl Deck {
              &output\n  hist_interval = {}\n/\n\
              &checkpoint\n  interval = {}\n  dir = '{}'\n  restart_from = '{}'\n  \
              max_recoveries = {}\n/\n\
-             &resilience\n  heartbeat_ms = {}\n  miss_budget = {}\n  max_respawns = {}\n  \
-             halo_retries = {}\n  recv_deadline_ms = {}\n/\n\
+             &resilience\n  max_respawns = {}\n  halo_retries = {}\n  recv_deadline_ms = {}\n/\n\
              &fault\n  kind = '{}'\n  step = {}\n  rank = {}\n  io_error = '{}'\n  count = {}\n/\n",
             self.problem,
             self.paper_cells,
             self.host_threads,
             b(self.par_audit),
-            self.tile_k,
             self.grid.nr,
             self.grid.nt,
             self.grid.np,
@@ -529,8 +509,6 @@ impl Deck {
             self.checkpoint.dir,
             self.checkpoint.restart_from,
             self.checkpoint.max_recoveries,
-            self.resilience.heartbeat_ms,
-            self.resilience.miss_budget,
             self.resilience.max_respawns,
             self.resilience.halo_retries,
             self.resilience.recv_deadline_ms,
@@ -660,14 +638,6 @@ impl Deck {
         }
         if self.serve.max_attempts == 0 {
             errs.push("serve max_attempts must be >= 1".into());
-        }
-        if self.resilience.max_respawns > 0 {
-            if self.resilience.heartbeat_ms == 0 {
-                errs.push("resilience heartbeat_ms must be > 0 when max_respawns > 0".into());
-            }
-            if self.resilience.miss_budget == 0 {
-                errs.push("resilience miss_budget must be >= 1 when max_respawns > 0".into());
-            }
         }
         errs
     }
@@ -806,12 +776,9 @@ mod tests {
         assert_eq!(d.resilience.halo_retries, 0);
         assert_eq!(d.resilience.recv_deadline_ms, 0);
         assert_eq!(d.fault.count, 1);
-        let text = "&resilience\n heartbeat_ms = 10\n miss_budget = 6\n \
-                    max_respawns = 2\n halo_retries = 3\n recv_deadline_ms = 1500\n/\n\
+        let text = "&resilience\n max_respawns = 2\n halo_retries = 3\n recv_deadline_ms = 1500\n/\n\
                     &fault\n kind = 'halo_drop'\n step = 2\n count = 4\n/\n";
         let d = Deck::parse(text).unwrap();
-        assert_eq!(d.resilience.heartbeat_ms, 10);
-        assert_eq!(d.resilience.miss_budget, 6);
         assert_eq!(d.resilience.max_respawns, 2);
         assert_eq!(d.resilience.halo_retries, 3);
         assert_eq!(d.resilience.recv_deadline_ms, 1500);
@@ -823,11 +790,10 @@ mod tests {
     fn validate_checks_resilience_and_fault_count() {
         let mut d = Deck::default();
         d.resilience.max_respawns = 1;
-        d.resilience.heartbeat_ms = 0;
-        d.resilience.miss_budget = 0;
+        assert!(d.validate().is_empty(), "{:?}", d.validate());
         d.fault.count = 0;
         let errs = d.validate();
-        assert_eq!(errs.len(), 3, "{errs:?}");
+        assert_eq!(errs.len(), 1, "{errs:?}");
     }
 
     #[test]

@@ -56,8 +56,7 @@ pub struct RunReport {
     /// Learned tile plan per kernel site: `(site name, nk, tile_k)` for
     /// every site whose iteration space spans more than one k-plane.
     /// `tile_k` is the number of k-planes grouped per host-engine
-    /// dispatch chunk — auto-tuned from (shape, thread count) unless
-    /// overridden via the deck's `tile_k`.
+    /// dispatch chunk, auto-tuned from (shape, thread count).
     pub tile_plans: Vec<(&'static str, usize, usize)>,
 }
 

@@ -202,10 +202,6 @@ impl Simulation {
         if deck.host_threads > 0 {
             builder = builder.threads(deck.host_threads);
         }
-        if deck.tile_k > 0 {
-            // 0 keeps the per-site auto-tuner.
-            builder = builder.tile_k(deck.tile_k);
-        }
         if deck.par_audit {
             // Only force audit mode *on*: leaving the builder untouched
             // when the key is false lets MAS_PAR_AUDIT=1 enable it too.

@@ -44,10 +44,7 @@ use gpusim::DeviceSpec;
 use mas_config::{Deck, FaultKind};
 use mas_field::Array3;
 use mas_grid::NGHOST;
-use minimpi::{
-    scaled_ms, Comm, CommFailure, HeartbeatCfg, NetFault, RankPanic, RecvFailure, ReduceOp,
-    Resilience, World,
-};
+use minimpi::{scaled_ms, Comm, CommFailure, NetFault, ReduceOp, World};
 use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -85,9 +82,9 @@ fn recv_deadline_for(deck: &Deck, plan: Option<&FaultPlan>) -> Duration {
 }
 
 /// How long a recovery fence may wait for all participants: survivors
-/// first burn their receive deadline noticing the death, then the
-/// heartbeat monitor must declare it and spawn the replacement before
-/// the last participant arrives.
+/// first burn their receive deadline noticing the death, and the
+/// replacement the world spawned for the panicked rank must then build
+/// its simulation and reach the fence.
 fn fence_timeout(recv_deadline: Duration) -> Duration {
     recv_deadline * 4 + scaled_ms(5_000)
 }
@@ -235,69 +232,15 @@ impl RecoveryLog {
     }
 }
 
-/// One rank's failure: what kind of loss it was, where, and why.
+/// One rank's failure: the worker hit a bug or an unrecoverable error
+/// (an injected panic, a lost peer, an exhausted recovery budget, a
+/// failed restart).
 #[derive(Clone, Debug)]
-pub enum RankFailure {
-    /// The rank's worker hit a bug or an unrecoverable error: an injected
-    /// panic, an exhausted recovery budget, a failed restart.
-    Failed {
-        /// The failed rank.
-        rank: usize,
-        /// What killed it.
-        message: String,
-    },
-    /// The rank was declared dead by the failure detector (heartbeat
-    /// loss, or fenced out by a respawn) and was not — or could no
-    /// longer be — respawned.
-    Dead {
-        /// The dead rank.
-        rank: usize,
-        /// The communicator epoch its incarnation was running under.
-        epoch: u64,
-        /// The detector's diagnosis.
-        message: String,
-    },
-}
-
-impl RankFailure {
-    /// The failed rank's id.
-    pub fn rank(&self) -> usize {
-        match self {
-            Self::Failed { rank, .. } | Self::Dead { rank, .. } => *rank,
-        }
-    }
-
-    /// The failure message.
-    pub fn message(&self) -> &str {
-        match self {
-            Self::Failed { message, .. } | Self::Dead { message, .. } => message,
-        }
-    }
-}
-
-/// Classify a worker panic into a [`RankFailure`]: a typed
-/// [`CommFailure`] carrying a heartbeat/fence death becomes
-/// [`RankFailure::Dead`] with its epoch; anything else stays a generic
-/// [`RankFailure::Failed`].
-fn rank_failure_from_panic(p: RankPanic) -> RankFailure {
-    match &p.failure {
-        Some(cf)
-            if matches!(
-                cf.failure,
-                RecvFailure::HeartbeatLost { .. } | RecvFailure::FencedOut { .. }
-            ) =>
-        {
-            RankFailure::Dead {
-                rank: p.rank,
-                epoch: cf.epoch,
-                message: p.message,
-            }
-        }
-        _ => RankFailure::Failed {
-            rank: p.rank,
-            message: p.message,
-        },
-    }
+pub struct RankFailure {
+    /// The failed rank.
+    pub rank: usize,
+    /// What killed it.
+    pub message: String,
 }
 
 /// A run that could not complete: the structured error carrying every
@@ -318,15 +261,8 @@ pub struct RunError {
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} rank(s) failed:", self.failures.len())?;
-        for fail in &self.failures {
-            match fail {
-                RankFailure::Failed { rank, message } => {
-                    write!(f, "\n  rank {rank}: {message}")?
-                }
-                RankFailure::Dead { rank, epoch, message } => {
-                    write!(f, "\n  rank {rank} (dead, epoch {epoch}): {message}")?
-                }
-            }
+        for RankFailure { rank, message } in &self.failures {
+            write!(f, "\n  rank {rank}: {message}")?;
         }
         Ok(())
     }
@@ -748,8 +684,11 @@ pub fn run_supervised_with_progress(
     for (rank, res) in results.into_iter().enumerate() {
         match res {
             Ok(Ok(report)) => ranks.push(report),
-            Ok(Err(message)) => failures.push(RankFailure::Failed { rank, message }),
-            Err(p) => failures.push(rank_failure_from_panic(p)),
+            Ok(Err(message)) => failures.push(RankFailure { rank, message }),
+            Err(p) => failures.push(RankFailure {
+                rank: p.rank,
+                message: p.message,
+            }),
         }
     }
     if failures.is_empty() {
@@ -844,9 +783,8 @@ fn is_comm_panic(p: &(dyn std::any::Any + Send)) -> bool {
     msg.contains("timed out") || msg.contains("hung up") || msg.contains("tag mismatch")
 }
 
-/// [`run_supervised`] under a resilient world: a heartbeat monitor
-/// declares silent ranks dead, dead ranks are respawned under a bumped
-/// communicator epoch (up to `resilience.max_respawns` times), survivors
+/// [`run_supervised`] under a resilient world: a rank whose worker
+/// panics is respawned (up to `resilience.max_respawns` times), survivors
 /// quiesce at a collective epoch fence, and every rank then rolls back
 /// to the last committed checkpoint and resumes — bit-exact with an
 /// undisturbed run.
@@ -863,17 +801,10 @@ fn run_resilient_supervised(
     let deck = deck.clone();
     let plan = FaultPlan::from_deck(&deck);
     let fired = Arc::new(AtomicBool::new(false));
-    let cfg = Resilience {
-        heartbeat: HeartbeatCfg {
-            interval: Duration::from_millis(deck.resilience.heartbeat_ms.max(1)),
-            miss_budget: deck.resilience.miss_budget.max(1),
-        },
-        max_respawns: deck.resilience.max_respawns,
-    };
     let max_fences = deck.resilience.max_respawns;
     let deadline = recv_deadline_for(&deck, plan.as_ref());
 
-    let report = World::run_resilient(n_ranks, cfg, {
+    let report = World::run_resilient(n_ranks, max_fences, {
         let deck = deck.clone();
         let fired = fired.clone();
         move |comm: Comm| -> Result<crate::run::RunReport, String> {
@@ -939,11 +870,14 @@ fn run_resilient_supervised(
                 r.recovery.stale_rejected = stale;
                 ranks.push(r);
             }
-            Ok(Err(message)) => failures.push(RankFailure::Failed { rank, message }),
+            Ok(Err(message)) => failures.push(RankFailure { rank, message }),
             Err(p) => {
                 // A death that was not respawned: the budget ran out.
                 respawns_exhausted = true;
-                failures.push(rank_failure_from_panic(p));
+                failures.push(RankFailure {
+                    rank: p.rank,
+                    message: p.message,
+                });
             }
         }
     }
@@ -1199,12 +1133,12 @@ mod tests {
         let injected = err
             .failures
             .iter()
-            .find(|f| f.rank() == 1)
+            .find(|f| f.rank == 1)
             .expect("the injected rank must be among the failures");
         assert!(
-            injected.message().contains("injected fault"),
+            injected.message.contains("injected fault"),
             "{}",
-            injected.message()
+            injected.message
         );
         // Display formats every failure.
         let s = err.to_string();
@@ -1229,9 +1163,9 @@ mod tests {
         // a hang-up. All three are diagnosable, none is a deadlock.
         assert!(
             err.failures.iter().any(|f| {
-                f.message().contains("timed out")
-                    || f.message().contains("tag mismatch")
-                    || f.message().contains("hung up")
+                f.message.contains("timed out")
+                    || f.message.contains("tag mismatch")
+                    || f.message.contains("hung up")
             }),
             "a dropped message must surface as a diagnosable failure: {err}"
         );
@@ -1253,11 +1187,9 @@ mod tests {
         let err = run_supervised(&deck, CodeVersion::A, spec(), 1, 1, false).unwrap_err();
         assert_eq!(err.failures.len(), 1);
         assert!(
-            err.failures[0]
-                .message()
-                .contains("recovery budget exhausted"),
+            err.failures[0].message.contains("recovery budget exhausted"),
             "{}",
-            err.failures[0].message()
+            err.failures[0].message
         );
     }
 
@@ -1301,39 +1233,6 @@ mod tests {
         assert!(s.contains("3 halo resend(s)"), "{s}");
         assert!(s.contains("1 respawn(s)"), "{s}");
         assert!(s.contains("2 stale envelope(s) rejected"), "{s}");
-    }
-
-    #[test]
-    fn heartbeat_death_maps_to_dead_rank_failure() {
-        // Satellite: a heartbeat- or fence-declared death surfaces as the
-        // structured Dead variant (with its epoch), not a generic string.
-        let p = RankPanic {
-            rank: 2,
-            message: "rank 2 declared dead: heartbeat lost for 4 polls".into(),
-            failure: Some(CommFailure {
-                rank: 2,
-                epoch: 3,
-                failure: RecvFailure::HeartbeatLost { rank: 2, missed: 4 },
-            }),
-        };
-        match rank_failure_from_panic(p) {
-            RankFailure::Dead { rank, epoch, message } => {
-                assert_eq!(rank, 2);
-                assert_eq!(epoch, 3);
-                assert!(message.contains("heartbeat"), "{message}");
-            }
-            other => panic!("expected Dead, got {other:?}"),
-        }
-        // A plain panic (no typed failure) stays the generic variant.
-        let p = RankPanic {
-            rank: 1,
-            message: "injected fault: rank 1 lost at step 2".into(),
-            failure: None,
-        };
-        assert!(matches!(
-            rank_failure_from_panic(p),
-            RankFailure::Failed { rank: 1, .. }
-        ));
     }
 
     #[test]
@@ -1426,8 +1325,6 @@ mod tests {
         d.checkpoint.interval = 2;
         d.checkpoint.dir = temp_dir(dir).to_string_lossy().into_owned();
         d.resilience.max_respawns = 1;
-        d.resilience.heartbeat_ms = 10;
-        d.resilience.miss_budget = 5;
         d.resilience.recv_deadline_ms = 500;
         d
     }
@@ -1495,8 +1392,6 @@ mod tests {
         // still bit-exact against the undisturbed run, on four ranks.
         let mut deck = small_deck();
         deck.resilience.max_respawns = 1;
-        deck.resilience.heartbeat_ms = 10;
-        deck.resilience.miss_budget = 5;
         deck.resilience.recv_deadline_ms = 500;
         deck.fault = FaultCfg {
             kind: FaultKind::Panic,
@@ -1615,7 +1510,7 @@ mod tests {
                 .expect_err("a false-returning sink must cancel the run");
         assert_eq!(err.failures.len(), 2, "{err}");
         for f in &err.failures {
-            assert!(f.message().contains("cancelled"), "{}", f.message());
+            assert!(f.message.contains("cancelled"), "{}", f.message);
         }
     }
 }

@@ -5,17 +5,17 @@
 //! payload. The epoch is the ULFM-style fencing device — after a rank
 //! death and respawn the world advances its epoch at a collective
 //! [`Comm::epoch_fence`], and anything still in flight from the dead
-//! incarnation is rejected instead of corrupting state. The CRC and
-//! sequence numbers feed the *verified* receive path ([`Comm::try_recv`])
-//! used by retrying transports; the legacy [`Comm::recv`] stays
+//! incarnation is rejected instead of corrupting state. The CRC feeds
+//! the *verified* receive path ([`Comm::try_recv`]) used by retrying
+//! transports, which reports a corrupt message by its sequence number;
+//! the legacy [`Comm::recv`] stays
 //! bit-for-bit compatible (it delivers corrupted payloads — detecting
 //! them is the health check's job on that path).
 
 use crate::chan::{Receiver, RecvTimeoutError, Sender};
-use crate::detector::{Liveness, LivenessHandle};
 use gpusim::{DeviceContext, Phase, TimeCategory};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -120,21 +120,6 @@ pub enum RecvFailure {
         /// Tag that was awaited.
         want: Tag,
     },
-    /// This `Comm` belongs to a superseded incarnation: the world fenced
-    /// it out after declaring its rank dead (zombie protection).
-    FencedOut {
-        /// The fenced-out rank.
-        rank: usize,
-        /// The superseded incarnation number.
-        incarnation: usize,
-    },
-    /// The monitor declared the rank dead after its heartbeat went quiet.
-    HeartbeatLost {
-        /// The rank whose heart stopped.
-        rank: usize,
-        /// Consecutive monitor polls with no beat.
-        missed: u32,
-    },
     /// A collective epoch fence did not complete: some participant never
     /// arrived (rank already finished, or respawn budget exhausted).
     FenceTimeout {
@@ -164,14 +149,6 @@ impl std::fmt::Display for RecvFailure {
             RecvFailure::TagMismatch { src, got, want } => {
                 write!(f, "tag mismatch from rank {src}: got {got}, want {want}")
             }
-            RecvFailure::FencedOut { rank, incarnation } => write!(
-                f,
-                "rank {rank} incarnation {incarnation} fenced out by respawn"
-            ),
-            RecvFailure::HeartbeatLost { rank, missed } => write!(
-                f,
-                "rank {rank} declared dead: heartbeat lost for {missed} polls"
-            ),
             RecvFailure::FenceTimeout { rank, waited } => write!(
                 f,
                 "rank {rank}: epoch fence timed out after {waited:?} — peer missing"
@@ -182,8 +159,8 @@ impl std::fmt::Display for RecvFailure {
 
 /// Typed panic payload used by the resilient communication paths: carries
 /// the failing rank, the epoch it failed under, and the structured
-/// failure. [`crate::World::try_run`] downcasts this back out so the run
-/// supervisor can distinguish "rank died" from "rank hit a bug".
+/// failure. The resilient run supervisor downcasts it to tell "a peer
+/// died under me" from "this rank hit a bug".
 #[derive(Clone, Debug)]
 pub struct CommFailure {
     /// The rank that observed (or suffered) the failure.
@@ -347,27 +324,20 @@ impl Fence {
 /// payload plus the contributor's sync time.
 type Contribution = (Arc<Vec<f64>>, f64);
 
-/// World-level shared control block: the communicator epoch, the current
-/// incarnation of every rank (zombie fencing), liveness slots for the
-/// heartbeat detector, and the fence. One per world, shared by every
+/// World-level shared control block: the communicator epoch, the
+/// stale-envelope counter and the fence. One per world, shared by every
 /// `Comm` through an `Arc`.
 pub(crate) struct WorldCtl {
     pub(crate) epoch: AtomicU64,
-    pub(crate) incarnations: Vec<AtomicUsize>,
     pub(crate) stale_rejected: AtomicU64,
-    pub(crate) seq_gaps: AtomicU64,
-    pub(crate) liveness: Arc<LivenessHandle>,
     pub(crate) fence: Fence,
 }
 
 impl WorldCtl {
-    pub(crate) fn new(n: usize) -> Arc<Self> {
+    pub(crate) fn new() -> Arc<Self> {
         Arc::new(Self {
             epoch: AtomicU64::new(0),
-            incarnations: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             stale_rejected: AtomicU64::new(0),
-            seq_gaps: AtomicU64::new(0),
-            liveness: Arc::new(LivenessHandle(Liveness::new(n))),
             fence: Fence::new(),
         })
     }
@@ -391,7 +361,7 @@ pub struct Comm {
     pub(crate) from_ranks: FromRanks,
     pub(crate) from_root: Receiver<BcastMsg>,
     pub(crate) to_ranks: Vec<Sender<BcastMsg>>,
-    /// World-shared control block (epoch, incarnations, liveness, fence).
+    /// World-shared control block (epoch, stale counter, fence).
     pub(crate) ctl: Arc<WorldCtl>,
     /// Collective latency per tree stage, µs.
     pub coll_latency_us: f64,
@@ -407,8 +377,6 @@ pub struct Comm {
     forced_epoch: Cell<Option<u64>>,
     /// Per-destination send sequence numbers (reset at each fence).
     send_seq: Vec<Cell<u64>>,
-    /// Per-source expected receive sequence numbers.
-    recv_seq: Vec<Cell<u64>>,
     /// Wall-clock receive deadline; `None` = block forever (the default,
     /// zero-overhead path). Armed by the run supervisor alongside fault
     /// injection so a lost message becomes a diagnosable failure.
@@ -454,7 +422,6 @@ impl Comm {
             armed_count: Cell::new(0),
             forced_epoch: Cell::new(None),
             send_seq: (0..size).map(|_| Cell::new(0)).collect(),
-            recv_seq: (0..size).map(|_| Cell::new(0)).collect(),
             recv_deadline: Cell::new(None),
             contrib_buf: RefCell::new(Arc::new(Vec::new())),
             bcast_buf: RefCell::new(Arc::new(Vec::new())),
@@ -487,14 +454,10 @@ impl Comm {
         Arc::clone(&slot)
     }
 
-    /// Arm `fault` for the next point-to-point send from this rank. The
-    /// fault fires once and disarms. Used by the fault-injection plan.
-    pub fn arm_net_fault(&self, fault: NetFault) {
-        self.arm_net_fault_n(fault, 1);
-    }
-
-    /// Arm `fault` for the next `count` point-to-point sends — the
-    /// repeated-loss scenario that exhausts a bounded retry budget.
+    /// Arm `fault` for the next `count` point-to-point sends from this
+    /// rank; it disarms after the last one (`count = 0` disarms now).
+    /// Used by the fault-injection plan; a burst longer than the halo
+    /// retry budget exhausts it.
     pub fn arm_net_fault_n(&self, fault: NetFault, count: u32) {
         self.armed_fault.set(if count == 0 { None } else { Some(fault) });
         self.armed_count.set(count);
@@ -529,20 +492,6 @@ impl Comm {
         self.ctl.stale_rejected.load(Ordering::SeqCst)
     }
 
-    /// Sequence gaps observed on receives (world total) — each gap is a
-    /// message that was sent but never arrived.
-    pub fn seq_gaps(&self) -> u64 {
-        self.ctl.seq_gaps.load(Ordering::SeqCst)
-    }
-
-    /// `true` once the world has respawned this rank: this handle belongs
-    /// to a dead incarnation and every further operation on it panics
-    /// with a structured [`CommFailure`]. A zombie thread polls this to
-    /// exit cleanly.
-    pub fn fenced_out(&self) -> bool {
-        self.ctl.incarnations[self.rank].load(Ordering::SeqCst) != self.incarnation
-    }
-
     /// Test hook: advance the world epoch without a fence. Returns the
     /// new epoch. Real recovery advances the epoch inside
     /// [`Comm::epoch_fence`], where every rank is quiesced.
@@ -556,34 +505,14 @@ impl Comm {
         self.forced_epoch.set(Some(epoch));
     }
 
-    /// Test hook: freeze this rank's heartbeat so the monitor declares it
-    /// dead while the thread is still running (the zombie scenario).
-    pub fn halt_heartbeat(&self) {
-        self.ctl.liveness.0.halt(self.rank);
-    }
-
-    fn check_fenced(&self) {
-        if self.fenced_out() {
-            std::panic::panic_any(CommFailure {
-                rank: self.rank,
-                epoch: self.epoch(),
-                failure: RecvFailure::FencedOut {
-                    rank: self.rank,
-                    incarnation: self.incarnation,
-                },
-            });
-        }
-    }
-
     /// Collective recovery point. All `size` live incarnations must call
     /// this; the barrier quiesces the world, every rank drains its own
-    /// inboxes of dead-incarnation traffic, sequence numbers reset, and
+    /// inboxes of dead-incarnation traffic, send sequence numbers reset, and
     /// the last arriver advances the epoch. Returns the new epoch, or a
     /// structured failure if some participant never arrived (rank
     /// already finished, or the respawn budget was exhausted so no
     /// replacement is coming).
     pub fn epoch_fence(&self, timeout: Duration) -> Result<u64, RecvFailure> {
-        self.check_fenced();
         let n = self.size;
         // Phase 1: arrive. Once all n are here nothing is in flight.
         self.ctl
@@ -613,9 +542,6 @@ impl Comm {
             self.ctl.stale_rejected.fetch_add(drained, Ordering::SeqCst);
         }
         for c in &self.send_seq {
-            c.set(0);
-        }
-        for c in &self.recv_seq {
             c.set(0);
         }
         // Phase 2: the last arriver bumps the epoch; all resume in it.
@@ -714,7 +640,6 @@ impl Comm {
         ctx: &DeviceContext,
         cost_bytes: f64,
     ) {
-        self.check_fenced();
         // Envelope fields are computed over the pristine payload: the CRC
         // models an end-to-end checksum stamped before the wire, so
         // injected in-flight corruption is detectable by the receiver.
@@ -747,8 +672,7 @@ impl Comm {
                     }
                 }
                 NetFault::Drop => {
-                    // Lost packet: the message never enters the channel
-                    // (the sequence number it consumed becomes a gap).
+                    // Lost packet: the message never enters the channel.
                     return;
                 }
             }
@@ -776,7 +700,6 @@ impl Comm {
     /// headers with link-level retransmit while payload corruption leaks
     /// through to the end-to-end checksum.
     pub fn send_ctl(&self, dst: usize, tag: Tag, data: Vec<f64>, ctx: &DeviceContext) {
-        self.check_fenced();
         let crc = payload_crc32(&data);
         let seq = self.send_seq[dst].get();
         self.send_seq[dst].set(seq + 1);
@@ -795,17 +718,6 @@ impl Comm {
         self.to[dst]
             .send(msg)
             .unwrap_or_else(|_| panic!("rank {dst} hung up"));
-    }
-
-    /// Track receive sequence continuity: a forward jump means messages
-    /// were lost in between (counted, not fatal — the verified transport
-    /// recovers them by retry, the legacy path by the health check).
-    fn note_seq(&self, src: usize, seq: u64) {
-        let expect = self.recv_seq[src].get();
-        if seq > expect {
-            self.ctl.seq_gaps.fetch_add(seq - expect, Ordering::SeqCst);
-        }
-        self.recv_seq[src].set(seq.max(expect) + 1);
     }
 
     /// Charge the receive-side wait + transfer time into the MPI phase.
@@ -858,7 +770,6 @@ impl Comm {
     /// without unwrapping it. The pooled halo path uses this: copy out of
     /// the shared buffer, then drop it so the sender's pool slot frees.
     pub fn recv_shared(&self, src: usize, tag: Tag, ctx: &mut DeviceContext) -> Arc<Vec<f64>> {
-        self.check_fenced();
         let msg = loop {
             let m = match self.recv_deadline.get() {
                 None => self.from[src]
@@ -879,7 +790,6 @@ impl Comm {
             }
             break m;
         };
-        self.note_seq(src, msg.seq);
         assert_eq!(
             msg.tag, tag,
             "tag mismatch on rank {} receiving from {}: got {}, want {}",
@@ -901,7 +811,6 @@ impl Comm {
         ctx: &mut DeviceContext,
         deadline: Duration,
     ) -> Result<Vec<f64>, RecvFailure> {
-        self.check_fenced();
         let msg = match self.from[src].recv_timeout(deadline) {
             Ok(m) => m,
             Err(RecvTimeoutError::Disconnected) => return Err(RecvFailure::Disconnected { src }),
@@ -922,7 +831,6 @@ impl Comm {
                 current,
             });
         }
-        self.note_seq(src, msg.seq);
         if msg.tag != tag {
             return Err(RecvFailure::TagMismatch {
                 src,
@@ -956,7 +864,6 @@ impl Comm {
         ctx: &mut DeviceContext,
         deadline: Duration,
     ) -> Result<(Tag, Arc<Vec<f64>>), RecvFailure> {
-        self.check_fenced();
         let msg = match self.from[src].recv_timeout(deadline) {
             Ok(m) => m,
             Err(RecvTimeoutError::Disconnected) => return Err(RecvFailure::Disconnected { src }),
@@ -977,7 +884,6 @@ impl Comm {
                 current,
             });
         }
-        self.note_seq(src, msg.seq);
         if !tags.contains(&msg.tag) {
             return Err(RecvFailure::TagMismatch {
                 src,
@@ -1011,7 +917,6 @@ impl Comm {
     /// result ride reusable `Arc` buffers (see [`Comm::fill_shared`]), and
     /// the root folds into reusable scratch.
     pub fn allreduce(&self, op: ReduceOp, vals: &mut [f64], ctx: &mut DeviceContext) {
-        self.check_fenced();
         let t_now = ctx.clock.now_us();
         let epoch = self.epoch();
         let contribution = Self::fill_shared(&self.contrib_buf, vals);
@@ -1070,38 +975,6 @@ impl Comm {
         }
         ctx.charge(cost, TimeCategory::Collective, "allreduce");
         ctx.set_phase(prev);
-    }
-
-    /// Gather each rank's payload to rank 0 (no timing charges — used for
-    /// diagnostics/reporting only). Returns `Some(payloads)` on rank 0.
-    pub fn gather_to_root(&self, data: Vec<f64>, ctx: &DeviceContext) -> Option<Vec<Vec<f64>>> {
-        self.check_fenced();
-        let epoch = self.epoch();
-        self.to_root
-            .send((self.rank, Arc::new(data), ctx.clock.now_us(), epoch))
-            .expect("root hung up");
-        if let Some(rx) = &self.from_ranks {
-            let mut out: Vec<Option<Vec<f64>>> = vec![None; self.size];
-            let mut got = 0;
-            while got < self.size {
-                let (r, v, _, _e) = self.recv_collective(rx, "gather_to_root", |m| m.3);
-                if out[r].is_none() {
-                    got += 1;
-                }
-                out[r] = Some(Arc::try_unwrap(v).unwrap_or_else(|a| (*a).clone()));
-            }
-            // Release the non-root ranks (they wait on from_root for sync).
-            let empty = Arc::new(Vec::new());
-            for s in &self.to_ranks {
-                s.send((Arc::clone(&empty), 0.0, epoch)).expect("rank hung up");
-            }
-            let res = out.into_iter().map(|o| o.expect("missing")).collect();
-            let _ = self.from_root.recv();
-            Some(res)
-        } else {
-            let _ = self.from_root.recv();
-            None
-        }
     }
 }
 

@@ -12,9 +12,8 @@
 //!   `max(t_local, t_send + transfer_time)` — the LogGP-style rule that
 //!   makes simulated multi-rank timings deterministic regardless of how
 //!   the OS actually schedules the threads;
-//! * collectives (barrier, allreduce, gather, bcast) synchronize all
-//!   virtual clocks and reduce **in rank order**, so results are bitwise
-//!   deterministic;
+//! * collectives (barrier, allreduce) synchronize all virtual clocks and
+//!   reduce **in rank order**, so results are bitwise deterministic;
 //! * the transfer path is selectable per message: GPU peer-to-peer
 //!   (CUDA-aware MPI with manual data management) or host-staged (what
 //!   unified memory forces, Fig. 4 of the paper).
@@ -24,12 +23,10 @@
 
 pub(crate) mod chan;
 pub mod comm;
-pub mod detector;
 pub mod world;
 
 pub use comm::{Comm, CommFailure, NetFault, NetPath, RecvFailure, ReduceOp, Tag};
-pub use detector::HeartbeatCfg;
-pub use world::{RankPanic, Resilience, ResilientReport, RespawnEvent, World};
+pub use world::{RankPanic, ResilientReport, RespawnEvent, World};
 
 /// A millisecond duration scaled by the `MAS_TEST_TIME_SCALE` environment
 /// variable (default 1.0). Timing-sensitive tests use this for every

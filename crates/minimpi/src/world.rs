@@ -6,15 +6,16 @@
 //!   channel handles are dropped after construction so a dead rank is
 //!   observable as a hang-up on its peers.
 //! * [`World::run_resilient`] — the ULFM-style mode: the master handles
-//!   are **retained**, a heartbeat monitor watches every rank, and a rank
-//!   that dies (panic or heartbeat loss) is respawned as a fresh
-//!   incarnation wired into the same mesh. Survivors and the replacement
-//!   meet at [`Comm::epoch_fence`], which drains dead-incarnation traffic
-//!   and advances the communicator epoch so stragglers are rejected.
+//!   are **retained**, and a rank whose closure panics is respawned as a
+//!   fresh incarnation wired into the same mesh. Survivors and the
+//!   replacement meet at [`Comm::epoch_fence`], which drains
+//!   dead-incarnation traffic and advances the communicator epoch so
+//!   stragglers are rejected. A panic is the only death the world
+//!   detects: a rank that hangs inside its closure is never declared
+//!   dead, and the world waits for it.
 
-use crate::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crate::comm::{BcastMsg, Comm, CommFailure, Msg, RecvFailure, RootMsg, WorldCtl};
-use crate::detector::{BeatWatch, Beater, HeartbeatCfg};
+use crate::chan::{unbounded, Receiver, Sender};
+use crate::comm::{BcastMsg, Comm, CommFailure, Msg, RootMsg, WorldCtl};
 use std::sync::Arc;
 
 /// One rank's panic, captured as data instead of cascading: which rank
@@ -27,10 +28,6 @@ pub struct RankPanic {
     /// [`CommFailure`] payloads via `Display`, anything else a
     /// placeholder).
     pub message: String,
-    /// The structured communication failure, when the panic payload was
-    /// a typed [`CommFailure`] (resilient paths) — lets the run
-    /// supervisor distinguish "rank died" from "rank hit a bug".
-    pub failure: Option<CommFailure>,
 }
 
 impl std::fmt::Display for RankPanic {
@@ -55,26 +52,6 @@ fn rank_panic(rank: usize, payload: &(dyn std::any::Any + Send)) -> RankPanic {
     RankPanic {
         rank,
         message: panic_message(payload),
-        failure: payload.downcast_ref::<CommFailure>().cloned(),
-    }
-}
-
-/// Resilience policy for [`World::run_resilient`].
-#[derive(Clone, Copy, Debug)]
-pub struct Resilience {
-    /// Heartbeat interval and miss budget for the failure detector.
-    pub heartbeat: HeartbeatCfg,
-    /// How many rank respawns the world will perform before letting a
-    /// death become a terminal per-rank failure.
-    pub max_respawns: usize,
-}
-
-impl Default for Resilience {
-    fn default() -> Self {
-        Self {
-            heartbeat: HeartbeatCfg::default(),
-            max_respawns: 1,
-        }
     }
 }
 
@@ -87,7 +64,7 @@ pub struct RespawnEvent {
     pub incarnation: usize,
     /// The communicator epoch the dead incarnation was running under.
     pub epoch: u64,
-    /// Why the rank was declared dead (panic message or heartbeat).
+    /// Why the rank was declared dead (its panic message).
     pub cause: String,
 }
 
@@ -161,7 +138,7 @@ impl Endpoints {
             to_root_rx,
             root_to_rank_txs,
             root_to_rank_rxs,
-            ctl: WorldCtl::new(n),
+            ctl: WorldCtl::new(),
         }
     }
 
@@ -246,27 +223,21 @@ impl World {
         results.into_iter().map(|o| o.expect("rank result")).collect()
     }
 
-    /// Run `f(comm)` on `n_ranks` threads under a heartbeat monitor that
-    /// **respawns dead ranks**. A rank dies by panicking out of `f` or by
-    /// its heartbeat going quiet ([`HeartbeatCfg::miss_budget`] missed
-    /// polls); either way the monitor fences out the dead incarnation
-    /// (its `Comm` handle turns every further operation into a structured
-    /// [`CommFailure`] panic) and spawns a replacement running the same
-    /// closure — `f` can tell it is a replacement via
-    /// [`Comm::incarnation`]. Recovery is cooperative: survivors and the
-    /// replacement must meet at [`Comm::epoch_fence`], which drains
-    /// stale traffic and advances the epoch.
+    /// Run `f(comm)` on `n_ranks` threads and **respawn a rank whose
+    /// closure panics**: the monitor records the death and spawns a
+    /// replacement running the same closure — `f` can tell it is a
+    /// replacement via [`Comm::incarnation`]. Recovery is cooperative:
+    /// survivors and the replacement must meet at [`Comm::epoch_fence`],
+    /// which drains stale traffic and advances the epoch.
     ///
-    /// Respawns stop after [`Resilience::max_respawns`]; further deaths
-    /// become terminal per-rank failures in the report (survivors then
-    /// fail their fence with a structured timeout).
+    /// Respawns stop after `max_respawns`; further deaths become terminal
+    /// per-rank failures in the report (survivors then fail their fence
+    /// with a structured timeout).
     ///
-    /// Limitation: a thread cannot be killed, only abandoned — a
-    /// heartbeat-declared zombie keeps running until its next
-    /// communication operation panics it out (or it observes
-    /// [`Comm::fenced_out`]); the world does not return until every
-    /// thread, zombies included, has exited.
-    pub fn run_resilient<T, F>(n_ranks: usize, cfg: Resilience, f: F) -> ResilientReport<T>
+    /// A panic is the only death the world sees. A rank that hangs inside
+    /// `f` is never declared dead, and the world does not return until
+    /// its thread exits.
+    pub fn run_resilient<T, F>(n_ranks: usize, max_respawns: usize, f: F) -> ResilientReport<T>
     where
         T: Send,
         F: Fn(Comm) -> T + Sync,
@@ -279,21 +250,18 @@ impl World {
         let mut results: Vec<Option<Result<T, RankPanic>>> = (0..n_ranks).map(|_| None).collect();
         let mut respawns: Vec<RespawnEvent> = Vec::new();
 
-        type Done<T> = (usize, usize, Result<T, Box<dyn std::any::Any + Send>>);
+        type Done<T> = (usize, Result<T, Box<dyn std::any::Any + Send>>);
         let (done_tx, done_rx) = unbounded::<Done<T>>();
 
         std::thread::scope(|s| {
             let spawn_worker = |rank: usize, incarnation: usize| {
                 let comm = endpoints.make_comm(rank, incarnation);
                 let done = done_tx.clone();
-                let liveness = ctl.liveness.clone();
-                let interval = cfg.heartbeat.interval;
                 s.spawn(move || {
-                    let _beater = Beater::spawn(liveness, rank, interval);
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)));
                     // Never unwind out of a scoped thread: the result —
                     // panic payload included — travels by channel.
-                    let _ = done.send((rank, incarnation, r));
+                    let _ = done.send((rank, r));
                 });
             };
 
@@ -301,104 +269,30 @@ impl World {
                 spawn_worker(rank, 0);
             }
 
-            let mut watches = vec![BeatWatch::default(); n_ranks];
-            let mut cur_inc = vec![0usize; n_ranks];
-            let mut respawns_used = 0usize;
+            let mut incarnation = vec![0usize; n_ranks];
             let mut pending = n_ranks;
-
-            // One death declaration: fence out the old incarnation, then
-            // either respawn or record the terminal failure.
-            let declare_dead =
-                |rank: usize,
-                 cause: RankPanic,
-                 cur_inc: &mut [usize],
-                 watches: &mut [BeatWatch],
-                 results: &mut [Option<Result<T, RankPanic>>],
-                 respawns: &mut Vec<RespawnEvent>,
-                 respawns_used: &mut usize,
-                 pending: &mut usize| {
-                    cur_inc[rank] += 1;
-                    ctl.incarnations[rank]
-                        .store(cur_inc[rank], std::sync::atomic::Ordering::SeqCst);
-                    ctl.liveness.0.clear_halt(rank);
-                    watches[rank].reset();
-                    if *respawns_used < cfg.max_respawns {
-                        *respawns_used += 1;
-                        respawns.push(RespawnEvent {
-                            rank,
-                            incarnation: cur_inc[rank],
-                            epoch: ctl.epoch.load(std::sync::atomic::Ordering::SeqCst),
-                            cause: cause.message.clone(),
-                        });
-                        spawn_worker(rank, cur_inc[rank]);
-                    } else {
-                        results[rank] = Some(Err(cause));
-                        ctl.liveness.0.mark_finished(rank);
-                        *pending -= 1;
-                    }
-                };
-
             while pending > 0 {
-                match done_rx.recv_timeout(cfg.heartbeat.interval) {
-                    Ok((rank, inc, res)) => {
-                        if inc != cur_inc[rank] {
-                            continue; // a fenced-out zombie finally exited
-                        }
-                        match res {
-                            Ok(v) => {
-                                results[rank] = Some(Ok(v));
-                                ctl.liveness.0.mark_finished(rank);
-                                pending -= 1;
-                            }
-                            Err(payload) => declare_dead(
+                let (rank, res) = done_rx.recv().expect("monitor holds a live done_tx clone");
+                match res {
+                    Ok(v) => {
+                        results[rank] = Some(Ok(v));
+                        pending -= 1;
+                    }
+                    Err(payload) => {
+                        let cause = rank_panic(rank, payload.as_ref());
+                        if respawns.len() < max_respawns {
+                            incarnation[rank] += 1;
+                            respawns.push(RespawnEvent {
                                 rank,
-                                rank_panic(rank, payload.as_ref()),
-                                &mut cur_inc,
-                                &mut watches,
-                                &mut results,
-                                &mut respawns,
-                                &mut respawns_used,
-                                &mut pending,
-                            ),
+                                incarnation: incarnation[rank],
+                                epoch: ctl.epoch.load(std::sync::atomic::Ordering::SeqCst),
+                                cause: cause.message,
+                            });
+                            spawn_worker(rank, incarnation[rank]);
+                        } else {
+                            results[rank] = Some(Err(cause));
+                            pending -= 1;
                         }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        for rank in 0..n_ranks {
-                            if ctl.liveness.0.is_finished(rank) || results[rank].is_some() {
-                                continue;
-                            }
-                            let beats = ctl.liveness.0.beats(rank);
-                            if beats == 0 {
-                                continue; // beater not scheduled yet — be patient
-                            }
-                            if watches[rank].observe(beats, cfg.heartbeat.miss_budget) {
-                                let failure = CommFailure {
-                                    rank,
-                                    epoch: ctl.epoch.load(std::sync::atomic::Ordering::SeqCst),
-                                    failure: RecvFailure::HeartbeatLost {
-                                        rank,
-                                        missed: cfg.heartbeat.miss_budget,
-                                    },
-                                };
-                                declare_dead(
-                                    rank,
-                                    RankPanic {
-                                        rank,
-                                        message: failure.to_string(),
-                                        failure: Some(failure),
-                                    },
-                                    &mut cur_inc,
-                                    &mut watches,
-                                    &mut results,
-                                    &mut respawns,
-                                    &mut respawns_used,
-                                    &mut pending,
-                                );
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        unreachable!("monitor holds a live done_tx clone")
                     }
                 }
             }
@@ -417,7 +311,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{NetFault, NetPath, ReduceOp};
+    use crate::comm::{NetFault, NetPath, RecvFailure, ReduceOp};
     use crate::scaled_ms;
     use gpusim::{DataMode, DeviceContext, DeviceSpec, Phase};
     use std::panic::AssertUnwindSafe;
@@ -528,19 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_to_root_collects_in_rank_order() {
-        let res = World::run(3, |comm| {
-            let c = ctx(comm.rank());
-            comm.gather_to_root(vec![comm.rank() as f64 * 2.0], &c)
-        });
-        let root = res[0].as_ref().expect("root gets data");
-        assert_eq!(root[0], vec![0.0]);
-        assert_eq!(root[1], vec![2.0]);
-        assert_eq!(root[2], vec![4.0]);
-        assert!(res[1].is_none());
-    }
-
-    #[test]
     fn barrier_completes() {
         let n = World::run(4, |comm| {
             let mut c = ctx(comm.rank());
@@ -564,7 +445,6 @@ mod tests {
         let p = res[1].as_ref().unwrap_err();
         assert_eq!(p.rank, 1);
         assert!(p.message.contains("injected fault"), "{}", p.message);
-        assert!(p.failure.is_none(), "plain panic carries no CommFailure");
     }
 
     #[test]
@@ -595,7 +475,7 @@ mod tests {
         let res = World::try_run(2, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
-                comm.arm_net_fault(NetFault::Drop);
+                comm.arm_net_fault_n(NetFault::Drop, 1);
                 comm.send(1, 4, vec![1.0], NetPath::DeviceP2P, &c);
                 // Block until rank 1 has finished timing out: its failure
                 // must be a timeout (lost message), never a disconnect.
@@ -624,7 +504,7 @@ mod tests {
         let res = World::try_run(2, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
-                comm.arm_net_fault(NetFault::Drop);
+                comm.arm_net_fault_n(NetFault::Drop, 1);
                 comm.send(1, 4, vec![1.0], NetPath::DeviceP2P, &c);
                 let _ = comm.recv(1, 5, &mut c);
                 Ok(vec![])
@@ -645,7 +525,7 @@ mod tests {
         let res = World::try_run(2, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
-                comm.arm_net_fault(NetFault::Corrupt);
+                comm.arm_net_fault_n(NetFault::Corrupt, 1);
             }
             let peer = 1 - comm.rank();
             comm.send(peer, 4, vec![1.0, 2.0], NetPath::DeviceP2P, &c);
@@ -668,7 +548,7 @@ mod tests {
         let res = World::try_run(2, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
-                comm.arm_net_fault(NetFault::Corrupt);
+                comm.arm_net_fault_n(NetFault::Corrupt, 1);
                 comm.send(1, 4, vec![1.0, 2.0], NetPath::DeviceP2P, &c);
                 comm.send(1, 4, vec![3.0, 4.0], NetPath::DeviceP2P, &c);
                 let _ = comm.recv(1, 5, &mut c);
@@ -763,14 +643,7 @@ mod tests {
 
     #[test]
     fn resilient_run_respawns_after_panic() {
-        let cfg = Resilience {
-            heartbeat: HeartbeatCfg {
-                interval: Duration::from_millis(5),
-                miss_budget: 4,
-            },
-            max_respawns: 1,
-        };
-        let out = World::run_resilient(2, cfg, |comm| {
+        let out = World::run_resilient(2, 1, |comm| {
             if comm.rank() == 1 && comm.incarnation() == 0 {
                 panic!("first life lost");
             }
@@ -789,15 +662,8 @@ mod tests {
 
     #[test]
     fn resilient_fence_recovers_ring_exchange() {
-        let cfg = Resilience {
-            heartbeat: HeartbeatCfg {
-                interval: Duration::from_millis(10),
-                miss_budget: 6,
-            },
-            max_respawns: 1,
-        };
         let fence_t = scaled_ms(5000);
-        let out = World::run_resilient(3, cfg, move |comm| {
+        let out = World::run_resilient(3, 1, move |comm| {
             let mut c = ctx(comm.rank());
             comm.set_recv_deadline(Some(scaled_ms(300)));
             let exchange = |comm: &Comm, c: &mut DeviceContext| {
@@ -830,54 +696,13 @@ mod tests {
     }
 
     #[test]
-    fn halted_heartbeat_declares_death_and_respawns() {
-        let cfg = Resilience {
-            heartbeat: HeartbeatCfg {
-                interval: Duration::from_millis(5),
-                miss_budget: 3,
-            },
-            max_respawns: 1,
-        };
-        let out = World::run_resilient(2, cfg, |comm| {
-            if comm.rank() == 1 && comm.incarnation() == 0 {
-                // Zombie: alive but heart stopped. Exits only once fenced.
-                comm.halt_heartbeat();
-                while !comm.fenced_out() {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                return -1.0;
-            }
-            comm.rank() as f64 * 10.0
-        });
-        assert_eq!(out.results[0].as_ref().unwrap(), &0.0);
-        assert_eq!(
-            out.results[1].as_ref().unwrap(),
-            &10.0,
-            "zombie's late result is ignored; replacement's wins"
-        );
-        assert_eq!(out.respawns.len(), 1);
-        assert!(
-            out.respawns[0].cause.contains("heartbeat"),
-            "{}",
-            out.respawns[0].cause
-        );
-    }
-
-    #[test]
     fn respawn_budget_exhausted_reports_failure() {
-        let out = World::run_resilient(
-            2,
-            Resilience {
-                heartbeat: HeartbeatCfg::default(),
-                max_respawns: 0,
-            },
-            |comm| {
-                if comm.rank() == 1 {
-                    panic!("boom with no lives left");
-                }
-                comm.rank()
-            },
-        );
+        let out = World::run_resilient(2, 0, |comm| {
+            if comm.rank() == 1 {
+                panic!("boom with no lives left");
+            }
+            comm.rank()
+        });
         assert_eq!(out.results[0].as_ref().unwrap(), &0);
         let p = out.results[1].as_ref().unwrap_err();
         assert!(p.message.contains("boom"), "{}", p.message);

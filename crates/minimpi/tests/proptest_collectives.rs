@@ -108,20 +108,4 @@ proptest! {
         let max_skew = skews[..nranks].iter().cloned().fold(0.0, f64::max);
         prop_assert!(times[0] >= max_skew, "end time at least the slowest rank");
     }
-
-    /// gather_to_root returns every rank's payload in rank order.
-    #[test]
-    fn gather_order(nranks in 1usize..6, scale in 1.0f64..100.0) {
-        let results = World::run(nranks, move |comm| {
-            let c = ctx(comm.rank());
-            comm.gather_to_root(vec![comm.rank() as f64 * scale], &c)
-        });
-        let root = results[0].as_ref().expect("root");
-        for (r, v) in root.iter().enumerate() {
-            prop_assert_eq!(v[0], r as f64 * scale);
-        }
-        for r in results.iter().skip(1) {
-            prop_assert!(r.is_none());
-        }
-    }
 }

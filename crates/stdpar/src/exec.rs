@@ -51,13 +51,10 @@ const TILE_TARGET_POINTS: usize = 2048;
 /// ascending plane order within each chunk, and reductions keep one
 /// partial per *plane* combined in plane order, so results are
 /// bit-identical for every tile size and thread count.
-fn auto_tile_k(space: IndexSpace3, threads: usize, override_k: usize) -> usize {
+fn auto_tile_k(space: IndexSpace3, threads: usize) -> usize {
     let nk = space.k1.saturating_sub(space.k0);
     if nk <= 1 {
         return 1;
-    }
-    if override_k > 0 {
-        return override_k.min(nk);
     }
     let plane = (space.i1.saturating_sub(space.i0) * space.j1.saturating_sub(space.j0)).max(1);
     let by_work = TILE_TARGET_POINTS.div_ceil(plane);
@@ -197,7 +194,6 @@ pub struct ParBuilder {
     threads: Option<usize>,
     scales: CostScales,
     audit: Option<bool>,
-    tile_k: usize,
 }
 
 impl ParBuilder {
@@ -244,14 +240,6 @@ impl ParBuilder {
         self
     }
 
-    /// Force the engine tile size to `n` k-planes per dispatch chunk
-    /// (`0`, the default, keeps the adaptive per-site choice). Purely an
-    /// execution knob: results are bit-identical for every value.
-    pub fn tile_k(mut self, n: usize) -> Self {
-        self.tile_k = n;
-        self
-    }
-
     /// Construct the executor.
     pub fn build(self) -> Par {
         let policy = self.version.policy();
@@ -265,7 +253,6 @@ impl ParBuilder {
             engine: Engine::new(threads),
             point_scale: self.scales.volume,
             scales: self.scales,
-            tile_k_override: self.tile_k,
             plans: HashMap::new(),
             audit: RaceAuditor::new(audit_on),
             scratch: Vec::new(),
@@ -317,8 +304,6 @@ pub struct Par {
     point_scale: f64,
     /// The configured scale pair.
     scales: CostScales,
-    /// Forced engine tile size in k-planes (0 = adaptive per site).
-    tile_k_override: usize,
     /// Per-site plan cache (see [`Plan`]).
     plans: HashMap<PlanKey, Plan>,
     /// Dynamic race auditor (no-op unless audit mode is on).
@@ -340,7 +325,6 @@ impl Par {
             threads: None,
             scales: CostScales::IDENTITY,
             audit: None,
-            tile_k: 0,
         }
     }
 
@@ -409,7 +393,7 @@ impl Par {
             }
             let slot = p.slot;
             let scaled = self.scaled(space.len());
-            let tile_k = auto_tile_k(space, self.engine.threads(), self.tile_k_override);
+            let tile_k = auto_tile_k(space, self.engine.threads());
             self.plans.insert(
                 key,
                 Plan { slot, name: site.name, space, point_scale: self.point_scale, scaled, tile_k },
@@ -418,7 +402,7 @@ impl Par {
         }
         let slot = self.registry.slot_of(site);
         let scaled = self.scaled(space.len());
-        let tile_k = auto_tile_k(space, self.engine.threads(), self.tile_k_override);
+        let tile_k = auto_tile_k(space, self.engine.threads());
         self.plans.insert(
             key,
             Plan { slot, name: site.name, space, point_scale: self.point_scale, scaled, tile_k },
@@ -1363,7 +1347,9 @@ mod tests {
 
     /// The point forms (`loop3`, `reduce_scalar`) and row bodies that
     /// compute the same per-point expressions yield bit-identical arrays
-    /// and reductions, for any thread count and any forced tile size.
+    /// and reductions, for any thread count and so for any tile size:
+    /// the 64x32x48 interior is chunked 12, 6, 3 and 1 planes at a time
+    /// at widths 1, 2, 4 and 7.
     #[test]
     fn row_and_point_forms_match_bitwise() {
         use mas_field::Array3;
@@ -1372,18 +1358,11 @@ mod tests {
         static RED_S: Site = Site::new("row_vs_scalar_red_s", LoopClass::ScalarReduction, 3);
         static RED_R: Site = Site::new("row_vs_scalar_red_r", LoopClass::ScalarReduction, 3);
 
-        let run = |threads: usize, tile_k: usize, rows: bool| {
-            let mut spec = DeviceSpec::a100_40gb();
-            spec.jitter_sigma = 0.0;
-            let mut p = Par::builder(spec)
-                .version(CodeVersion::D2xu)
-                .threads(threads)
-                .tile_k(tile_k)
-                .build();
-            p.ctx.set_phase(gpusim::Phase::Compute);
+        let run = |threads: usize, rows: bool| {
+            let mut p = par_threads(CodeVersion::D2xu, threads);
             let b = p.ctx.mem.register(8 * 8192, "x");
             p.ctx.enter_data(b);
-            let mut a = Array3::zeros(12, 10, 14);
+            let mut a = Array3::zeros(66, 34, 50);
             let sp = IndexSpace3 {
                 i0: 1,
                 i1: a.s1 - 1,
@@ -1441,22 +1420,16 @@ mod tests {
                 .as_slice()
                 .iter()
                 .fold(0u64, |h, x| h.rotate_left(7) ^ x.to_bits());
-            (hash, sum.to_bits(), tiles)
+            let chunk: Vec<usize> = p.tile_plans().iter().map(|&(_, _, k)| k).collect();
+            ((hash, sum.to_bits(), tiles), chunk)
         };
 
-        let reference = run(1, 0, false);
-        for threads in [1usize, 2, 4, 7] {
-            for tile_k in [0usize, 1, 3, 64] {
-                assert_eq!(
-                    run(threads, tile_k, false),
-                    reference,
-                    "point form t={threads} tile_k={tile_k}"
-                );
-                assert_eq!(
-                    run(threads, tile_k, true),
-                    reference,
-                    "row form t={threads} tile_k={tile_k}"
-                );
+        let (reference, _) = run(1, false);
+        for (threads, tile_k) in [(1usize, 12usize), (2, 6), (4, 3), (7, 1)] {
+            for rows in [false, true] {
+                let (got, chunk) = run(threads, rows);
+                assert_eq!(got, reference, "t={threads} rows={rows}");
+                assert_eq!(chunk, vec![tile_k; 2], "t={threads} rows={rows}");
             }
         }
     }
@@ -1574,7 +1547,7 @@ mod tests {
     }
 
     #[test]
-    fn tile_plans_are_learned_cached_and_overridable() {
+    fn tile_plans_are_learned_and_cached() {
         let mut p = par_threads(CodeVersion::D2xu, 4);
         let b = p.ctx.mem.register(8 * 8192, "x");
         p.ctx.enter_data(b);
@@ -1586,26 +1559,12 @@ mod tests {
         assert_eq!(nk, 8);
         // 8x8 planes = 64 points; the adaptive plan groups planes toward
         // TILE_TARGET_POINTS, clamped to nk.
-        assert_eq!(tile_k, auto_tile_k(space(8), 4, 0));
+        assert_eq!(tile_k, auto_tile_k(space(8), 4));
         assert!(tile_k > 1, "small planes must be grouped");
-
-        // The builder override (deck `tile_k`) wins over the heuristic.
-        let mut spec = DeviceSpec::a100_40gb();
-        spec.jitter_sigma = 0.0;
-        let mut p2 = Par::builder(spec)
-            .version(CodeVersion::D2xu)
-            .threads(4)
-            .tile_k(3)
-            .build();
-        p2.ctx.set_phase(gpusim::Phase::Compute);
-        let b2 = p2.ctx.mem.register(8 * 8192, "x");
-        p2.ctx.enter_data(b2);
-        p2.loop3(&PLAIN2, space(8), Traffic::new(1, 1, 0), &[b2], &[b2], |_, _, _| {});
-        assert_eq!(p2.tile_plans(), vec![("plain2", 8, 3)]);
         // Single-plane spaces never dispatch and are not reported.
         let thin = IndexSpace3 { i0: 0, i1: 8, j0: 0, j1: 8, k0: 0, k1: 1 };
-        p2.loop3(&RED0, thin, Traffic::new(1, 1, 0), &[b2], &[b2], |_, _, _| {});
-        assert_eq!(p2.tile_plans().len(), 1);
+        p.loop3(&RED0, thin, Traffic::new(1, 1, 0), &[b], &[b], |_, _, _| {});
+        assert_eq!(p.tile_plans().len(), 1);
         static RED0: Site = Site::par3("thin_site");
     }
 
@@ -1620,16 +1579,13 @@ mod tests {
             k1: nk,
         };
         // Tiny planes: group many planes per chunk.
-        assert!(auto_tile_k(sp(8, 64), 4, 0) >= 16);
+        assert!(auto_tile_k(sp(8, 64), 4) >= 16);
         // Huge planes: one plane is already plenty of work.
-        assert_eq!(auto_tile_k(sp(128, 64), 64, 0), 1);
+        assert_eq!(auto_tile_k(sp(128, 64), 64), 1);
         // Deep k on a narrow engine coarsens for fewer claim hops.
-        assert!(auto_tile_k(sp(128, 512), 2, 0) >= 64);
-        // Override wins, clamped to nk.
-        assert_eq!(auto_tile_k(sp(8, 64), 4, 7), 7);
-        assert_eq!(auto_tile_k(sp(8, 4), 4, 100), 4);
+        assert!(auto_tile_k(sp(128, 512), 2) >= 64);
         // Degenerate spaces stay serial.
-        assert_eq!(auto_tile_k(sp(8, 1), 4, 0), 1);
+        assert_eq!(auto_tile_k(sp(8, 1), 4), 1);
     }
 
     #[test]

@@ -197,9 +197,7 @@ fn main() -> ExitCode {
     }
     if args.deck.resilience.max_respawns > 0 {
         println!(
-            "resilience: heartbeat every {} ms (miss budget {}), up to {} respawn(s)",
-            args.deck.resilience.heartbeat_ms,
-            args.deck.resilience.miss_budget,
+            "resilience: up to {} respawn(s)",
             args.deck.resilience.max_respawns
         );
     }

@@ -161,8 +161,6 @@ fn chaos_deck(job: &ChaosJob, ckpt_root: &Path, i: usize) -> (Deck, usize) {
     d.checkpoint.interval = 2;
     d.checkpoint.dir = dir.to_string_lossy().into_owned();
     d.resilience.max_respawns = 1;
-    d.resilience.heartbeat_ms = 10;
-    d.resilience.miss_budget = 5;
     d.resilience.recv_deadline_ms = 500;
     d.fault.kind = match job.kind {
         ChaosKind::RankKill => FaultKind::Panic,
