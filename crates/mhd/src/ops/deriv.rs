@@ -7,7 +7,7 @@
 //! to round-off (verified in the induction tests).
 
 use mas_field::Array3;
-use mas_grid::{SphericalGrid, Stagger};
+use mas_grid::{IndexSpace3, SphericalGrid, Stagger};
 
 /// Divergence of a face-staggered vector field at cell centers, in exact
 /// flux form: `div F = ΣA·F / V`.
@@ -332,12 +332,13 @@ pub struct LapStencil {
     w_p_mid: Vec<f64>,
     w_p_pt: Vec<f64>,
     st_pt2_inv: Vec<f64>,
-    // Grid-static pieces of `diagonal`, tabulated for `diagonal_row`
-    // (2-D tables are indexed `i + n_r * j`).
+    // The grid-static `diagonal`, one (i, j) table per φ-spacing class
+    // (indexed `i + n_r * (j + n_t * class)`); `class_of[k]` is plane
+    // k's class, `None` for a plane without a φ mid pair.
     n_r: usize,
-    diag_r: Vec<f64>,     // r-term, per i
-    diag_t: Vec<f64>,     // θ-term, per (i, j)
-    diag_p_pre: Vec<f64>, // φ-term prefix `-1/r² · 1/sin²θ`, per (i, j)
+    n_t: usize,
+    class_of: Vec<Option<usize>>,
+    diag: Vec<f64>,
 }
 
 impl LapStencil {
@@ -390,9 +391,11 @@ impl LapStencil {
         };
         let st_pt2_inv: Vec<f64> = st_pt_inv.iter().map(|&x| x * x).collect();
 
-        // The static diagonal tables, with the exact expressions and
-        // operand order of `diagonal` (NaN where a point lacks a mid pair,
-        // i.e. outside the stencil's reach).
+        // The static diagonal, with the exact expressions and operand
+        // order of `diagonal` (NaN where a point lacks an r or θ mid
+        // pair, i.e. outside the stencil's reach). Its φ-term depends on
+        // k only through `p_sum` and `w_p_pt[k]`, so the planes that
+        // share both bit patterns (a class) share one (i, j) table.
         let mids = |half: bool, i: usize, n_mid: usize| {
             let (lo, hi) = if half {
                 (i.checked_sub(1)?, i)
@@ -402,7 +405,7 @@ impl LapStencil {
             (hi < n_mid).then_some((lo, hi))
         };
         let (n_r, n_t) = (r_pt2_inv.len(), st_pt_inv.len());
-        let diag_r = (0..n_r)
+        let diag_r: Vec<f64> = (0..n_r)
             .map(|i| match mids(half_r, i, r_mid2.len()) {
                 Some((lo, hi)) => {
                     -r_pt2_inv[i] * (r_mid2[hi] / w_r_mid[hi] + r_mid2[lo] / w_r_mid[lo])
@@ -411,17 +414,36 @@ impl LapStencil {
                 None => f64::NAN,
             })
             .collect();
-        let mut diag_t = Vec::with_capacity(n_r * n_t);
+        // Per (i, j): `dr + dt`, and the φ-term's prefix `-1/r² · 1/sin²θ`.
+        let mut diag_rt = Vec::with_capacity(n_r * n_t);
         let mut diag_p_pre = Vec::with_capacity(n_r * n_t);
         for j in 0..n_t {
             let t_sum = match mids(half_t, j, st_mid.len()) {
                 Some((lo, hi)) => st_mid[hi] / w_t_mid[hi] + st_mid[lo] / w_t_mid[lo],
                 None => f64::NAN,
             };
-            for &r2_inv in &r_pt2_inv {
-                diag_t.push(-r2_inv * st_pt_inv[j] * t_sum / w_t_pt[j]);
-                diag_p_pre.push(-r2_inv * st_pt2_inv[j]);
+            for i in 0..n_r {
+                let dt = -r_pt2_inv[i] * st_pt_inv[j] * t_sum / w_t_pt[j];
+                diag_rt.push(diag_r[i] + dt);
+                diag_p_pre.push(-r_pt2_inv[i] * st_pt2_inv[j]);
             }
+        }
+        let mut classes: Vec<(f64, f64)> = Vec::new();
+        let class_of = (0..w_p_pt.len())
+            .map(|k| {
+                let (lo, hi) = mids(half_p, k, w_p_mid.len())?;
+                let key = (1.0 / w_p_mid[hi] + 1.0 / w_p_mid[lo], w_p_pt[k]);
+                let same = |c: &(f64, f64)| c.0.to_bits() == key.0.to_bits() && c.1.to_bits() == key.1.to_bits();
+                Some(classes.iter().position(same).unwrap_or_else(|| {
+                    classes.push(key);
+                    classes.len() - 1
+                }))
+            })
+            .collect();
+        let mut diag = Vec::with_capacity(classes.len() * n_t * n_r);
+        for &(p_sum, w_p_pt_k) in &classes {
+            let dp = diag_p_pre.iter().map(|&pre| pre * p_sum / w_p_pt_k);
+            diag.extend(diag_rt.iter().zip(dp).map(|(&rt, dp)| rt + dp));
         }
         Self {
             stagger: s,
@@ -437,15 +459,22 @@ impl LapStencil {
             w_p_pt,
             st_pt2_inv,
             n_r,
-            diag_r,
-            diag_t,
-            diag_p_pre,
+            n_t,
+            class_of,
+            diag,
         }
     }
 
     /// The staggering this stencil was built for.
     pub fn stagger(&self) -> Stagger {
         self.stagger
+    }
+
+    /// Number of distinct φ-spacing classes, i.e. of (i, j) diagonal
+    /// tables [`Self::diagonal_row`] reads from.
+    #[cfg(test)]
+    fn diagonal_classes(&self) -> usize {
+        self.diag.len() / (self.n_r * self.n_t)
     }
 
     /// Diagonal (self-coefficient) of the Laplacian at `(i, j, k)` — used
@@ -496,21 +525,69 @@ impl LapStencil {
         lr + lt + lp
     }
 
-    /// Row form of [`Self::apply`]: Laplacian of `f` over the i-window
-    /// `i0..i1` at `(j, k)`, emitted as `emit(n, lap)`. Same expressions,
-    /// same order as the scalar form — bit-identical results — over
-    /// contiguous row slices. The hi r-face flux of point `n` is the lo
-    /// r-face flux of point `n + 1` (same operands, same order), so each
-    /// r-face flux is computed once, a block of faces at a time.
-    #[inline]
-    pub fn apply_row(
+    /// Scratch values [`Self::apply_plane`] needs per chunk over `space`:
+    /// one row of Laplacian values, one row of θ-face fluxes and one
+    /// plane of φ-face fluxes.
+    pub fn plane_carry_len(space: IndexSpace3) -> usize {
+        (space.i1 - space.i0) * (space.j1 - space.j0 + 2)
+    }
+
+    /// Plane form of [`Self::apply`]: the Laplacian of `f` over the
+    /// `(i, j)` window of `space` at plane `k`, handed to `row(j, lap)`
+    /// one row at a time in ascending `j` (`lap[n]` is point
+    /// `space.i0 + n`). Same expressions, same order as the scalar form —
+    /// bit-identical results — but each face flux is computed once:
+    ///
+    /// * the hi r-face flux of point `n` is the lo r-face flux of point
+    ///   `n + 1`, computed a block of faces at a time;
+    /// * the hi θ-face flux of row `j` is the lo θ-face flux of row
+    ///   `j + 1` (the same mid index and operands), carried in `carry`;
+    /// * the hi φ-face flux of plane `k` is the lo φ-face flux of plane
+    ///   `k + 1` in the same way, carried in `carry` to the next call.
+    ///
+    /// `carry` holds [`Self::plane_carry_len`] values and is the
+    /// per-chunk scratch of [`stdpar::Par::fused_planes`]. With `first`
+    /// set, the plane computes its lo φ fluxes fresh and reads nothing
+    /// from `carry`; otherwise `carry` must hold what the call for plane
+    /// `k - 1` over the same window and the same `f` left in it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn apply_plane(
+        &self,
+        f: &Array3,
+        space: IndexSpace3,
+        k: usize,
+        carry: &mut [f64],
+        first: bool,
+        mut row: impl FnMut(usize, &[f64]),
+    ) {
+        let w = space.i1 - space.i0;
+        let (lap, rest) = carry.split_at_mut(w);
+        let (flux_t, flux_p) = rest.split_at_mut(w);
+        for (n_j, j) in (space.j0..space.j1).enumerate() {
+            let flux_p = &mut flux_p[n_j * w..(n_j + 1) * w];
+            self.carried_row(f, space.i0, space.i1, j, k, lap, flux_t, flux_p, n_j == 0, first);
+            row(j, lap);
+        }
+    }
+
+    /// One row of [`Self::apply_plane`]: the Laplacian over `i0..i1` at
+    /// `(j, k)` into `lap`. `flux_t` and `flux_p` come in holding the lo
+    /// θ- and φ-face fluxes of the row (unless `fresh_t`/`fresh_p` asks
+    /// for them to be computed here) and leave holding its hi fluxes.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn carried_row(
         &self,
         f: &Array3,
         i0: usize,
         i1: usize,
         j: usize,
         k: usize,
-        mut emit: impl FnMut(usize, f64),
+        lap: &mut [f64],
+        flux_t: &mut [f64],
+        flux_p: &mut [f64],
+        fresh_t: bool,
+        fresh_p: bool,
     ) {
         /// Points per block of r-face fluxes (a stack buffer).
         const BLOCK: usize = 64;
@@ -518,10 +595,9 @@ impl LapStencil {
         // The r-line with one neighbour each side: point n is fr[n + 1].
         let fr = f.row(i0 - 1, i1 + 1, j, k);
         let c = &fr[1..w + 1];
-        let t_lo = f.row(i0, i1, j - 1, k);
         let t_hi = f.row(i0, i1, j + 1, k);
-        let p_lo = f.row(i0, i1, j, k - 1);
         let p_hi = f.row(i0, i1, j, k + 1);
+        let (lap, flux_t, flux_p) = (&mut lap[..w], &mut flux_t[..w], &mut flux_p[..w]);
 
         let half_r = self.stagger.on_half_mesh(0);
         // mid_indices(half_r, i): (i-1, i) on the half mesh, (i, i+1) on
@@ -537,13 +613,26 @@ impl LapStencil {
         let half_t = self.stagger.on_half_mesh(1);
         let (mt_lo, mt_hi) = mid_indices(half_t, j);
         let (st_mid_hi, w_t_mid_hi) = (self.st_mid[mt_hi], self.w_t_mid[mt_hi]);
-        let (st_mid_lo, w_t_mid_lo) = (self.st_mid[mt_lo], self.w_t_mid[mt_lo]);
         let (st_pt_inv_j, w_t_pt_j) = (self.st_pt_inv[j], self.w_t_pt[j]);
+        if fresh_t {
+            let (st_mid_lo, w_t_mid_lo) = (self.st_mid[mt_lo], self.w_t_mid[mt_lo]);
+            let t_lo = f.row(i0, i1, j - 1, k);
+            for n in 0..w {
+                flux_t[n] = st_mid_lo * (c[n] - t_lo[n]) / w_t_mid_lo;
+            }
+        }
 
         let half_p = self.stagger.on_half_mesh(2);
         let (mp_lo, mp_hi) = mid_indices(half_p, k);
-        let (w_p_mid_hi, w_p_mid_lo) = (self.w_p_mid[mp_hi], self.w_p_mid[mp_lo]);
+        let w_p_mid_hi = self.w_p_mid[mp_hi];
         let (st_pt2_inv_j, w_p_pt_k) = (self.st_pt2_inv[j], self.w_p_pt[k]);
+        if fresh_p {
+            let w_p_mid_lo = self.w_p_mid[mp_lo];
+            let p_lo = f.row(i0, i1, j, k - 1);
+            for n in 0..w {
+                flux_p[n] = (c[n] - p_lo[n]) / w_p_mid_lo;
+            }
+        }
 
         // flux[b] is the face below point n0 + b; the block's last face
         // carries over as the next block's first.
@@ -559,44 +648,28 @@ impl LapStencil {
                 let lr = r_pt2_inv[n] * (flux[b + 1] - flux[b]) / w_r_pt[n];
 
                 let flux_t_hi = st_mid_hi * (t_hi[n] - c[n]) / w_t_mid_hi;
-                let flux_t_lo = st_mid_lo * (c[n] - t_lo[n]) / w_t_mid_lo;
-                let lt = r_pt2_inv[n] * st_pt_inv_j * (flux_t_hi - flux_t_lo) / w_t_pt_j;
+                let lt = r_pt2_inv[n] * st_pt_inv_j * (flux_t_hi - flux_t[n]) / w_t_pt_j;
+                flux_t[n] = flux_t_hi;
 
                 let flux_p_hi = (p_hi[n] - c[n]) / w_p_mid_hi;
-                let flux_p_lo = (c[n] - p_lo[n]) / w_p_mid_lo;
-                let lp = r_pt2_inv[n] * st_pt2_inv_j * (flux_p_hi - flux_p_lo) / w_p_pt_k;
+                let lp = r_pt2_inv[n] * st_pt2_inv_j * (flux_p_hi - flux_p[n]) / w_p_pt_k;
+                flux_p[n] = flux_p_hi;
 
-                emit(n, lr + lt + lp);
+                lap[n] = lr + lt + lp;
             }
             flux[0] = flux[len];
         }
     }
 
-    /// Row form of [`Self::diagonal`] (bit-identical to the scalar form).
-    /// The r- and θ-terms and the φ-term's grid prefix come from the
-    /// tables `new` precomputed, so a point costs one division here.
+    /// Row form of [`Self::diagonal`] (bit-identical to the scalar form):
+    /// the window `i0..i1` of row `(j, k)`, read from the class table
+    /// `new` built, with no arithmetic at all. Panics on a plane outside
+    /// the stencil's φ reach, where `diagonal` is undefined too.
     #[inline]
-    pub fn diagonal_row(
-        &self,
-        i0: usize,
-        i1: usize,
-        j: usize,
-        k: usize,
-        mut emit: impl FnMut(usize, f64),
-    ) {
-        let w = i1 - i0;
-        let at = self.n_r * j;
-        let dr = &self.diag_r[i0..i1];
-        let dt = &self.diag_t[at + i0..at + i1];
-        let dp_pre = &self.diag_p_pre[at + i0..at + i1];
-        let half_p = self.stagger.on_half_mesh(2);
-        let (mp_lo, mp_hi) = mid_indices(half_p, k);
-        let p_sum = 1.0 / self.w_p_mid[mp_hi] + 1.0 / self.w_p_mid[mp_lo];
-        let w_p_pt_k = self.w_p_pt[k];
-        for n in 0..w {
-            let dp = dp_pre[n] * p_sum / w_p_pt_k;
-            emit(n, dr[n] + dt[n] + dp);
-        }
+    pub fn diagonal_row(&self, i0: usize, i1: usize, j: usize, k: usize) -> &[f64] {
+        let class = self.class_of[k].expect("plane has no φ mid pair");
+        let at = self.n_r * (j + self.n_t * class);
+        &self.diag[at + i0..at + i1]
     }
 }
 
@@ -616,7 +689,7 @@ fn mid_indices(half: bool, i: usize) -> (usize, usize) {
 mod tests {
     use super::*;
     use mas_field::Field;
-    use mas_grid::{IndexSpace3, NGHOST};
+    use mas_grid::NGHOST;
 
     /// A θ-band grid away from the poles, so all metric factors are
     /// nonzero and operator identities hold everywhere.
@@ -810,50 +883,106 @@ mod tests {
         assert!(rate > 10.0, "expected ≳11x error drop for 4x cells, got {rate}");
     }
 
-    /// The row forms — static diagonal tables, r-face fluxes computed once
-    /// per face in blocks — equal the scalar forms bit for bit at every
-    /// point of a non-uniform coronal grid, for all four staggerings,
-    /// over windows that span several flux blocks and start anywhere.
-    #[test]
-    fn row_forms_match_scalar_forms_bitwise() {
+    /// The coronal grid of the bit-exactness tests with its φ mesh
+    /// replaced by a geometrically stretched one, so no two planes share
+    /// a φ spacing.
+    fn stretched_phi_grid() -> SphericalGrid {
+        use mas_grid::{Mesh1d, Segment};
         let g = SphericalGrid::coronal(150, 12, 8, 10.0);
-        for s in [
-            Stagger::CellCenter,
-            Stagger::FaceR,
-            Stagger::FaceT,
-            Stagger::FaceP,
+        let p = Mesh1d::stretched(8, 0.0, &[Segment::new(std::f64::consts::TAU, 1.0, 3.0)], NGHOST, true);
+        SphericalGrid::new(g.r.clone(), g.t.clone(), p)
+    }
+
+    const STAGGERS: [Stagger; 4] = [
+        Stagger::CellCenter,
+        Stagger::FaceR,
+        Stagger::FaceT,
+        Stagger::FaceP,
+    ];
+
+    /// The plane form — r-face fluxes once per face in blocks, θ-face
+    /// fluxes carried from row to row, φ-face fluxes carried from plane
+    /// to plane — and the class-table diagonal equal the scalar forms
+    /// bit for bit at every point, for all four staggerings, on a
+    /// non-uniform coronal grid and on one where every plane is its own
+    /// diagonal class. The windows span several flux blocks and start
+    /// anywhere; the plane runs start at several k (fresh φ fluxes) and
+    /// continue to the last plane (carried ones). The scratch starts as
+    /// NaN and each run inherits the previous run's leftovers, so a
+    /// first plane or first row that read its carry instead of
+    /// computing it would show.
+    #[test]
+    fn plane_form_and_diagonal_rows_match_scalar_forms_bitwise() {
+        for (g, classes) in [
+            (SphericalGrid::coronal(150, 12, 8, 10.0), [4, 4, 4, 4]),
+            // One class per plane the stencil reaches: all 10 CellCenter,
+            // FaceR and FaceT planes, and FaceP's 11 less the first and
+            // last, which have no φ mid pair.
+            (stretched_phi_grid(), [10, 10, 10, 9]),
         ] {
-            let lap = LapStencil::new(&g, s);
-            let mut f = Field::zeros("f", s, &g);
-            f.init_with(&g, |r, t, p| {
-                (3.0 * r).sin() * t.cos() + (2.0 * p).sin() / r
-            });
-            let a = &f.data;
-            let n = a.s1;
-            for (i0, i1) in [(1, n - 1), (2, n - 1), (1, 66), (5, 70)] {
-                for k in 1..a.s3 - 1 {
-                    for j in 1..a.s2 - 1 {
-                        lap.apply_row(a, i0, i1, j, k, |m, l| {
-                            let want = lap.apply(a, i0 + m, j, k);
-                            assert_eq!(
-                                l.to_bits(),
-                                want.to_bits(),
-                                "{s:?} apply at ({}, {j}, {k})",
-                                i0 + m
-                            );
-                        });
-                        lap.diagonal_row(i0, i1, j, k, |m, d| {
-                            let want = lap.diagonal(i0 + m, j, k);
-                            assert_eq!(
-                                d.to_bits(),
-                                want.to_bits(),
-                                "{s:?} diagonal at ({}, {j}, {k})",
-                                i0 + m
-                            );
-                        });
+            for (s, want_classes) in STAGGERS.into_iter().zip(classes) {
+                let lap = LapStencil::new(&g, s);
+                assert_eq!(lap.diagonal_classes(), want_classes, "{s:?} diagonal classes");
+                let mut f = Field::zeros("f", s, &g);
+                f.init_with(&g, |r, t, p| {
+                    (3.0 * r).sin() * t.cos() + (2.0 * p).sin() / r
+                });
+                let a = &f.data;
+                let (n, k_end) = (a.s1, a.s3 - 1);
+                for (i0, i1) in [(1, n - 1), (2, n - 1), (1, 66), (5, 70)] {
+                    for (j0, j1) in [(1, a.s2 - 1), (3, a.s2 - 2)] {
+                        let space = IndexSpace3 { i0, i1, j0, j1, k0: 1, k1: k_end };
+                        let mut carry = vec![f64::NAN; LapStencil::plane_carry_len(space)];
+                        for k_start in [1, 2, k_end / 2] {
+                            for k in k_start..k_end {
+                                let mut next_j = j0;
+                                lap.apply_plane(a, space, k, &mut carry, k == k_start, |j, l| {
+                                    assert_eq!(j, next_j, "rows in ascending j");
+                                    next_j += 1;
+                                    assert_eq!(l.len(), i1 - i0);
+                                    for (m, v) in l.iter().enumerate() {
+                                        let want = lap.apply(a, i0 + m, j, k);
+                                        assert_eq!(
+                                            v.to_bits(),
+                                            want.to_bits(),
+                                            "{s:?} apply at ({}, {j}, {k}), run from k = {k_start}",
+                                            i0 + m
+                                        );
+                                    }
+                                });
+                                assert_eq!(next_j, j1);
+                            }
+                        }
+                        for k in 1..k_end {
+                            for j in j0..j1 {
+                                for (m, d) in lap.diagonal_row(i0, i1, j, k).iter().enumerate() {
+                                    let want = lap.diagonal(i0 + m, j, k);
+                                    assert_eq!(
+                                        d.to_bits(),
+                                        want.to_bits(),
+                                        "{s:?} diagonal at ({}, {j}, {k})",
+                                        i0 + m
+                                    );
+                                }
+                            }
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// The diagonal class counts of the decks the benchmark and the
+    /// golden-hash tests run: a uniform φ mesh still yields a dozen or
+    /// so distinct spacing bit patterns, not one.
+    #[test]
+    fn diagonal_class_counts_of_the_benchmark_grids() {
+        let quick = SphericalGrid::coronal(20, 16, 24, 10.0);
+        let large = SphericalGrid::coronal(96, 64, 128, 10.0);
+        for s in STAGGERS {
+            assert_eq!(LapStencil::new(&quick, s).diagonal_classes(), 13, "20x16x24 {s:?}");
+            let want = if s == Stagger::FaceP { 15 } else { 12 };
+            assert_eq!(LapStencil::new(&large, s).diagonal_classes(), want, "96x64x128 {s:?}");
         }
     }
 

@@ -10,6 +10,7 @@
 
 use crate::ops::interp::{boost, radloss, s2c};
 use crate::sites;
+use crate::step::LIMIT_BLOCK;
 use gpusim::Traffic;
 use mas_field::{Array3, Field, VecField};
 use mas_grid::{IndexSpace3, SphericalGrid, Stagger};
@@ -321,28 +322,44 @@ pub fn conduction_dt_explicit(
     let blk = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
     let reads = [temp.buf(), rho.buf()];
     let (td, rd) = (&temp.data, &rho.data);
-    par.reduce_scalar(
+    let (i0, i1) = (blk.i0, blk.i1);
+    let (dr, rc) = (&grid.r.dc[i0..i1], &grid.rc[i0..i1]);
+    par.reduce_scalar_rows(
         &sites::COND_DT,
         blk,
         Traffic::new(2, 0, 20),
         &reads,
         ReduceOp::Min,
         f64::INFINITY,
-        |i, j, k| {
-            let t = td.get(i, j, k).max(TEMP_FLOOR);
-            let kappa = kappa0 * t * t * t.sqrt();
-            let chi = (gamma - 1.0) * kappa / rd.get(i, j, k).max(RHO_FLOOR);
-            if chi <= 0.0 {
-                return f64::INFINITY;
+        |mut acc, j, k| {
+            let (t_r, rho_r) = (td.row(i0, i1, j, k), rd.row(i0, i1, j, k));
+            let (dth_j, st_j, dph_k) = (grid.t.dc[j], grid.st_c[j], grid.p.dc[k]);
+            let mut block = [0.0; LIMIT_BLOCK];
+            for n0 in (0..i1 - i0).step_by(LIMIT_BLOCK) {
+                let len = LIMIT_BLOCK.min(i1 - i0 - n0);
+                for (m, out) in block[..len].iter_mut().enumerate() {
+                    let n = n0 + m;
+                    let t = t_r[n].max(TEMP_FLOOR);
+                    let kappa = kappa0 * t * t * t.sqrt();
+                    let chi = (gamma - 1.0) * kappa / rho_r[n].max(RHO_FLOOR);
+                    *out = if chi <= 0.0 {
+                        f64::INFINITY
+                    } else {
+                        // Smallest local extent.
+                        let mut dx = dr[n];
+                        dx = dx.min(rc[n] * dth_j);
+                        let rs = rc[n] * st_j;
+                        if rs > 1e-10 {
+                            dx = dx.min(rs * dph_k);
+                        }
+                        0.25 * dx * dx / chi
+                    };
+                }
+                for &dt in &block[..len] {
+                    acc = acc.min(dt);
+                }
             }
-            // Smallest local extent.
-            let mut dx = grid.r.dc[i];
-            dx = dx.min(grid.rc[i] * grid.t.dc[j]);
-            let rs = grid.rc[i] * grid.st_c[j];
-            if rs > 1e-10 {
-                dx = dx.min(rs * grid.p.dc[k]);
-            }
-            0.25 * dx * dx / chi
+            acc
         },
     )
 }
@@ -350,6 +367,9 @@ pub fn conduction_dt_explicit(
 /// Radiative losses and coronal heating:
 /// `T ← T + Δt (γ−1)/ρ [ H₀ e^{−(r−1)/λ} − ρ² Λ(T) ]` (the `radloss` /
 /// `boost` routine site), followed by nothing — floors are separate.
+/// A plane sweep: each engine chunk evaluates the radial profile
+/// `boost(r)` once for the `i` window, on its first plane, and every
+/// plane of the chunk reuses it.
 #[allow(clippy::too_many_arguments)]
 pub fn radiate_and_heat(
     par: &mut Par,
@@ -378,21 +398,28 @@ pub fn radiate_and_heat(
     );
     let (i0, i1) = (space.i0, space.i1);
     let rc_s = &rc[i0..i1];
-    par.loop3_rows(&sites::RADIATE_HEAT, space, Traffic::new(3, 1, 20), &reads, &writes, |j, k| {
-        let r_row = rd.row(i0, i1, j, k);
-        // Streamer-weighted heating: stronger above the (closed-field)
-        // equatorial belt, weaker over the polar coronal holes — the
-        // latitude structure MAS heating models carry.
-        let lat = 0.55 + 0.9 * st_c[j] * st_c[j];
-        let out = td.row_mut(i0, i1, j, k);
-        for n in 0..out.len() {
-            let t = out[n];
-            let rho_c = r_row[n].max(RHO_FLOOR);
-            let heat = c_heat * lat * boost(rc_s[n], HEATING_LAMBDA_INV);
-            let rad = c_rad * rho_c * rho_c * radloss(t);
-            // Limit the sink so one step cannot overshoot below zero.
-            let dtemp = dt * gm1 * (heat - rad) / rho_c;
-            out[n] = (t + dtemp).max(0.5 * t.min(TEMP_FLOOR * 2.0));
+    par.loop3_planes(&sites::RADIATE_HEAT, space, Traffic::new(3, 1, 20), &reads, &writes, i1 - i0, |k, profile, first| {
+        if first {
+            for (p, &r) in profile.iter_mut().zip(rc_s) {
+                *p = boost(r, HEATING_LAMBDA_INV);
+            }
+        }
+        for (j, &st_j) in (space.j0..space.j1).zip(&st_c[space.j0..space.j1]) {
+            let r_row = rd.row(i0, i1, j, k);
+            // Streamer-weighted heating: stronger above the (closed-field)
+            // equatorial belt, weaker over the polar coronal holes — the
+            // latitude structure MAS heating models carry.
+            let lat = 0.55 + 0.9 * st_j * st_j;
+            let out = td.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let t = out[n];
+                let rho_c = r_row[n].max(RHO_FLOOR);
+                let heat = c_heat * lat * profile[n];
+                let rad = c_rad * rho_c * rho_c * radloss(t);
+                // Limit the sink so one step cannot overshoot below zero.
+                let dtemp = dt * gm1 * (heat - rad) / rho_c;
+                out[n] = (t + dtemp).max(0.5 * t.min(TEMP_FLOOR * 2.0));
+            }
         }
     });
 }

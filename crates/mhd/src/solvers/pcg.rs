@@ -12,8 +12,10 @@
 //!
 //! On the host, the operator and the preconditioner each run in one
 //! sweep with the dot product that reads their output
-//! ([`Par::fused_rows`]), so an iteration makes three host sweeps for
-//! five modeled launches; the modeled device still books every launch.
+//! ([`Par::fused_planes`], [`Par::fused_rows`]), so an iteration makes
+//! three host sweeps for five modeled launches; the modeled device still
+//! books every launch. The operator sweeps run plane by plane so the
+//! Laplacian computes each face flux once ([`LapStencil::apply_plane`]).
 
 use crate::halo::HaloExchanger;
 use crate::ops::deriv::LapStencil;
@@ -59,6 +61,7 @@ pub fn solve_viscosity(
     }
 
     let (i0, i1) = (space.i0, space.i1);
+    let carry_len = LapStencil::plane_carry_len(space);
 
     // Ghosts of x must be current for the initial operator application.
     {
@@ -85,14 +88,18 @@ pub fn solve_viscosity(
         let dd = work.rhs.data.par_view();
         let pd = work.p.data.par_view();
         let xd = &x.data;
-        par.fused_rows(space, &launches, ReduceOp::Sum, 0.0, |mut acc, j, k| {
-            dd.row_mut(i0, i1, j, k).fill(0.0);
-            pd.row_mut(i0, i1, j, k).fill(0.0);
-            let out = rd.row_mut(i0, i1, j, k);
-            lap.apply_row(xd, i0, i1, j, k, |n, l| out[n] = nu_dt * l);
-            for &v in out.iter() {
-                acc += v * v;
-            }
+        par.fused_planes(space, &launches, ReduceOp::Sum, 0.0, carry_len, |mut acc, k, carry, first| {
+            lap.apply_plane(xd, space, k, carry, first, |j, l| {
+                dd.row_mut(i0, i1, j, k).fill(0.0);
+                pd.row_mut(i0, i1, j, k).fill(0.0);
+                let out = rd.row_mut(i0, i1, j, k);
+                for n in 0..out.len() {
+                    out[n] = nu_dt * l[n];
+                }
+                for &v in out.iter() {
+                    acc += v * v;
+                }
+            });
             acc
         })
     };
@@ -127,11 +134,12 @@ pub fn solve_viscosity(
             let rd = &work.r.data;
             par.fused_rows(space, &launches, ReduceOp::Sum, 0.0, |mut acc, j, k| {
                 let r_row = rd.row(i0, i1, j, k);
+                let d = lap.diagonal_row(i0, i1, j, k);
                 let out = zd.row_mut(i0, i1, j, k);
-                lap.diagonal_row(i0, i1, j, k, |n, d| {
-                    let diag = 1.0 - nu_dt * d;
+                for n in 0..out.len() {
+                    let diag = 1.0 - nu_dt * d[n];
                     out[n] = r_row[n] / diag;
-                });
+                }
                 for n in 0..r_row.len() {
                     acc += r_row[n] * out[n];
                 }
@@ -176,13 +184,17 @@ pub fn solve_viscosity(
             ];
             let apd = work.ap.data.par_view();
             let pd = &work.p.data;
-            par.fused_rows(space, &launches, ReduceOp::Sum, 0.0, |mut acc, j, k| {
-                let p_row = pd.row(i0, i1, j, k);
-                let out = apd.row_mut(i0, i1, j, k);
-                lap.apply_row(pd, i0, i1, j, k, |n, l| out[n] = p_row[n] - nu_dt * l);
-                for n in 0..p_row.len() {
-                    acc += p_row[n] * out[n];
-                }
+            par.fused_planes(space, &launches, ReduceOp::Sum, 0.0, carry_len, |mut acc, k, carry, first| {
+                lap.apply_plane(pd, space, k, carry, first, |j, l| {
+                    let p_row = pd.row(i0, i1, j, k);
+                    let out = apd.row_mut(i0, i1, j, k);
+                    for n in 0..out.len() {
+                        out[n] = p_row[n] - nu_dt * l[n];
+                    }
+                    for n in 0..p_row.len() {
+                        acc += p_row[n] * out[n];
+                    }
+                });
                 acc
             })
         };

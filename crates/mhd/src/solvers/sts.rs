@@ -274,9 +274,14 @@ pub fn advance_viscosity_sts(
             let od = out.data.par_view();
             let yd = &y.data;
             let (i0, i1) = (space.i0, space.i1);
-            par.loop3_rows(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |j, k| {
-                let out_row = od.row_mut(i0, i1, j, k);
-                lap.apply_row(yd, i0, i1, j, k, |n, l| out_row[n] = nu * l);
+            let carry_len = LapStencil::plane_carry_len(space);
+            par.loop3_planes(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, carry_len, |k, carry, first| {
+                lap.apply_plane(yd, space, k, carry, first, |j, l| {
+                    let out = od.row_mut(i0, i1, j, k);
+                    for n in 0..out.len() {
+                        out[n] = nu * l[n];
+                    }
+                });
             });
         },
     )

@@ -1,6 +1,7 @@
 //! One full time step: the operator-split advance mirroring MAS's
 //! predictor/corrector split-step structure.
 
+use crate::ops::deriv::LapStencil;
 use crate::physics::{advect, conduct, induction, momentum};
 use crate::sim::Simulation;
 use crate::sites;
@@ -17,7 +18,7 @@ fn explicit_viscosity_update(
     par: &mut Par,
     comp: &mut mas_field::Field,
     work: &mut crate::state::PcgWork,
-    lap: &crate::ops::deriv::LapStencil,
+    lap: &LapStencil,
     space: IndexSpace3,
     dt: f64,
     nu: f64,
@@ -28,9 +29,11 @@ fn explicit_viscosity_update(
         let writes = [work.ap.buf()];
         let od = work.ap.data.par_view();
         let yd = &comp.data;
-        par.loop3_rows(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, |j, k| {
-            let out = od.row_mut(i0, i1, j, k);
-            lap.apply_row(yd, i0, i1, j, k, |n, l| out[n] = l);
+        let carry_len = LapStencil::plane_carry_len(space);
+        par.loop3_planes(&sites::VISC_APPLY, space, Traffic::new(8, 1, 24), &reads, &writes, carry_len, |k, carry, first| {
+            lap.apply_plane(yd, space, k, carry, first, |j, l| {
+                od.row_mut(i0, i1, j, k).copy_from_slice(l);
+            });
         });
     }
     {
@@ -59,6 +62,11 @@ pub struct StepInfo {
     pub sts_ops: usize,
 }
 
+/// Points per stack block of the row-form limit reductions: a block's
+/// values are computed first (the loop that vectorizes), then folded in
+/// ascending `i`.
+pub(crate) const LIMIT_BLOCK: usize = 64;
+
 /// Global CFL time step: flow + fast-mode + explicit resistive limits,
 /// scaled by the deck's CFL factor and capped by `dt_max`.
 #[allow(clippy::too_many_arguments)]
@@ -72,42 +80,63 @@ pub fn cfl_dt(par: &mut Par, comm: &Comm, sim_grid: &mas_grid::SphericalGrid, st
     let (rd, td) = (&st.rho.data, &st.temp.data);
     let (vr, vt, vp) = (&st.v.r.data, &st.v.t.data, &st.v.p.data);
     let (br, bt, bp) = (&st.b.r.data, &st.b.t.data, &st.b.p.data);
-    let mut dt_local = par.reduce_scalar(
+    let (i0, i1) = (space.i0, space.i1);
+    let (dr, rc) = (&grid.r.dc[i0..i1], &grid.rc[i0..i1]);
+    let mut dt_local = par.reduce_scalar_rows(
         &sites::CFL_MIN,
         space,
         Traffic::new(14, 0, 40),
         &reads,
         ReduceOp::Min,
         f64::INFINITY,
-        |i, j, k| {
-            let rho = rd.get(i, j, k).max(conduct::RHO_FLOOR);
-            let a = 0.5 * (vr.get(i, j, k) + vr.get(i + 1, j, k));
-            let b = 0.5 * (vt.get(i, j, k) + vt.get(i, j + 1, k));
-            let c = 0.5 * (vp.get(i, j, k) + vp.get(i, j, k + 1));
-            let v2 = a * a + b * b + c * c;
-            let ba = 0.5 * (br.get(i, j, k) + br.get(i + 1, j, k));
-            let bb = 0.5 * (bt.get(i, j, k) + bt.get(i, j + 1, k));
-            let bc_ = 0.5 * (bp.get(i, j, k) + bp.get(i, j, k + 1));
-            let b2 = ba * ba + bb * bb + bc_ * bc_;
-            // Fast-mode + flow speed.
-            let cf = (gamma * td.get(i, j, k).max(0.0) + b2 / rho).sqrt();
-            let speed = v2.sqrt() + cf;
-            // Local cell extent.
-            let mut dx = grid.r.dc[i];
-            dx = dx.min(grid.rc[i] * grid.t.dc[j]);
-            let rs = grid.rc[i] * grid.st_c[j];
-            if rs > 1e-10 {
-                dx = dx.min(rs * grid.p.dc[k]);
+        |mut acc, j, k| {
+            let (rho_r, t_r) = (rd.row(i0, i1, j, k), td.row(i0, i1, j, k));
+            let vr_r = vr.row(i0, i1 + 1, j, k);
+            let (vt_lo, vt_hi) = (vt.row(i0, i1, j, k), vt.row(i0, i1, j + 1, k));
+            let (vp_lo, vp_hi) = (vp.row(i0, i1, j, k), vp.row(i0, i1, j, k + 1));
+            let br_r = br.row(i0, i1 + 1, j, k);
+            let (bt_lo, bt_hi) = (bt.row(i0, i1, j, k), bt.row(i0, i1, j + 1, k));
+            let (bp_lo, bp_hi) = (bp.row(i0, i1, j, k), bp.row(i0, i1, j, k + 1));
+            let (dth_j, st_j, dph_k) = (grid.t.dc[j], grid.st_c[j], grid.p.dc[k]);
+            let mut block = [0.0; LIMIT_BLOCK];
+            for n0 in (0..i1 - i0).step_by(LIMIT_BLOCK) {
+                let len = LIMIT_BLOCK.min(i1 - i0 - n0);
+                for (m, out) in block[..len].iter_mut().enumerate() {
+                    let n = n0 + m;
+                    let rho = rho_r[n].max(conduct::RHO_FLOOR);
+                    let a = 0.5 * (vr_r[n] + vr_r[n + 1]);
+                    let b = 0.5 * (vt_lo[n] + vt_hi[n]);
+                    let c = 0.5 * (vp_lo[n] + vp_hi[n]);
+                    let v2 = a * a + b * b + c * c;
+                    let ba = 0.5 * (br_r[n] + br_r[n + 1]);
+                    let bb = 0.5 * (bt_lo[n] + bt_hi[n]);
+                    let bc_ = 0.5 * (bp_lo[n] + bp_hi[n]);
+                    let b2 = ba * ba + bb * bb + bc_ * bc_;
+                    // Fast-mode + flow speed.
+                    let cf = (gamma * t_r[n].max(0.0) + b2 / rho).sqrt();
+                    let speed = v2.sqrt() + cf;
+                    // Local cell extent.
+                    let mut dx = dr[n];
+                    dx = dx.min(rc[n] * dth_j);
+                    let rs = rc[n] * st_j;
+                    if rs > 1e-10 {
+                        dx = dx.min(rs * dph_k);
+                    }
+                    let mut dt = dx / speed.max(1e-12);
+                    if eta > 0.0 {
+                        dt = dt.min(0.25 * dx * dx / eta);
+                    }
+                    if let Some(nu) = visc_explicit {
+                        // Plain explicit viscosity is CFL-limited too.
+                        dt = dt.min(0.25 * dx * dx / nu);
+                    }
+                    *out = dt;
+                }
+                for &dt in &block[..len] {
+                    acc = acc.min(dt);
+                }
             }
-            let mut dt = dx / speed.max(1e-12);
-            if eta > 0.0 {
-                dt = dt.min(0.25 * dx * dx / eta);
-            }
-            if let Some(nu) = visc_explicit {
-                // Plain explicit viscosity is CFL-limited too.
-                dt = dt.min(0.25 * dx * dx / nu);
-            }
-            dt
+            acc
         },
     );
     dt_local *= cfl;
@@ -303,4 +332,195 @@ pub fn advance(sim: &mut Simulation, comm: &Comm) -> StepInfo {
     sim.time += dt;
     sim.step += 1;
     StepInfo { dt, pcg_iters, sts_ops }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::interp::{boost, radloss};
+    use crate::physics::conduct::{HEATING_LAMBDA_INV, HEAT_COEF, RAD_COEF, RHO_FLOOR, TEMP_FLOOR};
+    use crate::state::State;
+    use gpusim::DeviceSpec;
+    use mas_grid::{SphericalGrid, NGHOST};
+    use minimpi::World;
+    use stdpar::CodeVersion;
+
+    /// A coronal grid whose first interior θ row has `sin θ = 0`, so its
+    /// cells take the `rs ≤ 1e-10` branch of the limits, and a state
+    /// with structure in every field the limits and the source read.
+    fn setup(threads: usize) -> (SphericalGrid, State, Par) {
+        let mut g = SphericalGrid::coronal(24, 16, 20, 8.0);
+        g.st_c[NGHOST] = 0.0;
+        let mut par = Par::builder(DeviceSpec::a100_40gb())
+            .version(CodeVersion::D2xu)
+            .threads(threads)
+            .build();
+        par.ctx.set_phase(gpusim::Phase::Compute);
+        let mut st = State::new(&g);
+        st.rho.init_with(&g, |r, t, p| (1.0 + 0.3 * (2.0 * p).sin() * t.sin()) / (r * r));
+        st.temp.init_with(&g, |r, t, p| 0.9 + 0.4 * (3.0 * r + t).sin() * p.cos());
+        st.v.r.init_with(&g, |r, t, _| 0.2 * r * t.cos());
+        st.v.t.init_with(&g, |r, t, p| 0.05 * (r + p).sin() * t.sin());
+        st.v.p.init_with(&g, |_, t, p| 0.1 * (t - p).cos());
+        st.b.r.init_with(&g, |r, t, _| t.cos() / (r * r));
+        st.b.t.init_with(&g, |r, t, p| 0.3 * t.sin() / (r * r * r) + 0.01 * p.sin());
+        st.b.p.init_with(&g, |r, _, p| 0.02 * p.cos() / r);
+        st.register(&mut par, &g, 1.0, 1.0);
+        (g, st, par)
+    }
+
+    /// The CFL limit as a point-form reduction, the body kept verbatim
+    /// from before the row form.
+    #[allow(clippy::too_many_arguments)]
+    fn cfl_point_form(par: &mut Par, grid: &SphericalGrid, st: &State, gamma: f64, eta: f64, visc_explicit: Option<f64>) -> f64 {
+        let space = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
+        let (rd, td) = (&st.rho.data, &st.temp.data);
+        let (vr, vt, vp) = (&st.v.r.data, &st.v.t.data, &st.v.p.data);
+        let (br, bt, bp) = (&st.b.r.data, &st.b.t.data, &st.b.p.data);
+        par.reduce_scalar(
+            &sites::CFL_MIN,
+            space,
+            Traffic::new(14, 0, 40),
+            &[],
+            ReduceOp::Min,
+            f64::INFINITY,
+            |i, j, k| {
+                let rho = rd.get(i, j, k).max(conduct::RHO_FLOOR);
+                let a = 0.5 * (vr.get(i, j, k) + vr.get(i + 1, j, k));
+                let b = 0.5 * (vt.get(i, j, k) + vt.get(i, j + 1, k));
+                let c = 0.5 * (vp.get(i, j, k) + vp.get(i, j, k + 1));
+                let v2 = a * a + b * b + c * c;
+                let ba = 0.5 * (br.get(i, j, k) + br.get(i + 1, j, k));
+                let bb = 0.5 * (bt.get(i, j, k) + bt.get(i, j + 1, k));
+                let bc_ = 0.5 * (bp.get(i, j, k) + bp.get(i, j, k + 1));
+                let b2 = ba * ba + bb * bb + bc_ * bc_;
+                // Fast-mode + flow speed.
+                let cf = (gamma * td.get(i, j, k).max(0.0) + b2 / rho).sqrt();
+                let speed = v2.sqrt() + cf;
+                // Local cell extent.
+                let mut dx = grid.r.dc[i];
+                dx = dx.min(grid.rc[i] * grid.t.dc[j]);
+                let rs = grid.rc[i] * grid.st_c[j];
+                if rs > 1e-10 {
+                    dx = dx.min(rs * grid.p.dc[k]);
+                }
+                let mut dt = dx / speed.max(1e-12);
+                if eta > 0.0 {
+                    dt = dt.min(0.25 * dx * dx / eta);
+                }
+                if let Some(nu) = visc_explicit {
+                    // Plain explicit viscosity is CFL-limited too.
+                    dt = dt.min(0.25 * dx * dx / nu);
+                }
+                dt
+            },
+        )
+    }
+
+    /// The conduction limit as a point-form reduction, the body kept
+    /// verbatim from before the row form.
+    fn cond_dt_point_form(par: &mut Par, grid: &SphericalGrid, st: &State, kappa0: f64, gamma: f64) -> f64 {
+        let blk = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
+        let (td, rd) = (&st.temp.data, &st.rho.data);
+        par.reduce_scalar(
+            &sites::COND_DT,
+            blk,
+            Traffic::new(2, 0, 20),
+            &[],
+            ReduceOp::Min,
+            f64::INFINITY,
+            |i, j, k| {
+                let t = td.get(i, j, k).max(TEMP_FLOOR);
+                let kappa = kappa0 * t * t * t.sqrt();
+                let chi = (gamma - 1.0) * kappa / rd.get(i, j, k).max(RHO_FLOOR);
+                if chi <= 0.0 {
+                    return f64::INFINITY;
+                }
+                // Smallest local extent.
+                let mut dx = grid.r.dc[i];
+                dx = dx.min(grid.rc[i] * grid.t.dc[j]);
+                let rs = grid.rc[i] * grid.st_c[j];
+                if rs > 1e-10 {
+                    dx = dx.min(rs * grid.p.dc[k]);
+                }
+                0.25 * dx * dx / chi
+            },
+        )
+    }
+
+    /// Radiation and heating with `boost` evaluated at every point, the
+    /// row body kept verbatim from before the plane form.
+    #[allow(clippy::too_many_arguments)]
+    fn radiate_point_form(par: &mut Par, grid: &SphericalGrid, st: &mut State, dt: f64, gamma: f64, radiation: bool, heating: bool) {
+        let space = IndexSpace3::interior(Stagger::CellCenter, grid.nr, grid.nt, grid.np);
+        let td = st.temp.data.par_view();
+        let rd = &st.rho.data;
+        let rc = &grid.rc;
+        let st_c = &grid.st_c;
+        let gm1 = gamma - 1.0;
+        let (c_rad, c_heat) = (
+            if radiation { RAD_COEF } else { 0.0 },
+            if heating { HEAT_COEF } else { 0.0 },
+        );
+        let (i0, i1) = (space.i0, space.i1);
+        let rc_s = &rc[i0..i1];
+        par.loop3_rows(&sites::RADIATE_HEAT, space, Traffic::new(3, 1, 20), &[], &[], |j, k| {
+            let r_row = rd.row(i0, i1, j, k);
+            let lat = 0.55 + 0.9 * st_c[j] * st_c[j];
+            let out = td.row_mut(i0, i1, j, k);
+            for n in 0..out.len() {
+                let t = out[n];
+                let rho_c = r_row[n].max(RHO_FLOOR);
+                let heat = c_heat * lat * boost(rc_s[n], HEATING_LAMBDA_INV);
+                let rad = c_rad * rho_c * rho_c * radloss(t);
+                // Limit the sink so one step cannot overshoot below zero.
+                let dtemp = dt * gm1 * (heat - rad) / rho_c;
+                out[n] = (t + dtemp).max(0.5 * t.min(TEMP_FLOOR * 2.0));
+            }
+        });
+    }
+
+    /// The row-form limits and the plane-form heating equal their
+    /// point-form references bit for bit: every limit term on and off
+    /// (the resistive and explicit-viscous limits, `chi ≤ 0`), a pole
+    /// row on the `rs ≤ 1e-10` branch, and radiation and heating in
+    /// every combination at one and two threads (several chunks each).
+    #[test]
+    fn row_form_limits_and_heating_match_point_forms_bitwise() {
+        World::run(1, |comm| {
+            let gamma = 5.0 / 3.0;
+            let (g, st, mut par) = setup(1);
+            let (_, _, mut reference) = setup(1);
+            for (eta, visc) in [(0.0, None), (0.02, None), (0.0, Some(0.004)), (0.02, Some(0.004)), (1e-4, Some(2e-5))] {
+                let got = cfl_dt(&mut par, &comm, &g, &st, gamma, eta, 0.4, 1e9, visc);
+                let want = cfl_point_form(&mut reference, &g, &st, gamma, eta, visc) * 0.4;
+                assert_eq!(got.to_bits(), want.to_bits(), "cfl_dt eta={eta} visc={visc:?}");
+            }
+            // The pole row takes the `rs ≤ 1e-10` branch: a φ extent of 0
+            // there, or none elsewhere, would move the minimum.
+            assert!(g.rc[NGHOST] * g.st_c[NGHOST] <= 1e-10);
+            for kappa0 in [0.0, 0.003, 0.05] {
+                let got = conduct::conduction_dt_explicit(&mut par, &g, &st.temp, &st.rho, kappa0, gamma);
+                let want = cond_dt_point_form(&mut reference, &g, &st, kappa0, gamma);
+                assert_eq!(got.to_bits(), want.to_bits(), "conduction_dt_explicit kappa0={kappa0}");
+            }
+            assert_eq!(
+                conduct::conduction_dt_explicit(&mut par, &g, &st.temp, &st.rho, 0.0, gamma),
+                f64::INFINITY,
+                "chi <= 0 everywhere"
+            );
+        });
+        for threads in [1, 2] {
+            for (radiation, heating) in [(true, true), (true, false), (false, true)] {
+                let (g, mut st, mut par) = setup(threads);
+                let (_, mut st_ref, mut reference) = setup(threads);
+                for _ in 0..2 {
+                    conduct::radiate_and_heat(&mut par, &g, &mut st.temp, &st.rho, 0.05, 5.0 / 3.0, radiation, heating);
+                    radiate_point_form(&mut reference, &g, &mut st_ref, 0.05, 5.0 / 3.0, radiation, heating);
+                }
+                let bits = |s: &State| s.temp.data.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&st), bits(&st_ref), "radiate_and_heat t={threads} rad={radiation} heat={heating}");
+            }
+        }
+    }
 }

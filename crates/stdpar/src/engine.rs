@@ -282,12 +282,13 @@ impl Engine {
     }
 }
 
-/// Shared-write view of an `f64` slice for per-tile reduction partials.
+/// Shared-write view of an `f64` slice for per-tile reduction partials
+/// and per-chunk plane scratch.
 ///
 /// # Safety contract
 /// Each tile must write only its own disjoint index range (tile `t`
-/// owns row `t`); the engine's fork-join completes before the slice is
-/// read back, so no access overlaps.
+/// owns row `t`, chunk `c` owns chunk `c`); the engine's fork-join
+/// completes before the slice is read back, so no access overlaps.
 pub(crate) struct SyncSlice<'a> {
     ptr: *mut f64,
     len: usize,
@@ -321,6 +322,25 @@ impl<'a> SyncSlice<'a> {
         // SAFETY: as above; the read-modify-write races with nothing
         // because the element belongs to exactly one tile.
         unsafe { *self.ptr.add(i) += dv }
+    }
+
+    /// Chunk `c` of the slice cut into chunks of `len` values, as a
+    /// mutable slice. Panics if the chunk runs past the end.
+    ///
+    /// # Safety
+    /// No other reference into chunk `c` may be live while the returned
+    /// one is: the caller gives each chunk index one owner at a time.
+    #[inline(always)]
+    pub(crate) unsafe fn chunk_mut(&self, c: usize, len: usize) -> &'a mut [f64] {
+        let start = c.saturating_mul(len);
+        assert!(
+            start <= self.len && len <= self.len - start,
+            "chunk {c} of {len} values runs past a {}-value slice",
+            self.len
+        );
+        // SAFETY: in bounds (asserted above); exclusivity is the
+        // caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
     }
 }
 

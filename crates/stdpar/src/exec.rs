@@ -119,8 +119,9 @@ impl Default for CostScales {
     }
 }
 
-/// One modeled kernel launch of a fused host sweep ([`Par::fused_rows`]):
-/// the site, traffic and buffers its own unfused call would pass.
+/// One modeled kernel launch of a fused host sweep ([`Par::fused_rows`],
+/// [`Par::fused_planes`]): the site, traffic and buffers its own unfused
+/// call would pass.
 #[derive(Clone, Copy, Debug)]
 pub struct Launch<'a> {
     site: &'a Site,
@@ -256,6 +257,7 @@ impl ParBuilder {
             plans: HashMap::new(),
             audit: RaceAuditor::new(audit_on),
             scratch: Vec::new(),
+            carry: Vec::new(),
         }
     }
 }
@@ -312,6 +314,10 @@ pub struct Par {
     /// and [`Par::reduce_array`] (they never nest) — steady-state
     /// reductions allocate nothing.
     scratch: Vec<f64>,
+    /// Per-chunk scratch of the plane sweeps ([`Par::fused_planes`]):
+    /// one slice per engine chunk, grown to its high-water mark and then
+    /// reused.
+    carry: Vec<f64>,
 }
 
 impl Par {
@@ -586,6 +592,72 @@ impl Par {
     where
         F: Fn(f64, usize, usize) -> f64 + Sync,
     {
+        let (sweep, tile_k) = self.book_sweep(space, launches);
+        self.fold_rows(sweep, space, tile_k, op, init, body)
+    }
+
+    /// The plane form of [`Par::fused_rows`]: the same launches booked
+    /// the same way, and the same fold, but `body(acc, k, carry, first)`
+    /// runs once per **k-plane** of `space` and folds that plane's rows
+    /// into `acc` in ascending `j`, each in ascending `i`.
+    ///
+    /// `carry` is `carry_len` values of scratch owned by the body's
+    /// chunk: the engine runs a chunk's planes in ascending order on one
+    /// thread, so a plane may hand values on to the next plane through
+    /// it (a stencil's shared face fluxes, a grid-static profile).
+    /// `first` marks a chunk's first plane; such a plane must compute
+    /// its carries fresh and read nothing its chunk left from an earlier
+    /// call. Serial sites and single-plane spaces run every plane in
+    /// order through one chunk; an audited launch runs the engine's
+    /// chunks one after another on the caller. A carried value must
+    /// equal the value the plane would compute fresh, bit for bit: then
+    /// the chunking, which depends on the engine width, stays invisible
+    /// to results. The scratch is one buffer owned by `Par`, so
+    /// steady-state sweeps allocate nothing.
+    pub fn fused_planes<F>(
+        &mut self,
+        space: IndexSpace3,
+        launches: &[Launch<'_>],
+        op: ReduceOp,
+        init: f64,
+        carry_len: usize,
+        body: F,
+    ) -> f64
+    where
+        F: Fn(f64, usize, &mut [f64], bool) -> f64 + Sync,
+    {
+        let (sweep, tile_k) = self.book_sweep(space, launches);
+        self.fold_planes(sweep, space, tile_k, op, init, carry_len, body)
+    }
+
+    /// The loop form of [`Par::fused_planes`]: one row loop of `site`,
+    /// booked as [`Par::loop3_rows`] books it, whose `body(k, carry,
+    /// first)` writes the whole k-plane `k` with the per-chunk scratch
+    /// `carry`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn loop3_planes<F>(
+        &mut self,
+        site: &Site,
+        space: IndexSpace3,
+        traffic: Traffic,
+        reads: &[BufferId],
+        writes: &[BufferId],
+        carry_len: usize,
+        body: F,
+    ) where
+        F: Fn(usize, &mut [f64], bool) + Sync,
+    {
+        let launches = [Launch::rows(site, traffic, reads, writes)];
+        self.fused_planes(space, &launches, ReduceOp::Sum, 0.0, carry_len, |acc, k, carry, first| {
+            body(k, carry, first);
+            acc
+        });
+    }
+
+    /// Book every launch of a fused sweep in order, as its own call
+    /// would book it, and return the sweep's site (the first launch's)
+    /// and tile size.
+    fn book_sweep<'s>(&mut self, space: IndexSpace3, launches: &[Launch<'s>]) -> (&'s Site, usize) {
         let sweep = launches[0].site;
         let mut tile_k = 1;
         for l in launches {
@@ -598,7 +670,7 @@ impl Par {
             // One space on one engine: every launch plans the same tiles.
             tile_k = tk;
         }
-        self.fold_rows(sweep, space, tile_k, op, init, body)
+        (sweep, tile_k)
     }
 
     /// The tiled launch shared by every kernel form: `plane(t)` runs once
@@ -825,14 +897,8 @@ impl Par {
         acc
     }
 
-    /// The deterministic tiled fold behind every scalar reduction and
-    /// every fused sweep. Serial sites and single-plane spaces fold every
-    /// row in Fortran order on the caller, starting from `init`.
-    /// Otherwise each k-plane folds its rows into its own partial,
-    /// independent of the engine chunking, and the partials combine in
-    /// plane order on the calling thread. The decomposition depends only
-    /// on `space`, so the result is bit-identical for every engine width
-    /// and tile size.
+    /// [`Par::fold_planes`] over a row body: each plane folds its rows
+    /// in ascending `j`, with no scratch.
     fn fold_rows<F>(
         &mut self,
         site: &Site,
@@ -845,32 +911,82 @@ impl Par {
     where
         F: Fn(f64, usize, usize) -> f64 + Sync,
     {
-        let nk = space.k1.saturating_sub(space.k0);
-        let fold_plane = |mut acc: f64, t: usize| {
-            let k = space.k0 + t;
-            for j in space.j0..space.j1 {
+        let (j0, j1) = (space.j0, space.j1);
+        self.fold_planes(site, space, tile_k, op, init, 0, |mut acc, k, _, _| {
+            for j in j0..j1 {
                 acc = body(acc, j, k);
             }
             acc
+        })
+    }
+
+    /// The deterministic tiled fold behind every scalar reduction and
+    /// every fused sweep. Serial sites and single-plane spaces fold every
+    /// plane in order on the caller, starting from `init`, through one
+    /// scratch chunk. Otherwise each k-plane folds into its own partial,
+    /// independent of the engine chunking, and the partials combine in
+    /// plane order on the calling thread. The decomposition depends only
+    /// on `space`, so the result is bit-identical for every engine width
+    /// and tile size, as long as a carried scratch value equals the one
+    /// a chunk's first plane computes fresh (see [`Par::fused_planes`]).
+    #[allow(clippy::too_many_arguments)]
+    fn fold_planes<F>(
+        &mut self,
+        site: &Site,
+        space: IndexSpace3,
+        tile_k: usize,
+        op: ReduceOp,
+        init: f64,
+        carry_len: usize,
+        body: F,
+    ) -> f64
+    where
+        F: Fn(f64, usize, &mut [f64], bool) -> f64 + Sync,
+    {
+        let (k0, nk) = (space.k0, space.k1.saturating_sub(space.k0));
+        let serial = site.tiling == Tiling::Serial || nk <= 1;
+        let tile_k = tile_k.max(1);
+        let n_chunks = if serial { 1 } else { nk.div_ceil(tile_k) };
+        // Grown once to the high-water mark, then reused as is: a chunk's
+        // first plane writes its carries before anything reads them.
+        let mut carry = std::mem::take(&mut self.carry);
+        if carry.len() < n_chunks * carry_len {
+            carry.resize(n_chunks * carry_len, 0.0);
+        }
+        let acc = if serial {
+            let chunk = &mut carry[..carry_len];
+            (0..nk).fold(init, |acc, t| body(acc, k0 + t, chunk, t == 0))
+        } else {
+            let ident = op_identity(op);
+            // Steady state reuses the shared scratch buffer.
+            let mut partials = std::mem::take(&mut self.scratch);
+            partials.clear();
+            partials.resize(nk, ident);
+            {
+                let ps = SyncSlice::new(&mut partials);
+                let cs = SyncSlice::new(&mut carry);
+                // The audited pass writes the same per-plane partials, so
+                // the combine below keeps the engine's exact FP order.
+                self.run_planes(site, space, nk, tile_k, &|t: usize| {
+                    // SAFETY: chunk `t / tile_k` has exactly one owner at
+                    // a time. `dispatch_chunked` hands the planes
+                    // `c·tile_k .. (c+1)·tile_k` to one engine task, which
+                    // runs them in ascending order (with `tile_k == 1`
+                    // every plane is its own task and chunk), and the
+                    // engine's claim counter gives each task to one
+                    // thread. The audited path runs every plane serially
+                    // on the caller. No plane keeps its slice past its
+                    // own call, and the fork-join ends before `carry` is
+                    // touched again.
+                    let chunk = unsafe { cs.chunk_mut(t / tile_k, carry_len) };
+                    ps.set(t, body(ident, k0 + t, chunk, t.is_multiple_of(tile_k)));
+                });
+            }
+            let acc = partials.iter().fold(init, |a, &p| op_apply(op, a, p));
+            self.scratch = partials;
+            acc
         };
-        if site.tiling == Tiling::Serial || nk <= 1 {
-            return (0..nk).fold(init, fold_plane);
-        }
-        let ident = op_identity(op);
-        // Steady state reuses the shared scratch buffer.
-        let mut partials = std::mem::take(&mut self.scratch);
-        partials.clear();
-        partials.resize(nk, ident);
-        {
-            let ps = SyncSlice::new(&mut partials);
-            // The audited pass writes the same per-plane partials, so
-            // the combine below keeps the engine's exact FP order.
-            self.run_planes(site, space, nk, tile_k, &|t: usize| {
-                ps.set(t, fold_plane(ident, t));
-            });
-        }
-        let acc = partials.iter().fold(init, |a, &p| op_apply(op, a, p));
-        self.scratch = partials;
+        self.carry = carry;
         acc
     }
 
@@ -959,7 +1075,9 @@ impl Par {
 /// `tile_k` consecutive planes (the adaptive tile plan). Each chunk
 /// executes its planes in ascending order, so for any `tile_k` every
 /// plane-level task runs exactly once with the same per-plane effect —
-/// chunking changes scheduling granularity, never results.
+/// chunking changes scheduling granularity, never results. Chunk `c` is
+/// planes `c·tile_k .. (c+1)·tile_k` on one task: [`Par::fold_planes`]
+/// gives each chunk its own scratch on that grouping.
 fn dispatch_chunked(
     engine: &mut Engine,
     nk: usize,
@@ -1434,26 +1552,39 @@ mod tests {
         }
     }
 
-    /// The fused-launch form books on the model exactly what the separate
+    /// The fused-launch forms book on the model exactly what the separate
     /// calls book — clock bits (jitter on), launch and byte counts, every
-    /// per-site registry row — and computes the same array and reduction
-    /// bits, at every engine width, on tiled and single-plane spaces.
-    /// Only the host-tile census differs: it counts the one sweep.
+    /// per-site registry row — and compute the same array and reduction
+    /// bits, at every engine width, on tiled and single-plane spaces,
+    /// with the race auditor off and on. The plane form's body really
+    /// carries: it hands each plane's `cos(x)` to the next plane through
+    /// its chunk's scratch instead of recomputing it from `x` at `k - 1`,
+    /// and `x` changes between sweeps, so a carry that leaked across
+    /// chunks or calls would change the bits. Only the host-tile census
+    /// differs from the separate calls: it counts the one sweep.
     #[test]
     fn fused_sweep_matches_separate_launches() {
         use mas_field::Array3;
         static FILL: Site = Site::par3("fused_fill");
         static DOT: Site = Site::new("fused_dot", LoopClass::ScalarReduction, 3).heavy();
 
-        let run = |v: CodeVersion, threads: usize, nk: usize, fused: bool| {
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Form {
+            Separate,
+            Rows,
+            Planes,
+        }
+
+        let run = |v: CodeVersion, threads: usize, nk: usize, audit: bool, form: Form| {
             let mut p = Par::builder(DeviceSpec::a100_40gb())
                 .version(v)
                 .threads(threads)
                 .seed(7)
+                .audit(audit)
                 .build();
             p.ctx.set_phase(gpusim::Phase::Compute);
-            let mut x = Array3::zeros(12, 10, 16);
-            let mut y = Array3::zeros(12, 10, 16);
+            let mut x = Array3::zeros(42, 36, 14);
+            let mut y = Array3::zeros(42, 36, 14);
             let bx = p.ctx.mem.register(x.bytes(), "x");
             let by = p.ctx.mem.register(y.bytes(), "y");
             if p.policy.data_mode == DataMode::Manual {
@@ -1465,22 +1596,26 @@ mod tests {
             }
             let sp = IndexSpace3 {
                 i0: 1,
-                i1: 11,
+                i1: 41,
                 j0: 1,
-                j1: 9,
+                j1: 35,
                 k0: 1,
                 k1: 1 + nk,
             };
+            assert!(nk == 1 || auto_tile_k(sp, threads) < nk, "several chunks");
+            let w = sp.i1 - sp.i0;
             let (fill, dot) = (Traffic::new(1, 1, 4), Traffic::new(2, 0, 2));
             let (xs, ys, xys) = ([bx], [by], [bx, by]);
             let mut sums = Vec::new();
-            for _ in 0..3 {
+            for sweep in 0..3 {
                 let yv = y.par_view();
+                let xv = &x;
                 let fill_row = |j: usize, k: usize| {
-                    let xr = x.row(sp.i0, sp.i1, j, k);
+                    let xr = xv.row(sp.i0, sp.i1, j, k);
+                    let below = xv.row(sp.i0, sp.i1, j, k - 1);
                     let out = yv.row_mut(sp.i0, sp.i1, j, k);
                     for n in 0..out.len() {
-                        out[n] = (1.5 * xr[n]).sin() / (2.0 + xr[n]);
+                        out[n] = (1.5 * xr[n]).sin() / (2.0 + below[n].cos());
                     }
                     out
                 };
@@ -1490,25 +1625,54 @@ mod tests {
                     }
                     acc
                 };
-                let s = if fused {
-                    let launches = [
-                        Launch::rows(&FILL, fill, &xs, &ys),
-                        Launch::reduce(&DOT, dot, &xys),
-                    ];
-                    p.fused_rows(sp, &launches, ReduceOp::Sum, 0.25, |acc, j, k| {
+                let launches = [
+                    Launch::rows(&FILL, fill, &xs, &ys),
+                    Launch::reduce(&DOT, dot, &xys),
+                ];
+                let s = match form {
+                    Form::Separate => {
+                        p.loop3_rows(&FILL, sp, fill, &xs, &ys, |j, k| {
+                            fill_row(j, k);
+                        });
+                        p.reduce_scalar_rows(&DOT, sp, dot, &xys, ReduceOp::Sum, 0.25, |acc, j, k| {
+                            dot_row(acc, xv.row(sp.i0, sp.i1, j, k), yv.row(sp.i0, sp.i1, j, k))
+                        })
+                    }
+                    Form::Rows => p.fused_rows(sp, &launches, ReduceOp::Sum, 0.25, |acc, j, k| {
                         let out = fill_row(j, k);
-                        dot_row(acc, x.row(sp.i0, sp.i1, j, k), out)
-                    })
-                } else {
-                    p.loop3_rows(&FILL, sp, fill, &xs, &ys, |j, k| {
-                        fill_row(j, k);
-                    });
-                    p.reduce_scalar_rows(&DOT, sp, dot, &xys, ReduceOp::Sum, 0.25, |acc, j, k| {
-                        dot_row(acc, x.row(sp.i0, sp.i1, j, k), yv.row(sp.i0, sp.i1, j, k))
-                    })
+                        dot_row(acc, xv.row(sp.i0, sp.i1, j, k), out)
+                    }),
+                    Form::Planes => {
+                        let carry_len = w * (sp.j1 - sp.j0);
+                        p.fused_planes(sp, &launches, ReduceOp::Sum, 0.25, carry_len, |mut acc, k, carry, first| {
+                            assert_eq!(carry.len(), carry_len);
+                            for (n_j, j) in (sp.j0..sp.j1).enumerate() {
+                                let cos_below = &mut carry[n_j * w..(n_j + 1) * w];
+                                if first {
+                                    let below = xv.row(sp.i0, sp.i1, j, k - 1);
+                                    for n in 0..w {
+                                        cos_below[n] = below[n].cos();
+                                    }
+                                }
+                                let xr = xv.row(sp.i0, sp.i1, j, k);
+                                let out = yv.row_mut(sp.i0, sp.i1, j, k);
+                                for n in 0..w {
+                                    out[n] = (1.5 * xr[n]).sin() / (2.0 + cos_below[n]);
+                                    cos_below[n] = xr[n].cos();
+                                }
+                                acc = dot_row(acc, xr, out);
+                            }
+                            acc
+                        })
+                    }
                 };
                 sums.push(s.to_bits());
+                for e in x.as_mut_slice() {
+                    *e = (*e * 1.3 + sweep as f64).sin();
+                }
             }
+            assert!(p.race_audit().is_clean(), "{:?}", p.race_audit().violations);
+            assert_eq!(p.race_audit().launches_audited > 0, audit && nk > 1);
             let hash = y
                 .as_slice()
                 .iter()
@@ -1527,20 +1691,23 @@ mod tests {
             ((sums, hash, model), p.ctx.prof.host_tiles)
         };
 
+        // 40x34 planes: every width cuts the 12 planes into several
+        // chunks (of 3, 2 and 2 planes at 1, 2 and 4 threads), and the
+        // wider engines dispatch them in parallel.
         for v in [CodeVersion::A, CodeVersion::D2xu] {
             for nk in [1, 12] {
-                let (reference, tiles) = run(v, 1, nk, false);
+                let (reference, tiles) = run(v, 1, nk, false, Form::Separate);
                 assert_eq!(tiles, if nk > 1 { 2 * 3 * nk as u64 } else { 0 });
                 for threads in [1, 2, 4] {
-                    let (separate, _) = run(v, threads, nk, false);
-                    assert_eq!(separate, reference, "{v:?} separate t={threads} nk={nk}");
-                    let (fused, fused_tiles) = run(v, threads, nk, true);
-                    assert_eq!(fused, reference, "{v:?} fused t={threads} nk={nk}");
-                    assert_eq!(
-                        fused_tiles,
-                        tiles / 2,
-                        "the census counts one sweep per pair"
-                    );
+                    for audit in [false, true] {
+                        for form in [Form::Separate, Form::Rows, Form::Planes] {
+                            let (got, got_tiles) = run(v, threads, nk, audit, form);
+                            let at = format!("{v:?} {form:?} t={threads} nk={nk} audit={audit}");
+                            assert_eq!(got, reference, "{at}");
+                            let want_tiles = if form == Form::Separate { tiles } else { tiles / 2 };
+                            assert_eq!(got_tiles, want_tiles, "{at}: the census counts one sweep per pair");
+                        }
+                    }
                 }
             }
         }
