@@ -132,14 +132,14 @@ pub struct CheckpointCfg {
 
 /// Rank-failure resilience configuration (see `mhd::supervisor` and
 /// `minimpi::World::run_resilient`). Everything defaults to *off*:
-/// `max_respawns = 0` keeps runs on the classic try-run path where a
-/// rank death is terminal, and `halo_retries = 0` keeps the halo
+/// `max_respawns = 0` makes a rank death terminal (its peers see it hang
+/// up and the run fails), and `halo_retries = 0` keeps the halo
 /// exchange on the unverified fast path. A rank counts as dead when its
 /// worker panics; a hung rank is not detected.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResilienceCfg {
     /// How many dead ranks the world will respawn before a death becomes
-    /// terminal. 0 disables the resilient execution path entirely.
+    /// terminal. 0 respawns none.
     pub max_respawns: usize,
     /// Transport-level retry budget per halo receive: a dropped or
     /// corrupted halo message is re-requested up to this many times

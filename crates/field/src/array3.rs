@@ -121,15 +121,6 @@ impl Array3 {
         }
     }
 
-    /// `self = a*x + b*y` over the whole storage.
-    pub fn lincomb(&mut self, a: f64, x: &Array3, b: f64, y: &Array3) {
-        assert_eq!(self.len(), x.len());
-        assert_eq!(self.len(), y.len());
-        for ((s, &xv), &yv) in self.data.iter_mut().zip(&x.data).zip(&y.data) {
-            *s = a * xv + b * yv;
-        }
-    }
-
     /// Scale the whole storage.
     pub fn scale(&mut self, a: f64) {
         for v in &mut self.data {
@@ -239,12 +230,9 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_lincomb() {
-        let x = Array3::constant(2, 2, 2, 3.0);
+    fn axpy_accumulates() {
         let y = Array3::constant(2, 2, 2, 2.0);
-        let mut z = Array3::zeros(2, 2, 2);
-        z.lincomb(2.0, &x, -1.0, &y);
-        assert_eq!(z.get(1, 1, 1), 4.0);
+        let mut z = Array3::constant(2, 2, 2, 4.0);
         z.axpy(0.5, &y);
         assert_eq!(z.get(1, 1, 1), 5.0);
     }

@@ -33,19 +33,6 @@ impl VirtualClock {
         self.now_us
     }
 
-    /// Jump forward to `t_us` if it is in the future; returns the amount of
-    /// waiting this implied (0 if `t_us` is already past). Used when a
-    /// message from another rank arrives with a later timestamp.
-    pub fn advance_to(&mut self, t_us: f64) -> f64 {
-        if t_us > self.now_us {
-            let wait = t_us - self.now_us;
-            self.now_us = t_us;
-            wait
-        } else {
-            0.0
-        }
-    }
-
     /// Reset to zero (between benchmark configurations).
     pub fn reset(&mut self) {
         self.now_us = 0.0;
@@ -62,16 +49,6 @@ mod tests {
         c.advance(5.0);
         c.advance(2.5);
         assert_eq!(c.now_us(), 7.5);
-    }
-
-    #[test]
-    fn advance_to_only_moves_forward() {
-        let mut c = VirtualClock::new();
-        c.advance(10.0);
-        assert_eq!(c.advance_to(4.0), 0.0);
-        assert_eq!(c.now_us(), 10.0);
-        assert_eq!(c.advance_to(15.0), 5.0);
-        assert_eq!(c.now_us(), 15.0);
     }
 
     #[test]

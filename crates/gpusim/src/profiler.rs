@@ -192,20 +192,6 @@ impl Profiler {
         &self.spans
     }
 
-    /// Merge another rank's totals into this one (used for reductions in
-    /// reports; spans are not merged).
-    pub fn merge_totals(&mut self, other: &Profiler) {
-        for i in 0..3 {
-            self.phase_us[i] += other.phase_us[i];
-        }
-        for i in 0..10 {
-            self.cat_us[i] += other.cat_us[i];
-        }
-        self.kernel_launches += other.kernel_launches;
-        self.kernel_bytes += other.kernel_bytes;
-        self.host_tiles += other.host_tiles;
-    }
-
     /// Record a host-engine tiled dispatch of `n_tiles` tiles.
     pub fn note_host_tiles(&mut self, n_tiles: u64) {
         self.host_tiles += n_tiles;
@@ -246,17 +232,6 @@ mod tests {
         p.set_record_spans(true);
         p.record(10.0, 0.0, TimeCategory::Kernel, Phase::Compute, "k");
         assert!(p.spans().is_empty());
-    }
-
-    #[test]
-    fn merge_totals_adds() {
-        let mut a = Profiler::new();
-        a.record(1.0, 1.0, TimeCategory::Kernel, Phase::Compute, "k");
-        let mut b = Profiler::new();
-        b.record(2.0, 2.0, TimeCategory::Kernel, Phase::Mpi, "k");
-        a.merge_totals(&b);
-        assert_eq!(a.cat_total_us(TimeCategory::Kernel), 3.0);
-        assert_eq!(a.wall_us(), 3.0);
     }
 
     #[test]

@@ -89,18 +89,6 @@ impl IndexSpace3 {
             }
         }
     }
-
-    /// Restrict to a single plane `i == p` along the first axis.
-    pub fn plane_i(&self, p: usize) -> Self {
-        assert!(p >= self.i0 && p < self.i1);
-        Self { i0: p, i1: p + 1, ..*self }
-    }
-
-    /// Restrict to a single plane `k == p`.
-    pub fn plane_k(&self, p: usize) -> Self {
-        assert!(p >= self.k0 && p < self.k1);
-        Self { k0: p, k1: p + 1, ..*self }
-    }
 }
 
 #[cfg(test)]
@@ -128,13 +116,6 @@ mod tests {
         let mut seen = vec![];
         b.for_each(|i, j, k| seen.push((i, j, k)));
         assert_eq!(seen, vec![(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]);
-    }
-
-    #[test]
-    fn planes() {
-        let b = IndexSpace3::interior(Stagger::CellCenter, 4, 4, 4);
-        assert_eq!(b.plane_i(2).len(), 16);
-        assert_eq!(b.plane_k(1).extents(), (4, 4, 1));
     }
 
     #[test]

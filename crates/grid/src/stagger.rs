@@ -99,20 +99,6 @@ impl Stagger {
             _ => panic!("axis must be 0..3"),
         }
     }
-
-    /// Short name used in profiler kernel labels and output files.
-    pub fn short_name(self) -> &'static str {
-        match self {
-            Stagger::CellCenter => "cc",
-            Stagger::FaceR => "fr",
-            Stagger::FaceT => "ft",
-            Stagger::FaceP => "fp",
-            Stagger::EdgeR => "er",
-            Stagger::EdgeT => "et",
-            Stagger::EdgeP => "ep",
-            Stagger::Vertex => "vx",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -143,13 +129,5 @@ mod tests {
         assert!(Stagger::EdgeR.on_half_mesh(2));
         assert!(!Stagger::EdgeR.on_half_mesh(0));
         assert!(Stagger::Vertex.on_half_mesh(0));
-    }
-
-    #[test]
-    fn short_names_unique() {
-        let mut names: Vec<&str> = Stagger::ALL.iter().map(|s| s.short_name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 8);
     }
 }

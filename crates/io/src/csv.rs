@@ -28,12 +28,6 @@ impl CsvWriter {
         writeln!(self.out, "{}", vals.join(","))
     }
 
-    /// Write a row of f64s.
-    pub fn row_f64(&mut self, vals: &[f64]) -> std::io::Result<()> {
-        let v: Vec<String> = vals.iter().map(|x| format!("{x}")).collect();
-        self.row(&v)
-    }
-
     /// Flush to disk.
     pub fn flush(&mut self) -> std::io::Result<()> {
         self.out.flush()
@@ -51,7 +45,7 @@ mod tests {
         let path = dir.join("t.csv");
         {
             let mut w = CsvWriter::create(&path, &["x", "y"]).unwrap();
-            w.row_f64(&[1.0, 2.5]).unwrap();
+            w.row(&["1".into(), "2.5".into()]).unwrap();
             w.flush().unwrap();
         }
         let text = std::fs::read_to_string(&path).unwrap();
@@ -64,6 +58,6 @@ mod tests {
         let dir = std::env::temp_dir().join("mas_io_csv_test2");
         std::fs::create_dir_all(&dir).unwrap();
         let mut w = CsvWriter::create(dir.join("t.csv"), &["x", "y"]).unwrap();
-        w.row_f64(&[1.0]).unwrap();
+        w.row(&["1".into()]).unwrap();
     }
 }

@@ -7,7 +7,7 @@
 //! version u32            (3)
 //! step    u64
 //! time    f64
-//! epoch   u64            (communicator epoch at dump time; v3 only)
+//! epoch   u64            (communicator epoch at dump time)
 //! nfields u32
 //! per field:
 //!   name_len u32, name bytes,
@@ -16,8 +16,8 @@
 //! crc32   u32            (IEEE CRC-32 over every byte above)
 //! ```
 //!
-//! Version 2 omits the epoch word, version 1 additionally omits the CRC
-//! trailer; the reader accepts all three (older versions report epoch 0).
+//! Only version 3 is read: the retired versions 1 (no epoch word, no
+//! CRC trailer) and 2 (no epoch word) are rejected as unsupported.
 //! Writes are **crash-safe**: the dump is written to a `.tmp` sibling,
 //! fsynced, and atomically renamed over the final path, so a crash
 //! mid-write can never leave a truncated file where a good dump should
@@ -41,7 +41,6 @@ pub struct DumpHeader {
     pub time: f64,
     /// Communicator epoch at dump time: bumped on every rank respawn, so
     /// a checkpoint records which incarnation of the world wrote it.
-    /// Dumps older than format v3 read back as epoch 0.
     pub epoch: u64,
 }
 
@@ -188,17 +187,14 @@ fn r_f64(r: &mut impl Read, what: &str) -> io::Result<f64> {
 
 fn write_body(
     w: &mut impl Write,
-    version: u32,
     header: DumpHeader,
     fields: &[(&str, &Array3)],
 ) -> io::Result<()> {
     w.write_all(MAGIC)?;
-    w_u32(w, version)?;
+    w_u32(w, VERSION)?;
     w_u64(w, header.step)?;
     w_f64(w, header.time)?;
-    if version >= 3 {
-        w_u64(w, header.epoch)?;
-    }
+    w_u64(w, header.epoch)?;
     w_u32(w, fields.len() as u32)?;
     for (name, a) in fields {
         w_u32(w, name.len() as u32)?;
@@ -254,7 +250,7 @@ pub fn write_fields_with_fault(
             w.flush()?;
             return Err(io::Error::new(kind, "injected checkpoint write failure"));
         }
-        write_body(&mut w, VERSION, header, fields)?;
+        write_body(&mut w, header, fields)?;
         let crc = w.crc.value();
         w_u32(&mut w, crc)?;
         w.flush()?;
@@ -263,19 +259,6 @@ pub fn write_fields_with_fault(
         w.inner.get_ref().sync_all()?;
     }
     std::fs::rename(&tmp, path)
-}
-
-/// Write a **version-1** dump (no CRC trailer, direct write — the legacy
-/// format). Kept for backward-compatibility testing; new code should use
-/// [`write_fields`].
-pub fn write_fields_v1(
-    path: impl AsRef<Path>,
-    header: DumpHeader,
-    fields: &[(&str, &Array3)],
-) -> io::Result<()> {
-    let mut w = BufWriter::new(std::fs::File::create(path)?);
-    write_body(&mut w, 1, header, fields)?;
-    w.flush()
 }
 
 fn tmp_path(path: &Path) -> std::path::PathBuf {
@@ -292,105 +275,35 @@ fn tmp_path(path: &Path) -> std::path::PathBuf {
 /// field must be present with matching storage dimensions; extra fields
 /// in the file are an error (dumps and solvers must agree exactly).
 ///
-/// Accepts both format versions; for v2 the CRC-32 trailer is verified
-/// over the full header + payload, and any trailing bytes after the
-/// trailer (or, for v1, after the last field) are rejected — a dump is
-/// exactly its declared content or it is corrupt.
+/// The CRC-32 trailer is verified over the full header + payload, and any
+/// trailing bytes after it are rejected — a dump is exactly its declared
+/// content or it is corrupt.
 pub fn read_fields(
     path: impl AsRef<Path>,
     fields: &mut [(&str, &mut Array3)],
 ) -> io::Result<DumpHeader> {
-    let mut r = CrcReader {
-        inner: BufReader::new(std::fs::File::open(path)?),
-        crc: Crc32::new(),
-    };
-    let mut magic = [0u8; 8];
-    read_exact_or_bad(&mut r, &mut magic, "magic")?;
-    if &magic != MAGIC {
-        return Err(bad("not a mas-rs dump file"));
-    }
-    let version = r_u32(&mut r, "format version")?;
-    if !(1..=VERSION).contains(&version) {
-        return Err(bad(format!("unsupported dump version {version}")));
-    }
-    let header = DumpHeader {
-        step: r_u64(&mut r, "step")?,
-        time: r_f64(&mut r, "time")?,
-        epoch: if version >= 3 { r_u64(&mut r, "epoch")? } else { 0 },
-    };
-    let nfields = r_u32(&mut r, "field count")? as usize;
-    if nfields != fields.len() {
-        return Err(bad(format!(
-            "dump holds {nfields} fields, solver expects {}",
-            fields.len()
-        )));
-    }
-    for (expect_name, a) in fields.iter_mut() {
-        let name_len = r_u32(&mut r, "field name length")? as usize;
-        if name_len > MAX_NAME_LEN {
-            // Bounded before any allocation: a corrupt length can never
-            // trigger a huge Vec.
-            return Err(bad(format!(
-                "corrupt field name (length {name_len} exceeds {MAX_NAME_LEN})"
-            )));
-        }
-        let mut name = vec![0u8; name_len];
-        read_exact_or_bad(&mut r, &mut name, "field name")?;
-        let name = String::from_utf8(name).map_err(|_| bad("non-UTF8 field name"))?;
-        if name != *expect_name {
-            return Err(bad(format!("field order mismatch: '{name}' vs '{expect_name}'")));
-        }
-        let s1 = r_u32(&mut r, "dim s1")? as usize;
-        let s2 = r_u32(&mut r, "dim s2")? as usize;
-        let s3 = r_u32(&mut r, "dim s3")? as usize;
-        // Overflow-checked element count: s1*s2*s3 as u32s can overflow
-        // usize multiplication on 32-bit targets and must never panic or
-        // size an allocation.
-        let n = s1
-            .checked_mul(s2)
-            .and_then(|x| x.checked_mul(s3))
-            .ok_or_else(|| bad(format!("field '{name}' dims {s1}x{s2}x{s3} overflow")))?;
-        if (s1, s2, s3) != (a.s1, a.s2, a.s3) || n != a.as_slice().len() {
-            return Err(bad(format!(
-                "field '{name}' dims {s1}x{s2}x{s3} vs expected {}x{}x{}",
-                a.s1, a.s2, a.s3
-            )));
-        }
-        for v in a.as_mut_slice() {
-            *v = r_f64(&mut r, "field data")?;
-        }
-    }
-    if version >= 2 {
-        // The CRC accumulated so far covers magic..payload; the trailer
-        // itself must match it.
-        let expect = r.crc.value();
-        let mut b = [0u8; 4];
-        read_exact_or_bad(&mut r, &mut b, "crc trailer")?;
-        let stored = u32::from_le_bytes(b);
-        if stored != expect {
-            return Err(bad(format!(
-                "checksum mismatch: stored {stored:#010x}, computed {expect:#010x} — dump is corrupt"
-            )));
-        }
-    }
-    // Reject trailing bytes: the dump is exactly its declared content.
-    let mut extra = [0u8; 1];
-    match r.inner.read(&mut extra)? {
-        0 => Ok(header),
-        _ => Err(bad("trailing bytes after dump content")),
-    }
+    walk(path.as_ref(), Some(fields))
 }
 
 /// Validate a dump **without** loading it into arrays: parse the full
 /// structure, stream the payload through the checksum in bounded chunks
-/// (a corrupt size field can never trigger a huge allocation), and — for
-/// v2 — verify the CRC trailer and reject trailing bytes. Returns the
-/// header on success.
+/// (a corrupt size field can never trigger a huge allocation), verify
+/// the CRC trailer and reject trailing bytes. Returns the header on
+/// success.
 ///
 /// This is how the run supervisor picks the newest *valid* rotation slot
 /// at restart time: a torn or bit-rotted candidate fails here and the
 /// previous slot is used instead.
 pub fn validate_dump(path: impl AsRef<Path>) -> io::Result<DumpHeader> {
+    walk(path.as_ref(), None)
+}
+
+/// The one parser behind [`read_fields`] and [`validate_dump`]: header,
+/// field headers, payload, CRC trailer, end of file. With `load`, every
+/// field must match its expected name and dimensions and its payload
+/// lands in the array; without, payloads are streamed through the
+/// checksum and discarded.
+fn walk(path: &Path, mut load: Option<&mut [(&str, &mut Array3)]>) -> io::Result<DumpHeader> {
     let mut r = CrcReader {
         inner: BufReader::new(std::fs::File::open(path)?),
         crc: Crc32::new(),
@@ -401,47 +314,85 @@ pub fn validate_dump(path: impl AsRef<Path>) -> io::Result<DumpHeader> {
         return Err(bad("not a mas-rs dump file"));
     }
     let version = r_u32(&mut r, "format version")?;
-    if !(1..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(bad(format!("unsupported dump version {version}")));
     }
     let header = DumpHeader {
         step: r_u64(&mut r, "step")?,
         time: r_f64(&mut r, "time")?,
-        epoch: if version >= 3 { r_u64(&mut r, "epoch")? } else { 0 },
+        epoch: r_u64(&mut r, "epoch")?,
     };
     let nfields = r_u32(&mut r, "field count")? as usize;
+    if let Some(fields) = &load {
+        if nfields != fields.len() {
+            return Err(bad(format!(
+                "dump holds {nfields} fields, solver expects {}",
+                fields.len()
+            )));
+        }
+    }
     let mut scratch = [0u8; 8192];
-    for _ in 0..nfields {
+    for i in 0..nfields {
         let name_len = r_u32(&mut r, "field name length")? as usize;
         if name_len > MAX_NAME_LEN {
+            // Bounded before any allocation: a corrupt length can never
+            // trigger a huge read.
             return Err(bad(format!(
                 "corrupt field name (length {name_len} exceeds {MAX_NAME_LEN})"
             )));
         }
         read_exact_or_bad(&mut r, &mut scratch[..name_len], "field name")?;
+        let name =
+            std::str::from_utf8(&scratch[..name_len]).map_err(|_| bad("non-UTF8 field name"))?;
         let s1 = r_u32(&mut r, "dim s1")? as usize;
         let s2 = r_u32(&mut r, "dim s2")? as usize;
         let s3 = r_u32(&mut r, "dim s3")? as usize;
-        let n = s1
+        // Overflow-checked payload size: s1*s2*s3*8 as u32s can overflow
+        // usize multiplication on 32-bit targets and must never panic or
+        // size an allocation.
+        let bytes = s1
             .checked_mul(s2)
             .and_then(|x| x.checked_mul(s3))
             .and_then(|x| x.checked_mul(8))
-            .ok_or_else(|| bad(format!("field dims {s1}x{s2}x{s3} overflow")))?;
-        let mut remaining = n;
-        while remaining > 0 {
-            let take = remaining.min(scratch.len());
-            read_exact_or_bad(&mut r, &mut scratch[..take], "field data")?;
-            remaining -= take;
+            .ok_or_else(|| bad(format!("field '{name}' dims {s1}x{s2}x{s3} overflow")))?;
+        match &mut load {
+            Some(fields) => {
+                let (expect_name, a) = &mut fields[i];
+                if name != *expect_name {
+                    return Err(bad(format!(
+                        "field order mismatch: '{name}' vs '{expect_name}'"
+                    )));
+                }
+                if (s1, s2, s3) != (a.s1, a.s2, a.s3) || bytes != 8 * a.as_slice().len() {
+                    return Err(bad(format!(
+                        "field '{name}' dims {s1}x{s2}x{s3} vs expected {}x{}x{}",
+                        a.s1, a.s2, a.s3
+                    )));
+                }
+                for v in a.as_mut_slice() {
+                    *v = r_f64(&mut r, "field data")?;
+                }
+            }
+            None => {
+                let mut remaining = bytes;
+                while remaining > 0 {
+                    let take = remaining.min(scratch.len());
+                    read_exact_or_bad(&mut r, &mut scratch[..take], "field data")?;
+                    remaining -= take;
+                }
+            }
         }
     }
-    if version >= 2 {
-        let expect = r.crc.value();
-        let mut b = [0u8; 4];
-        read_exact_or_bad(&mut r, &mut b, "crc trailer")?;
-        if u32::from_le_bytes(b) != expect {
-            return Err(bad("checksum mismatch — dump is corrupt"));
-        }
+    // The CRC accumulated so far covers magic..payload; the trailer
+    // itself must match it.
+    let expect = r.crc.value();
+    let stored = r_u32(&mut r, "crc trailer")?;
+    if stored != expect {
+        return Err(bad(format!(
+            "checksum mismatch: stored {stored:#010x}, computed {expect:#010x} — dump is corrupt"
+        )));
     }
+    // Reject trailing bytes: the dump is exactly its declared content.
     let mut extra = [0u8; 1];
     match r.inner.read(&mut extra)? {
         0 => Ok(header),
@@ -485,42 +436,47 @@ mod tests {
         assert!(!tmp_path(&p).exists());
     }
 
-    #[test]
-    fn reads_legacy_v1_dumps() {
-        let (a, b) = sample_pair();
-        let p = temp_path("v1.dump");
-        // A v1 writer has nowhere to put the epoch: it must read back as 0
-        // no matter what the caller set.
-        write_fields_v1(&p, DumpHeader { step: 7, time: 0.25, epoch: 99 }, &[("rho", &a), ("temp", &b)])
-            .unwrap();
+    /// Hand-write one dump in a retired layout (v1: no epoch word, no CRC
+    /// trailer; v2: no epoch word, CRC trailer) and expect both readers to
+    /// reject it.
+    fn assert_retired_version_rejected(version: u32) {
+        let (a, _) = sample_pair();
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.extend_from_slice(&0.25f64.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&3u32.to_le_bytes());
+        bytes.extend_from_slice(b"rho");
+        for s in [a.s1, a.s2, a.s3] {
+            bytes.extend_from_slice(&(s as u32).to_le_bytes());
+        }
+        for v in a.as_slice() {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        if version == 2 {
+            let crc = crc32(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+        }
+        let p = temp_path(&format!("v{version}.dump"));
+        std::fs::write(&p, &bytes).unwrap();
+        let err = validate_dump(&p).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported dump version"), "v{version}: {err}");
         let mut a2 = Array3::zeros(3, 4, 5);
-        let mut b2 = Array3::zeros(2, 2, 2);
-        let h = read_fields(&p, &mut [("rho", &mut a2), ("temp", &mut b2)]).unwrap();
-        assert_eq!(h, DumpHeader { step: 7, time: 0.25, epoch: 0 });
-        assert_eq!(a.as_slice(), a2.as_slice());
+        let err = read_fields(&p, &mut [("rho", &mut a2)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported dump version"), "v{version}: {err}");
     }
 
     #[test]
-    fn reads_legacy_v2_dumps_with_zero_epoch() {
-        let (a, _) = sample_pair();
-        let p = temp_path("v2.dump");
-        // Hand-roll a v2 dump (epoch-less header + CRC trailer) exactly as
-        // the previous release wrote it.
-        {
-            let file = std::fs::File::create(&p).unwrap();
-            let mut w = CrcWriter { inner: BufWriter::new(file), crc: Crc32::new() };
-            write_body(&mut w, 2, DumpHeader { step: 6, time: 1.25, epoch: 77 }, &[("rho", &a)])
-                .unwrap();
-            let crc = w.crc.value();
-            w_u32(&mut w, crc).unwrap();
-            w.flush().unwrap();
-        }
-        let h = validate_dump(&p).unwrap();
-        assert_eq!(h, DumpHeader { step: 6, time: 1.25, epoch: 0 });
-        let mut a2 = Array3::zeros(3, 4, 5);
-        let h = read_fields(&p, &mut [("rho", &mut a2)]).unwrap();
-        assert_eq!(h.epoch, 0);
-        assert_eq!(a.as_slice(), a2.as_slice());
+    fn rejects_retired_v1_dumps() {
+        assert_retired_version_rejected(1);
+    }
+
+    #[test]
+    fn rejects_retired_v2_dumps() {
+        assert_retired_version_rejected(2);
     }
 
     #[test]

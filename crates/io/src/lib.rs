@@ -18,8 +18,7 @@ pub mod timeline;
 
 pub use csv::CsvWriter;
 pub use dump::{
-    crc32, read_fields, validate_dump, write_fields, write_fields_v1, write_fields_with_fault,
-    DumpHeader,
+    crc32, read_fields, validate_dump, write_fields, write_fields_with_fault, DumpHeader,
 };
 pub use render::{render_ascii, render_ppm, Colormap};
 pub use table::Table;

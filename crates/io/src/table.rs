@@ -80,11 +80,6 @@ impl Table {
     }
 }
 
-/// Format minutes with two decimals (the paper's unit).
-pub fn fmt_min(us: f64) -> String {
-    format!("{:.2}", us / 60.0e6)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,11 +103,5 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new("T").header(["a", "b"]);
         t.row(["only one"]);
-    }
-
-    #[test]
-    fn fmt_min_converts() {
-        assert_eq!(fmt_min(60.0e6), "1.00");
-        assert_eq!(fmt_min(90.0e6), "1.50");
     }
 }

@@ -413,9 +413,10 @@ impl HaloExchanger {
                 if !out_pending[idx] {
                     continue;
                 }
+                let tag = (base + VERDICT_OFF) | shift;
                 let v = loop {
-                    match comm.try_recv(dst, (base + VERDICT_OFF) | shift, &mut par.ctx, ctl_deadline) {
-                        Ok(d) => break d,
+                    match comm.try_recv_any_shared(dst, &[tag], &mut par.ctx, ctl_deadline) {
+                        Ok((_, d)) => break d,
                         // A late data plane we already NACKed (real-time
                         // skew) or a stale straggler: discard.
                         Err(RecvFailure::TagMismatch { .. }) | Err(RecvFailure::StaleEpoch { .. }) => {

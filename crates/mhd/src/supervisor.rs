@@ -31,9 +31,9 @@
 //!
 //! Physics is never perturbed: a supervised zero-fault run produces the
 //! same `state_hash` as an unsupervised one (the health flag rides a
-//! separate allreduce), and when neither checkpointing, restarting, nor
-//! a fault plan is active the supervisor delegates to the plain
-//! [`Simulation::run`] loop untouched.
+//! separate allreduce), and when neither checkpointing, restarting, a
+//! respawn budget nor a fault plan is active the supervisor delegates to
+//! the plain [`Simulation::run`] loop untouched.
 
 use crate::checkpoint::{self, Rotation};
 use crate::progress::{ProgressEvent, ProgressFn};
@@ -50,7 +50,6 @@ use std::io;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use stdpar::CodeVersion;
 
@@ -58,7 +57,7 @@ use stdpar::CodeVersion;
 /// diagnosable timeout instead of a deadlock.
 const RECV_DEADLINE: Duration = Duration::from_secs(30);
 /// Shorter deadline when the armed plan kills a message or a whole rank
-/// (or the resilient path is on, where survivors of a death must notice
+/// (or a respawn budget is set, where survivors of a death must notice
 /// quickly) — keeps the drills fast without loosening the production
 /// default.
 const RECV_DEADLINE_DROP: Duration = Duration::from_secs(2);
@@ -74,7 +73,7 @@ fn recv_deadline_for(deck: &Deck, plan: Option<&FaultPlan>) -> Duration {
         // out (in p2p receives and in collectives) rather than block, and
         // the tests should not wait half a minute for that.
         Some(p) if matches!(p.kind, FaultKind::HaloDrop | FaultKind::Panic) => RECV_DEADLINE_DROP,
-        // Resilient mode: any rank can die at any time; survivors must
+        // A respawn budget: any rank can die at any time; survivors must
         // reach the recovery fence promptly.
         _ if deck.resilience.max_respawns > 0 => RECV_DEADLINE_DROP,
         _ => RECV_DEADLINE,
@@ -170,7 +169,7 @@ pub struct RecoveryLog {
     /// Transport-level halo resends (NACK-triggered retries) this rank's
     /// exchangers requested from their peers.
     pub halo_retries: usize,
-    /// Rank respawns the resilient world performed (world total).
+    /// Rank respawns the world performed (world total).
     pub respawns: usize,
     /// Stale-epoch envelopes rejected or drained after respawn fences
     /// (world total).
@@ -251,7 +250,7 @@ pub struct RankFailure {
 pub struct RunError {
     /// Failures in rank order of occurrence.
     pub failures: Vec<RankFailure>,
-    /// True when the resilient world's respawn budget ran out: a rank
+    /// True when the world's respawn budget ran out: a rank
     /// died and could no longer be replaced. The `mas` binary maps this
     /// to its own exit code (4) so job scripts can tell "raise
     /// `max_respawns`" from "fix the physics".
@@ -602,10 +601,11 @@ fn supervise(
 // ---------------------------------------------------------------------------
 
 /// Run the deck under the fault-tolerant supervisor. When the deck asks
-/// for no checkpointing, no restart, and arms no fault, this is exactly
-/// [`crate::run_multi_rank`] (bit-identical physics *and* model timings);
-/// otherwise the supervised loop adds per-step health checks, periodic
-/// crash-safe checkpoints, and rollback + dt-backoff recovery.
+/// for no checkpointing, no restart and no respawns, and arms no fault,
+/// this is exactly [`crate::run_multi_rank`] (bit-identical physics
+/// *and* model timings); otherwise the supervised loop adds per-step
+/// health checks, periodic crash-safe checkpoints, and rollback +
+/// dt-backoff recovery.
 ///
 /// Unrecoverable runs (injected rank panic, lost halo message, exhausted
 /// recovery budget) return a structured [`RunError`] listing every lost
@@ -628,6 +628,13 @@ pub fn run_supervised(
 /// cancellation surfaces as a structured [`RunError`], never a panic.
 /// The sink is observation-only: physics and model timings are
 /// bit-identical with or without one.
+///
+/// Every run is one [`World::run_resilient`] with the deck's
+/// `resilience.max_respawns` budget: a rank whose worker panics is
+/// respawned while the budget lasts, survivors quiesce at a collective
+/// epoch fence, and every rank then rolls back to the last committed
+/// checkpoint and resumes — bit-exact with an undisturbed run. With a
+/// budget of 0 a death is terminal and its peers see it hang up.
 pub fn run_supervised_with_progress(
     deck: &Deck,
     version: CodeVersion,
@@ -637,58 +644,81 @@ pub fn run_supervised_with_progress(
     record_spans: bool,
     progress: Option<ProgressFn>,
 ) -> Result<MultiRankReport, RunError> {
-    if deck.resilience.max_respawns > 0 {
-        return run_resilient_supervised(
-            deck, version, spec, n_ranks, seed, record_spans, progress,
-        );
-    }
-    let deck = deck.clone();
-    let plan = FaultPlan::from_deck(&deck);
+    let plan = FaultPlan::from_deck(deck);
     // Shared across ranks (only `plan.rank` arms anything): a fault fires
-    // once per run, not once per rank.
-    let fired = Arc::new(AtomicBool::new(false));
-    let results = World::try_run(n_ranks, move |comm| -> Result<_, String> {
-        let mut sim = Simulation::builder(&deck)
-            .version(version)
-            .device(spec.clone())
-            .rank(comm.rank())
-            .world(n_ranks)
-            .seed(seed)
-            .try_build()?;
-        if record_spans {
-            sim.par.ctx.prof.set_record_spans(true);
+    // once per run, not once per rank or incarnation.
+    let fired = AtomicBool::new(false);
+    let max_fences = deck.resilience.max_respawns;
+    let deadline = recv_deadline_for(deck, plan.as_ref());
+
+    let report = World::run_resilient(n_ranks, max_fences, |comm: Comm| {
+        // A replacement incarnation first joins the survivors at the
+        // recovery fence that supersedes its dead predecessor.
+        if comm.incarnation() > 0 {
+            comm.epoch_fence(fence_timeout(deadline))
+                .map_err(|e| format!("respawned rank {}: {e}", comm.rank()))?;
         }
-        let mut log = RecoveryLog::default();
-        if !deck.checkpoint.restart_from.is_empty() {
-            let (path, step) = restore_for_restart(&mut sim, &comm, &deck.checkpoint.restart_from)?;
-            log.restored_from = Some(format!("{} (step {step})", path.display()));
-            let _ = emit(
-                progress.as_ref(),
-                ProgressEvent::Restored { rank: comm.rank(), step },
-            );
+        let mut fences = 0usize;
+        loop {
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                run_segment(
+                    deck,
+                    version,
+                    spec.clone(),
+                    &comm,
+                    n_ranks,
+                    seed,
+                    record_spans,
+                    plan.as_ref(),
+                    &fired,
+                    progress.as_ref(),
+                )
+            }));
+            let payload = match attempt {
+                Ok(done) => return done,
+                Err(payload) => payload,
+            };
+            // Our own crash (injected panic, genuine bug), or a peer death
+            // with no fence left to meet at: die for real — the monitor
+            // respawns us while its budget lasts.
+            fences += 1;
+            if !is_comm_panic(payload.as_ref()) || fences > max_fences {
+                resume_unwind(payload);
+            }
+            // A peer died under us: quiesce at the fence with the other
+            // survivors and the replacement, then rebuild from the last
+            // committed checkpoint.
+            if let Err(e) = comm.epoch_fence(fence_timeout(deadline)) {
+                return Err(format!(
+                    "rank {}: recovery fence failed after a peer death: {e}",
+                    comm.rank()
+                ));
+            }
         }
-        let supervision =
-            deck.checkpoint.interval > 0 || plan.is_some() || log.restored_from.is_some();
-        if supervision {
-            log.supervised = true;
-            supervise(&mut sim, &comm, plan.as_ref(), &mut log, &fired, progress.as_ref())?;
-        } else {
-            // The zero-perturbation path: byte-for-byte the plain loop.
-            sim.run_with_progress(&comm, progress.as_ref())?;
-        }
-        Ok(report_from(sim, n_ranks, log))
     });
 
+    let respawns = report.respawns.len();
+    let stale = report.stale_rejected as usize;
     let mut ranks = Vec::with_capacity(n_ranks);
     let mut failures = Vec::new();
-    for (rank, res) in results.into_iter().enumerate() {
+    let mut respawns_exhausted = false;
+    for (rank, res) in report.results.into_iter().enumerate() {
         match res {
-            Ok(Ok(report)) => ranks.push(report),
+            Ok(Ok(mut r)) => {
+                r.recovery.respawns = respawns;
+                r.recovery.stale_rejected = stale;
+                ranks.push(r);
+            }
             Ok(Err(message)) => failures.push(RankFailure { rank, message }),
-            Err(p) => failures.push(RankFailure {
-                rank: p.rank,
-                message: p.message,
-            }),
+            Err(p) => {
+                // A death the world did not respawn: with a budget, the
+                // budget ran out.
+                respawns_exhausted = max_fences > 0;
+                failures.push(RankFailure {
+                    rank: p.rank,
+                    message: p.message,
+                });
+            }
         }
     }
     if failures.is_empty() {
@@ -696,19 +726,17 @@ pub fn run_supervised_with_progress(
     } else {
         Err(RunError {
             failures,
-            respawns_exhausted: false,
+            respawns_exhausted,
         })
     }
 }
 
-// ---------------------------------------------------------------------------
-// The resilient (rank-respawning) path.
-// ---------------------------------------------------------------------------
-
-/// One attempt at running the whole deck to completion on one rank:
-/// build the simulation, restore the collectively agreed state (the last
-/// committed checkpoint after a death, or the user's restart point), and
-/// run the supervised loop. Called once per incarnation *and* re-entered
+/// The rank body: one attempt at running the whole deck to completion on
+/// one rank. Builds the simulation, restores the collectively agreed
+/// state (the last committed checkpoint after a death, or the user's
+/// restart point), and runs the supervised loop — or, when the deck sets
+/// no respawn budget, no checkpointing, no restart and no fault, the
+/// plain loop byte for byte. Called once per incarnation *and* re-entered
 /// by survivors after every recovery fence.
 #[allow(clippy::too_many_arguments)]
 fn run_segment(
@@ -734,37 +762,41 @@ fn run_segment(
         sim.par.ctx.prof.set_record_spans(true);
     }
     sim.epoch = comm.epoch();
-    let mut log = RecoveryLog {
-        supervised: true,
-        ..RecoveryLog::default()
-    };
+    let mut log = RecoveryLog::default();
 
     // Post-death recovery (epoch > 0): every rank rolls back to the last
     // collectively committed rotation slot; if nobody checkpointed yet,
     // the run replays from step 0 — both bit-exact with an undisturbed
     // run. First entries honor the user's restart point as usual.
-    let mut restored = false;
     if sim.epoch > 0 && deck.checkpoint.interval > 0 {
         if let Some((path, step)) = try_restore_committed(&mut sim, comm, &deck.checkpoint.dir)? {
             log.restored_from = Some(format!("{} (step {step})", path.display()));
             let _ = emit(progress, ProgressEvent::Restored { rank: comm.rank(), step });
-            restored = true;
         }
     }
-    if !restored && !deck.checkpoint.restart_from.is_empty() {
+    if log.restored_from.is_none() && !deck.checkpoint.restart_from.is_empty() {
         let (path, step) = restore_for_restart(&mut sim, comm, &deck.checkpoint.restart_from)?;
         log.restored_from = Some(format!("{} (step {step})", path.display()));
         let _ = emit(progress, ProgressEvent::Restored { rank: comm.rank(), step });
-        restored = true;
     }
-    if sim.epoch > 0 && !restored {
+    if sim.epoch > 0 && log.restored_from.is_none() {
         // Post-death recovery with nothing committed on disk: the run
         // replays from a fresh step-0 state. Still a recovery event —
         // observers must see that forward progress was thrown away.
         let _ = emit(progress, ProgressEvent::Restored { rank: comm.rank(), step: 0 });
     }
 
-    supervise(&mut sim, comm, plan, &mut log, fired, progress)?;
+    let supervision = deck.resilience.max_respawns > 0
+        || deck.checkpoint.interval > 0
+        || plan.is_some()
+        || log.restored_from.is_some();
+    if supervision {
+        log.supervised = true;
+        supervise(&mut sim, comm, plan, &mut log, fired, progress)?;
+    } else {
+        // The zero-perturbation path: byte-for-byte the plain loop.
+        sim.run_with_progress(comm, progress)?;
+    }
     Ok(report_from(sim, n_ranks, log))
 }
 
@@ -783,118 +815,11 @@ fn is_comm_panic(p: &(dyn std::any::Any + Send)) -> bool {
     msg.contains("timed out") || msg.contains("hung up") || msg.contains("tag mismatch")
 }
 
-/// [`run_supervised`] under a resilient world: a rank whose worker
-/// panics is respawned (up to `resilience.max_respawns` times), survivors
-/// quiesce at a collective epoch fence, and every rank then rolls back
-/// to the last committed checkpoint and resumes — bit-exact with an
-/// undisturbed run.
-#[allow(clippy::too_many_arguments)]
-fn run_resilient_supervised(
-    deck: &Deck,
-    version: CodeVersion,
-    spec: DeviceSpec,
-    n_ranks: usize,
-    seed: u64,
-    record_spans: bool,
-    progress: Option<ProgressFn>,
-) -> Result<MultiRankReport, RunError> {
-    let deck = deck.clone();
-    let plan = FaultPlan::from_deck(&deck);
-    let fired = Arc::new(AtomicBool::new(false));
-    let max_fences = deck.resilience.max_respawns;
-    let deadline = recv_deadline_for(&deck, plan.as_ref());
-
-    let report = World::run_resilient(n_ranks, max_fences, {
-        let deck = deck.clone();
-        let fired = fired.clone();
-        move |comm: Comm| -> Result<crate::run::RunReport, String> {
-            // A replacement incarnation first joins the survivors at the
-            // recovery fence that supersedes its dead predecessor.
-            if comm.incarnation() > 0 {
-                comm.epoch_fence(fence_timeout(deadline))
-                    .map_err(|e| format!("respawned rank {}: {e}", comm.rank()))?;
-            }
-            let mut fences = 0usize;
-            loop {
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    run_segment(
-                        &deck,
-                        version,
-                        spec.clone(),
-                        &comm,
-                        n_ranks,
-                        seed,
-                        record_spans,
-                        plan.as_ref(),
-                        &fired,
-                        progress.as_ref(),
-                    )
-                }));
-                match attempt {
-                    Ok(done) => return done,
-                    Err(payload) => {
-                        // Our own crash (injected panic, genuine bug):
-                        // die for real — the monitor respawns us under a
-                        // bumped epoch.
-                        if !is_comm_panic(payload.as_ref()) {
-                            resume_unwind(payload);
-                        }
-                        // A peer died under us: quiesce at the fence with
-                        // the other survivors and the replacement, then
-                        // rebuild from the last committed checkpoint.
-                        fences += 1;
-                        if fences > max_fences {
-                            resume_unwind(payload);
-                        }
-                        if let Err(e) = comm.epoch_fence(fence_timeout(deadline)) {
-                            return Err(format!(
-                                "rank {}: recovery fence failed after a peer death: {e}",
-                                comm.rank()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    });
-
-    let respawns = report.respawns.len();
-    let stale = report.stale_rejected as usize;
-    let mut ranks = Vec::with_capacity(n_ranks);
-    let mut failures = Vec::new();
-    let mut respawns_exhausted = false;
-    for (rank, res) in report.results.into_iter().enumerate() {
-        match res {
-            Ok(Ok(mut r)) => {
-                r.recovery.respawns = respawns;
-                r.recovery.stale_rejected = stale;
-                ranks.push(r);
-            }
-            Ok(Err(message)) => failures.push(RankFailure { rank, message }),
-            Err(p) => {
-                // A death that was not respawned: the budget ran out.
-                respawns_exhausted = true;
-                failures.push(RankFailure {
-                    rank: p.rank,
-                    message: p.message,
-                });
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(MultiRankReport { ranks })
-    } else {
-        Err(RunError {
-            failures,
-            respawns_exhausted,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mas_config::FaultCfg;
+    use std::sync::Arc;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("mas_supervisor_test").join(name);

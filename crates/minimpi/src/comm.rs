@@ -6,9 +6,9 @@
 //! death and respawn the world advances its epoch at a collective
 //! [`Comm::epoch_fence`], and anything still in flight from the dead
 //! incarnation is rejected instead of corrupting state. The CRC feeds
-//! the *verified* receive path ([`Comm::try_recv`]) used by retrying
-//! transports, which reports a corrupt message by its sequence number;
-//! the legacy [`Comm::recv`] stays
+//! the *verified* receive path ([`Comm::try_recv_any_shared`]) used by
+//! retrying transports, which reports a corrupt message by its sequence
+//! number; the legacy [`Comm::recv`] stays
 //! bit-for-bit compatible (it delivers corrupted payloads — detecting
 //! them is the health check's job on that path).
 
@@ -71,9 +71,10 @@ pub enum NetFault {
     Drop,
 }
 
-/// Why a verified receive ([`Comm::try_recv`]) did not deliver a payload.
-/// This is the structured vocabulary the retrying halo transport and the
-/// run supervisor act on — kind, not string matching.
+/// Why a verified receive ([`Comm::try_recv_any_shared`]) did not
+/// deliver a payload. This is the structured vocabulary the retrying
+/// halo transport and the run supervisor act on — kind, not string
+/// matching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecvFailure {
     /// The deadline elapsed with no (fresh) message — lost packet or
@@ -86,8 +87,8 @@ pub enum RecvFailure {
         /// How long the receiver waited.
         waited: Duration,
     },
-    /// The source's channel fully disconnected (rank thread gone with no
-    /// resilient world holding the wiring open).
+    /// The source's channel fully disconnected (rank thread gone and no
+    /// respawn left for which the world would hold the wiring open).
     Disconnected {
         /// Source rank that hung up.
         src: usize,
@@ -179,9 +180,10 @@ impl std::fmt::Display for CommFailure {
 
 /// CRC32 (IEEE, reflected) over the raw little-endian payload bytes.
 /// Every send stamps it (`send_payload`, `send_ctl`), whether or not the
-/// receiver verifies it — only the verified receives ([`Comm::try_recv`]
-/// and its multi-tag form) check it — so it runs once per halo plane and
-/// collective message. Slice-by-8: one `f64` (eight bytes) per step.
+/// receiver verifies it — only the verified receive
+/// ([`Comm::try_recv_any_shared`]) checks it — so it runs once per halo
+/// plane and collective message. Slice-by-8: one `f64` (eight bytes) per
+/// step.
 pub(crate) fn payload_crc32(data: &[f64]) -> u32 {
     let t = &CRC_TABLES;
     let mut c: u32 = 0xffff_ffff;
@@ -756,7 +758,7 @@ impl Comm {
     /// everything else is delivered as-is — this legacy path does **not**
     /// verify the CRC, so in-flight corruption reaches the caller exactly
     /// like a real unchecksummed transport. Verified receives go through
-    /// [`Comm::try_recv`].
+    /// [`Comm::try_recv_any_shared`].
     ///
     /// Returns the payload.
     pub fn recv(&self, src: usize, tag: Tag, ctx: &mut DeviceContext) -> Vec<f64> {
@@ -804,55 +806,11 @@ impl Comm {
     /// of panicking. A stale or mismatched message is **consumed** but
     /// not delivered — the caller decides whether to retry. This is the
     /// substrate of the retrying halo transport.
-    pub fn try_recv(
-        &self,
-        src: usize,
-        tag: Tag,
-        ctx: &mut DeviceContext,
-        deadline: Duration,
-    ) -> Result<Vec<f64>, RecvFailure> {
-        let msg = match self.from[src].recv_timeout(deadline) {
-            Ok(m) => m,
-            Err(RecvTimeoutError::Disconnected) => return Err(RecvFailure::Disconnected { src }),
-            Err(RecvTimeoutError::Timeout) => {
-                return Err(RecvFailure::Timeout {
-                    src,
-                    tag,
-                    waited: deadline,
-                })
-            }
-        };
-        let current = self.epoch();
-        if msg.epoch < current {
-            self.ctl.stale_rejected.fetch_add(1, Ordering::SeqCst);
-            return Err(RecvFailure::StaleEpoch {
-                src,
-                got: msg.epoch,
-                current,
-            });
-        }
-        if msg.tag != tag {
-            return Err(RecvFailure::TagMismatch {
-                src,
-                got: msg.tag,
-                want: tag,
-            });
-        }
-        if payload_crc32(&msg.data) != msg.crc {
-            return Err(RecvFailure::Corrupt {
-                src,
-                tag,
-                seq: msg.seq,
-            });
-        }
-        self.book_transfer(&msg, ctx);
-        Ok(Arc::try_unwrap(msg.data).unwrap_or_else(|a| (*a).clone()))
-    }
-
-    /// Like [`Comm::try_recv`], but accepts any of `tags` from `src`,
-    /// returns which one arrived and leaves the payload shared (the
-    /// verified pooled-halo path copies out of the `Arc` and drops it).
-    /// The per-pair FIFO reorders two logical streams the moment one
+    ///
+    /// Accepts any of `tags` from `src` (a single-tag receive passes
+    /// `&[tag]`), returns which one arrived and leaves the payload shared
+    /// (the verified pooled-halo path copies out of the `Arc` and drops
+    /// it). The per-pair FIFO reorders two logical streams the moment one
     /// message is lost (the follower arrives in the dropped one's
     /// place); a receiver insisting on one specific tag would
     /// consume-and-drop its peer's healthy message. Matching against the

@@ -1,18 +1,20 @@
 //! World construction: spawn one thread per rank, wire up the channels.
 //!
-//! Two execution modes share the wiring:
+//! One execution mode: [`World::run_resilient`] runs `f` on every rank
+//! and, ULFM-style, respawns a rank whose closure panics as a fresh
+//! incarnation wired into the same mesh, up to a respawn budget.
+//! Survivors and the replacement meet at [`Comm::epoch_fence`], which
+//! drains dead-incarnation traffic and advances the communicator epoch
+//! so stragglers are rejected. [`World::run`] is its budget-0 form that
+//! re-raises a rank's panic.
 //!
-//! * [`World::run`] / [`World::try_run`] — the classic mode: the master
-//!   channel handles are dropped after construction so a dead rank is
-//!   observable as a hang-up on its peers.
-//! * [`World::run_resilient`] — the ULFM-style mode: the master handles
-//!   are **retained**, and a rank whose closure panics is respawned as a
-//!   fresh incarnation wired into the same mesh. Survivors and the
-//!   replacement meet at [`Comm::epoch_fence`], which drains
-//!   dead-incarnation traffic and advances the communicator epoch so
-//!   stragglers are rejected. A panic is the only death the world
-//!   detects: a rank that hangs inside its closure is never declared
-//!   dead, and the world waits for it.
+//! The monitor keeps its own copies of every channel end (the master
+//! handles) only while a respawn can still follow, so it can wire in a
+//! replacement. With a budget of 0, and once the last respawn is
+//! spawned, it drops them: a dead rank's peers then see "rank N hung
+//! up" at once instead of blocking until a receive deadline. A panic
+//! is the only death the world detects: a rank that hangs inside its
+//! closure is never declared dead, and the world waits for it.
 
 use crate::chan::{unbounded, Receiver, Sender};
 use crate::comm::{BcastMsg, Comm, CommFailure, Msg, RootMsg, WorldCtl};
@@ -55,7 +57,7 @@ fn rank_panic(rank: usize, payload: &(dyn std::any::Any + Send)) -> RankPanic {
     }
 }
 
-/// One respawn performed by the resilient world.
+/// One respawn performed by the world.
 #[derive(Clone, Debug)]
 pub struct RespawnEvent {
     /// The rank that was replaced.
@@ -83,9 +85,10 @@ pub struct ResilientReport<T> {
     pub stale_rejected: u64,
 }
 
-/// The full channel mesh plus the shared control block — retained by the
-/// resilient world so a replacement incarnation can be wired in at any
-/// time (both channel halves are cloneable).
+/// The full channel mesh plus the shared control block — held by the
+/// monitor while a respawn can still follow, so a replacement
+/// incarnation can be wired in at any time (both channel halves are
+/// cloneable).
 struct Endpoints {
     n: usize,
     /// `senders[src][dst]`.
@@ -171,56 +174,19 @@ pub struct World;
 
 impl World {
     /// Run `f(comm)` on `n_ranks` threads; returns the per-rank results in
-    /// rank order. Panics in any rank propagate (the whole world aborts),
-    /// which is the moral equivalent of `MPI_Abort`. Fault-tolerant
-    /// callers use [`World::try_run`] instead.
+    /// rank order. This is [`World::run_resilient`] with no respawns, and a
+    /// panic in any rank is re-raised in the caller (the moral equivalent
+    /// of `MPI_Abort`).
     pub fn run<T, F>(n_ranks: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(Comm) -> T + Sync,
     {
-        World::try_run(n_ranks, f)
+        World::run_resilient(n_ranks, 0, f)
+            .results
             .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(p) => panic!("{p}"),
-            })
+            .map(|r| r.unwrap_or_else(|p| panic!("{p}")))
             .collect()
-    }
-
-    /// Run `f(comm)` on `n_ranks` threads, converting each rank's panic
-    /// into a per-rank [`RankPanic`] record instead of aborting the
-    /// caller. Surviving ranks' results are returned alongside the
-    /// failures, in rank order — the structured-failure substrate the
-    /// `mas-mhd` run supervisor builds on. (The channel mutexes recover
-    /// from poisoning, so one rank's death surfaces on its peers as an
-    /// orderly "rank N hung up" — itself captured here — rather than an
-    /// opaque `"channel poisoned"` cascade.)
-    pub fn try_run<T, F>(n_ranks: usize, f: F) -> Vec<Result<T, RankPanic>>
-    where
-        T: Send,
-        F: Fn(Comm) -> T + Sync,
-    {
-        assert!(n_ranks >= 1, "need at least one rank");
-
-        let endpoints = Endpoints::build(n_ranks);
-        let comms: Vec<Comm> = (0..n_ranks).map(|r| endpoints.make_comm(r, 0)).collect();
-        // Drop the master handles so hang-ups are detectable.
-        drop(endpoints);
-
-        let f = &f;
-        let mut results: Vec<Option<Result<T, RankPanic>>> = (0..n_ranks).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(n_ranks);
-            for comm in comms.into_iter() {
-                handles.push(s.spawn(move || f(comm)));
-            }
-            for (rank, h) in handles.into_iter().enumerate() {
-                results[rank] =
-                    Some(h.join().map_err(|payload| rank_panic(rank, payload.as_ref())));
-            }
-        });
-        results.into_iter().map(|o| o.expect("rank result")).collect()
     }
 
     /// Run `f(comm)` on `n_ranks` threads and **respawn a rank whose
@@ -231,8 +197,12 @@ impl World {
     /// which drains stale traffic and advances the epoch.
     ///
     /// Respawns stop after `max_respawns`; further deaths become terminal
-    /// per-rank failures in the report (survivors then fail their fence
-    /// with a structured timeout).
+    /// per-rank [`RankPanic`] records in the report, next to the
+    /// survivors' results. Once no respawn can follow (from the start
+    /// with a budget of 0), the monitor holds no channel ends of its own,
+    /// so a dead rank's peers see "rank N hung up" on their next receive
+    /// from it. (The channel mutexes recover from poisoning, so that is
+    /// an orderly hang-up, never a `"channel poisoned"` cascade.)
     ///
     /// A panic is the only death the world sees. A rank that hangs inside
     /// `f` is never declared dead, and the world does not return until
@@ -254,20 +224,21 @@ impl World {
         let (done_tx, done_rx) = unbounded::<Done<T>>();
 
         std::thread::scope(|s| {
-            let spawn_worker = |rank: usize, incarnation: usize| {
-                let comm = endpoints.make_comm(rank, incarnation);
+            let spawn_worker = |rank: usize, comm: Comm| {
                 let done = done_tx.clone();
                 s.spawn(move || {
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)));
                     // Never unwind out of a scoped thread: the result —
                     // panic payload included — travels by channel.
                     let _ = done.send((rank, r));
-                });
+                })
             };
 
-            for rank in 0..n_ranks {
-                spawn_worker(rank, 0);
-            }
+            let mut workers: Vec<_> = (0..n_ranks)
+                .map(|rank| spawn_worker(rank, endpoints.make_comm(rank, 0)))
+                .collect();
+            // The master handles live only while a respawn can follow.
+            let mut endpoints = (max_respawns > 0).then_some(endpoints);
 
             let mut incarnation = vec![0usize; n_ranks];
             let mut pending = n_ranks;
@@ -280,7 +251,7 @@ impl World {
                     }
                     Err(payload) => {
                         let cause = rank_panic(rank, payload.as_ref());
-                        if respawns.len() < max_respawns {
+                        if let Some(ep) = &endpoints {
                             incarnation[rank] += 1;
                             respawns.push(RespawnEvent {
                                 rank,
@@ -288,13 +259,26 @@ impl World {
                                 epoch: ctl.epoch.load(std::sync::atomic::Ordering::SeqCst),
                                 cause: cause.message,
                             });
-                            spawn_worker(rank, incarnation[rank]);
+                            workers.push(spawn_worker(rank, ep.make_comm(rank, incarnation[rank])));
+                            if respawns.len() == max_respawns {
+                                endpoints = None;
+                            }
                         } else {
                             results[rank] = Some(Err(cause));
                             pending -= 1;
                         }
                     }
                 }
+            }
+            // Join each worker's OS thread before returning. The scope's
+            // implicit join waits only for the closures, so a thread can
+            // still be exiting when the caller starts its next world, and
+            // the new threads then cannot reuse its malloc arena. Without
+            // this, back-to-back 2-rank supervised runs (perfbench
+            // `step_small`, 2-vCPU x86-64 host, glibc) reached a peak RSS
+            // of 17.0-17.4 MB instead of 11.6-12.0 MB.
+            for w in workers {
+                w.join().expect("a worker catches its own panic");
             }
         });
 
@@ -433,13 +417,14 @@ mod tests {
     }
 
     #[test]
-    fn try_run_records_per_rank_failures() {
-        let res = World::try_run(3, |comm| {
+    fn budget_zero_world_records_per_rank_failures() {
+        let res = World::run_resilient(3, 0, |comm| {
             if comm.rank() == 1 {
                 panic!("injected fault on rank 1");
             }
             comm.rank() * 10
-        });
+        })
+        .results;
         assert_eq!(res[0].as_ref().unwrap(), &0);
         assert_eq!(res[2].as_ref().unwrap(), &20);
         let p = res[1].as_ref().unwrap_err();
@@ -450,15 +435,16 @@ mod tests {
     #[test]
     fn rank_death_surfaces_as_hang_up_not_poison_on_peers() {
         // Rank 1 dies before sending; rank 0 blocks on the recv and must
-        // observe a diagnosable "hung up" panic (captured by try_run),
+        // observe a diagnosable "hung up" panic (captured by the world),
         // never a "channel poisoned" cascade.
-        let res = World::try_run(2, |comm| {
+        let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 1 {
                 panic!("rank 1 died");
             }
             let _ = comm.recv(1, 5, &mut c);
-        });
+        })
+        .results;
         let p0 = res[0].as_ref().unwrap_err();
         assert!(p0.message.contains("hung up"), "rank 0 saw: {}", p0.message);
         assert!(!p0.message.contains("poisoned"));
@@ -472,7 +458,7 @@ mod tests {
         // rank 1 (no sleeps to race against), and the deadline scales
         // with MAS_TEST_TIME_SCALE for loaded CI machines. Rank 1 asserts
         // on the failure text of the legacy panic path.
-        let res = World::try_run(2, |comm| {
+        let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
                 comm.arm_net_fault_n(NetFault::Drop, 1);
@@ -491,7 +477,8 @@ mod tests {
                     Err(p) => super::panic_message(p.as_ref()),
                 }
             }
-        });
+        })
+        .results;
         let msg = res[1].as_ref().unwrap();
         assert!(msg.contains("timed out"), "{msg}");
         assert!(msg.contains("message lost"), "{msg}");
@@ -501,7 +488,7 @@ mod tests {
     fn dropped_message_yields_structured_timeout() {
         // The verified path reports the failure *kind* — no string or
         // elapsed-time matching anywhere.
-        let res = World::try_run(2, |comm| {
+        let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
                 comm.arm_net_fault_n(NetFault::Drop, 1);
@@ -509,11 +496,14 @@ mod tests {
                 let _ = comm.recv(1, 5, &mut c);
                 Ok(vec![])
             } else {
-                let r = comm.try_recv(0, 4, &mut c, scaled_ms(50));
+                let r = comm
+                    .try_recv_any_shared(0, &[4], &mut c, scaled_ms(50))
+                    .map(|(_, d)| d.to_vec());
                 comm.send(0, 5, vec![], NetPath::DeviceP2P, &c);
                 r
             }
-        });
+        })
+        .results;
         match res[1].as_ref().unwrap() {
             Err(RecvFailure::Timeout { src: 0, tag: 4, .. }) => {}
             other => panic!("want structured timeout, got {other:?}"),
@@ -522,7 +512,7 @@ mod tests {
 
     #[test]
     fn corrupt_fault_poisons_payload_once() {
-        let res = World::try_run(2, |comm| {
+        let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
                 comm.arm_net_fault_n(NetFault::Corrupt, 1);
@@ -534,7 +524,8 @@ mod tests {
             comm.send(peer, 5, vec![3.0], NetPath::DeviceP2P, &c);
             let second = comm.recv(peer, 5, &mut c);
             (first, second)
-        });
+        })
+        .results;
         let (first, second) = res[1].as_ref().unwrap();
         assert!(first[1].is_nan(), "corrupted middle value");
         assert_eq!(first[0], 1.0, "rest of payload intact");
@@ -545,7 +536,7 @@ mod tests {
 
     #[test]
     fn try_recv_detects_corruption_by_crc() {
-        let res = World::try_run(2, |comm| {
+        let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
                 comm.arm_net_fault_n(NetFault::Corrupt, 1);
@@ -554,12 +545,13 @@ mod tests {
                 let _ = comm.recv(1, 5, &mut c);
                 (Ok(vec![]), Ok(vec![]))
             } else {
-                let bad = comm.try_recv(0, 4, &mut c, scaled_ms(2000));
-                let good = comm.try_recv(0, 4, &mut c, scaled_ms(2000));
+                let bad = comm.try_recv_any_shared(0, &[4], &mut c, scaled_ms(2000));
+                let good = comm.try_recv_any_shared(0, &[4], &mut c, scaled_ms(2000));
                 comm.send(0, 5, vec![], NetPath::DeviceP2P, &c);
-                (bad, good)
+                (bad.map(|(_, d)| d.to_vec()), good.map(|(_, d)| d.to_vec()))
             }
-        });
+        })
+        .results;
         let (bad, good) = res[1].as_ref().unwrap();
         match bad {
             Err(RecvFailure::Corrupt { src: 0, tag: 4, seq: 0 }) => {}
@@ -572,7 +564,7 @@ mod tests {
     fn stale_epoch_envelope_is_rejected_structured() {
         // A straggler stamped with a pre-fence epoch must be rejected
         // with a structured error, never delivered (acceptance test).
-        let res = World::try_run(2, |comm| {
+        let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
                 comm.advance_epoch(); // world is now in epoch 1
@@ -585,13 +577,18 @@ mod tests {
                 while comm.epoch() == 0 {
                     std::thread::sleep(Duration::from_micros(100));
                 }
-                let stale = comm.try_recv(0, 9, &mut c, scaled_ms(2000)).err();
-                let fresh = comm.try_recv(0, 9, &mut c, scaled_ms(2000)).unwrap();
+                let stale = comm
+                    .try_recv_any_shared(0, &[9], &mut c, scaled_ms(2000))
+                    .err();
+                let (_, fresh) = comm
+                    .try_recv_any_shared(0, &[9], &mut c, scaled_ms(2000))
+                    .unwrap();
                 let count = comm.stale_rejected();
                 comm.send(0, 10, vec![], NetPath::DeviceP2P, &c);
                 (stale, fresh[0], count)
             }
-        });
+        })
+        .results;
         let (stale, fresh, count) = res[1].as_ref().unwrap();
         match stale {
             Some(RecvFailure::StaleEpoch { src: 0, got: 0, current: 1 }) => {}
@@ -603,7 +600,7 @@ mod tests {
 
     #[test]
     fn legacy_recv_discards_stale_silently() {
-        let res = World::try_run(2, |comm| {
+        let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
                 comm.advance_epoch();
@@ -620,7 +617,8 @@ mod tests {
                 comm.send(0, 10, vec![], NetPath::DeviceP2P, &c);
                 v[0]
             }
-        });
+        })
+        .results;
         assert_eq!(
             *res[1].as_ref().unwrap(),
             2.0,
@@ -630,13 +628,14 @@ mod tests {
 
     #[test]
     fn tag_mismatch_panics() {
-        // try_run keeps the failure contained; the message documents both
+        // The world keeps the failure contained; the message documents both
         // tags so a protocol bug is diagnosable.
-        let res = World::try_run(1, |comm| {
+        let res = World::run_resilient(1, 0, |comm| {
             let mut c = ctx(0);
             comm.send(0, 1, vec![1.0], NetPath::DeviceP2P, &c);
             let _ = comm.recv(0, 2, &mut c);
-        });
+        })
+        .results;
         let p = res[0].as_ref().unwrap_err();
         assert!(p.message.contains("tag mismatch"), "{}", p.message);
     }
@@ -707,5 +706,70 @@ mod tests {
         let p = out.results[1].as_ref().unwrap_err();
         assert!(p.message.contains("boom"), "{}", p.message);
         assert!(out.respawns.is_empty());
+    }
+
+    #[test]
+    fn world_returns_after_every_rank_thread_has_exited() {
+        // A thread's thread-local destructors run as its OS thread exits,
+        // after its closure has returned; the world must have joined
+        // every rank thread, not just seen its closure finish.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: OnExit = const { OnExit };
+        }
+        for round in 1..=1000 {
+            World::run(2, |_| ON_EXIT.with(|_| ()));
+            assert_eq!(EXITED.load(Ordering::SeqCst), 2 * round, "round {round}");
+        }
+    }
+
+    #[test]
+    fn budget_zero_peer_sees_hang_up_before_its_deadline() {
+        // With no respawn to come the monitor holds no channel ends, so a
+        // peer blocked on the dead rank hears it hang up at once; the
+        // armed deadline is never what ends the receive.
+        let res = World::run_resilient(2, 0, |comm| {
+            let mut c = ctx(comm.rank());
+            if comm.rank() == 1 {
+                panic!("rank 1 died");
+            }
+            comm.set_recv_deadline(Some(scaled_ms(2000)));
+            let _ = comm.recv(1, 5, &mut c);
+        })
+        .results;
+        let p0 = res[0].as_ref().unwrap_err();
+        assert!(p0.message.contains("hung up"), "rank 0 saw: {}", p0.message);
+    }
+
+    #[test]
+    fn death_after_the_last_respawn_hangs_up_on_peers() {
+        // Rank 1 dies in both incarnations. The first death is respawned
+        // (the master handles keep its channels open meanwhile); the
+        // second has no replacement coming and reaches rank 0 as a
+        // hang-up, not as its deadline running out.
+        let out = World::run_resilient(2, 1, |comm| {
+            let mut c = ctx(comm.rank());
+            if comm.rank() == 1 {
+                panic!("rank 1 lost incarnation {}", comm.incarnation());
+            }
+            comm.set_recv_deadline(Some(scaled_ms(2000)));
+            match std::panic::catch_unwind(AssertUnwindSafe(|| comm.recv(1, 5, &mut c))) {
+                Ok(_) => "delivered?!".to_string(),
+                Err(p) => super::panic_message(p.as_ref()),
+            }
+        });
+        let msg = out.results[0].as_ref().unwrap();
+        assert!(msg.contains("hung up"), "rank 0 saw: {msg}");
+        assert_eq!(out.respawns.len(), 1);
+        assert!(out.respawns[0].cause.contains("incarnation 0"));
+        let p1 = out.results[1].as_ref().unwrap_err();
+        assert!(p1.message.contains("incarnation 1"), "{}", p1.message);
     }
 }

@@ -138,9 +138,10 @@ fn overload_sheds_lowest_priority_and_high_priority_still_completes() {
 
     // Fill the single worker, then the queue up to the watermark. The
     // blocker must be *claimed* before anything else queues, or the
-    // watermark counts it and sheds the wrong job.
+    // watermark counts it and sheds the wrong job. It never runs out;
+    // it is cancelled below.
     let blocker = server
-        .submit(JobSpec::new(tiny_deck(1000)).seed(1).priority(9))
+        .submit(JobSpec::new(tiny_deck(100_000)).seed(1).priority(9))
         .expect("blocker");
     for _ in 0..2000 {
         if server.status(blocker).expect("blocker exists").state != JobState::Queued {
@@ -175,7 +176,11 @@ fn overload_sheds_lowest_priority_and_high_priority_still_completes() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
 
-    for id in [blocker, keeper, high] {
+    // Shedding never touches a running job; free the worker.
+    assert_eq!(server.status(blocker).unwrap().state, JobState::Running);
+    server.cancel(blocker).unwrap();
+    assert_eq!(server.wait(blocker).unwrap().state, JobState::Cancelled);
+    for id in [keeper, high] {
         assert_eq!(
             server.wait(id).unwrap().state,
             JobState::Done,
@@ -184,7 +189,7 @@ fn overload_sheds_lowest_priority_and_high_priority_still_completes() {
     }
     let stats = server.stats();
     assert_eq!(stats.shed_total, 1);
-    assert_eq!(stats.cancelled, 1);
+    assert_eq!(stats.cancelled, 2, "the shed victim and the blocker");
 
     server.shutdown();
     server.join();
@@ -232,18 +237,21 @@ fn expired_deadline_fails_a_queued_job_without_running_it() {
         cfg.n_workers = 1;
     });
 
-    // The blocker holds the only worker well past the queued job's
-    // deadline; the queued job must die in the queue, zero steps run.
+    // The blocker holds the only worker past the queued job's deadline,
+    // then is cancelled; the freed worker must fail the queued job in
+    // the queue, zero steps run.
     let blocker = server
-        .submit(JobSpec::new(tiny_deck(600)).seed(1))
+        .submit(JobSpec::new(tiny_deck(100_000)).seed(1))
         .expect("blocker");
     let doomed = server
         .submit(JobSpec::new(tiny_deck(4)).seed(2).deadline_ms(40))
         .expect("queued");
+    std::thread::sleep(Duration::from_millis(100));
+    server.cancel(blocker).unwrap();
     let status = server.wait(doomed).expect("job exists");
     assert_eq!(status.state, JobState::Failed);
     assert_eq!(status.steps_done, 0, "never claimed a device");
-    assert_eq!(server.wait(blocker).unwrap().state, JobState::Done);
+    assert_eq!(server.wait(blocker).unwrap().state, JobState::Cancelled);
 
     server.shutdown();
     server.join();

@@ -273,11 +273,6 @@ impl SiteRegistry {
         RegionId((self.data_regions.len() - 1) as u32)
     }
 
-    /// The audit-facing string behind a [`RegionId`].
-    pub fn region_label(&self, id: RegionId) -> &'static str {
-        self.data_regions[id.0 as usize].0
-    }
-
     /// Register a manual data region of `n_arrays` arrays (first
     /// registration wins, matching `enter data` create-once semantics).
     pub fn note_data_region(&mut self, region: RegionId, n_arrays: usize) {
@@ -439,7 +434,6 @@ mod tests {
         let aux = r.region_id("aux");
         assert_eq!(state, state2, "interning is idempotent");
         assert_ne!(state, aux);
-        assert_eq!(r.region_label(state), "state");
         r.note_data_region(state, 12);
         r.note_data_region(state2, 12);
         r.note_data_region(aux, 3);

@@ -99,16 +99,13 @@ proptest! {
         }
     }
 
-    /// axpy/lincomb satisfy their algebraic definitions pointwise.
+    /// axpy satisfies its algebraic definition pointwise.
     #[test]
-    fn array_algebra(a in -5.0f64..5.0, b in -5.0f64..5.0, x0 in -10.0f64..10.0, y0 in -10.0f64..10.0) {
-        let x = Array3::constant(3, 3, 3, x0);
+    fn array_algebra(a in -5.0f64..5.0, x0 in -10.0f64..10.0, y0 in -10.0f64..10.0) {
+        let mut z = Array3::constant(3, 3, 3, x0);
         let y = Array3::constant(3, 3, 3, y0);
-        let mut z = Array3::zeros(3, 3, 3);
-        z.lincomb(a, &x, b, &y);
-        prop_assert!((z.get(1, 1, 1) - (a * x0 + b * y0)).abs() < 1e-12);
         z.axpy(a, &y);
-        prop_assert!((z.get(2, 2, 2) - (a * x0 + b * y0 + a * y0)).abs() < 1e-12);
+        prop_assert!((z.get(2, 2, 2) - (x0 + a * y0)).abs() < 1e-12);
     }
 }
 
