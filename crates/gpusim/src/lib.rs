@@ -42,7 +42,7 @@ pub mod spec;
 pub use clock::VirtualClock;
 pub use context::{DeviceContext, LaunchMode};
 pub use memory::{BufferId, DataMode, MemoryManager, Residency};
-pub use pool::{DeviceHealth, DeviceId, DeviceLease, DevicePool, PoolStats, SUSPECT_THRESHOLD};
+pub use pool::{DeviceLease, DevicePool, PoolStats};
 pub use profiler::{Phase, Profiler, Span, TimeCategory};
 pub use spec::{DeviceSpec, Traffic};
 

@@ -15,12 +15,7 @@
 
 use crate::spec::DeviceSpec;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// How many consecutive attributed failures pull a device from the
-/// lease rotation (it becomes *suspect* and only a passing canary probe
-/// reinstates it).
-pub const SUSPECT_THRESHOLD: u32 = 3;
+use std::sync::{Mutex, MutexGuard};
 
 /// Process-wide pool incarnation counter: every [`DevicePool`] gets a
 /// unique incarnation, so a lease can never be released into a pool it
@@ -29,16 +24,13 @@ pub const SUSPECT_THRESHOLD: u32 = 3;
 /// at serial 1).
 static NEXT_INCARNATION: AtomicU64 = AtomicU64::new(1);
 
-/// Identifier of one device slot within a pool (dense, `0..n_devices`).
-pub type DeviceId = usize;
-
 /// An exclusive lease on a set of pool devices. Obtained from
-/// [`DevicePool::try_lease`] / [`DevicePool::lease_blocking`]; must be
-/// returned with [`DevicePool::release`].
+/// [`DevicePool::try_lease`]; must be returned with
+/// [`DevicePool::release`].
 #[derive(Debug)]
 pub struct DeviceLease {
-    /// The leased device slots.
-    ids: Vec<DeviceId>,
+    /// The leased device slots (dense indices into the pool).
+    ids: Vec<usize>,
     /// Monotonic lease serial (pairs grant/release in logs and guards
     /// against releasing a forged or stale lease).
     serial: u64,
@@ -50,11 +42,6 @@ pub struct DeviceLease {
 }
 
 impl DeviceLease {
-    /// The leased device ids.
-    pub fn devices(&self) -> &[DeviceId] {
-        &self.ids
-    }
-
     /// Number of devices held.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -85,83 +72,31 @@ pub struct PoolStats {
     /// [`DevicePool`] instance process-wide; restart accounting pairs
     /// grants and releases within one incarnation).
     pub incarnation: u64,
-    /// Devices currently pulled from the lease rotation as suspect.
-    pub suspect: usize,
-    /// Attributed job failures over the pool's lifetime (all devices).
-    pub device_failures: u64,
-    /// Suspect devices reinstated after a passing canary probe.
-    pub reinstated: u64,
-}
-
-/// Point-in-time health of one device slot (see
-/// [`DevicePool::device_health`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DeviceHealth {
-    /// The slot.
-    pub id: DeviceId,
-    /// Pulled from the lease rotation pending a canary probe?
-    pub suspect: bool,
-    /// Consecutive attributed failures (resets on success / reinstate).
-    pub consecutive_failures: u32,
-    /// Attributed failures over the pool's lifetime.
-    pub total_failures: u64,
-    /// Armed injected faults remaining (chaos / test harness).
-    pub injected_faults: u32,
-}
-
-struct DeviceState {
-    suspect: bool,
-    consecutive_failures: u32,
-    total_failures: u64,
-    /// Armed injected faults: each consumption fails one job attempt
-    /// that leased this device (the chaos drill's sick-device model).
-    injected_faults: u32,
 }
 
 struct PoolState {
     /// `free[i]` — is slot `i` available?
     free: Vec<bool>,
     n_free: usize,
-    /// Per-slot health ledger, same indexing as `free`.
-    health: Vec<DeviceState>,
     next_serial: u64,
     /// Serials of outstanding leases (release checks membership).
     outstanding: Vec<u64>,
     leases_granted: u64,
     leases_released: u64,
     peak_busy: usize,
-    device_failures: u64,
-    reinstated: u64,
     poisoned: bool,
-}
-
-impl PoolState {
-    /// Free slots that are also in the lease rotation (not suspect).
-    fn n_grantable(&self) -> usize {
-        self.free
-            .iter()
-            .zip(&self.health)
-            .filter(|(f, h)| **f && !h.suspect)
-            .count()
-    }
-
-    /// Slots not currently suspect.
-    fn n_healthy(&self) -> usize {
-        self.health.iter().filter(|h| !h.suspect).count()
-    }
 }
 
 /// A fixed fleet of identical virtual devices with exclusive leasing.
 ///
 /// The fleet is homogeneous by construction (one [`DeviceSpec`] cloned
-/// per slot) — the heterogeneous-fleet extension tracked in ROADMAP
-/// item 4 would turn `spec()` into a per-slot lookup without changing
-/// the leasing contract.
+/// per slot). Heterogeneous fleets, on ROADMAP's Deferred list, would
+/// turn `spec()` into a per-slot lookup without changing the leasing
+/// contract.
 pub struct DevicePool {
     spec: DeviceSpec,
     incarnation: u64,
     state: Mutex<PoolState>,
-    freed: Condvar,
 }
 
 impl DevicePool {
@@ -175,24 +110,13 @@ impl DevicePool {
             state: Mutex::new(PoolState {
                 free: vec![true; n_devices],
                 n_free: n_devices,
-                health: (0..n_devices)
-                    .map(|_| DeviceState {
-                        suspect: false,
-                        consecutive_failures: 0,
-                        total_failures: 0,
-                        injected_faults: 0,
-                    })
-                    .collect(),
                 next_serial: 1,
                 outstanding: Vec::new(),
                 leases_granted: 0,
                 leases_released: 0,
                 peak_busy: 0,
-                device_failures: 0,
-                reinstated: 0,
                 poisoned: false,
             }),
-            freed: Condvar::new(),
         }
     }
 
@@ -215,11 +139,6 @@ impl DevicePool {
         self.incarnation
     }
 
-    /// Total slot count.
-    pub fn n_devices(&self) -> usize {
-        self.locked().free.len()
-    }
-
     /// Currently free slot count.
     pub fn n_free(&self) -> usize {
         self.locked().n_free
@@ -236,96 +155,19 @@ impl DevicePool {
             leases_released: st.leases_released,
             peak_busy: st.peak_busy,
             incarnation: self.incarnation,
-            suspect: st.free.len() - st.n_healthy(),
-            device_failures: st.device_failures,
-            reinstated: st.reinstated,
-        }
-    }
-
-    /// Grant `n` slots from the healthy rotation (suspect slots are
-    /// skipped — they can only be leased by name via
-    /// [`DevicePool::lease_specific`], the canary-probe path).
-    fn grant(&self, st: &mut PoolState, n: usize) -> DeviceLease {
-        let mut ids = Vec::with_capacity(n);
-        for (i, f) in st.free.iter_mut().enumerate() {
-            if *f && !st.health[i].suspect {
-                *f = false;
-                ids.push(i);
-                if ids.len() == n {
-                    break;
-                }
-            }
-        }
-        debug_assert_eq!(ids.len(), n);
-        st.n_free -= n;
-        let serial = st.next_serial;
-        st.next_serial += 1;
-        st.outstanding.push(serial);
-        st.leases_granted += 1;
-        st.peak_busy = st.peak_busy.max(st.free.len() - st.n_free);
-        DeviceLease {
-            ids,
-            serial,
-            incarnation: self.incarnation,
         }
     }
 
     /// Try to lease `n` devices without blocking.
     ///
     /// * `Ok(Some(lease))` — granted;
-    /// * `Ok(None)` — the pool is currently too busy, or too much of it
-    ///   is suspect (retry later — a canary probe may reinstate);
+    /// * `Ok(None)` — fewer than `n` slots are free right now (retry
+    ///   after a release);
     /// * `Err` — the request can **never** be satisfied (`n` is zero or
-    ///   exceeds the pool size), so waiting would deadlock.
+    ///   exceeds the pool size, or the pool is closed), so waiting would
+    ///   deadlock.
     pub fn try_lease(&self, n: usize) -> Result<Option<DeviceLease>, String> {
         let mut st = self.locked();
-        self.check_feasible(&st, n)?;
-        if st.n_grantable() < n {
-            return Ok(None);
-        }
-        Ok(Some(self.grant(&mut st, n)))
-    }
-
-    /// Lease `n` devices, blocking until enough healthy slots free up.
-    /// Same `Err` conditions as [`DevicePool::try_lease`].
-    pub fn lease_blocking(&self, n: usize) -> Result<DeviceLease, String> {
-        let mut st = self.locked();
-        self.check_feasible(&st, n)?;
-        while st.n_grantable() < n {
-            st = self.freed.wait(st).unwrap_or_else(|p| p.into_inner());
-            self.check_feasible(&st, n)?;
-        }
-        Ok(self.grant(&mut st, n))
-    }
-
-    /// Lease one *specific* slot, suspect or not — the canary-probe
-    /// path. `Ok(None)` when the slot is currently leased.
-    pub fn lease_specific(&self, id: DeviceId) -> Result<Option<DeviceLease>, String> {
-        let mut st = self.locked();
-        if st.poisoned {
-            return Err("device pool closed".into());
-        }
-        if id >= st.free.len() {
-            return Err(format!("device {id} outside pool of {}", st.free.len()));
-        }
-        if !st.free[id] {
-            return Ok(None);
-        }
-        st.free[id] = false;
-        st.n_free -= 1;
-        let serial = st.next_serial;
-        st.next_serial += 1;
-        st.outstanding.push(serial);
-        st.leases_granted += 1;
-        st.peak_busy = st.peak_busy.max(st.free.len() - st.n_free);
-        Ok(Some(DeviceLease {
-            ids: vec![id],
-            serial,
-            incarnation: self.incarnation,
-        }))
-    }
-
-    fn check_feasible(&self, st: &PoolState, n: usize) -> Result<(), String> {
         if st.poisoned {
             return Err("device pool closed".into());
         }
@@ -338,7 +180,30 @@ impl DevicePool {
                 st.free.len()
             ));
         }
-        Ok(())
+        if st.n_free < n {
+            return Ok(None);
+        }
+        let mut ids = Vec::with_capacity(n);
+        for (i, f) in st.free.iter_mut().enumerate() {
+            if *f {
+                *f = false;
+                ids.push(i);
+                if ids.len() == n {
+                    break;
+                }
+            }
+        }
+        st.n_free -= n;
+        let serial = st.next_serial;
+        st.next_serial += 1;
+        st.outstanding.push(serial);
+        st.leases_granted += 1;
+        st.peak_busy = st.peak_busy.max(st.free.len() - st.n_free);
+        Ok(Some(DeviceLease {
+            ids,
+            serial,
+            incarnation: self.incarnation,
+        }))
     }
 
     /// Return a lease. Rejects forged or already-released leases — and
@@ -367,150 +232,20 @@ impl DevicePool {
         }
         st.n_free += lease.ids.len();
         st.leases_released += 1;
-        drop(st);
-        self.freed.notify_all();
         Ok(())
     }
 
-    /// Close the pool: every blocked or future lease attempt errors.
-    /// Outstanding leases may still be released (the ledger stays
-    /// consistent for shutdown accounting).
+    /// Close the pool: every future lease attempt errors. Outstanding
+    /// leases may still be released (the ledger stays consistent for
+    /// shutdown accounting).
     pub fn close(&self) {
         self.locked().poisoned = true;
-        self.freed.notify_all();
-    }
-
-    // -----------------------------------------------------------------
-    // Device health.
-    // -----------------------------------------------------------------
-
-    /// Slots currently in the lease rotation (total minus suspect).
-    pub fn n_healthy(&self) -> usize {
-        self.locked().n_healthy()
-    }
-
-    /// Slots a [`DevicePool::try_lease`] could grant right now: free
-    /// *and* in the rotation (schedulers size claims against this, not
-    /// [`DevicePool::n_free`], so suspect slots don't cause phantom
-    /// capacity).
-    pub fn n_grantable(&self) -> usize {
-        self.locked().n_grantable()
-    }
-
-    /// Attribute a job outcome to the devices it ran on. Success resets
-    /// a device's consecutive-failure counter; failure increments it,
-    /// and a device reaching [`SUSPECT_THRESHOLD`] is pulled from the
-    /// lease rotation until a canary probe passes. Returns the ids newly
-    /// marked suspect by this report (empty on success).
-    pub fn report_result(&self, ids: &[DeviceId], ok: bool) -> Vec<DeviceId> {
-        let mut st = self.locked();
-        let mut newly_suspect = Vec::new();
-        for &id in ids {
-            let Some(h) = st.health.get_mut(id) else {
-                continue;
-            };
-            if ok {
-                h.consecutive_failures = 0;
-            } else {
-                h.consecutive_failures += 1;
-                h.total_failures += 1;
-                if h.consecutive_failures >= SUSPECT_THRESHOLD && !h.suspect {
-                    h.suspect = true;
-                    newly_suspect.push(id);
-                }
-                st.device_failures += 1;
-            }
-        }
-        newly_suspect
-    }
-
-    /// Arm `count` injected faults on a device: the next `count` job
-    /// attempts that lease it observe a device fault (consumed via
-    /// [`DevicePool::consume_injected_fault`]). The chaos drill's
-    /// sick-device model; 0 disarms.
-    pub fn inject_fault(&self, id: DeviceId, count: u32) -> Result<(), String> {
-        let mut st = self.locked();
-        match st.health.get_mut(id) {
-            Some(h) => {
-                h.injected_faults = count;
-                Ok(())
-            }
-            None => Err(format!("device {id} outside pool of {}", st.free.len())),
-        }
-    }
-
-    /// If any of `ids` has an armed injected fault, consume one and
-    /// return that device — the caller fails the attempt attributed to
-    /// it. Checks slots in id order, so attribution is deterministic.
-    pub fn consume_injected_fault(&self, ids: &[DeviceId]) -> Option<DeviceId> {
-        let mut st = self.locked();
-        let mut sorted: Vec<DeviceId> = ids.to_vec();
-        sorted.sort_unstable();
-        for id in sorted {
-            if let Some(h) = st.health.get_mut(id) {
-                if h.injected_faults > 0 {
-                    h.injected_faults -= 1;
-                    return Some(id);
-                }
-            }
-        }
-        None
-    }
-
-    /// Reinstate a suspect device after a passing canary probe: it
-    /// re-enters the lease rotation with a clean failure streak. Returns
-    /// `true` if the device was suspect. Blocked `lease_blocking`
-    /// waiters are woken — capacity just came back.
-    pub fn reinstate(&self, id: DeviceId) -> bool {
-        let mut st = self.locked();
-        let was = match st.health.get_mut(id) {
-            Some(h) if h.suspect => {
-                h.suspect = false;
-                h.consecutive_failures = 0;
-                true
-            }
-            _ => false,
-        };
-        if was {
-            st.reinstated += 1;
-            drop(st);
-            self.freed.notify_all();
-        }
-        was
-    }
-
-    /// Suspect slots, id order.
-    pub fn suspects(&self) -> Vec<DeviceId> {
-        let st = self.locked();
-        st.health
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.suspect)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Per-slot health snapshot, id order.
-    pub fn device_health(&self) -> Vec<DeviceHealth> {
-        let st = self.locked();
-        st.health
-            .iter()
-            .enumerate()
-            .map(|(id, h)| DeviceHealth {
-                id,
-                suspect: h.suspect,
-                consecutive_failures: h.consecutive_failures,
-                total_failures: h.total_failures,
-                injected_faults: h.injected_faults,
-            })
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn pool(n: usize) -> DevicePool {
         DevicePool::new(DeviceSpec::a100_40gb(), n)
@@ -540,7 +275,6 @@ mod tests {
         let p = pool(2);
         assert!(p.try_lease(0).is_err());
         assert!(p.try_lease(3).is_err());
-        assert!(p.lease_blocking(3).is_err());
     }
 
     #[test]
@@ -575,109 +309,14 @@ mod tests {
     }
 
     #[test]
-    fn blocking_lease_wakes_on_release() {
-        let p = Arc::new(pool(1));
-        let a = p.try_lease(1).unwrap().unwrap();
-        let p2 = p.clone();
-        let waiter = std::thread::spawn(move || {
-            let l = p2.lease_blocking(1).unwrap();
-            p2.release(l).unwrap();
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        p.release(a).unwrap();
-        waiter.join().unwrap();
-        assert_eq!(p.n_free(), 1);
-        assert_eq!(p.stats().leases_granted, 2);
-    }
-
-    #[test]
-    fn repeated_failures_pull_a_device_from_rotation() {
-        let p = pool(2);
-        // Two failures: still in rotation.
-        for _ in 0..SUSPECT_THRESHOLD - 1 {
-            assert!(p.report_result(&[1], false).is_empty());
-        }
-        assert_eq!(p.n_healthy(), 2);
-        // Third consecutive failure trips the threshold.
-        assert_eq!(p.report_result(&[1], false), vec![1]);
-        assert_eq!(p.n_healthy(), 1);
-        assert_eq!(p.suspects(), vec![1]);
-        // The suspect slot is skipped by grants even though it is free.
-        let a = p.try_lease(1).unwrap().unwrap();
-        assert_eq!(a.devices(), &[0]);
-        assert!(p.try_lease(1).unwrap().is_none(), "only the suspect is left");
-        p.release(a).unwrap();
-        // A 2-device job is not *infeasible* (reinstate may restore
-        // capacity) — it just waits.
-        assert!(p.try_lease(2).unwrap().is_none());
-        // Canary path: lease the suspect by name, then reinstate.
-        let c = p.lease_specific(1).unwrap().unwrap();
-        assert_eq!(c.devices(), &[1]);
-        p.release(c).unwrap();
-        assert!(p.reinstate(1));
-        assert!(!p.reinstate(1), "already reinstated");
-        assert_eq!(p.n_healthy(), 2);
-        assert!(p.try_lease(2).unwrap().is_some());
-        let s = p.stats();
-        assert_eq!(s.suspect, 0);
-        assert_eq!(s.device_failures, SUSPECT_THRESHOLD as u64);
-        assert_eq!(s.reinstated, 1);
-    }
-
-    #[test]
-    fn success_resets_the_failure_streak() {
+    fn close_fails_leases_and_still_takes_releases() {
         let p = pool(1);
-        p.report_result(&[0], false);
-        p.report_result(&[0], false);
-        p.report_result(&[0], true);
-        for _ in 0..SUSPECT_THRESHOLD - 1 {
-            assert!(p.report_result(&[0], false).is_empty());
-        }
-        assert_eq!(p.n_healthy(), 1, "streak reset by the success");
-        let h = p.device_health();
-        assert_eq!(h[0].total_failures, (2 * SUSPECT_THRESHOLD - 2) as u64);
-    }
-
-    #[test]
-    fn injected_faults_are_consumed_in_id_order() {
-        let p = pool(3);
-        p.inject_fault(2, 2).unwrap();
-        assert!(p.inject_fault(9, 1).is_err());
-        assert_eq!(p.consume_injected_fault(&[0, 1]), None);
-        assert_eq!(p.consume_injected_fault(&[2, 0]), Some(2));
-        assert_eq!(p.consume_injected_fault(&[2]), Some(2));
-        assert_eq!(p.consume_injected_fault(&[2]), None, "budget spent");
-        assert_eq!(p.device_health()[2].injected_faults, 0);
-    }
-
-    #[test]
-    fn reinstate_wakes_blocked_waiters() {
-        let p = Arc::new(pool(2));
-        // Make both devices suspect: a 2-device lease must wait.
-        for _ in 0..SUSPECT_THRESHOLD {
-            p.report_result(&[0, 1], false);
-        }
-        assert_eq!(p.n_healthy(), 0);
-        let p2 = p.clone();
-        let waiter = std::thread::spawn(move || p2.lease_blocking(2));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        p.reinstate(0);
-        p.reinstate(1);
-        let lease = waiter.join().unwrap().unwrap();
-        assert_eq!(lease.len(), 2);
-        p.release(lease).unwrap();
-    }
-
-    #[test]
-    fn close_unblocks_waiters_with_an_error() {
-        let p = Arc::new(pool(1));
         let a = p.try_lease(1).unwrap().unwrap();
-        let p2 = p.clone();
-        let waiter = std::thread::spawn(move || p2.lease_blocking(1));
-        std::thread::sleep(std::time::Duration::from_millis(20));
         p.close();
-        assert!(waiter.join().unwrap().is_err());
-        p.release(a).unwrap();
+        // A full pool answers `Ok(None)` (wait); a closed one errors, so
+        // a would-be waiter stops instead.
+        assert!(p.try_lease(1).is_err(), "closed pool errors, not waits");
+        p.release(a).expect("an outstanding lease still releases");
         assert!(p.try_lease(1).is_err(), "closed pool grants nothing");
     }
 }

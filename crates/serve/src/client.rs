@@ -219,11 +219,6 @@ impl RemoteClient {
         }
     }
 
-    /// Arm `count` injected faults on a pool device (chaos drills).
-    pub fn inject(&self, device: usize, count: u32) -> Result<String, String> {
-        self.request(&format!("inject device={device} count={count}"))
-    }
-
     /// Drain the server: intake closes, every queued and running job
     /// finishes, then the server exits. Blocks until the drain
     /// completes (no deadline).

@@ -22,7 +22,7 @@
 use crate::cache::{CacheKey, ResultCache};
 use crate::job::{JobId, JobSpec, JobState, JobStatus};
 use crate::journal::{self, Journal, Record};
-use gpusim::{DeviceHealth, DevicePool, DeviceSpec, PoolStats};
+use gpusim::{DevicePool, DeviceSpec, PoolStats};
 use mas_config::DeckError;
 use mas_mhd::{progress_fn, MultiRankReport, ProgressEvent};
 use std::collections::{BTreeMap, HashMap};
@@ -93,11 +93,6 @@ pub struct ServerConfig {
     /// The retry-after hint (milliseconds) carried by overload
     /// rejections and shed notices.
     pub retry_after_ms: u64,
-    /// How often the canary thread probes suspect devices. Each probe
-    /// leases the suspect slot by name, runs a one-step micro-deck
-    /// through the supervisor, and reinstates the device on success.
-    /// `Duration::ZERO` disables probing.
-    pub canary_every: Duration,
 }
 
 impl ServerConfig {
@@ -116,7 +111,6 @@ impl ServerConfig {
             shed_queue_depth: 0,
             shed_oldest_ms: 0,
             retry_after_ms: 500,
-            canary_every: Duration::from_millis(100),
         }
     }
 }
@@ -138,17 +132,13 @@ pub enum SubmitError {
         /// The configured per-tenant cap.
         quota: usize,
     },
-    /// The job cannot run on this pool right now: zero ranks, more ranks
-    /// than the fleet has devices — or more than are currently *healthy*
-    /// (suspect devices are out of rotation until a canary probe passes,
-    /// so `healthy < pool` names the degraded capacity).
+    /// The job can never run on this pool: zero ranks, or more ranks
+    /// than the fleet has devices.
     Infeasible {
         /// Devices the job would need.
         needed: usize,
         /// Devices the pool has.
         pool: usize,
-        /// Devices currently in the lease rotation.
-        healthy: usize,
     },
     /// The deck failed validation (same structured error the `mas` CLI
     /// reports).
@@ -180,20 +170,8 @@ impl fmt::Display for SubmitError {
             SubmitError::QuotaExceeded { tenant, quota } => {
                 write!(f, "tenant '{tenant}' is at its quota of {quota} live jobs")
             }
-            SubmitError::Infeasible {
-                needed,
-                pool,
-                healthy,
-            } => {
-                if healthy < pool {
-                    write!(
-                        f,
-                        "job needs {needed} device(s) but only {healthy} of the pool's \
-                         {pool} are healthy"
-                    )
-                } else {
-                    write!(f, "job needs {needed} device(s) but the pool holds {pool}")
-                }
+            SubmitError::Infeasible { needed, pool } => {
+                write!(f, "job needs {needed} device(s) but the pool holds {pool}")
             }
             SubmitError::InvalidDeck(e) => write!(f, "{e}"),
             SubmitError::Overloaded { retry_after_ms } => {
@@ -343,8 +321,6 @@ pub struct ServerStats {
     pub worker_panics: u64,
     /// Cache keys currently quarantined.
     pub quarantine_keys: usize,
-    /// Per-device health, id order.
-    pub devices: Vec<DeviceHealth>,
 }
 
 /// What [`Server::recover`] found in the journal — printed by the
@@ -415,7 +391,7 @@ impl fmt::Display for RecoverySummary {
 /// [`Server::drain`].
 pub struct Server {
     cfg: ServerConfig,
-    pool: Arc<DevicePool>,
+    pool: DevicePool,
     sched: Mutex<Sched>,
     event: Condvar,
     /// Steps executed server-wide (every rank's every step). Behind an
@@ -741,7 +717,7 @@ impl Server {
 
     fn spawn(cfg: ServerConfig, sched: Sched) -> Arc<Server> {
         assert!(cfg.n_workers > 0, "server needs at least one worker");
-        let pool = Arc::new(DevicePool::new(cfg.device.clone(), cfg.n_devices));
+        let pool = DevicePool::new(cfg.device.clone(), cfg.n_devices);
         // Lease-ledger invariant: the pool is a fresh incarnation, so
         // every lease a dead predecessor held is gone — nothing may be
         // busy, and grant/release counters must balance at zero. Checked
@@ -773,22 +749,8 @@ impl Server {
                     .expect("spawn worker"),
             );
         }
-        if server.cfg.canary_every > Duration::ZERO {
-            let s = server.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name("serve-canary".into())
-                    .spawn(move || s.canary_loop())
-                    .expect("spawn canary"),
-            );
-        }
         drop(workers);
         server
-    }
-
-    /// The device pool (shared with any embedding scheduler).
-    pub fn pool(&self) -> &DevicePool {
-        &self.pool
     }
 
     /// Append a record to the journal, if there is one. An append
@@ -880,16 +842,12 @@ impl Server {
     /// the cache (status shows `cached`, zero steps execute).
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
         // Feasibility and deck validity are answered before touching the
-        // scheduler at all. Feasibility is measured against *healthy*
-        // capacity: a pool of 4 with 2 suspect devices can only promise
-        // 2-rank jobs, and the error names both numbers.
+        // scheduler at all.
         let pool_size = self.cfg.n_devices;
-        let healthy = self.pool.n_healthy();
-        if spec.n_ranks == 0 || spec.n_ranks > pool_size || spec.n_ranks > healthy {
+        if spec.n_ranks == 0 || spec.n_ranks > pool_size {
             return Err(SubmitError::Infeasible {
                 needed: spec.n_ranks,
                 pool: pool_size,
-                healthy,
             });
         }
         spec.deck.validated().map_err(SubmitError::InvalidDeck)?;
@@ -1168,7 +1126,6 @@ impl Server {
             deadline_exceeded: sched.deadline_exceeded,
             worker_panics: sched.worker_panics,
             quarantine_keys: sched.quarantine.len(),
-            devices: self.pool.device_health(),
         }
     }
 
@@ -1269,12 +1226,10 @@ impl Server {
     // -- scheduling internals ------------------------------------------------
 
     /// Pick the best runnable queued job: among jobs whose rank count
-    /// fits the currently *grantable* devices (free and not suspect —
-    /// sizing against raw free slots would deadlock workers on leases
-    /// the health layer will never grant), the highest priority wins
-    /// and submission order breaks ties. Returns its queue position.
+    /// fits the currently free devices, the highest priority wins and
+    /// submission order breaks ties. Returns its queue position.
     fn pick(&self, sched: &Sched) -> Option<usize> {
-        let free = self.pool.n_grantable();
+        let free = self.pool.n_free();
         let mut best: Option<(usize, i32, u64)> = None;
         for (pos, &id) in sched.queue.iter().enumerate() {
             let job = &sched.jobs[&id];
@@ -1401,30 +1356,22 @@ impl Server {
             };
             self.event.notify_all(); // status waiters see Running
 
-            // A deterministic injected device fault (chaos drills, tests)
-            // fails the attempt before any physics runs, attributed to
-            // the named device. Otherwise the job body runs under
-            // `catch_unwind`: a panicking deck becomes a classified
-            // failure of *this job*, never a dead worker thread and a
-            // poisoned scheduler.
+            // The job body runs under `catch_unwind`: a panicking deck
+            // becomes a classified failure of *this job*, never a dead
+            // worker thread and a poisoned scheduler. Every failure is
+            // charged to the job alone — its attempt budget retries it,
+            // and quarantine catches a deck that panics through it.
             enum Outcome {
                 Done(Box<MultiRankReport>),
-                Fault(gpusim::DeviceId, String),
                 Error(String),
                 Panicked(String),
             }
-            let devices: Vec<gpusim::DeviceId> = lease.devices().to_vec();
-            let outcome = match self.pool.consume_injected_fault(&devices) {
-                Some(dev) => Outcome::Fault(dev, format!("injected fault on device {dev}")),
-                None => {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        self.execute(&spec, &progress, deadline)
-                    })) {
-                        Ok(Ok(report)) => Outcome::Done(Box::new(report)),
-                        Ok(Err(message)) => Outcome::Error(message),
-                        Err(payload) => Outcome::Panicked(panic_message(payload)),
-                    }
-                }
+            let outcome = match catch_unwind(AssertUnwindSafe(|| {
+                self.execute(&spec, &progress, deadline)
+            })) {
+                Ok(Ok(report)) => Outcome::Done(Box::new(report)),
+                Ok(Err(message)) => Outcome::Error(message),
+                Err(payload) => Outcome::Panicked(panic_message(payload)),
             };
 
             if let Err(e) = self.pool.release(lease) {
@@ -1435,24 +1382,6 @@ impl Server {
 
             let cancelled = progress.cancel.load(Ordering::SeqCst);
             let deadline_hit = progress.deadline_hit.load(Ordering::SeqCst);
-
-            // Device attribution, outside the scheduler lock: success
-            // clears failure streaks; an injected fault blames exactly
-            // the faulted device; a plain run error blames the leased
-            // devices. Panics and cooperative stops (cancel, deadline)
-            // say nothing about the hardware.
-            match &outcome {
-                Outcome::Done(_) => {
-                    self.pool.report_result(&devices, true);
-                }
-                Outcome::Fault(dev, _) => {
-                    self.pool.report_result(&[*dev], false);
-                }
-                Outcome::Error(_) if !cancelled && !deadline_hit => {
-                    self.pool.report_result(&devices, false);
-                }
-                _ => {}
-            }
 
             let mut sched = relock(&self.sched);
             sched.running -= 1;
@@ -1478,7 +1407,6 @@ impl Server {
                 }
                 other => {
                     let (message, panicked) = match other {
-                        Outcome::Fault(_, m) => (m, false),
                         Outcome::Error(m) => (m, false),
                         Outcome::Panicked(m) => {
                             sched.worker_panics += 1;
@@ -1540,67 +1468,6 @@ impl Server {
             self.maybe_compact(&mut sched);
             drop(sched);
             self.event.notify_all();
-        }
-    }
-
-    /// Probe loop for suspect devices: every `canary_every`, lease each
-    /// suspect slot by name, run a one-step micro-deck through the full
-    /// supervisor on it, and reinstate the device if the probe passes.
-    /// An injected fault still pending on the device fails the probe
-    /// (and is consumed), so a device scripted to stay sick stays out
-    /// of rotation.
-    fn canary_loop(self: Arc<Self>) {
-        let micro = {
-            let mut d = mas_config::Deck::preset_quickstart();
-            d.grid.nr = 4;
-            d.grid.nt = 4;
-            d.grid.np = 4;
-            d.time.n_steps = 1;
-            d
-        };
-        loop {
-            {
-                let sched = relock(&self.sched);
-                if sched.shutting_down {
-                    return;
-                }
-            }
-            for id in self.pool.suspects() {
-                let Ok(Some(lease)) = self.pool.lease_specific(id) else {
-                    continue; // busy or closed: probe next round
-                };
-                let devices: Vec<gpusim::DeviceId> = lease.devices().to_vec();
-                let passed = self.pool.consume_injected_fault(&devices).is_none()
-                    && catch_unwind(AssertUnwindSafe(|| {
-                        // No progress sink: the canary must not perturb
-                        // `total_steps` (the cache-hit invariant) or any
-                        // job's counters.
-                        mas_mhd::run_supervised_with_progress(
-                            &micro,
-                            stdpar::CodeVersion::A,
-                            self.pool.spec().clone(),
-                            1,
-                            0,
-                            false,
-                            None,
-                        )
-                    }))
-                    .map(|r| r.is_ok())
-                    .unwrap_or(false);
-                if let Err(e) = self.pool.release(lease) {
-                    eprintln!("mas-serve: canary lease release failed: {e}");
-                }
-                if passed {
-                    if self.pool.reinstate(id) {
-                        // Healthy capacity grew: blocked pickers may now
-                        // have enough grantable devices.
-                        self.event.notify_all();
-                    }
-                } else {
-                    self.pool.report_result(&[id], false);
-                }
-            }
-            std::thread::sleep(self.cfg.canary_every);
         }
     }
 

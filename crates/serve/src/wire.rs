@@ -13,7 +13,6 @@
 //! stats
 //! quarantine list
 //! quarantine clear [hash=<u64>]
-//! inject device=<n> [count=<k>]
 //! drain
 //! shutdown
 //! ```
@@ -93,14 +92,6 @@ pub enum Request {
     QuarantineList,
     /// Clear the quarantine: every key, or those matching one deck hash.
     QuarantineClear(Option<u64>),
-    /// Inject `count` deterministic faults into one pool device (chaos
-    /// drills and tests; each fault fails one attempt scheduled there).
-    Inject {
-        /// Target device slot.
-        device: usize,
-        /// Faults to arm.
-        count: u32,
-    },
     /// Stop intake, finish every queued and running job, then stop.
     Drain,
     /// Stop the server.
@@ -273,17 +264,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 _ => Err("quarantine needs 'list' or 'clear'".into()),
             }
         }
-        "inject" => {
-            let words: Vec<&str> = rest.split_whitespace().collect();
-            let device = field(&words, "device")?
-                .parse()
-                .map_err(|e| format!("bad device: {e}"))?;
-            let count = match opt_field(&words, "count") {
-                Some(v) => v.parse().map_err(|e| format!("bad count: {e}"))?,
-                None => 1,
-            };
-            Ok(Request::Inject { device, count })
-        }
         "drain" => Ok(Request::Drain),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown request '{other}'")),
@@ -393,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_and_inject_requests_parse() {
+    fn quarantine_requests_parse() {
         assert_eq!(
             parse_request("quarantine list").unwrap(),
             Request::QuarantineList
@@ -408,15 +388,6 @@ mod tests {
         );
         assert!(parse_request("quarantine").is_err());
         assert!(parse_request("quarantine clear hash=x").is_err());
-        assert_eq!(
-            parse_request("inject device=2").unwrap(),
-            Request::Inject { device: 2, count: 1 }
-        );
-        assert_eq!(
-            parse_request("inject device=0 count=3").unwrap(),
-            Request::Inject { device: 0, count: 3 }
-        );
-        assert!(parse_request("inject count=3").is_err());
     }
 
     #[test]

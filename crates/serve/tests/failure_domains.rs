@@ -1,7 +1,7 @@
-//! Failure-domain isolation integration tests: crash-loop quarantine,
-//! device health (suspect → canary → reinstate), priority load shedding,
-//! and job deadlines — each failure contained to its own domain while
-//! the rest of the server keeps serving.
+//! Failure-domain isolation integration tests: crash-loop quarantine, a
+//! failing deck charged to its own job, priority load shedding, and job
+//! deadlines — each failure contained to its own domain while the rest
+//! of the server keeps serving.
 //!
 //! The process-level soak of the same machinery (SIGKILL restarts,
 //! connection chaos, bit-exactness vs an undisturbed baseline) lives in
@@ -9,7 +9,7 @@
 //! semantics deterministically in-process.
 
 use gpusim::DeviceSpec;
-use mas_config::Deck;
+use mas_config::{Deck, FaultKind};
 use mas_serve::{JobSpec, JobState, Server, ServerConfig, SubmitError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -86,41 +86,47 @@ fn panicking_deck_is_quarantined_after_max_attempts_and_others_keep_running() {
 }
 
 #[test]
-fn sick_device_goes_suspect_and_the_canary_reinstates_it() {
-    let server = boot_with(|cfg| {
-        cfg.n_workers = 1;
-        cfg.canary_every = Duration::from_millis(10);
-    });
+fn a_failing_deck_is_charged_to_its_own_job_not_the_device() {
+    let mut cfg = ServerConfig::new(DeviceSpec::a100_40gb(), 1);
+    cfg.n_workers = 1;
+    let server = Server::start(cfg);
 
-    // Three scripted faults on device 0: each failed lease is blamed on
-    // it, the third consecutive failure pulls it from rotation.
-    server.pool().inject_fault(0, 3).expect("inject");
+    // A deck that fails its health check on every attempt: a NaN at
+    // step 1 with no recoveries allowed.
+    let mut bad = tiny_deck(4);
+    bad.fault.kind = FaultKind::Nan;
+    bad.fault.step = 1;
+    bad.checkpoint.max_recoveries = 0;
     let id = server
-        .submit(JobSpec::new(tiny_deck(4)).seed(7).max_attempts(6))
-        .expect("submit");
+        .submit(JobSpec::new(bad).tenant("a").max_attempts(3))
+        .expect("bad deck accepted");
     let status = server.wait(id).expect("job exists");
-    assert_eq!(
-        status.state,
-        JobState::Done,
-        "retries rode over the sick device: {:?}",
+    assert_eq!(status.state, JobState::Failed);
+    assert!(
+        status
+            .error
+            .as_deref()
+            .unwrap_or("")
+            .contains("recovery budget exhausted"),
+        "failure names the deck's own error: {:?}",
         status.error
     );
-
-    // The canary probes the suspect once its faults are exhausted and
-    // puts it back in rotation.
-    let mut healthy = false;
-    for _ in 0..500 {
-        let p = server.stats().pool;
-        if p.suspect == 0 && p.reinstated >= 1 {
-            healthy = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
+    let log = server.recovery_log(id).expect("job exists");
+    for attempt in 1..=2 {
+        let prefix = format!("attempt {attempt}/3 failed");
+        assert!(
+            log.iter()
+                .any(|l| l.starts_with(&prefix) && l.ends_with("retrying")),
+            "attempt {attempt} retried: {log:?}"
+        );
     }
-    let p = server.stats().pool;
-    assert!(healthy, "device reinstated by the canary: {p:?}");
-    assert!(p.device_failures >= 3, "failures were counted: {p:?}");
-    assert!(server.pool().suspects().is_empty());
+
+    // The only device took all three failures and still serves another
+    // tenant's healthy job.
+    let ok = server
+        .submit(JobSpec::new(tiny_deck(4)).tenant("b"))
+        .expect("healthy job accepted on the same device");
+    assert_eq!(server.wait(ok).unwrap().state, JobState::Done);
 
     server.shutdown();
     server.join();

@@ -205,19 +205,11 @@ fn invalid_deck_and_infeasible_jobs_are_rejected_at_submit() {
 
     assert_eq!(
         server.submit(JobSpec::new(tiny_deck(4)).ranks(3)),
-        Err(SubmitError::Infeasible {
-            needed: 3,
-            pool: 2,
-            healthy: 2
-        })
+        Err(SubmitError::Infeasible { needed: 3, pool: 2 })
     );
     assert_eq!(
         server.submit(JobSpec::new(tiny_deck(4)).ranks(0)),
-        Err(SubmitError::Infeasible {
-            needed: 0,
-            pool: 2,
-            healthy: 2
-        })
+        Err(SubmitError::Infeasible { needed: 0, pool: 2 })
     );
 
     // Nothing was admitted.

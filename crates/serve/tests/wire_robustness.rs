@@ -38,7 +38,6 @@ fn corpus() -> Vec<String> {
         "quarantine list".into(),
         "quarantine clear".into(),
         "quarantine clear hash=1234567890123456789".into(),
-        "inject device=0 count=3".into(),
     ]
 }
 
@@ -127,7 +126,7 @@ fn hostile_framing_is_survived() {
         b"submit".to_vec(),
         b"submit \xff\xfe tenant=x\n".to_vec(),
         b"quarantine clear hash=not-a-number\n".to_vec(),
-        b"inject device=99999999999999999999 count=1\n".to_vec(),
+        b"quarantine clear hash=99999999999999999999\n".to_vec(),
         {
             // One byte past the frame cap, no newline in sight.
             vec![b'a'; wire::MAX_LINE + 1]

@@ -11,7 +11,7 @@
 //! The default mode binds a TCP listener and speaks the `mas-serve` line
 //! protocol (one request line, one response line — see
 //! `mas_serve::wire`): `submit`, `status`, `wait`, `cancel`, `result`,
-//! `stats`, `drain`, `shutdown`.
+//! `stats`, `quarantine list|clear`, `drain`, `shutdown`.
 //!
 //! With `--state-dir DIR` the server is **crash-only**: every state
 //! transition is journaled durably under `DIR` and a restart with the
@@ -198,30 +198,15 @@ fn respond(server: &Arc<Server>, req: Request) -> String {
                     .collect::<Vec<_>>()
                     .join(",")
             };
-            let health = s
-                .devices
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{}:{}:{}:{}",
-                        d.id,
-                        if d.suspect { "suspect" } else { "ok" },
-                        d.consecutive_failures,
-                        d.total_failures
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
             format!(
-                "ok devices={} free={} busy={} suspect={} queued={} running={} done={} \
+                "ok devices={} free={} busy={} queued={} running={} done={} \
                  failed={} cancelled={} quarantined={} cache_hits={} cache_misses={} \
                  cache_entries={} cache_evictions={} total_steps={} oldest_queued_ms={} \
                  shed_total={} deadline_exceeded={} worker_panics={} quarantine_keys={} \
-                 reinstated={} tenants={} health={}",
+                 tenants={}",
                 s.pool.total,
                 s.pool.free,
                 s.pool.busy,
-                s.pool.suspect,
                 s.queued,
                 s.running,
                 s.done,
@@ -238,9 +223,7 @@ fn respond(server: &Arc<Server>, req: Request) -> String {
                 s.deadline_exceeded,
                 s.worker_panics,
                 s.quarantine_keys,
-                s.pool.reinstated,
-                tenants,
-                health
+                tenants
             )
         }
         Request::QuarantineList => {
@@ -260,10 +243,6 @@ fn respond(server: &Arc<Server>, req: Request) -> String {
         Request::QuarantineClear(hash) => {
             format!("ok cleared={}", server.quarantine_clear(hash))
         }
-        Request::Inject { device, count } => match server.pool().inject_fault(device, count) {
-            Ok(()) => format!("ok device={device} injected={count}"),
-            Err(e) => format!("err {}", wire::escape(&e)),
-        },
         Request::Drain | Request::Shutdown => unreachable!("handled by the connection loop"),
     }
 }

@@ -3,6 +3,7 @@
 //! performance model orders them the way the paper measures.
 
 use mas::config::{GridCfg, ViscSolver};
+use mas::mhd::MultiRankReport;
 use mas::prelude::*;
 use mas_bench::baseline::fold_hashes;
 
@@ -78,10 +79,64 @@ fn determinism_matrix_across_thread_counts() {
 /// deck (quickstart physics on a 20×16×24 grid, 10 steps, seed 1) must
 /// reproduce the folded state hashes committed there, under every code
 /// version, at 1 rank × 1 thread and at 2 ranks × 2 threads.
+///
+/// The same runs also pin the modeled program: every rank's model clock
+/// and kernel census must equal [`GOLDEN_MODEL`], so a host-only change
+/// shows "modeled counters unchanged" here.
 #[test]
 fn golden_state_hashes_match_bench_7() {
-    assert_golden_on_bench_7_deck("pcg", |_| {}, ["9b8592cc36c27c36", "2b32f96fdc8359f1"]);
+    let runs =
+        assert_golden_on_bench_7_deck("pcg", |_| {}, ["9b8592cc36c27c36", "2b32f96fdc8359f1"]);
+    let mut model = Vec::new();
+    let mut decimal = Vec::new();
+    for (layout, v, report) in &runs {
+        for r in &report.ranks {
+            let at = format!("{} {layout} r{}", v.tag(), r.rank);
+            model.push(format!(
+                "{at} wall_us={:016x} mpi_us={:016x} kernel_bytes={:016x} launches={} tiles={}",
+                r.wall_us.to_bits(),
+                r.mpi_us.to_bits(),
+                r.kernel_bytes.to_bits(),
+                r.kernel_launches,
+                r.host_tiles
+            ));
+            decimal.push(format!(
+                "{at}: wall_us {} mpi_us {} kernel_bytes {}",
+                r.wall_us, r.mpi_us, r.kernel_bytes
+            ));
+        }
+    }
+    assert!(
+        model.iter().map(String::as_str).eq(GOLDEN_MODEL.lines()),
+        "the modeled program changed; this run reads:\n{}\n\nthat is, in decimal:\n{}",
+        model.join("\n"),
+        decimal.join("\n")
+    );
 }
+
+/// [`golden_state_hashes_match_bench_7`]'s model per version, layout
+/// (ranks x threads) and rank: `wall_us`, `mpi_us` and `kernel_bytes` as
+/// `f64` bits, then the launch and host-tile censuses.
+const GOLDEN_MODEL: &str = "\
+A 1x1 r0 wall_us=40d68b7c381246cc mpi_us=40ccc5ba9af05f6a kernel_bytes=41b8126e40000000 launches=1975 tiles=28782
+AD 1x1 r0 wall_us=40e37236d39a17ca mpi_us=40d3dfe5019ab226 kernel_bytes=41b8126e40000000 launches=1975 tiles=28782
+ADU 1x1 r0 wall_us=41146cf24413e5a4 mpi_us=4112fa76e39c4123 kernel_bytes=41b8126e40000000 launches=1975 tiles=28782
+AD2XU 1x1 r0 wall_us=41146cfca21199fd mpi_us=4112fa76e39c4123 kernel_bytes=41b8126e40000000 launches=1975 tiles=28782
+D2XU 1x1 r0 wall_us=41146cfca21199fd mpi_us=4112fa76e39c4123 kernel_bytes=41b8126e40000000 launches=1975 tiles=28782
+D2XAd 1x1 r0 wall_us=40e4b954b33a4f90 mpi_us=40d3dfd669d5a802 kernel_bytes=41b9309360000000 launches=2195 tiles=28782
+A 2x2 r0 wall_us=40d66c1b1aeb747d mpi_us=40ccd7718d74dd31 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+A 2x2 r1 wall_us=40d66c19529c2f90 mpi_us=40ccd5b490a0a740 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+AD 2x2 r0 wall_us=40e3659b886bd544 mpi_us=40d3efb6386abbe8 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+AD 2x2 r1 wall_us=40e36591dfd55b08 mpi_us=40d3eca20f0ecca9 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+ADU 2x2 r0 wall_us=41146ab4a8b53122 mpi_us=4112fbaa793cfdfa kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+ADU 2x2 r1 wall_us=41146ab331108bda mpi_us=4112fb6e9a86fe44 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+AD2XU 2x2 r0 wall_us=41146ab9eab31f76 mpi_us=4112fbaa793cfdf8 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+AD2XU 2x2 r1 wall_us=41146ab8730e7a31 mpi_us=4112fb6e9a86fe44 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+D2XU 2x2 r0 wall_us=41146ab9eab31f76 mpi_us=4112fbaa793cfdf8 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+D2XU 2x2 r1 wall_us=41146ab8730e7a31 mpi_us=4112fb6e9a86fe44 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+D2XAd 2x2 r0 wall_us=40e4ababf67d8c38 mpi_us=40d3ef708b43945d kernel_bytes=41aa2493c0000000 launches=2195 tiles=14706
+D2XAd 2x2 r1 wall_us=40e4abbc9cb2e886 mpi_us=40d3ec082ec827bf kernel_bytes=41aa2493c0000000 launches=2195 tiles=14706
+";
 
 /// The same anchor for the solver paths the default deck does not take:
 /// RKL2 super-time-stepped viscosity, explicit viscosity, and PCG
@@ -108,13 +163,19 @@ fn golden_state_hashes_for_sts_explicit_and_aligned_paths() {
 
 /// Run the `BENCH_7` deck, adjusted by `tweak`, under every code version
 /// at 1 rank × 1 thread and 2 ranks × 2 threads, and compare the folded
-/// state hashes with `golden` (in that order).
-fn assert_golden_on_bench_7_deck(label: &str, tweak: impl Fn(&mut Deck), golden: [&str; 2]) {
+/// state hashes with `golden` (in that order). Returns every report with
+/// its layout (`"1x1"`, `"2x2"`) and version.
+fn assert_golden_on_bench_7_deck(
+    label: &str,
+    tweak: impl Fn(&mut Deck),
+    golden: [&str; 2],
+) -> Vec<(String, CodeVersion, MultiRankReport)> {
     let mut deck = Deck::preset_quickstart();
     deck.grid = GridCfg { nr: 20, nt: 16, np: 24, rmax: 10.0 };
     deck.time.n_steps = 10;
     deck.output.hist_interval = 0;
     tweak(&mut deck);
+    let mut runs = Vec::new();
     for ((ranks, threads), golden) in [(1, 1), (2, 2)].into_iter().zip(golden) {
         deck.host_threads = threads;
         for v in CodeVersion::ALL {
@@ -126,8 +187,10 @@ fn assert_golden_on_bench_7_deck(label: &str, tweak: impl Fn(&mut Deck), golden:
                 golden,
                 "{label}: {v:?} at {ranks} rank(s) x {threads} thread(s)"
             );
+            runs.push((format!("{ranks}x{threads}"), v, report));
         }
     }
+    runs
 }
 
 /// The host engine actually tiles: a multi-thread run dispatches the same

@@ -1,13 +1,14 @@
 //! The `mas` binary end to end, on one checkpointed two-rank deck: a
 //! clean run, a restart over a torn newest checkpoint slot, a rank panic
-//! with no respawns, and a rank panic with one respawn.
+//! with no respawns, and a rank panic with one respawn. A last case runs
+//! the race auditor over the quickstart preset under every code version.
 //!
 //! The clean run's state hash is the reference. A run that recovers must
 //! print it again, bit for bit; a run that cannot recover must exit with
 //! the documented code (3) and name the failed rank.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::OnceLock;
 
 /// The drill deck: 16x12x16 cells, `n_steps` steps, a checkpoint every
@@ -150,4 +151,34 @@ fn rank_panic_with_one_respawn_reproduces_the_clean_hash() {
     let stdout = expect_exit(&out, 0);
     assert!(stdout.contains("1 respawn(s)"), "{stdout}");
     assert_eq!(state_hash(&stdout), reference_hash());
+}
+
+#[test]
+fn race_audit_is_clean_under_every_version() {
+    // `MAS_PAR_AUDIT=1` checks every tiled kernel against the
+    // iteration-independence contract; a violation exits 1. The six
+    // children run at once.
+    let children: Vec<_> = ["A", "AD", "ADU", "AD2XU", "D2XU", "D2XAd"]
+        .into_iter()
+        .map(|v| {
+            let child = Command::new(env!("CARGO_BIN_EXE_mas"))
+                .args(["--preset", "quickstart", "--version", v])
+                .env("MAS_PAR_AUDIT", "1")
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn mas");
+            (v, child)
+        })
+        .collect();
+    // Reap every child before the first assertion can fail.
+    let outputs: Vec<_> = children
+        .into_iter()
+        .map(|(v, child)| (v, child.wait_with_output().expect("wait for mas")))
+        .collect();
+    for (v, out) in outputs {
+        let stdout = expect_exit(&out, 0);
+        assert!(stdout.contains("race audit: CLEAN"), "{v}:\n{stdout}");
+        assert_eq!(state_hash(&stdout), "7269324283b3f515", "{v}");
+    }
 }
