@@ -75,17 +75,34 @@ pub fn machine_fingerprint() -> Machine {
     Machine { cpu, ncpu, hostname }
 }
 
-/// `git rev-parse HEAD`, or `"unknown"` when git is unavailable.
+/// `git rev-parse HEAD`, with `-dirty` appended when `git status
+/// --porcelain` reports any change (untracked files included), so a run
+/// of uncommitted code never carries its parent's SHA; `"unknown"` when
+/// git is unavailable.
 pub fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
+    git_sha_in(std::path::Path::new("."))
+}
+
+/// [`git_sha`] of the working tree at `dir`.
+fn git_sha_in(dir: &std::path::Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_owned())
+    };
+    match git(&["rev-parse", "HEAD"]).filter(|s| !s.is_empty()) {
+        None => "unknown".into(),
+        Some(sha) if git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty()) => {
+            format!("{sha}-dirty")
+        }
+        Some(sha) => sha,
+    }
 }
 
 /// Fold per-rank state hashes into one FNV-1a value, rendered as hex.
@@ -132,5 +149,37 @@ mod tests {
         let sha = git_sha();
         assert!(!sha.is_empty());
         assert_eq!(fold_hashes(&[1, 2]).len(), 16);
+    }
+
+    #[test]
+    fn git_sha_is_marked_dirty_by_any_working_tree_change() {
+        let dir = std::env::temp_dir().join(format!("mas_git_sha_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let git = |args: &[&str]| {
+            let out = std::process::Command::new("git")
+                .arg("-C")
+                .arg(&dir)
+                .args(["-c", "user.name=bench", "-c", "user.email=bench@localhost"])
+                .args(["-c", "commit.gpgsign=false"])
+                .args(args)
+                .output()
+                .expect("git runs");
+            assert!(out.status.success(), "git {args:?}: {out:?}");
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("deck.nml"), "one\n").unwrap();
+        git(&["add", "deck.nml"]);
+        git(&["commit", "-q", "-m", "first"]);
+        let sha = git_sha_in(&dir);
+        assert!(sha.len() >= 40 && sha.chars().all(|c| c.is_ascii_hexdigit()), "{sha}");
+
+        std::fs::write(dir.join("deck.nml"), "two\n").unwrap();
+        assert_eq!(git_sha_in(&dir), format!("{sha}-dirty"), "modified file");
+        std::fs::write(dir.join("deck.nml"), "one\n").unwrap();
+        assert_eq!(git_sha_in(&dir), sha, "restored file");
+        std::fs::write(dir.join("new.txt"), "untracked\n").unwrap();
+        assert_eq!(git_sha_in(&dir), format!("{sha}-dirty"), "untracked file");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

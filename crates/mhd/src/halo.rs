@@ -21,7 +21,7 @@ use crate::sites;
 use gpusim::{BufferId, Phase, Residency, Traffic};
 use mas_field::{Array3, PhiHalo};
 use mas_grid::IndexSpace3;
-use minimpi::{scaled_ms, Comm, CommFailure, NetPath, RecvFailure, ReduceOp};
+use minimpi::{scaled_ms, Comm, NetPath, RecvFailure, ReduceOp};
 use std::sync::Arc;
 use stdpar::Par;
 
@@ -391,11 +391,7 @@ impl HaloExchanger {
                                 verdict[idx] = Some(false);
                             }
                         }
-                        Err(failure) => std::panic::panic_any(CommFailure {
-                            rank: comm.rank(),
-                            epoch: comm.epoch(),
-                            failure,
-                        }),
+                        Err(failure) => comm.fail(failure),
                     }
                 }
             }
@@ -422,11 +418,7 @@ impl HaloExchanger {
                         Err(RecvFailure::TagMismatch { .. }) | Err(RecvFailure::StaleEpoch { .. }) => {
                             continue
                         }
-                        Err(failure) => std::panic::panic_any(CommFailure {
-                            rank: comm.rank(),
-                            epoch: comm.epoch(),
-                            failure,
-                        }),
+                        Err(failure) => comm.fail(failure),
                     }
                 };
                 if v.first().copied() == Some(1.0) {

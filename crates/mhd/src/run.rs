@@ -51,7 +51,7 @@ pub struct RunReport {
     /// Time per category, µs (Fig. 4 aggregation).
     pub cat_us: Vec<(&'static str, f64)>,
     /// What the fault-tolerant supervisor did (checkpoints, faults,
-    /// detections, rollbacks); `supervised: false` for plain runs.
+    /// detections, rollbacks); `supervised: false` for unsupervised runs.
     pub recovery: RecoveryLog,
     /// Learned tile plan per kernel site: `(site name, nk, tile_k)` for
     /// every site whose iteration space spans more than one k-plane.
@@ -153,11 +153,11 @@ pub fn run_single_rank(deck: &Deck, version: CodeVersion) -> RunReport {
 /// `seed` varies the launch-jitter stream (one seed = one "run" for the
 /// min/max error bars); `record_spans` enables the Fig. 4 timeline.
 ///
-/// This delegates to [`crate::supervisor::run_supervised`] — which is a
-/// byte-for-byte no-op wrapper for decks without checkpointing, restart,
-/// or an armed fault — and **panics** on an unrecoverable run. Callers
-/// that want the structured [`crate::supervisor::RunError`] instead
-/// should call `run_supervised` directly.
+/// This delegates to [`crate::supervisor::run_supervised`] — whose step
+/// loop runs unsupervised for decks without checkpointing, restart,
+/// respawns or an armed fault — and **panics** on an unrecoverable run.
+/// Callers that want the structured [`crate::supervisor::RunError`]
+/// instead should call `run_supervised` directly.
 pub fn run_multi_rank(
     deck: &Deck,
     version: CodeVersion,

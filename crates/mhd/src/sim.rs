@@ -1,18 +1,21 @@
 //! The `Simulation` driver: setup (grid, state, initial conditions,
-//! device registration), the run loop, and boundary orchestration.
+//! device registration) and boundary orchestration. Stepping lives in
+//! the one step loop, [`crate::supervisor`]'s; [`Simulation::run`] calls
+//! it with supervision off.
 
 use crate::bc;
 use crate::diag::{self, HistRecord};
 use crate::halo::HaloExchanger;
 use crate::ops::deriv::{CtGeom, DivGeom, LapStencil};
 use crate::physics::momentum::G0;
-use crate::progress::{ProgressEvent, ProgressFn};
 use crate::state::State;
-use crate::step::{self, StepInfo};
+use crate::step::StepInfo;
+use crate::supervisor::RecoveryLog;
 use gpusim::{DeviceSpec, Phase};
 use mas_config::Deck;
 use mas_grid::{SphericalGrid, Stagger, NGHOST};
 use minimpi::Comm;
+use std::sync::atomic::AtomicBool;
 use stdpar::{CodeVersion, Par};
 
 /// One rank's simulation: local grid, state, executor, halo machinery.
@@ -332,7 +335,7 @@ impl Simulation {
     }
 
     /// Record a history entry for the step just taken, at the deck's
-    /// cadence (shared by the plain run loop and the supervisor).
+    /// cadence (called by the step loop after every healthy step).
     pub fn record_hist(&mut self, comm: &Comm, info: &StepInfo) {
         let hist_int = self.deck.output.hist_interval;
         if hist_int == 0 || !self.step.is_multiple_of(hist_int) {
@@ -360,52 +363,16 @@ impl Simulation {
     /// Run until the deck's `n_steps` **total** steps are reached,
     /// recording history. A simulation restored from a step-`S` checkpoint
     /// therefore takes `n_steps - S` further steps (and a restart at or
-    /// past `n_steps` is a graceful no-op). Returns the per-step records.
+    /// past `n_steps` is a graceful no-op).
     ///
-    /// This is the *unsupervised* loop: a non-finite state aborts with a
-    /// panic. For detection + rollback + dt-backoff instead, see
-    /// [`crate::supervisor::run_supervised`].
-    pub fn run(&mut self, comm: &Comm) -> Vec<StepInfo> {
-        self.run_with_progress(comm, None)
-            .expect("cancellation is impossible without a progress sink")
-    }
-
-    /// [`Simulation::run`] with an optional progress sink: the sink
-    /// observes a [`ProgressEvent::Step`] after every completed step and
-    /// may return `false` to cancel the run, which surfaces as `Err`
-    /// naming the abandoned step. The sink is host-side observation only
-    /// — physics and model timings are bit-identical to the plain loop.
-    pub fn run_with_progress(
-        &mut self,
-        comm: &Comm,
-        progress: Option<&ProgressFn>,
-    ) -> Result<Vec<StepInfo>, String> {
-        self.begin_compute(comm);
-        let n_steps = self.deck.time.n_steps;
-        let mut infos = Vec::with_capacity(n_steps.saturating_sub(self.step));
-        while self.step < n_steps {
-            let info = step::advance(self, comm);
-            self.record_hist(comm, &info);
-            if let Some(bad) = self.state.find_non_finite() {
-                panic!(
-                    "non-finite values in field '{bad}' at step {} (version {:?})",
-                    self.step,
-                    self.par.version()
-                );
-            }
-            infos.push(info);
-            if let Some(p) = progress {
-                let ev = ProgressEvent::Step {
-                    rank: self.par.ctx.rank,
-                    step: self.step,
-                    n_steps,
-                };
-                if !p(&ev) {
-                    return Err(format!("run cancelled at step {} of {n_steps}", self.step));
-                }
-            }
-        }
-        Ok(infos)
+    /// This is the step loop with supervision off, whatever the deck
+    /// says: no checkpoint, no health allreduce, and a non-finite state
+    /// panics naming the field and the step. For detection + rollback +
+    /// dt-backoff instead, see [`crate::supervisor::run_supervised`].
+    pub fn run(&mut self, comm: &Comm) {
+        let unsupervised = &mut RecoveryLog::default();
+        crate::supervisor::supervise(self, comm, None, unsupervised, &AtomicBool::new(false), None)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -502,13 +469,28 @@ mod tests {
                 .version(CodeVersion::Ad)
                 .seed(42)
                 .build();
-            let infos = sim.run(&comm);
-            assert_eq!(infos.len(), deck.time.n_steps);
+            sim.run(&comm);
+            assert_eq!(sim.hist.len(), deck.time.n_steps);
             assert!(sim.state.find_non_finite().is_none());
             assert!(sim.time > 0.0);
-            for info in &infos {
-                assert!(info.dt > 0.0);
+            for h in &sim.hist {
+                assert!(h.dt > 0.0);
             }
         });
+    }
+
+    #[test]
+    fn unsupervised_run_fails_naming_the_non_finite_field() {
+        // One rank: an unsupervised run arms no receive deadline, so at
+        // two ranks a healthy peer could wait for the failed one forever.
+        let res = minimpi::World::run_resilient(1, 0, |comm| {
+            let deck = Deck::preset_quickstart();
+            let mut sim = Simulation::builder(&deck).build();
+            sim.state.temp.data.set(NGHOST + 1, NGHOST + 1, NGHOST + 1, f64::NAN);
+            sim.run(&comm);
+        })
+        .results;
+        let p = res[0].as_ref().expect_err("a NaN in the state must end the run");
+        assert_eq!(p.message, "non-finite values in field 'v_r' at step 1 (version A)");
     }
 }

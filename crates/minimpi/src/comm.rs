@@ -71,10 +71,11 @@ pub enum NetFault {
     Drop,
 }
 
-/// Why a verified receive ([`Comm::try_recv_any_shared`]) did not
-/// deliver a payload. This is the structured vocabulary the retrying
-/// halo transport and the run supervisor act on — kind, not string
-/// matching.
+/// Why a communication did not complete. The verified receive
+/// ([`Comm::try_recv_any_shared`]) returns it; every blocking `Comm` path
+/// that fails raises it inside a [`CommFailure`] ([`Comm::fail`]). This
+/// is the structured vocabulary the retrying halo transport and the run
+/// supervisor act on — kind, not string matching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecvFailure {
     /// The deadline elapsed with no (fresh) message — lost packet or
@@ -87,10 +88,11 @@ pub enum RecvFailure {
         /// How long the receiver waited.
         waited: Duration,
     },
-    /// The source's channel fully disconnected (rank thread gone and no
+    /// The peer's channel fully disconnected (rank thread gone and no
     /// respawn left for which the world would hold the wiring open).
     Disconnected {
-        /// Source rank that hung up.
+        /// Peer rank that hung up (the source of a receive, the
+        /// destination of a send).
         src: usize,
     },
     /// Payload failed its CRC32 — corrupted on the wire.
@@ -121,6 +123,15 @@ pub enum RecvFailure {
         /// Tag that was awaited.
         want: Tag,
     },
+    /// A collective ([`Comm::allreduce`]'s gather or broadcast), which has
+    /// no single source rank, did not complete.
+    Collective {
+        /// Which stage of which collective.
+        what: &'static str,
+        /// How long the rank waited before its deadline ran out; `None`
+        /// when the peers hung up instead.
+        waited: Option<Duration>,
+    },
     /// A collective epoch fence did not complete: some participant never
     /// arrived (rank already finished, or respawn budget exhausted).
     FenceTimeout {
@@ -150,6 +161,10 @@ impl std::fmt::Display for RecvFailure {
             RecvFailure::TagMismatch { src, got, want } => {
                 write!(f, "tag mismatch from rank {src}: got {got}, want {want}")
             }
+            RecvFailure::Collective { what, waited: Some(waited) } => {
+                write!(f, "timed out after {waited:?} in {what} — peer rank lost?")
+            }
+            RecvFailure::Collective { what, waited: None } => write!(f, "{what} peer hung up"),
             RecvFailure::FenceTimeout { rank, waited } => write!(
                 f,
                 "rank {rank}: epoch fence timed out after {waited:?} — peer missing"
@@ -158,10 +173,10 @@ impl std::fmt::Display for RecvFailure {
     }
 }
 
-/// Typed panic payload used by the resilient communication paths: carries
-/// the failing rank, the epoch it failed under, and the structured
-/// failure. The resilient run supervisor downcasts it to tell "a peer
-/// died under me" from "this rank hit a bug".
+/// The panic payload of every communication failure ([`Comm::fail`]):
+/// carries the failing rank, the epoch it failed under, and the
+/// structured failure. The resilient run supervisor downcasts it to tell
+/// "a peer died under me" from "this rank hit a bug".
 #[derive(Clone, Debug)]
 pub struct CommFailure {
     /// The rank that observed (or suffered) the failure.
@@ -467,8 +482,8 @@ impl Comm {
 
     /// Bound every subsequent [`Comm::recv`] by a wall-clock `deadline`
     /// (`None` restores unbounded blocking). With a deadline armed, a
-    /// message that never arrives panics with a diagnosable timeout
-    /// message instead of deadlocking the rank forever.
+    /// message that never arrives fails as a [`RecvFailure::Timeout`]
+    /// instead of deadlocking the rank forever.
     pub fn set_recv_deadline(&self, deadline: Option<Duration>) {
         self.recv_deadline.set(deadline);
     }
@@ -560,28 +575,37 @@ impl Comm {
         Ok(self.epoch())
     }
 
+    /// Raise `failure` on this rank: the one way a `Comm` path (or a
+    /// transport built on one) fails, as a [`CommFailure`] panic payload
+    /// that names this rank and the current epoch.
+    pub fn fail(&self, failure: RecvFailure) -> ! {
+        std::panic::panic_any(CommFailure { rank: self.rank, epoch: self.epoch(), failure })
+    }
+
     /// Receive on a collective star channel, honouring the armed
-    /// [`Comm::set_recv_deadline`] and discarding stale-epoch envelopes.
-    /// Collectives are where a dead peer is felt: the star channels never
-    /// disconnect (every live rank holds sender clones), so without a
-    /// deadline the survivors block forever.
-    fn recv_collective<T>(&self, rx: &Receiver<T>, what: &str, epoch_of: impl Fn(&T) -> u64) -> T {
+    /// [`Comm::set_recv_deadline`] and discarding stale-epoch envelopes;
+    /// fails as a [`RecvFailure::Collective`]. Collectives are where a
+    /// dead peer is felt: the gather channel never disconnects (the root
+    /// holds a sender clone of its own), so without a deadline the root
+    /// blocks forever.
+    fn recv_collective<T>(
+        &self,
+        rx: &Receiver<T>,
+        what: &'static str,
+        epoch_of: impl Fn(&T) -> u64,
+    ) -> T {
         loop {
             let m = match self.recv_deadline.get() {
-                None => rx
-                    .recv()
-                    .unwrap_or_else(|_| panic!("rank {}: {} peer hung up", self.rank, what)),
-                Some(deadline) => match rx.recv_timeout(deadline) {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        panic!("rank {}: {} peer hung up", self.rank, what)
+                None => rx.recv().ok(),
+                Some(waited) => match rx.recv_timeout(waited) {
+                    Ok(m) => Some(m),
+                    Err(RecvTimeoutError::Disconnected) => None,
+                    Err(RecvTimeoutError::Timeout) => {
+                        self.fail(RecvFailure::Collective { what, waited: Some(waited) })
                     }
-                    Err(RecvTimeoutError::Timeout) => panic!(
-                        "rank {}: timed out after {:?} in {} — peer rank lost?",
-                        self.rank, deadline, what
-                    ),
                 },
             };
+            let m = m.unwrap_or_else(|| self.fail(RecvFailure::Collective { what, waited: None }));
             if epoch_of(&m) < self.epoch() {
                 self.ctl.stale_rejected.fetch_add(1, Ordering::SeqCst);
                 continue;
@@ -691,7 +715,7 @@ impl Comm {
         };
         self.to[dst]
             .send(msg)
-            .unwrap_or_else(|_| panic!("rank {dst} hung up"));
+            .unwrap_or_else(|_| self.fail(RecvFailure::Disconnected { src: dst }));
     }
 
     /// Control-plane send: like [`Comm::send`] but **immune to armed
@@ -719,7 +743,7 @@ impl Comm {
         };
         self.to[dst]
             .send(msg)
-            .unwrap_or_else(|_| panic!("rank {dst} hung up"));
+            .unwrap_or_else(|_| self.fail(RecvFailure::Disconnected { src: dst }));
     }
 
     /// Charge the receive-side wait + transfer time into the MPI phase.
@@ -774,29 +798,25 @@ impl Comm {
     pub fn recv_shared(&self, src: usize, tag: Tag, ctx: &mut DeviceContext) -> Arc<Vec<f64>> {
         let msg = loop {
             let m = match self.recv_deadline.get() {
-                None => self.from[src]
-                    .recv()
-                    .unwrap_or_else(|_| panic!("rank {src} hung up")),
-                Some(deadline) => match self.from[src].recv_timeout(deadline) {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Disconnected) => panic!("rank {src} hung up"),
-                    Err(RecvTimeoutError::Timeout) => panic!(
-                        "rank {}: timed out after {:?} waiting for tag {} from rank {} — message lost?",
-                        self.rank, deadline, tag, src
-                    ),
+                None => self.from[src].recv().ok(),
+                Some(waited) => match self.from[src].recv_timeout(waited) {
+                    Ok(m) => Some(m),
+                    Err(RecvTimeoutError::Disconnected) => None,
+                    Err(RecvTimeoutError::Timeout) => {
+                        self.fail(RecvFailure::Timeout { src, tag, waited })
+                    }
                 },
             };
+            let m = m.unwrap_or_else(|| self.fail(RecvFailure::Disconnected { src }));
             if m.epoch < self.epoch() {
                 self.ctl.stale_rejected.fetch_add(1, Ordering::SeqCst);
                 continue;
             }
             break m;
         };
-        assert_eq!(
-            msg.tag, tag,
-            "tag mismatch on rank {} receiving from {}: got {}, want {}",
-            self.rank, src, msg.tag, tag
-        );
+        if msg.tag != tag {
+            self.fail(RecvFailure::TagMismatch { src, got: msg.tag, want: tag });
+        }
         self.book_transfer(&msg, ctx);
         msg.data
     }
@@ -880,7 +900,7 @@ impl Comm {
         let contribution = Self::fill_shared(&self.contrib_buf, vals);
         self.to_root
             .send((self.rank, contribution, t_now, epoch))
-            .expect("root hung up");
+            .unwrap_or_else(|_| self.fail(RecvFailure::Disconnected { src: 0 }));
         if let Some(rx) = &self.from_ranks {
             // I am root: gather into reusable scratch, fold in rank order
             // into the reusable accumulator, broadcast one reusable buffer
@@ -914,8 +934,9 @@ impl Comm {
             // rank's contribution buffer is free for its next call.
             contribs.clear();
             let out = Self::fill_shared(&self.bcast_buf, &acc);
-            for s in &self.to_ranks {
-                s.send((Arc::clone(&out), t_sync, epoch)).expect("rank hung up");
+            for (dst, s) in self.to_ranks.iter().enumerate() {
+                s.send((Arc::clone(&out), t_sync, epoch))
+                    .unwrap_or_else(|_| self.fail(RecvFailure::Disconnected { src: dst }));
             }
         }
         let (result, t_sync, _e) = self.recv_collective(&self.from_root, "allreduce(bcast)", |m| m.2);

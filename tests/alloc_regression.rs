@@ -5,18 +5,22 @@
 //! high-water marks) further `step::advance` calls must perform **zero**
 //! heap allocations — on one rank and one thread, and on two ranks with
 //! two host threads each, where the halo exchange and the collectives
-//! run their real multi-rank transport. This pins allocation-free
-//! stepping as a hard invariant rather than a number that only shows up
-//! as a wall-clock delta.
+//! run their real multi-rank transport. The same holds for the whole step
+//! loop around them (history cadence, health check, progress events),
+//! unsupervised and supervised between checkpoints. This pins
+//! allocation-free stepping as a hard invariant rather than a number that
+//! only shows up as a wall-clock delta.
 //!
 //! The test lives in its own integration-test binary so no concurrently
 //! running sibling test can allocate against the shared counter; the
-//! two configurations run one after the other inside a single test.
+//! configurations run one after the other inside a single test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use mas::config::GridCfg;
+use mas::mhd::{progress_fn, run_supervised_with_progress, ProgressEvent};
 use mas::prelude::*;
 
 /// System allocator with a global allocation counter. Only allocation
@@ -56,11 +60,8 @@ const MEASURED_STEPS: usize = 5;
 /// rank is still warming up when any rank starts counting, and no rank
 /// leaves the world (and tears down) before every rank has stopped.
 fn steady_state_allocations(threads: usize, ranks: usize) -> Vec<usize> {
-    let mut deck = Deck::preset_quickstart();
-    deck.grid = GridCfg { nr: 12, nt: 10, np: 12, rmax: 8.0 };
+    let mut deck = guard_deck(threads);
     deck.time.n_steps = WARMUP_STEPS + MEASURED_STEPS;
-    deck.output.hist_interval = 0; // diagnostics off: pure stepping
-    deck.host_threads = threads;
 
     mas::minimpi::World::run(ranks, |comm| {
         let mut sim = Simulation::builder(&deck)
@@ -83,6 +84,54 @@ fn steady_state_allocations(threads: usize, ranks: usize) -> Vec<usize> {
     })
 }
 
+/// Allocation events between rank 0's `Step` events 4 and 8 of a
+/// 10-step run through the whole step loop (`run_supervised_with_progress`
+/// with a progress sink). A nonzero `checkpoint_interval` turns
+/// supervision on; one past the last step keeps every checkpoint out of
+/// the window. The window ends two steps before the last, so no rank is
+/// tearing down inside it.
+fn step_loop_allocations(threads: usize, ranks: usize, checkpoint_interval: usize) -> usize {
+    let dir = std::env::temp_dir().join(format!("mas_alloc_guard_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut deck = guard_deck(threads);
+    deck.time.n_steps = 10;
+    deck.checkpoint.interval = checkpoint_interval;
+    deck.checkpoint.dir = dir.to_string_lossy().into_owned();
+    let marks = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    let sink = {
+        let marks = marks.clone();
+        progress_fn(move |e: &ProgressEvent| {
+            let mark = match *e {
+                ProgressEvent::Step { rank: 0, step: 4, .. } => &marks[0],
+                ProgressEvent::Step { rank: 0, step: 8, .. } => &marks[1],
+                _ => return true,
+            };
+            mark.store(ALLOC_EVENTS.load(Ordering::SeqCst), Ordering::SeqCst);
+            true
+        })
+    };
+    let spec = DeviceSpec::a100_40gb();
+    let report = run_supervised_with_progress(&deck, CodeVersion::A, spec, ranks, 1, false, Some(sink))
+        .unwrap_or_else(|e| panic!("{e}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    for r in &report.ranks {
+        assert_eq!(r.recovery.supervised, checkpoint_interval > 0, "rank {}", r.rank);
+        assert_eq!(r.recovery.checkpoints_written, 0, "rank {}", r.rank);
+    }
+    let [start, end] = [0, 1].map(|i| marks[i].load(Ordering::SeqCst));
+    assert!(start > 0 && end >= start, "rank 0 must report steps 4 and 8");
+    end - start
+}
+
+/// The 12×10×12 quickstart deck both guards step, with diagnostics off.
+fn guard_deck(threads: usize) -> Deck {
+    let mut deck = Deck::preset_quickstart();
+    deck.grid = GridCfg { nr: 12, nt: 10, np: 12, rmax: 8.0 };
+    deck.output.hist_interval = 0; // diagnostics off: pure stepping
+    deck.host_threads = threads;
+    deck
+}
+
 #[test]
 fn lean_hot_path_is_allocation_free_after_warmup() {
     for (threads, ranks) in [(1, 1), (2, 2)] {
@@ -91,6 +140,14 @@ fn lean_hot_path_is_allocation_free_after_warmup() {
             deltas.iter().all(|&d| d == 0),
             "hot path allocated over {MEASURED_STEPS} steps after warmup at \
              {ranks} rank(s) x {threads} thread(s): {deltas:?} (per rank)"
+        );
+    }
+    for (threads, ranks, checkpoint_interval) in [(1, 1, 0), (2, 2, 0), (1, 2, 11)] {
+        let delta = step_loop_allocations(threads, ranks, checkpoint_interval);
+        assert_eq!(
+            delta, 0,
+            "the step loop allocated between steps 4 and 8 at {ranks} rank(s) x \
+             {threads} thread(s), checkpoint interval {checkpoint_interval}"
         );
     }
 }

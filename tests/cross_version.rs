@@ -87,31 +87,7 @@ fn determinism_matrix_across_thread_counts() {
 fn golden_state_hashes_match_bench_7() {
     let runs =
         assert_golden_on_bench_7_deck("pcg", |_| {}, ["9b8592cc36c27c36", "2b32f96fdc8359f1"]);
-    let mut model = Vec::new();
-    let mut decimal = Vec::new();
-    for (layout, v, report) in &runs {
-        for r in &report.ranks {
-            let at = format!("{} {layout} r{}", v.tag(), r.rank);
-            model.push(format!(
-                "{at} wall_us={:016x} mpi_us={:016x} kernel_bytes={:016x} launches={} tiles={}",
-                r.wall_us.to_bits(),
-                r.mpi_us.to_bits(),
-                r.kernel_bytes.to_bits(),
-                r.kernel_launches,
-                r.host_tiles
-            ));
-            decimal.push(format!(
-                "{at}: wall_us {} mpi_us {} kernel_bytes {}",
-                r.wall_us, r.mpi_us, r.kernel_bytes
-            ));
-        }
-    }
-    assert!(
-        model.iter().map(String::as_str).eq(GOLDEN_MODEL.lines()),
-        "the modeled program changed; this run reads:\n{}\n\nthat is, in decimal:\n{}",
-        model.join("\n"),
-        decimal.join("\n")
-    );
+    assert_model(&runs, GOLDEN_MODEL);
 }
 
 /// [`golden_state_hashes_match_bench_7`]'s model per version, layout
@@ -137,6 +113,83 @@ D2XU 2x2 r1 wall_us=41146ab8730e7a31 mpi_us=4112fb6e9a86fe44 kernel_bytes=41a8ed
 D2XAd 2x2 r0 wall_us=40e4ababf67d8c38 mpi_us=40d3ef708b43945d kernel_bytes=41aa2493c0000000 launches=2195 tiles=14706
 D2XAd 2x2 r1 wall_us=40e4abbc9cb2e886 mpi_us=40d3ec082ec827bf kernel_bytes=41aa2493c0000000 launches=2195 tiles=14706
 ";
+
+/// The supervised path's anchor: the same deck, checkpointed every 5
+/// steps at 2 ranks × 1 thread (`step_small`'s layout), lands on the
+/// 2-rank golden hash, commits a checkpoint at steps 5 and 10 on every
+/// rank, and books [`GOLDEN_SUPERVISED_MODEL`]: the health allreduce,
+/// the rollback snapshots and the checkpoint saves on top of the plain
+/// run's model.
+#[test]
+fn supervised_run_keeps_the_golden_hash_and_model() {
+    let dir = std::env::temp_dir().join(format!("mas_cross_version_ckpt_{}", std::process::id()));
+    let mut deck = bench_7_deck();
+    deck.host_threads = 1;
+    deck.checkpoint.interval = 5;
+    deck.checkpoint.dir = dir.to_string_lossy().into_owned();
+    let mut runs = Vec::new();
+    for v in CodeVersion::ALL {
+        let _ = std::fs::remove_dir_all(&dir);
+        let report = mas::mhd::run_multi_rank(&deck, v, DeviceSpec::a100_40gb(), 2, 1, false);
+        let hashes: Vec<u64> = report.ranks.iter().map(|r| r.state_hash).collect();
+        assert_eq!(fold_hashes(&hashes), "2b32f96fdc8359f1", "{v:?} supervised at 2 x 1");
+        for r in &report.ranks {
+            assert_eq!(r.recovery.checkpoints_written, 2, "{v:?} rank {}", r.rank);
+        }
+        runs.push(("2x1".to_string(), v, report));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_model(&runs, GOLDEN_SUPERVISED_MODEL);
+}
+
+/// [`supervised_run_keeps_the_golden_hash_and_model`]'s model, in
+/// [`GOLDEN_MODEL`]'s format.
+const GOLDEN_SUPERVISED_MODEL: &str = "\
+A 2x1 r0 wall_us=40d6c6c04d20f2fd mpi_us=40ccfb7fcedf4b33 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+A 2x1 r1 wall_us=40d6c6c04d20f30d mpi_us=40ccf9c662a99f39 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+AD 2x1 r0 wall_us=40e392f832244e9f mpi_us=40d401d17a5b671d kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+AD 2x1 r1 wall_us=40e392f832244eb4 mpi_us=40d3fed0a22c6c80 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+ADU 2x1 r0 wall_us=41147ee1e4b65201 mpi_us=4112fccc8a3c128f kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+ADU 2x1 r1 wall_us=41147ee1e4b65204 mpi_us=4112fc92232ab824 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+AD2XU 2x1 r0 wall_us=41147ee726b44057 mpi_us=4112fccc8a3c128f kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+AD2XU 2x1 r1 wall_us=41147ee726b4405a mpi_us=4112fc92232ab824 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+D2XU 2x1 r0 wall_us=41147ee726b44057 mpi_us=4112fccc8a3c128f kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+D2XU 2x1 r1 wall_us=41147ee726b4405a mpi_us=4112fc92232ab824 kernel_bytes=41a8edf780000000 launches=1975 tiles=14706
+D2XAd 2x1 r0 wall_us=40e4d904770b704d mpi_us=40d401837adf1505 kernel_bytes=41aa2493c0000000 launches=2195 tiles=14706
+D2XAd 2x1 r1 wall_us=40e4d9237775f636 mpi_us=40d3fe37d2cdfba0 kernel_bytes=41aa2493c0000000 launches=2195 tiles=14706
+";
+
+/// Compare every rank's model clock and kernel census in `runs` with
+/// `golden`, one line per version, layout and rank: `wall_us`, `mpi_us`
+/// and `kernel_bytes` as `f64` bits, then the launch and host-tile
+/// censuses. A mismatch prints every row, in bits and in decimal.
+fn assert_model(runs: &[(String, CodeVersion, MultiRankReport)], golden: &str) {
+    let mut model = Vec::new();
+    let mut decimal = Vec::new();
+    for (layout, v, report) in runs {
+        for r in &report.ranks {
+            let at = format!("{} {layout} r{}", v.tag(), r.rank);
+            model.push(format!(
+                "{at} wall_us={:016x} mpi_us={:016x} kernel_bytes={:016x} launches={} tiles={}",
+                r.wall_us.to_bits(),
+                r.mpi_us.to_bits(),
+                r.kernel_bytes.to_bits(),
+                r.kernel_launches,
+                r.host_tiles
+            ));
+            decimal.push(format!(
+                "{at}: wall_us {} mpi_us {} kernel_bytes {}",
+                r.wall_us, r.mpi_us, r.kernel_bytes
+            ));
+        }
+    }
+    assert!(
+        model.iter().map(String::as_str).eq(golden.lines()),
+        "the modeled program changed; this run reads:\n{}\n\nthat is, in decimal:\n{}",
+        model.join("\n"),
+        decimal.join("\n")
+    );
+}
 
 /// The same anchor for the solver paths the default deck does not take:
 /// RKL2 super-time-stepped viscosity, explicit viscosity, and PCG
@@ -170,10 +223,7 @@ fn assert_golden_on_bench_7_deck(
     tweak: impl Fn(&mut Deck),
     golden: [&str; 2],
 ) -> Vec<(String, CodeVersion, MultiRankReport)> {
-    let mut deck = Deck::preset_quickstart();
-    deck.grid = GridCfg { nr: 20, nt: 16, np: 24, rmax: 10.0 };
-    deck.time.n_steps = 10;
-    deck.output.hist_interval = 0;
+    let mut deck = bench_7_deck();
     tweak(&mut deck);
     let mut runs = Vec::new();
     for ((ranks, threads), golden) in [(1, 1), (2, 2)].into_iter().zip(golden) {
@@ -191,6 +241,16 @@ fn assert_golden_on_bench_7_deck(
         }
     }
     runs
+}
+
+/// `BENCH_7.json`'s deck: quickstart physics on a 20×16×24 grid, 10
+/// steps, no history.
+fn bench_7_deck() -> Deck {
+    let mut deck = Deck::preset_quickstart();
+    deck.grid = GridCfg { nr: 20, nt: 16, np: 24, rmax: 10.0 };
+    deck.time.n_steps = 10;
+    deck.output.hist_interval = 0;
+    deck
 }
 
 /// The host engine actually tiles: a multi-thread run dispatches the same
