@@ -132,10 +132,10 @@ pub struct CheckpointCfg {
 
 /// Rank-failure resilience configuration (see `mhd::supervisor` and
 /// `minimpi::World::run_resilient`). Everything defaults to *off*:
-/// `max_respawns = 0` makes a rank death terminal (its peers see it hang
-/// up and the run fails), and `halo_retries = 0` keeps the halo
-/// exchange on the unverified fast path. A rank counts as dead when its
-/// worker panics; a hung rank is not detected.
+/// `max_respawns = 0` makes a rank death terminal (its peers' next wait
+/// fails at once naming it, and the run fails), and `halo_retries = 0`
+/// keeps the halo exchange on the unverified fast path. A rank counts as
+/// dead when its worker panics; a hung rank is not detected.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResilienceCfg {
     /// How many dead ranks the world will respawn before a death becomes
@@ -147,7 +147,8 @@ pub struct ResilienceCfg {
     /// rollback path. 0 disables the verified transport.
     pub halo_retries: u32,
     /// Receive deadline in milliseconds applied during supervised runs
-    /// (0 = supervisor default).
+    /// (0 = the supervisor's 30 s). It guards a lost message or a hung
+    /// rank; a dead or returned rank fails its peers' waits without it.
     pub recv_deadline_ms: u64,
 }
 

@@ -304,7 +304,8 @@ impl HaloExchanger {
     ) {
         let base_deadline = retry_base_deadline();
         // Generous control-plane deadline: verdicts ride the reliable
-        // channel, so missing one means a dead peer, not a lost packet.
+        // channel, so missing one means a hung peer (a dead or returned
+        // one fails the wait at once), not a lost packet.
         let ctl_deadline = base_deadline * 32;
         // Directed channels, DOWN before UP everywhere (per-pair FIFO):
         // out[0] my low plane → lo (DOWN), out[1] my high plane → hi (UP);

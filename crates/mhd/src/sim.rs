@@ -481,8 +481,8 @@ mod tests {
 
     #[test]
     fn unsupervised_run_fails_naming_the_non_finite_field() {
-        // One rank: an unsupervised run arms no receive deadline, so at
-        // two ranks a healthy peer could wait for the failed one forever.
+        // One rank, so the only failure is the non-finite state itself
+        // (at two ranks the healthy peer would fail too, naming this one).
         let res = minimpi::World::run_resilient(1, 0, |comm| {
             let deck = Deck::preset_quickstart();
             let mut sim = Simulation::builder(&deck).build();

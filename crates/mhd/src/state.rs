@@ -258,8 +258,8 @@ impl State {
     }
 
     /// Buffer ids of the primary state (for halo registration etc.).
-    pub fn state_buf_ids(&self) -> Vec<BufferId> {
-        vec![
+    pub fn state_buf_ids(&self) -> [BufferId; 8] {
+        [
             self.rho.buf(),
             self.temp.buf(),
             self.v.r.buf(),

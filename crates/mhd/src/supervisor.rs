@@ -53,37 +53,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use stdpar::CodeVersion;
 
-/// Receive deadline while supervised: a dropped message surfaces as a
-/// diagnosable timeout instead of a deadlock.
-const RECV_DEADLINE: Duration = Duration::from_secs(30);
-/// Shorter deadline when the armed plan kills a message or a whole rank
-/// (or a respawn budget is set, where survivors of a death must notice
-/// quickly) — keeps the drills fast without loosening the production
-/// default.
-const RECV_DEADLINE_DROP: Duration = Duration::from_secs(2);
-
-/// Resolve the supervised receive deadline: the deck's
-/// `resilience.recv_deadline_ms` key, else a plan-dependent default.
-fn recv_deadline_for(deck: &Deck, plan: Option<&FaultPlan>) -> Duration {
-    if deck.resilience.recv_deadline_ms > 0 {
-        return Duration::from_millis(deck.resilience.recv_deadline_ms);
-    }
-    match plan {
-        // Plans that kill a message or a whole rank: survivors must time
-        // out (in p2p receives and in collectives) rather than block, and
-        // the tests should not wait half a minute for that.
-        Some(p) if matches!(p.kind, FaultKind::HaloDrop | FaultKind::Panic) => RECV_DEADLINE_DROP,
-        // A respawn budget: any rank can die at any time; survivors must
-        // reach the recovery fence promptly.
-        _ if deck.resilience.max_respawns > 0 => RECV_DEADLINE_DROP,
-        _ => RECV_DEADLINE,
+/// The supervised receive deadline: the deck's
+/// `resilience.recv_deadline_ms` key, else 30 s. A dead or returned peer
+/// ends a wait at once (the world records every rank's exit), so this
+/// guards only a lost message and a hung rank.
+fn recv_deadline(deck: &Deck) -> Duration {
+    match deck.resilience.recv_deadline_ms {
+        0 => Duration::from_secs(30),
+        ms => Duration::from_millis(ms),
     }
 }
 
-/// How long a recovery fence may wait for all participants: survivors
-/// first burn their receive deadline noticing the death, and the
-/// replacement the world spawned for the panicked rank must then build
-/// its simulation and reach the fence.
+/// How long a recovery fence may wait for all participants: a survivor
+/// can be a receive deadline away from noticing a lost message, and the
+/// replacement the world spawned for a panicked rank must build its
+/// simulation and reach the fence. A returned rank or a death with no
+/// replacement coming fails the fence at once.
 fn fence_timeout(recv_deadline: Duration) -> Duration {
     recv_deadline * 4 + scaled_ms(5_000)
 }
@@ -243,9 +228,9 @@ pub struct RankFailure {
 }
 
 /// A run that could not complete: the structured error carrying every
-/// rank failure (an injected panic takes its peers down via channel
-/// hang-ups; all of them are recorded here rather than cascading an
-/// opaque poisoned-mutex panic).
+/// rank failure (a rank death fails its peers' next wait; all of them
+/// are recorded here rather than cascading an opaque poisoned-mutex
+/// panic).
 #[derive(Clone, Debug)]
 pub struct RunError {
     /// Failures in rank order of occurrence.
@@ -280,7 +265,7 @@ impl std::error::Error for RunError {}
 struct Snapshot {
     step: usize,
     time: f64,
-    fields: Vec<Array3>,
+    fields: [Array3; 8],
 }
 
 fn state_arrays(sim: &Simulation) -> [&Array3; 8] {
@@ -293,20 +278,28 @@ fn state_arrays(sim: &Simulation) -> [&Array3; 8] {
 }
 
 impl Snapshot {
-    /// Capture the current state (a host-side copy: `update host` model
-    /// accounting, like a checkpoint save).
-    fn capture(sim: &mut Simulation) -> Self {
+    /// A snapshot of the current state, in buffers of its own.
+    fn new(sim: &mut Simulation) -> Self {
+        let fields = state_arrays(sim).map(Array3::clone);
+        let mut snapshot = Snapshot { step: 0, time: 0.0, fields };
+        snapshot.capture(sim);
+        snapshot
+    }
+
+    /// Copy the current state into this snapshot's buffers (a host-side
+    /// copy: `update host` model accounting, like a checkpoint save).
+    fn capture(&mut self, sim: &mut Simulation) {
         let bufs = sim.state.state_buf_ids();
         let site = sim.par.site_id("supervisor_snapshot");
         for &b in &bufs {
             sim.par.update_host(site, b);
             sim.par.host_access(b, false);
         }
-        Snapshot {
-            step: sim.step,
-            time: sim.time,
-            fields: state_arrays(sim).iter().map(|a| (*a).clone()).collect(),
+        for (dst, src) in self.fields.iter_mut().zip(state_arrays(sim)) {
+            dst.copy_from(src);
         }
+        self.step = sim.step;
+        self.time = sim.time;
     }
 
     /// Roll the simulation back to this snapshot (an `update device`
@@ -451,9 +444,9 @@ pub(crate) fn supervise(
     // and advances with every committed checkpoint.
     let mut guard = None;
     if log.supervised {
-        comm.set_recv_deadline(Some(recv_deadline_for(&sim.deck, plan)));
+        comm.set_recv_deadline(Some(recv_deadline(&sim.deck)));
         let rot = Rotation::new(Path::new(&sim.deck.checkpoint.dir), comm.rank());
-        guard = Some((rot, Snapshot::capture(sim)));
+        guard = Some((rot, Snapshot::new(sim)));
     }
     let mut recoveries = 0usize;
     let retries_base = sim.halo_retries_used();
@@ -595,7 +588,7 @@ pub(crate) fn supervise(
             let mut v = [ok_local];
             comm.allreduce(ReduceOp::Min, &mut v, &mut sim.par.ctx);
             if v[0] > 0.5 {
-                *snapshot = Snapshot::capture(sim);
+                snapshot.capture(sim);
                 // Observation only — a commit is not a cancellation
                 // point, so ignore the sink's verdict here; the next
                 // step boundary honors it.
@@ -610,7 +603,6 @@ pub(crate) fn supervise(
         }
     }
 
-    comm.set_recv_deadline(None);
     Ok(())
 }
 
@@ -651,7 +643,7 @@ pub fn run_supervised(
 /// respawned while the budget lasts, survivors quiesce at a collective
 /// epoch fence, and every rank then rolls back to the last committed
 /// checkpoint and resumes — bit-exact with an undisturbed run. With a
-/// budget of 0 a death is terminal and its peers see it hang up.
+/// budget of 0 a death is terminal and fails its peers' next wait.
 pub fn run_supervised_with_progress(
     deck: &Deck,
     version: CodeVersion,
@@ -666,14 +658,14 @@ pub fn run_supervised_with_progress(
     // once per run, not once per rank or incarnation.
     let fired = AtomicBool::new(false);
     let max_fences = deck.resilience.max_respawns;
-    let deadline = recv_deadline_for(deck, plan.as_ref());
+    let deadline = recv_deadline(deck);
 
     let report = World::run_resilient(n_ranks, max_fences, |comm: Comm| {
         // A replacement incarnation first joins the survivors at the
         // recovery fence that supersedes its dead predecessor.
         if comm.incarnation() > 0 {
             comm.epoch_fence(fence_timeout(deadline))
-                .map_err(|e| format!("respawned rank {}: {e}", comm.rank()))?;
+                .map_err(|e| format!("respawned, but the recovery fence failed: {e}"))?;
         }
         let mut fences = 0usize;
         loop {
@@ -695,21 +687,19 @@ pub fn run_supervised_with_progress(
                 Ok(done) => return done,
                 Err(payload) => payload,
             };
-            // Our own crash (injected panic, genuine bug), or a peer death
-            // with no fence left to meet at: die for real — the monitor
-            // respawns us while its budget lasts.
+            // Our own crash (injected panic, genuine bug), or a comm
+            // failure with no fence left to meet at: die for real — the
+            // monitor respawns us while its budget lasts.
             fences += 1;
-            if !is_comm_panic(payload.as_ref()) || fences > max_fences {
+            if !payload.is::<CommFailure>() || fences > max_fences {
                 resume_unwind(payload);
             }
-            // A peer died under us: quiesce at the fence with the other
-            // survivors and the replacement, then rebuild from the last
-            // committed checkpoint.
+            // A peer died (or a message was lost) under us: quiesce at
+            // the fence with the other survivors and the replacement, then
+            // rebuild from the last committed checkpoint. A fence that can
+            // never form (a peer returned) fails at once.
             if let Err(e) = comm.epoch_fence(fence_timeout(deadline)) {
-                return Err(format!(
-                    "rank {}: recovery fence failed after a peer death: {e}",
-                    comm.rank()
-                ));
+                return Err(format!("recovery fence failed: {e}"));
             }
         }
     });
@@ -809,14 +799,6 @@ fn run_segment(
         || log.restored_from.is_some();
     supervise(&mut sim, comm, plan, &mut log, fired, progress)?;
     Ok(report_from(sim, n_ranks, log))
-}
-
-/// Worker panic payloads that mean "a peer died / the transport failed"
-/// — recoverable by fencing — as opposed to "this rank itself crashed",
-/// which must surface as its own death (and trigger its respawn). Every
-/// communication failure is raised as a [`CommFailure`].
-fn is_comm_panic(p: &(dyn std::any::Any + Send)) -> bool {
-    p.is::<CommFailure>()
 }
 
 #[cfg(test)]
@@ -1078,6 +1060,8 @@ mod tests {
     fn halo_drop_fault_times_out_as_structured_error() {
         let mut deck = small_deck();
         deck.time.n_steps = 3;
+        // A lost message from a live peer is what the deadline is for.
+        deck.resilience.recv_deadline_ms = 500;
         deck.fault = FaultCfg {
             kind: FaultKind::HaloDrop,
             step: 2,
@@ -1089,12 +1073,12 @@ mod tests {
         // Per-pair FIFO means the loss shows up either as a receive
         // timeout (nothing else in flight) or as a tag mismatch (the next
         // message arrives in the dropped one's place); the peer then sees
-        // a hang-up. All three are diagnosable, none is a deadlock.
+        // that rank die. All three are diagnosable, none is a deadlock.
         assert!(
             err.failures.iter().any(|f| {
                 f.message.contains("timed out")
                     || f.message.contains("tag mismatch")
-                    || f.message.contains("hung up")
+                    || f.message.contains("died")
             }),
             "a dropped message must surface as a diagnosable failure: {err}"
         );
@@ -1254,7 +1238,6 @@ mod tests {
         d.checkpoint.interval = 2;
         d.checkpoint.dir = temp_dir(dir).to_string_lossy().into_owned();
         d.resilience.max_respawns = 1;
-        d.resilience.recv_deadline_ms = 500;
         d
     }
 
@@ -1321,7 +1304,6 @@ mod tests {
         // still bit-exact against the undisturbed run, on four ranks.
         let mut deck = small_deck();
         deck.resilience.max_respawns = 1;
-        deck.resilience.recv_deadline_ms = 500;
         deck.fault = FaultCfg {
             kind: FaultKind::Panic,
             step: 2,
@@ -1440,6 +1422,45 @@ mod tests {
         assert_eq!(err.failures.len(), 2, "{err}");
         for f in &err.failures {
             assert!(f.message.contains("cancelled"), "{}", f.message);
+        }
+    }
+
+    #[test]
+    fn a_rank_that_returns_early_fails_its_peer_at_once() {
+        use crate::progress::progress_fn;
+        use std::sync::Mutex;
+        use std::time::Instant;
+        // Each rank reads the sink's verdict on its own, as a served job's
+        // cancel or deadline reaches it. Here only `quitter` cancels, at
+        // step 2; its peer then waits on a rank that has returned and
+        // fails at once naming it, with no receive deadline set.
+        for quitter in [1usize, 0] {
+            let mut deck = small_deck();
+            deck.checkpoint.interval = 2;
+            let dir = temp_dir(&format!("early_return_{quitter}"));
+            deck.checkpoint.dir = dir.to_string_lossy().into_owned();
+            let cancelled_at = Arc::new(Mutex::new(None));
+            let sink = {
+                let cancelled_at = cancelled_at.clone();
+                progress_fn(move |e: &ProgressEvent| {
+                    let quit = matches!(e,
+                        ProgressEvent::Step { rank, step: 2, .. } if *rank == quitter);
+                    if quit {
+                        *cancelled_at.lock().unwrap() = Some(Instant::now());
+                    }
+                    !quit
+                })
+            };
+            let err =
+                run_supervised_with_progress(&deck, CodeVersion::A, spec(), 2, 9, false, Some(sink))
+                    .expect_err("a cancelled rank fails the run");
+            let since_cancel = cancelled_at.lock().unwrap().expect("the sink cancelled").elapsed();
+            assert!(since_cancel < scaled_ms(1000), "rank {quitter} quit: {since_cancel:?}");
+            let message =
+                |rank| &err.failures.iter().find(|f| f.rank == rank).expect("a failure").message;
+            assert!(message(quitter).contains("cancelled at step 2"), "{err}");
+            let peer = message(1 - quitter);
+            assert!(peer.contains(&format!("peer rank {quitter} has returned")), "{err}");
         }
     }
 }

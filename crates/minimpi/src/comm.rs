@@ -12,11 +12,11 @@
 //! bit-for-bit compatible (it delivers corrupted payloads — detecting
 //! them is the health check's job on that path).
 
-use crate::chan::{Receiver, RecvTimeoutError, Sender};
+use crate::chan::{Receiver, Sender};
 use gpusim::{DeviceContext, Phase, TimeCategory};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Message tag (the solver uses a small fixed set; tags are asserted, not
@@ -88,12 +88,21 @@ pub enum RecvFailure {
         /// How long the receiver waited.
         waited: Duration,
     },
-    /// The peer's channel fully disconnected (rank thread gone and no
-    /// respawn left for which the world would hold the wiring open).
-    Disconnected {
-        /// Peer rank that hung up (the source of a receive, the
-        /// destination of a send).
-        src: usize,
+    /// A rank died, which revokes the world: every receive that would
+    /// park fails with this until the fence that admits the rank's
+    /// replacement.
+    PeerDied {
+        /// The dead rank.
+        rank: usize,
+        /// The communicator epoch it died in.
+        epoch: u64,
+    },
+    /// A rank this wait needs has returned, so what it waits for can no
+    /// longer come. Messages the rank sent before it returned are still
+    /// delivered.
+    PeerLeft {
+        /// The rank that returned.
+        rank: usize,
     },
     /// Payload failed its CRC32 — corrupted on the wire.
     Corrupt {
@@ -128,16 +137,13 @@ pub enum RecvFailure {
     Collective {
         /// Which stage of which collective.
         what: &'static str,
-        /// How long the rank waited before its deadline ran out; `None`
-        /// when the peers hung up instead.
-        waited: Option<Duration>,
+        /// How long the rank waited before its deadline ran out.
+        waited: Duration,
     },
-    /// A collective epoch fence did not complete: some participant never
-    /// arrived (rank already finished, or respawn budget exhausted).
+    /// A collective epoch fence timed out with a participant missing
+    /// that neither died nor returned: a hung rank.
     FenceTimeout {
-        /// The rank that gave up waiting.
-        rank: usize,
-        /// How long it waited at the fence.
+        /// How long the rank waited at the fence.
         waited: Duration,
     },
 }
@@ -149,7 +155,8 @@ impl std::fmt::Display for RecvFailure {
                 f,
                 "timed out after {waited:?} waiting for tag {tag} from rank {src} — message lost?"
             ),
-            RecvFailure::Disconnected { src } => write!(f, "rank {src} hung up"),
+            RecvFailure::PeerDied { rank, .. } => write!(f, "peer rank {rank} died"),
+            RecvFailure::PeerLeft { rank } => write!(f, "peer rank {rank} has returned"),
             RecvFailure::Corrupt { src, tag, seq } => write!(
                 f,
                 "payload from rank {src} (tag {tag}, seq {seq}) failed CRC — corrupted in flight"
@@ -161,14 +168,12 @@ impl std::fmt::Display for RecvFailure {
             RecvFailure::TagMismatch { src, got, want } => {
                 write!(f, "tag mismatch from rank {src}: got {got}, want {want}")
             }
-            RecvFailure::Collective { what, waited: Some(waited) } => {
+            RecvFailure::Collective { what, waited } => {
                 write!(f, "timed out after {waited:?} in {what} — peer rank lost?")
             }
-            RecvFailure::Collective { what, waited: None } => write!(f, "{what} peer hung up"),
-            RecvFailure::FenceTimeout { rank, waited } => write!(
-                f,
-                "rank {rank}: epoch fence timed out after {waited:?} — peer missing"
-            ),
+            RecvFailure::FenceTimeout { waited } => {
+                write!(f, "epoch fence timed out after {waited:?} — peer missing")
+            }
         }
     }
 }
@@ -176,7 +181,8 @@ impl std::fmt::Display for RecvFailure {
 /// The panic payload of every communication failure ([`Comm::fail`]):
 /// carries the failing rank, the epoch it failed under, and the
 /// structured failure. The resilient run supervisor downcasts it to tell
-/// "a peer died under me" from "this rank hit a bug".
+/// "a peer died under me" from "this rank hit a bug". Its `Display`
+/// leaves the rank out: whoever reports a rank's failure names the rank.
 #[derive(Clone, Debug)]
 pub struct CommFailure {
     /// The rank that observed (or suffered) the failure.
@@ -189,7 +195,7 @@ pub struct CommFailure {
 
 impl std::fmt::Display for CommFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "rank {}: {} (epoch {})", self.rank, self.failure, self.epoch)
+        write!(f, "{} (epoch {})", self.failure, self.epoch)
     }
 }
 
@@ -306,9 +312,18 @@ impl Fence {
     }
 
     /// Generation barrier over `n` participants; the last arriver runs
-    /// `leader` before releasing the rest. Returns `Err(())` on timeout
-    /// (the arrival is rolled back so a later fence can still form).
-    fn wait(&self, n: usize, timeout: Duration, leader: impl FnOnce()) -> Result<(), ()> {
+    /// `leader` before releasing the rest. Before each park a waiter asks
+    /// `stop` whether the barrier can still form, and fails with its
+    /// answer, or with [`RecvFailure::FenceTimeout`] once `timeout`
+    /// passes; either way its arrival is rolled back so a later fence
+    /// can still form.
+    fn wait(
+        &self,
+        n: usize,
+        timeout: Duration,
+        stop: impl Fn() -> Option<RecvFailure>,
+        leader: impl FnOnce(),
+    ) -> Result<(), RecvFailure> {
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let my_gen = st.gen;
@@ -323,17 +338,22 @@ impl Fence {
         }
         while st.gen == my_gen {
             let now = Instant::now();
-            if now >= deadline {
+            let timed_out = now >= deadline;
+            let failure = timed_out.then_some(RecvFailure::FenceTimeout { waited: timeout });
+            if let Some(failure) = failure.or_else(&stop) {
                 st.count -= 1;
-                return Err(());
+                return Err(failure);
             }
-            let (g, _) = self
-                .cv
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
+            st = self.cv.wait_timeout(st, deadline - now).unwrap_or_else(|e| e.into_inner()).0;
         }
         Ok(())
+    }
+
+    /// Wake every parked waiter so it re-runs its `stop` check (under the
+    /// fence lock, so none is between its check and its park).
+    pub(crate) fn wake(&self) {
+        let _st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        self.cv.notify_all();
     }
 }
 
@@ -341,21 +361,61 @@ impl Fence {
 /// payload plus the contributor's sync time.
 type Contribution = (Arc<Vec<f64>>, f64);
 
+/// How a rank's closure ended, as the world monitor recorded it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Exit {
+    /// No exit recorded, or a replacement that a fence has admitted.
+    Running,
+    /// Panicked in `epoch`. `replaced` when the monitor spawned a
+    /// replacement, which the next fence admits.
+    Died { epoch: u64, replaced: bool },
+    /// Returned.
+    Left,
+}
+
 /// World-level shared control block: the communicator epoch, the
-/// stale-envelope counter and the fence. One per world, shared by every
-/// `Comm` through an `Arc`.
+/// stale-envelope counter, the fence, and every rank's exit. One per
+/// world, shared by every `Comm` through an `Arc`.
 pub(crate) struct WorldCtl {
     pub(crate) epoch: AtomicU64,
     pub(crate) stale_rejected: AtomicU64,
     pub(crate) fence: Fence,
+    /// Written by the world monitor; read by a wait only when it is
+    /// about to park.
+    exits: Mutex<Vec<Exit>>,
 }
 
 impl WorldCtl {
-    pub(crate) fn new() -> Arc<Self> {
+    pub(crate) fn new(n: usize) -> Arc<Self> {
         Arc::new(Self {
             epoch: AtomicU64::new(0),
             stale_rejected: AtomicU64::new(0),
             fence: Fence::new(),
+            exits: Mutex::new(vec![Exit::Running; n]),
+        })
+    }
+
+    /// The exit record, recovering from poisoning like every lock here.
+    pub(crate) fn exits(&self) -> MutexGuard<'_, Vec<Exit>> {
+        self.exits.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Why a wait can no longer complete, if it cannot. A receive
+    /// (`fencing = false`) fails on any death, which revokes the world,
+    /// and on a returned rank that `waits_on` selects. A fence waits on
+    /// every rank and fails on a returned rank or on a death with no
+    /// replacement coming.
+    fn gone(&self, fencing: bool, waits_on: impl Fn(usize) -> bool) -> Option<RecvFailure> {
+        let exits = self.exits();
+        let died = exits.iter().enumerate().find_map(|(rank, &exit)| match exit {
+            Exit::Died { epoch, replaced } if !(fencing && replaced) => {
+                Some(RecvFailure::PeerDied { rank, epoch })
+            }
+            _ => None,
+        });
+        died.or_else(|| {
+            let left = (0..exits.len()).find(|&r| exits[r] == Exit::Left && waits_on(r));
+            left.map(|rank| RecvFailure::PeerLeft { rank })
         })
     }
 }
@@ -378,7 +438,7 @@ pub struct Comm {
     pub(crate) from_ranks: FromRanks,
     pub(crate) from_root: Receiver<BcastMsg>,
     pub(crate) to_ranks: Vec<Sender<BcastMsg>>,
-    /// World-shared control block (epoch, stale counter, fence).
+    /// World-shared control block (epoch, stale counter, fence, exits).
     pub(crate) ctl: Arc<WorldCtl>,
     /// Collective latency per tree stage, µs.
     pub coll_latency_us: f64,
@@ -394,9 +454,9 @@ pub struct Comm {
     forced_epoch: Cell<Option<u64>>,
     /// Per-destination send sequence numbers (reset at each fence).
     send_seq: Vec<Cell<u64>>,
-    /// Wall-clock receive deadline; `None` = block forever (the default,
-    /// zero-overhead path). Armed by the run supervisor alongside fault
-    /// injection so a lost message becomes a diagnosable failure.
+    /// Wall-clock receive deadline; `None` = no deadline (the default).
+    /// A dead or returned peer ends a wait without one; the supervisor
+    /// arms it so that a lost message or a hung rank does too.
     recv_deadline: Cell<Option<Duration>>,
     /// This rank's reusable [`Comm::allreduce`] contribution buffer.
     contrib_buf: RefCell<Arc<Vec<f64>>>,
@@ -480,17 +540,12 @@ impl Comm {
         self.armed_count.set(count);
     }
 
-    /// Bound every subsequent [`Comm::recv`] by a wall-clock `deadline`
-    /// (`None` restores unbounded blocking). With a deadline armed, a
-    /// message that never arrives fails as a [`RecvFailure::Timeout`]
-    /// instead of deadlocking the rank forever.
+    /// Bound every subsequent [`Comm::recv`] and collective by a
+    /// wall-clock `deadline` (`None` removes the bound). With a deadline
+    /// armed, a message that never arrives from a live peer fails as a
+    /// [`RecvFailure::Timeout`] instead of blocking the rank forever.
     pub fn set_recv_deadline(&self, deadline: Option<Duration>) {
         self.recv_deadline.set(deadline);
-    }
-
-    /// The currently-armed receive deadline, if any.
-    pub fn recv_deadline(&self) -> Option<Duration> {
-        self.recv_deadline.get()
     }
 
     /// Current communicator epoch (0 until the first respawn fence).
@@ -525,20 +580,17 @@ impl Comm {
     /// Collective recovery point. All `size` live incarnations must call
     /// this; the barrier quiesces the world, every rank drains its own
     /// inboxes of dead-incarnation traffic, send sequence numbers reset, and
-    /// the last arriver advances the epoch. Returns the new epoch, or a
-    /// structured failure if some participant never arrived (rank
-    /// already finished, or the respawn budget was exhausted so no
-    /// replacement is coming).
+    /// the last arriver advances the epoch and admits the replacements,
+    /// which lifts the revocation their deaths caused. Returns the new
+    /// epoch, or a structured failure: at once when some participant can
+    /// never arrive (a rank has returned, or died with no replacement
+    /// coming), after `timeout` when one is merely missing.
     pub fn epoch_fence(&self, timeout: Duration) -> Result<u64, RecvFailure> {
         let n = self.size;
+        let ctl = &self.ctl;
+        let unreachable = || ctl.gone(true, |_| true);
         // Phase 1: arrive. Once all n are here nothing is in flight.
-        self.ctl
-            .fence
-            .wait(n, timeout, || {})
-            .map_err(|_| RecvFailure::FenceTimeout {
-                rank: self.rank,
-                waited: timeout,
-            })?;
+        ctl.fence.wait(n, timeout, unreachable, || {})?;
         // Drain own inboxes: everything still queued was sent by (or to)
         // a dead incarnation under the old epoch.
         let mut drained = 0u64;
@@ -561,51 +613,61 @@ impl Comm {
         for c in &self.send_seq {
             c.set(0);
         }
-        // Phase 2: the last arriver bumps the epoch; all resume in it.
-        let ctl = self.ctl.clone();
-        self.ctl
-            .fence
-            .wait(n, timeout, move || {
-                ctl.epoch.fetch_add(1, Ordering::SeqCst);
-            })
-            .map_err(|_| RecvFailure::FenceTimeout {
-                rank: self.rank,
-                waited: timeout,
-            })?;
+        // Phase 2: the last arriver bumps the epoch and turns every
+        // replaced death back into a running rank; all resume in it.
+        ctl.fence.wait(n, timeout, unreachable, || {
+            ctl.epoch.fetch_add(1, Ordering::SeqCst);
+            for exit in ctl.exits().iter_mut() {
+                if matches!(exit, Exit::Died { replaced: true, .. }) {
+                    *exit = Exit::Running;
+                }
+            }
+        })?;
         Ok(self.epoch())
     }
 
     /// Raise `failure` on this rank: the one way a `Comm` path (or a
-    /// transport built on one) fails, as a [`CommFailure`] panic payload
-    /// that names this rank and the current epoch.
+    /// transport built on one) fails, as a [`CommFailure`] payload that
+    /// names this rank and the current epoch. It unwinds without the
+    /// panic hook, so nothing is printed here: whoever catches it (the
+    /// world, the supervisor) reports it, once.
     pub fn fail(&self, failure: RecvFailure) -> ! {
-        std::panic::panic_any(CommFailure { rank: self.rank, epoch: self.epoch(), failure })
+        let epoch = self.epoch();
+        std::panic::resume_unwind(Box::new(CommFailure { rank: self.rank, epoch, failure }))
     }
 
-    /// Receive on a collective star channel, honouring the armed
-    /// [`Comm::set_recv_deadline`] and discarding stale-epoch envelopes;
-    /// fails as a [`RecvFailure::Collective`]. Collectives are where a
-    /// dead peer is felt: the gather channel never disconnects (the root
-    /// holds a sender clone of its own), so without a deadline the root
-    /// blocks forever.
+    /// Take a message from `rx`, which delivers what the ranks `waits_on`
+    /// selects send. Fails at once when the world's exit record shows the
+    /// message cannot come, and with `timeout(deadline)` when `deadline`
+    /// passes first.
+    fn wait<T>(
+        &self,
+        rx: &Receiver<T>,
+        deadline: Option<Duration>,
+        waits_on: impl Fn(usize) -> bool,
+        timeout: impl FnOnce(Duration) -> RecvFailure,
+    ) -> Result<T, RecvFailure> {
+        rx.recv(deadline, || self.ctl.gone(false, &waits_on))
+            .map_err(|gone| gone.unwrap_or_else(|| timeout(deadline.unwrap_or_default())))
+    }
+
+    /// Receive on a collective star channel from the ranks `waits_on`
+    /// selects, honouring the armed [`Comm::set_recv_deadline`] and
+    /// discarding stale-epoch envelopes; a timeout fails as a
+    /// [`RecvFailure::Collective`].
     fn recv_collective<T>(
         &self,
         rx: &Receiver<T>,
         what: &'static str,
         epoch_of: impl Fn(&T) -> u64,
+        waits_on: impl Fn(usize) -> bool,
     ) -> T {
         loop {
-            let m = match self.recv_deadline.get() {
-                None => rx.recv().ok(),
-                Some(waited) => match rx.recv_timeout(waited) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Disconnected) => None,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.fail(RecvFailure::Collective { what, waited: Some(waited) })
-                    }
-                },
-            };
-            let m = m.unwrap_or_else(|| self.fail(RecvFailure::Collective { what, waited: None }));
+            let m = self
+                .wait(rx, self.recv_deadline.get(), &waits_on, |waited| {
+                    RecvFailure::Collective { what, waited }
+                })
+                .unwrap_or_else(|f| self.fail(f));
             if epoch_of(&m) < self.epoch() {
                 self.ctl.stale_rejected.fetch_add(1, Ordering::SeqCst);
                 continue;
@@ -713,9 +775,7 @@ impl Comm {
             seq,
             crc,
         };
-        self.to[dst]
-            .send(msg)
-            .unwrap_or_else(|_| self.fail(RecvFailure::Disconnected { src: dst }));
+        self.to[dst].send(msg);
     }
 
     /// Control-plane send: like [`Comm::send`] but **immune to armed
@@ -741,9 +801,7 @@ impl Comm {
             seq,
             crc,
         };
-        self.to[dst]
-            .send(msg)
-            .unwrap_or_else(|_| self.fail(RecvFailure::Disconnected { src: dst }));
+        self.to[dst].send(msg);
     }
 
     /// Charge the receive-side wait + transfer time into the MPI phase.
@@ -797,17 +855,11 @@ impl Comm {
     /// the shared buffer, then drop it so the sender's pool slot frees.
     pub fn recv_shared(&self, src: usize, tag: Tag, ctx: &mut DeviceContext) -> Arc<Vec<f64>> {
         let msg = loop {
-            let m = match self.recv_deadline.get() {
-                None => self.from[src].recv().ok(),
-                Some(waited) => match self.from[src].recv_timeout(waited) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Disconnected) => None,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.fail(RecvFailure::Timeout { src, tag, waited })
-                    }
-                },
-            };
-            let m = m.unwrap_or_else(|| self.fail(RecvFailure::Disconnected { src }));
+            let m = self
+                .wait(&self.from[src], self.recv_deadline.get(), |r| r == src, |waited| {
+                    RecvFailure::Timeout { src, tag, waited }
+                })
+                .unwrap_or_else(|f| self.fail(f));
             if m.epoch < self.epoch() {
                 self.ctl.stale_rejected.fetch_add(1, Ordering::SeqCst);
                 continue;
@@ -842,17 +894,10 @@ impl Comm {
         ctx: &mut DeviceContext,
         deadline: Duration,
     ) -> Result<(Tag, Arc<Vec<f64>>), RecvFailure> {
-        let msg = match self.from[src].recv_timeout(deadline) {
-            Ok(m) => m,
-            Err(RecvTimeoutError::Disconnected) => return Err(RecvFailure::Disconnected { src }),
-            Err(RecvTimeoutError::Timeout) => {
-                return Err(RecvFailure::Timeout {
-                    src,
-                    tag: tags.first().copied().unwrap_or_default(),
-                    waited: deadline,
-                })
-            }
-        };
+        let tag = tags.first().copied().unwrap_or_default();
+        let msg = self.wait(&self.from[src], Some(deadline), |r| r == src, |waited| {
+            RecvFailure::Timeout { src, tag, waited }
+        })?;
         let current = self.epoch();
         if msg.epoch < current {
             self.ctl.stale_rejected.fetch_add(1, Ordering::SeqCst);
@@ -863,11 +908,7 @@ impl Comm {
             });
         }
         if !tags.contains(&msg.tag) {
-            return Err(RecvFailure::TagMismatch {
-                src,
-                got: msg.tag,
-                want: tags.first().copied().unwrap_or_default(),
-            });
+            return Err(RecvFailure::TagMismatch { src, got: msg.tag, want: tag });
         }
         if payload_crc32(&msg.data) != msg.crc {
             return Err(RecvFailure::Corrupt {
@@ -898,9 +939,7 @@ impl Comm {
         let t_now = ctx.clock.now_us();
         let epoch = self.epoch();
         let contribution = Self::fill_shared(&self.contrib_buf, vals);
-        self.to_root
-            .send((self.rank, contribution, t_now, epoch))
-            .unwrap_or_else(|_| self.fail(RecvFailure::Disconnected { src: 0 }));
+        self.to_root.send((self.rank, contribution, t_now, epoch));
         if let Some(rx) = &self.from_ranks {
             // I am root: gather into reusable scratch, fold in rank order
             // into the reusable accumulator, broadcast one reusable buffer
@@ -910,7 +949,9 @@ impl Comm {
             contribs.resize_with(self.size, || None);
             let mut got = 0;
             while got < self.size {
-                let (r, v, t, _e) = self.recv_collective(rx, "allreduce(gather)", |m| m.3);
+                let (r, v, t, _e) = self.recv_collective(rx, "allreduce(gather)", |m| m.3, |r| {
+                    contribs[r].is_none()
+                });
                 if contribs[r].is_none() {
                     got += 1;
                 }
@@ -934,12 +975,12 @@ impl Comm {
             // rank's contribution buffer is free for its next call.
             contribs.clear();
             let out = Self::fill_shared(&self.bcast_buf, &acc);
-            for (dst, s) in self.to_ranks.iter().enumerate() {
-                s.send((Arc::clone(&out), t_sync, epoch))
-                    .unwrap_or_else(|_| self.fail(RecvFailure::Disconnected { src: dst }));
+            for s in &self.to_ranks {
+                s.send((Arc::clone(&out), t_sync, epoch));
             }
         }
-        let (result, t_sync, _e) = self.recv_collective(&self.from_root, "allreduce(bcast)", |m| m.2);
+        let (result, t_sync, _e) =
+            self.recv_collective(&self.from_root, "allreduce(bcast)", |m| m.2, |r| r == 0);
         vals.copy_from_slice(&result);
         drop(result);
 
@@ -1028,7 +1069,7 @@ mod tests {
                 let f = fence.clone();
                 let b = bumps.clone();
                 s.spawn(move || {
-                    f.wait(4, std::time::Duration::from_secs(5), || {
+                    f.wait(4, std::time::Duration::from_secs(5), || None, || {
                         b.fetch_add(1, Ordering::SeqCst);
                     })
                     .expect("fence forms");
@@ -1041,7 +1082,10 @@ mod tests {
     #[test]
     fn fence_times_out_when_short_handed() {
         let fence = super::Fence::new();
-        let r = fence.wait(2, std::time::Duration::from_millis(20), || {});
-        assert!(r.is_err(), "lone participant must time out");
+        let r = fence.wait(2, std::time::Duration::from_millis(20), || None, || {});
+        assert!(
+            matches!(r, Err(super::RecvFailure::FenceTimeout { .. })),
+            "lone participant must time out: {r:?}"
+        );
     }
 }

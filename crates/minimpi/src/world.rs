@@ -6,18 +6,17 @@
 //! Survivors and the replacement meet at [`Comm::epoch_fence`], which
 //! drains dead-incarnation traffic and advances the communicator epoch
 //! so stragglers are rejected. [`World::run`] is its budget-0 form that
-//! re-raises a rank's panic.
+//! re-raises the first rank death.
 //!
-//! The monitor keeps its own copies of every channel end (the master
-//! handles) only while a respawn can still follow, so it can wire in a
-//! replacement. With a budget of 0, and once the last respawn is
-//! spawned, it drops them: a dead rank's peers then see "rank N hung
-//! up" at once instead of blocking until a receive deadline. A panic
-//! is the only death the world detects: a rank that hangs inside its
-//! closure is never declared dead, and the world waits for it.
+//! The monitor records every rank's exit and wakes every parked wait: a
+//! death revokes the world (ULFM's `MPI_Comm_revoke`) until the fence
+//! that admits the replacement, and a return fails the waits that need
+//! the returned rank. A panic is the only death the world detects: a
+//! rank that hangs inside its closure is never declared dead, and the
+//! world waits for it.
 
 use crate::chan::{unbounded, Receiver, Sender};
-use crate::comm::{BcastMsg, Comm, CommFailure, Msg, RootMsg, WorldCtl};
+use crate::comm::{BcastMsg, Comm, CommFailure, Exit, Msg, RootMsg, WorldCtl};
 use std::sync::Arc;
 
 /// One rank's panic, captured as data instead of cascading: which rank
@@ -83,12 +82,15 @@ pub struct ResilientReport<T> {
     pub epoch: u64,
     /// Stale-epoch envelopes rejected or drained, world total.
     pub stale_rejected: u64,
+    /// The rank whose terminal death the monitor recorded first, if any:
+    /// the cause, where the later deaths may be peers failing on it.
+    pub first_death: Option<usize>,
 }
 
-/// The full channel mesh plus the shared control block — held by the
-/// monitor while a respawn can still follow, so a replacement
-/// incarnation can be wired in at any time (both channel halves are
-/// cloneable).
+/// The full channel mesh plus the shared control block, held by the
+/// monitor for the whole run: it wires a replacement incarnation into
+/// the mesh (both channel halves are cloneable) and wakes every parked
+/// receive when a rank exits.
 struct Endpoints {
     n: usize,
     /// `senders[src][dst]`.
@@ -141,7 +143,7 @@ impl Endpoints {
             to_root_rx,
             root_to_rank_txs,
             root_to_rank_rxs,
-            ctl: WorldCtl::new(),
+            ctl: WorldCtl::new(n),
         }
     }
 
@@ -167,6 +169,16 @@ impl Endpoints {
             self.ctl.clone(),
         )
     }
+
+    /// Record how `rank` ended, then wake every parked receive and fence
+    /// waiter so each re-checks the record.
+    fn record(&self, rank: usize, exit: Exit) {
+        self.ctl.exits()[rank] = exit;
+        self.receivers.iter().flatten().for_each(Receiver::wake);
+        self.root_to_rank_rxs.iter().for_each(Receiver::wake);
+        self.to_root_rx.wake();
+        self.ctl.fence.wake();
+    }
 }
 
 /// Factory for rank teams.
@@ -174,19 +186,19 @@ pub struct World;
 
 impl World {
     /// Run `f(comm)` on `n_ranks` threads; returns the per-rank results in
-    /// rank order. This is [`World::run_resilient`] with no respawns, and a
-    /// panic in any rank is re-raised in the caller (the moral equivalent
-    /// of `MPI_Abort`).
+    /// rank order. This is [`World::run_resilient`] with no respawns, and
+    /// the first rank death is re-raised in the caller (the moral
+    /// equivalent of `MPI_Abort`): the cause, not a peer's "rank N died".
     pub fn run<T, F>(n_ranks: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(Comm) -> T + Sync,
     {
-        World::run_resilient(n_ranks, 0, f)
-            .results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|p| panic!("{p}")))
-            .collect()
+        let report = World::run_resilient(n_ranks, 0, f);
+        if let Some(Err(p)) = report.first_death.map(|rank| &report.results[rank]) {
+            panic!("{p}");
+        }
+        report.results.into_iter().map(|r| r.expect("no rank died")).collect()
     }
 
     /// Run `f(comm)` on `n_ranks` threads and **respawn a rank whose
@@ -198,11 +210,11 @@ impl World {
     ///
     /// Respawns stop after `max_respawns`; further deaths become terminal
     /// per-rank [`RankPanic`] records in the report, next to the
-    /// survivors' results. Once no respawn can follow (from the start
-    /// with a budget of 0), the monitor holds no channel ends of its own,
-    /// so a dead rank's peers see "rank N hung up" on their next receive
-    /// from it. (The channel mutexes recover from poisoning, so that is
-    /// an orderly hang-up, never a `"channel poisoned"` cascade.)
+    /// survivors' results. Every death revokes the world at once, so the
+    /// survivors' next parking receive fails with a typed
+    /// [`CommFailure`] instead of waiting for a deadline; a terminal
+    /// death also fails their fence. (The channel mutexes recover from
+    /// poisoning, so that is never a `"channel poisoned"` cascade.)
     ///
     /// A panic is the only death the world sees. A rank that hangs inside
     /// `f` is never declared dead, and the world does not return until
@@ -219,6 +231,7 @@ impl World {
 
         let mut results: Vec<Option<Result<T, RankPanic>>> = (0..n_ranks).map(|_| None).collect();
         let mut respawns: Vec<RespawnEvent> = Vec::new();
+        let mut first_death = None;
 
         type Done<T> = (usize, Result<T, Box<dyn std::any::Any + Send>>);
         let (done_tx, done_rx) = unbounded::<Done<T>>();
@@ -230,44 +243,46 @@ impl World {
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)));
                     // Never unwind out of a scoped thread: the result —
                     // panic payload included — travels by channel.
-                    let _ = done.send((rank, r));
+                    done.send((rank, r));
                 })
             };
 
             let mut workers: Vec<_> = (0..n_ranks)
                 .map(|rank| spawn_worker(rank, endpoints.make_comm(rank, 0)))
                 .collect();
-            // The master handles live only while a respawn can follow.
-            let mut endpoints = (max_respawns > 0).then_some(endpoints);
 
             let mut incarnation = vec![0usize; n_ranks];
             let mut pending = n_ranks;
             while pending > 0 {
-                let (rank, res) = done_rx.recv().expect("monitor holds a live done_tx clone");
-                match res {
+                let (rank, res) = done_rx.recv(None, || None::<()>).expect("every rank reports");
+                let payload = match res {
                     Ok(v) => {
+                        endpoints.record(rank, Exit::Left);
                         results[rank] = Some(Ok(v));
                         pending -= 1;
+                        continue;
                     }
-                    Err(payload) => {
-                        let cause = rank_panic(rank, payload.as_ref());
-                        if let Some(ep) = &endpoints {
-                            incarnation[rank] += 1;
-                            respawns.push(RespawnEvent {
-                                rank,
-                                incarnation: incarnation[rank],
-                                epoch: ctl.epoch.load(std::sync::atomic::Ordering::SeqCst),
-                                cause: cause.message,
-                            });
-                            workers.push(spawn_worker(rank, ep.make_comm(rank, incarnation[rank])));
-                            if respawns.len() == max_respawns {
-                                endpoints = None;
-                            }
-                        } else {
-                            results[rank] = Some(Err(cause));
-                            pending -= 1;
-                        }
-                    }
+                    Err(payload) => payload,
+                };
+                let cause = rank_panic(rank, payload.as_ref());
+                let epoch = ctl.epoch.load(std::sync::atomic::Ordering::SeqCst);
+                let replaced = respawns.len() < max_respawns;
+                // Recorded before a replacement exists, so the fence that
+                // admits it always sees the death first.
+                endpoints.record(rank, Exit::Died { epoch, replaced });
+                if replaced {
+                    incarnation[rank] += 1;
+                    respawns.push(RespawnEvent {
+                        rank,
+                        incarnation: incarnation[rank],
+                        epoch,
+                        cause: cause.message,
+                    });
+                    workers.push(spawn_worker(rank, endpoints.make_comm(rank, incarnation[rank])));
+                } else {
+                    first_death.get_or_insert(rank);
+                    results[rank] = Some(Err(cause));
+                    pending -= 1;
                 }
             }
             // Join each worker's OS thread before returning. The scope's
@@ -288,6 +303,7 @@ impl World {
             respawns,
             epoch: ctl.epoch.load(Ordering::SeqCst),
             stale_rejected: ctl.stale_rejected.load(Ordering::SeqCst),
+            first_death,
         }
     }
 }
@@ -299,7 +315,7 @@ mod tests {
     use crate::scaled_ms;
     use gpusim::{DataMode, DeviceContext, DeviceSpec, Phase};
     use std::panic::AssertUnwindSafe;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn ctx(rank: usize) -> DeviceContext {
         let mut spec = DeviceSpec::a100_40gb();
@@ -307,6 +323,117 @@ mod tests {
         let mut c = DeviceContext::new(spec, DataMode::Manual, rank, 1);
         c.set_phase(Phase::Compute);
         c
+    }
+
+    /// The typed failure `body` raises through [`Comm::fail`].
+    fn comm_failure(body: impl FnOnce()) -> RecvFailure {
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(body)).expect_err("a failure");
+        payload.downcast::<CommFailure>().expect("a CommFailure payload").failure
+    }
+
+    /// Rank `dead` panics while its peer waits in `allreduce` (rank 0
+    /// gathering, rank 1 waiting for the broadcast) under a 5 s receive
+    /// deadline. At budget 0 the survivor returns the failure it got; at
+    /// budget 1 the survivor and the replacement meet at the fence and
+    /// finish the allreduce. Also returns how long the world took.
+    fn death_during_allreduce(
+        dead: usize,
+        budget: usize,
+    ) -> (ResilientReport<Result<f64, RecvFailure>>, Duration) {
+        let t0 = Instant::now();
+        let report = World::run_resilient(2, budget, |comm| {
+            let mut c = ctx(comm.rank());
+            comm.set_recv_deadline(Some(scaled_ms(5000)));
+            if comm.incarnation() == 0 {
+                if comm.rank() == dead {
+                    panic!("rank {dead} lost");
+                }
+                let failure = comm_failure(|| comm.allreduce(ReduceOp::Sum, &mut [1.0], &mut c));
+                if budget == 0 {
+                    return Err(failure);
+                }
+            }
+            comm.epoch_fence(scaled_ms(5000))?;
+            let mut v = [comm.rank() as f64 + 1.0];
+            comm.allreduce(ReduceOp::Sum, &mut v, &mut c);
+            Ok(v[0])
+        });
+        (report, t0.elapsed())
+    }
+
+    #[test]
+    fn peer_death_in_allreduce_fails_the_survivor_at_once() {
+        for dead in [1, 0] {
+            let (out, took) = death_during_allreduce(dead, 0);
+            let survivor = 1 - dead;
+            match out.results[survivor].as_ref().unwrap() {
+                Err(RecvFailure::PeerDied { rank, epoch: 0 }) if *rank == dead => {}
+                other => panic!("rank {dead} died; survivor got {other:?}"),
+            }
+            let p = out.results[dead].as_ref().unwrap_err();
+            assert!(p.message.contains("lost"), "{}", p.message);
+            assert!(took < scaled_ms(1000), "rank {dead} died; the world took {took:?}");
+        }
+    }
+
+    #[test]
+    fn peer_death_in_allreduce_recovers_at_the_fence() {
+        for dead in [1, 0] {
+            let (out, took) = death_during_allreduce(dead, 1);
+            for (rank, r) in out.results.iter().enumerate() {
+                assert_eq!(r.as_ref().unwrap(), &Ok(3.0), "rank {dead} died; rank {rank}");
+            }
+            assert_eq!(out.respawns.len(), 1);
+            assert_eq!(out.epoch, 1);
+            assert!(took < scaled_ms(1000), "rank {dead} died; the world took {took:?}");
+        }
+    }
+
+    #[test]
+    fn world_run_reraises_the_death_not_the_survivors_failure() {
+        let r = std::panic::catch_unwind(|| {
+            World::run(2, |comm| {
+                let mut c = ctx(comm.rank());
+                if comm.rank() == 1 {
+                    panic!("boom");
+                }
+                comm.allreduce(ReduceOp::Sum, &mut [1.0], &mut c);
+            })
+        });
+        let msg = panic_message(r.expect_err("World::run re-raises").as_ref());
+        assert!(msg.contains("boom"), "{msg}");
+    }
+
+    #[test]
+    fn fence_fails_at_once_when_a_rank_has_returned() {
+        let t0 = Instant::now();
+        let res = World::run_resilient(2, 0, |comm| match comm.rank() {
+            0 => comm.epoch_fence(scaled_ms(5000)),
+            _ => Ok(0),
+        })
+        .results;
+        match res[0].as_ref().unwrap() {
+            Err(RecvFailure::PeerLeft { rank: 1 }) => {}
+            other => panic!("want the returned rank named, got {other:?}"),
+        }
+        assert!(t0.elapsed() < scaled_ms(1000), "{:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn receive_from_a_returned_rank_delivers_what_it_sent_then_fails() {
+        let res = World::run_resilient(2, 0, |comm| {
+            let mut c = ctx(comm.rank());
+            if comm.rank() == 1 {
+                comm.send(0, 5, vec![7.0], NetPath::DeviceP2P, &c);
+                return (0.0, None);
+            }
+            let got = comm.recv(1, 5, &mut c)[0];
+            (got, Some(comm_failure(|| drop(comm.recv(1, 6, &mut c)))))
+        })
+        .results;
+        let (got, failure) = res[0].as_ref().unwrap();
+        assert_eq!(*got, 7.0);
+        assert_eq!(failure, &Some(RecvFailure::PeerLeft { rank: 1 }));
     }
 
     #[test]
@@ -435,19 +562,18 @@ mod tests {
     #[test]
     fn rank_death_surfaces_as_hang_up_not_poison_on_peers() {
         // Rank 1 dies before sending; rank 0 blocks on the recv and must
-        // observe a diagnosable "hung up" panic (captured by the world),
+        // observe the typed death (the world's record of the hang-up),
         // never a "channel poisoned" cascade.
         let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 1 {
                 panic!("rank 1 died");
             }
-            let _ = comm.recv(1, 5, &mut c);
+            comm_failure(|| drop(comm.recv(1, 5, &mut c)))
         })
         .results;
-        let p0 = res[0].as_ref().unwrap_err();
-        assert!(p0.message.contains("hung up"), "rank 0 saw: {}", p0.message);
-        assert!(!p0.message.contains("poisoned"));
+        let p0 = res[0].as_ref().unwrap();
+        assert_eq!(p0, &RecvFailure::PeerDied { rank: 1, epoch: 0 });
         let p1 = res[1].as_ref().unwrap_err();
         assert!(p1.message.contains("rank 1 died"));
     }
@@ -457,14 +583,14 @@ mod tests {
         // De-flaked: rank 0 stays alive by *blocking* on a handshake from
         // rank 1 (no sleeps to race against), and the deadline scales
         // with MAS_TEST_TIME_SCALE for loaded CI machines. Rank 1 asserts
-        // on the failure text of the legacy panic path.
+        // on the failure text of the blocking receive.
         let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
                 comm.arm_net_fault_n(NetFault::Drop, 1);
                 comm.send(1, 4, vec![1.0], NetPath::DeviceP2P, &c);
                 // Block until rank 1 has finished timing out: its failure
-                // must be a timeout (lost message), never a disconnect.
+                // must be a timeout (lost message from a live peer).
                 let _ = comm.recv(1, 5, &mut c);
                 String::new()
             } else {
@@ -732,41 +858,43 @@ mod tests {
 
     #[test]
     fn budget_zero_peer_sees_hang_up_before_its_deadline() {
-        // With no respawn to come the monitor holds no channel ends, so a
-        // peer blocked on the dead rank hears it hang up at once; the
-        // armed deadline is never what ends the receive.
+        // The monitor revokes the world when rank 1 dies, so a peer
+        // blocked on it fails at once with the typed death; the armed
+        // deadline is never what ends the receive.
+        let t0 = Instant::now();
         let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 1 {
                 panic!("rank 1 died");
             }
-            comm.set_recv_deadline(Some(scaled_ms(2000)));
-            let _ = comm.recv(1, 5, &mut c);
+            comm.set_recv_deadline(Some(scaled_ms(5000)));
+            comm_failure(|| drop(comm.recv(1, 5, &mut c)))
         })
         .results;
-        let p0 = res[0].as_ref().unwrap_err();
-        assert!(p0.message.contains("hung up"), "rank 0 saw: {}", p0.message);
+        assert_eq!(res[0].as_ref().unwrap(), &RecvFailure::PeerDied { rank: 1, epoch: 0 });
+        assert!(t0.elapsed() < scaled_ms(1000), "{:?}", t0.elapsed());
     }
 
     #[test]
     fn death_after_the_last_respawn_hangs_up_on_peers() {
-        // Rank 1 dies in both incarnations. The first death is respawned
-        // (the master handles keep its channels open meanwhile); the
-        // second has no replacement coming and reaches rank 0 as a
-        // hang-up, not as its deadline running out.
+        // Rank 1 dies in both incarnations. The first death revokes the
+        // world and rank 0 goes to the fence; the second has no
+        // replacement coming, so the fence fails at once with the typed
+        // death instead of waiting out its timeout.
+        let t0 = Instant::now();
         let out = World::run_resilient(2, 1, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 1 {
                 panic!("rank 1 lost incarnation {}", comm.incarnation());
             }
-            comm.set_recv_deadline(Some(scaled_ms(2000)));
-            match std::panic::catch_unwind(AssertUnwindSafe(|| comm.recv(1, 5, &mut c))) {
-                Ok(_) => "delivered?!".to_string(),
-                Err(p) => super::panic_message(p.as_ref()),
-            }
+            comm.set_recv_deadline(Some(scaled_ms(5000)));
+            let died = comm_failure(|| drop(comm.recv(1, 5, &mut c)));
+            (died, comm.epoch_fence(scaled_ms(5000)))
         });
-        let msg = out.results[0].as_ref().unwrap();
-        assert!(msg.contains("hung up"), "rank 0 saw: {msg}");
+        let (died, fence) = out.results[0].as_ref().unwrap();
+        assert_eq!(died, &RecvFailure::PeerDied { rank: 1, epoch: 0 });
+        assert_eq!(fence, &Err(RecvFailure::PeerDied { rank: 1, epoch: 0 }));
+        assert!(t0.elapsed() < scaled_ms(1000), "{:?}", t0.elapsed());
         assert_eq!(out.respawns.len(), 1);
         assert!(out.respawns[0].cause.contains("incarnation 0"));
         let p1 = out.results[1].as_ref().unwrap_err();

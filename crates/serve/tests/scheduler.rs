@@ -260,7 +260,6 @@ fn rank_death_mid_job_recovers_under_the_scheduler() {
     deck.checkpoint.interval = 2;
     deck.checkpoint.dir = temp_dir("rank_death").to_string_lossy().into_owned();
     deck.resilience.max_respawns = 1;
-    deck.resilience.recv_deadline_ms = 500;
     deck.fault.kind = FaultKind::Panic;
     deck.fault.step = 3;
     deck.fault.rank = 1;

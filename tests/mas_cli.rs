@@ -134,18 +134,26 @@ fn restart_skips_a_torn_newest_slot_and_reproduces_the_clean_hash() {
 #[test]
 fn rank_panic_without_respawns_exits_3_naming_the_rank() {
     let Scratch(dir) = &Scratch::new("panic");
-    let extra = "&fault\n  kind = 'panic'\n  step = 2\n  rank = 1\n/\n\
-                 &resilience\n  recv_deadline_ms = 200\n/\n";
+    let extra = "&fault\n  kind = 'panic'\n  step = 2\n  rank = 1\n/\n";
     let out = run_mas(dir, "panic.deck", &deck(6, &dir.join("ckpt"), extra), &[]);
     expect_exit(&out, 3);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("rank 1: injected fault"), "{stderr}");
+    // Each failure is printed once, in words: no opaque payload at the
+    // failure site, no doubled rank prefix in the summary.
+    assert!(!stderr.contains("Box<dyn Any>"), "{stderr}");
+    assert!(!stderr.contains("rank 0: rank 0:"), "{stderr}");
+    let survivor = stderr
+        .lines()
+        .find(|l| l.trim_start().starts_with("rank 0: "))
+        .unwrap_or_else(|| panic!("no line for rank 0:\n{stderr}"));
+    assert!(survivor.contains("rank 1"), "{survivor}");
 }
 
 #[test]
 fn rank_panic_with_one_respawn_reproduces_the_clean_hash() {
     let Scratch(dir) = &Scratch::new("respawn");
-    let extra = "&resilience\n  max_respawns = 1\n  recv_deadline_ms = 500\n/\n\
+    let extra = "&resilience\n  max_respawns = 1\n/\n\
                  &fault\n  kind = 'panic'\n  step = 3\n  rank = 1\n/\n";
     let out = run_mas(dir, "respawn.deck", &deck(6, &dir.join("ckpt"), extra), &[]);
     let stdout = expect_exit(&out, 0);

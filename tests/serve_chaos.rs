@@ -156,10 +156,14 @@ fn chaos_deck(job: &ChaosJob, ckpt_root: &Path, i: usize) -> (Deck, usize) {
     d.checkpoint.interval = 2;
     d.checkpoint.dir = dir.to_string_lossy().into_owned();
     d.resilience.max_respawns = 1;
-    d.resilience.recv_deadline_ms = 500;
     d.fault.kind = match job.kind {
         ChaosKind::RankKill => FaultKind::Panic,
-        ChaosKind::HaloDrop => FaultKind::HaloDrop,
+        // A dropped halo message with no transport retry is lost for
+        // good: only the receive deadline ends the wait for it.
+        ChaosKind::HaloDrop => {
+            d.resilience.recv_deadline_ms = 500;
+            FaultKind::HaloDrop
+        }
         ChaosKind::Clean => unreachable!(),
     };
     d.fault.step = 3;
