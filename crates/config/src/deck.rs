@@ -133,19 +133,16 @@ pub struct CheckpointCfg {
 /// Rank-failure resilience configuration (see `mhd::supervisor` and
 /// `minimpi::World::run_resilient`). Everything defaults to *off*:
 /// `max_respawns = 0` makes a rank death terminal (its peers' next wait
-/// fails at once naming it, and the run fails), and `halo_retries = 0`
-/// keeps the halo exchange on the unverified fast path. A rank counts as
-/// dead when its worker panics; a hung rank is not detected.
+/// fails at once naming it, and the run fails). A rank counts as dead
+/// when its worker panics; a hung rank is not detected. A lost halo
+/// message fails its receive at `recv_deadline_ms`; with a respawn
+/// budget every rank then meets at the epoch fence and restores the
+/// last committed checkpoint.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResilienceCfg {
     /// How many dead ranks the world will respawn before a death becomes
     /// terminal. 0 respawns none.
     pub max_respawns: usize,
-    /// Transport-level retry budget per halo receive: a dropped or
-    /// corrupted halo message is re-requested up to this many times
-    /// (with exponential backoff) before the failure escalates to the
-    /// rollback path. 0 disables the verified transport.
-    pub halo_retries: u32,
     /// Receive deadline in milliseconds applied during supervised runs
     /// (0 = the supervisor's 30 s). It guards a lost message or a hung
     /// rank; a dead or returned rank fails its peers' waits without it.
@@ -161,10 +158,11 @@ pub enum FaultKind {
     /// after the chosen step's advance — a corrupted kernel output.
     Nan,
     /// Corrupt the payload of the next halo message sent by the chosen
-    /// rank (first element becomes NaN in flight).
+    /// rank (its second half becomes NaN in flight); the health check
+    /// catches it and rolls back with dt halving.
     HaloCorrupt,
     /// Drop the next halo message sent by the chosen rank entirely; the
-    /// peer's receive surfaces as a diagnosable timeout.
+    /// peer's receive fails at its deadline as a structured timeout.
     HaloDrop,
     /// Fail the chosen rank's next checkpoint write with an I/O error,
     /// leaving a stale `.tmp` file but never the destination.
@@ -213,10 +211,6 @@ pub struct FaultCfg {
     /// For `ckpt_fail`: the `std::io::ErrorKind` name to inject
     /// (e.g. `other`, `write_zero`, `interrupted`).
     pub io_error: String,
-    /// How many consecutive messages the fault hits (halo faults only):
-    /// `count = 3` drops/corrupts three sends in a row, which exhausts a
-    /// `halo_retries = 2` budget and forces the rollback fallback.
-    pub count: u32,
 }
 
 /// Serving policy carried with the deck when it is submitted to
@@ -344,7 +338,6 @@ impl Default for Deck {
             },
             resilience: ResilienceCfg {
                 max_respawns: 0,
-                halo_retries: 0,
                 recv_deadline_ms: 0,
             },
             fault: FaultCfg {
@@ -352,7 +345,6 @@ impl Default for Deck {
                 step: 0,
                 rank: 0,
                 io_error: "other".into(),
-                count: 1,
             },
             serve: ServeCfg {
                 deadline_ms: 0,
@@ -428,12 +420,8 @@ impl Deck {
             ("fault", "step") => self.fault.step = v.as_usize()?,
             ("fault", "rank") => self.fault.rank = v.as_usize()?,
             ("fault", "io_error") => self.fault.io_error = v.as_str()?.to_string(),
-            ("fault", "count") => self.fault.count = v.as_usize()? as u32,
             ("resilience", "max_respawns") => {
                 self.resilience.max_respawns = v.as_usize()?
-            }
-            ("resilience", "halo_retries") => {
-                self.resilience.halo_retries = v.as_usize()? as u32
             }
             ("resilience", "recv_deadline_ms") => {
                 self.resilience.recv_deadline_ms = v.as_usize()? as u64
@@ -476,8 +464,8 @@ impl Deck {
              &output\n  hist_interval = {}\n/\n\
              &checkpoint\n  interval = {}\n  dir = '{}'\n  restart_from = '{}'\n  \
              max_recoveries = {}\n/\n\
-             &resilience\n  max_respawns = {}\n  halo_retries = {}\n  recv_deadline_ms = {}\n/\n\
-             &fault\n  kind = '{}'\n  step = {}\n  rank = {}\n  io_error = '{}'\n  count = {}\n/\n",
+             &resilience\n  max_respawns = {}\n  recv_deadline_ms = {}\n/\n\
+             &fault\n  kind = '{}'\n  step = {}\n  rank = {}\n  io_error = '{}'\n/\n",
             self.problem,
             self.paper_cells,
             self.host_threads,
@@ -511,13 +499,11 @@ impl Deck {
             self.checkpoint.restart_from,
             self.checkpoint.max_recoveries,
             self.resilience.max_respawns,
-            self.resilience.halo_retries,
             self.resilience.recv_deadline_ms,
             self.fault.kind.name(),
             self.fault.step,
             self.fault.rank,
             self.fault.io_error,
-            self.fault.count,
         )
     }
 
@@ -633,9 +619,6 @@ impl Deck {
                 "fault step {} beyond n_steps {}",
                 self.fault.step, self.time.n_steps
             ));
-        }
-        if self.fault.count == 0 {
-            errs.push("fault count must be >= 1 (set kind = 'none' to disarm)".into());
         }
         if self.serve.max_attempts == 0 {
             errs.push("serve max_attempts must be >= 1".into());
@@ -774,16 +757,13 @@ mod tests {
     fn resilience_section_parses_and_defaults_off() {
         let d = Deck::default();
         assert_eq!(d.resilience.max_respawns, 0, "resilience must default off");
-        assert_eq!(d.resilience.halo_retries, 0);
         assert_eq!(d.resilience.recv_deadline_ms, 0);
-        assert_eq!(d.fault.count, 1);
-        let text = "&resilience\n max_respawns = 2\n halo_retries = 3\n recv_deadline_ms = 1500\n/\n\
-                    &fault\n kind = 'halo_drop'\n step = 2\n count = 4\n/\n";
+        let text = "&resilience\n max_respawns = 2\n recv_deadline_ms = 1500\n/\n\
+                    &fault\n kind = 'halo_drop'\n step = 2\n/\n";
         let d = Deck::parse(text).unwrap();
         assert_eq!(d.resilience.max_respawns, 2);
-        assert_eq!(d.resilience.halo_retries, 3);
         assert_eq!(d.resilience.recv_deadline_ms, 1500);
-        assert_eq!(d.fault.count, 4);
+        assert_eq!(d.fault.kind, FaultKind::HaloDrop);
         assert!(d.validate().is_empty(), "{:?}", d.validate());
     }
 
@@ -792,9 +772,15 @@ mod tests {
         let mut d = Deck::default();
         d.resilience.max_respawns = 1;
         assert!(d.validate().is_empty(), "{:?}", d.validate());
-        d.fault.count = 0;
-        let errs = d.validate();
-        assert_eq!(errs.len(), 1, "{errs:?}");
+        // A fault hits exactly one message: the burst `count` key and the
+        // halo retry budget it exhausted are refused at parse.
+        for retired in [
+            "&resilience\n halo_retries = 3\n/\n",
+            "&fault\n count = 4\n/\n",
+        ] {
+            let err = Deck::parse(retired).unwrap_err().to_string();
+            assert!(err.contains("unknown key"), "{retired:?}: {err}");
+        }
     }
 
     #[test]

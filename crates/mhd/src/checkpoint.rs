@@ -156,18 +156,41 @@ impl Rotation {
     }
 }
 
+/// A test case's scratch directory under the system temp dir. Its name
+/// carries the case and the process id, so two concurrent runs of the
+/// suite never share checkpoint slots, and dropping it removes it with
+/// everything written there.
+#[cfg(test)]
+pub(crate) struct Scratch(pub(crate) PathBuf);
+
+#[cfg(test)]
+impl Scratch {
+    pub(crate) fn new(case: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("mas_mhd_{case}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        Scratch(dir)
+    }
+
+    /// The directory as deck text (`checkpoint.dir`, `restart_from`).
+    pub(crate) fn deck_text(&self) -> String {
+        self.0.to_string_lossy().into_owned()
+    }
+}
+
+#[cfg(test)]
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mas_config::Deck;
     use minimpi::World;
     use stdpar::CodeVersion;
-
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("mas_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
 
     fn mk_sim(deck: &Deck, version: CodeVersion) -> Simulation {
         Simulation::builder(deck).version(version).build()
@@ -184,7 +207,8 @@ mod tests {
         let mut deck = Deck::preset_quickstart();
         deck.time.n_steps = 6;
         deck.output.hist_interval = 0;
-        let path = temp_path("restart.dump");
+        let scratch = Scratch::new("ckpt_restart");
+        let path = scratch.0.join("restart.dump");
 
         let straight = World::run(1, |comm| {
             let mut sim = mk_sim(&deck, CodeVersion::A);
@@ -239,8 +263,9 @@ mod tests {
         let mut deck = Deck::preset_quickstart();
         deck.time.n_steps = 4;
         deck.output.hist_interval = 0;
+        let scratch = Scratch::new("ckpt_sixway");
         for version in CodeVersion::ALL {
-            let path = temp_path(&format!("sixway_{version:?}.dump"));
+            let path = scratch.0.join(format!("sixway_{version:?}.dump"));
             let straight = World::run(1, |comm| {
                 let mut sim = mk_sim(&deck, version);
                 sim.run(&comm);
@@ -272,8 +297,8 @@ mod tests {
 
     #[test]
     fn rotation_alternates_and_survives_torn_slot() {
-        let dir = temp_path("rotdir");
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = Scratch::new("ckpt_rotation");
+        let dir = scratch.0.join("rotdir");
         let deck = Deck::preset_quickstart();
         World::run(1, |comm| {
             let mut sim = mk_sim(&deck, CodeVersion::A);
@@ -319,7 +344,8 @@ mod tests {
     #[test]
     fn checkpoint_registers_update_sites() {
         let deck = Deck::preset_quickstart();
-        let path = temp_path("audit.dump");
+        let scratch = Scratch::new("ckpt_audit");
+        let path = scratch.0.join("audit.dump");
         World::run(1, |comm| {
             let mut sim = mk_sim(&deck, CodeVersion::A);
             sim.run(&comm);
@@ -333,7 +359,8 @@ mod tests {
     #[test]
     fn load_rejects_wrong_grid() {
         let deck = Deck::preset_quickstart();
-        let path = temp_path("wronggrid.dump");
+        let scratch = Scratch::new("ckpt_wronggrid");
+        let path = scratch.0.join("wronggrid.dump");
         World::run(1, |comm| {
             let mut sim = mk_sim(&deck, CodeVersion::A);
             sim.run(&comm);
@@ -349,7 +376,8 @@ mod tests {
     #[test]
     fn um_checkpoint_pays_page_migrations() {
         let deck = Deck::preset_quickstart();
-        let path = temp_path("um.dump");
+        let scratch = Scratch::new("ckpt_um");
+        let path = scratch.0.join("um.dump");
         World::run(1, |comm| {
             let mut sim = mk_sim(&deck, CodeVersion::Adu);
             sim.run(&comm);

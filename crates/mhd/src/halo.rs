@@ -21,7 +21,7 @@ use crate::sites;
 use gpusim::{BufferId, Phase, Residency, Traffic};
 use mas_field::{Array3, PhiHalo};
 use mas_grid::IndexSpace3;
-use minimpi::{scaled_ms, Comm, NetPath, RecvFailure, ReduceOp};
+use minimpi::{Comm, NetPath};
 use std::sync::Arc;
 use stdpar::Par;
 
@@ -44,20 +44,6 @@ const UM_EXCHANGE_OVERHEAD_US: f64 = 950.0;
 const TAG_DOWN: u32 = 1;
 const TAG_UP: u32 = 2;
 
-/// Tag offset of a verdict (ACK/NACK) message relative to its data tag:
-/// the verdict for a `TAG_DOWN` payload travels as `TAG_DOWN + VERDICT_OFF`.
-const VERDICT_OFF: u32 = 4;
-
-/// Retry attempt number encoded in the tag's high bits, so a resent plane
-/// can never be mistaken for an earlier attempt's straggler.
-const ATTEMPT_SHIFT: u32 = 8;
-
-/// Base receive deadline of the verified transport's first attempt; each
-/// retry doubles it (bounded exponential backoff).
-fn retry_base_deadline() -> std::time::Duration {
-    scaled_ms(40)
-}
-
 /// Reusable halo machinery for one fixed set of arrays.
 pub struct HaloExchanger {
     halo: PhiHalo,
@@ -65,16 +51,6 @@ pub struct HaloExchanger {
     bufs: [BufferId; 4],
     /// Paper-scale factor for this exchange's costs (plane ⇒ area scale).
     cost_scale: f64,
-    /// Transport retry budget per receive: 0 keeps the unverified fast
-    /// path (`send_pooled` / `recv_shared`); > 0 switches to the
-    /// verified ACK/NACK transport that re-requests dropped or corrupted
-    /// planes up to this many times before declaring the exchange failed.
-    retries: u32,
-    /// Resend requests (NACKs) this exchanger has issued.
-    retry_count: u64,
-    /// Sticky: an exchange exhausted its retry budget; cleared by
-    /// [`HaloExchanger::take_failed`].
-    failed: bool,
     /// Cached copy of the caller's `field_bufs` list — rebuilt only when
     /// the ids change, instead of `to_vec()` on every exchange.
     bufid_cache: Vec<BufferId>,
@@ -116,30 +92,8 @@ impl HaloExchanger {
             halo,
             bufs,
             cost_scale,
-            retries: 0,
-            retry_count: 0,
-            failed: false,
             bufid_cache: Vec::new(),
         }
-    }
-
-    /// Set the transport retry budget (capped at 16 so attempt numbers
-    /// stay well inside the tag's high bits). 0 restores the unverified
-    /// fast path.
-    pub fn set_retries(&mut self, retries: u32) {
-        self.retries = retries.min(16);
-    }
-
-    /// Resend requests (NACKs) issued by this exchanger so far.
-    pub fn retries_used(&self) -> u64 {
-        self.retry_count
-    }
-
-    /// True when some exchange exhausted its retry budget since the last
-    /// call; reading clears the flag. The caller is expected to fold this
-    /// into its collective health check and roll back.
-    pub fn take_failed(&mut self) -> bool {
-        std::mem::take(&mut self.failed)
     }
 
     /// Total staged bytes per direction, at the same `cost_scale` the
@@ -237,23 +191,18 @@ impl HaloExchanger {
         }
         let (lo, hi) = comm.phi_neighbors();
         let wire_bytes = self.halo.total_bytes() as f64 * self.cost_scale;
-        if self.retries == 0 {
-            // Zero-copy: the packed planes go on the wire as `Arc` clones;
-            // the receiver copies out of the shared buffer and drops it,
-            // releasing the sender's slot for the next pack. My high ghost
-            // comes from the high neighbour's low plane (its
-            // DOWN-travelling message); my low ghost from the low
-            // neighbour's high plane (UP-travelling). DOWN is received
-            // first to match the senders' FIFO order when lo == hi.
-            comm.send_pooled(lo, TAG_DOWN, Arc::clone(&self.halo.send_low), path, &par.ctx, wire_bytes);
-            comm.send_pooled(hi, TAG_UP, Arc::clone(&self.halo.send_high), path, &par.ctx, wire_bytes);
-            let rh = comm.recv_shared(hi, TAG_DOWN, &mut par.ctx);
-            let rl = comm.recv_shared(lo, TAG_UP, &mut par.ctx);
-            self.halo.recv_low.copy_from_slice(&rl);
-            self.halo.recv_high.copy_from_slice(&rh);
-        } else {
-            self.exchange_verified(par, comm, lo, hi, path, wire_bytes);
-        }
+        // Zero-copy: the packed planes go on the wire as `Arc` clones; the
+        // receiver copies out of the shared buffer and drops it, releasing
+        // the sender's slot for the next pack. My high ghost comes from the
+        // high neighbour's low plane (its DOWN-travelling message); my low
+        // ghost from the low neighbour's high plane (UP-travelling). DOWN
+        // is received first to match the senders' FIFO order when lo == hi.
+        comm.send_pooled(lo, TAG_DOWN, Arc::clone(&self.halo.send_low), path, &par.ctx, wire_bytes);
+        comm.send_pooled(hi, TAG_UP, Arc::clone(&self.halo.send_high), path, &par.ctx, wire_bytes);
+        let rh = comm.recv_shared(hi, TAG_DOWN, &mut par.ctx);
+        let rl = comm.recv_shared(lo, TAG_UP, &mut par.ctx);
+        self.halo.recv_low.copy_from_slice(&rl);
+        self.halo.recv_high.copy_from_slice(&rh);
 
         // Where did the received data land?
         let landing = if p2p { Residency::Device } else { Residency::Host };
@@ -280,162 +229,6 @@ impl HaloExchanger {
                 &self.bufid_cache,
                 |_, _, _| {},
             );
-        }
-    }
-
-    /// The verified ACK/NACK transport: every data plane is received with
-    /// a deadline and CRC check; a lost or corrupted plane is NACKed and
-    /// resent with the attempt number encoded in the tag's high bits, up
-    /// to the retry budget with exponential backoff. Rounds run in
-    /// lockstep across all ranks (barrier between the data and verdict
-    /// phases, allreduce continue-flag at the end), so verdicts can never
-    /// race a peer's data receive in the per-pair FIFO and no rank exits
-    /// while another still needs its resends. A receive that exhausts the
-    /// budget sets the sticky failure flag — the caller folds it into its
-    /// collective health check and rolls back.
-    fn exchange_verified(
-        &mut self,
-        par: &mut Par,
-        comm: &Comm,
-        lo: usize,
-        hi: usize,
-        path: NetPath,
-        wire_bytes: f64,
-    ) {
-        let base_deadline = retry_base_deadline();
-        // Generous control-plane deadline: verdicts ride the reliable
-        // channel, so missing one means a hung peer (a dead or returned
-        // one fails the wait at once), not a lost packet.
-        let ctl_deadline = base_deadline * 32;
-        // Directed channels, DOWN before UP everywhere (per-pair FIFO):
-        // out[0] my low plane → lo (DOWN), out[1] my high plane → hi (UP);
-        // in[0] hi's low plane (DOWN) → recv_high, in[1] lo's high plane
-        // (UP) → recv_low.
-        let mut out_pending = [true, true];
-        let mut in_pending = [true, true];
-        for attempt in 0..=self.retries {
-            let shift = attempt << ATTEMPT_SHIFT;
-            // Resends reuse the SAME pooled buffer across attempts — the
-            // attempt number lives in the tag, not in a per-attempt clone.
-            // An injected Corrupt fault garbles the in-flight copy only
-            // (`Arc::make_mut` in the send path), so the retry naturally
-            // resends the pristine plane.
-            if out_pending[0] {
-                comm.send_pooled(lo, TAG_DOWN | shift, Arc::clone(&self.halo.send_low), path, &par.ctx, wire_bytes);
-            }
-            if out_pending[1] {
-                comm.send_pooled(hi, TAG_UP | shift, Arc::clone(&self.halo.send_high), path, &par.ctx, wire_bytes);
-            }
-            let deadline = base_deadline * (1u32 << attempt.min(5));
-            let mut verdict = [None, None];
-            // Receive grouped by source: when lo == hi (two ranks) both
-            // planes share one FIFO and arrive in ANY order once a
-            // message is lost (the follower lands in the dropped one's
-            // place) — so accept whatever comes and match it by tag.
-            let chans = [(hi, TAG_DOWN), (lo, TAG_UP)]; // idx 0 → recv_high, 1 → recv_low
-            let mut srcs: Vec<usize> = Vec::new();
-            for (idx, (src, _)) in chans.into_iter().enumerate() {
-                if in_pending[idx] && !srcs.contains(&src) {
-                    srcs.push(src);
-                }
-            }
-            const MASK: u32 = (1 << ATTEMPT_SHIFT) - 1;
-            for src in srcs {
-                loop {
-                    // Planes still outstanding from this source this round.
-                    let want: Vec<(usize, u32)> = chans
-                        .iter()
-                        .enumerate()
-                        .filter(|&(idx, &(s, _))| {
-                            in_pending[idx] && verdict[idx].is_none() && s == src
-                        })
-                        .map(|(idx, &(_, base))| (idx, base | shift))
-                        .collect();
-                    if want.is_empty() {
-                        break;
-                    }
-                    let tags: Vec<u32> = want.iter().map(|&(_, t)| t).collect();
-                    match comm.try_recv_any_shared(src, &tags, &mut par.ctx, deadline) {
-                        Ok((tag, d)) => {
-                            let idx = want.iter().find(|&&(_, t)| t == tag).unwrap().0;
-                            if idx == 0 {
-                                self.halo.recv_high.copy_from_slice(&d);
-                            } else {
-                                self.halo.recv_low.copy_from_slice(&d);
-                            }
-                            in_pending[idx] = false;
-                            verdict[idx] = Some(true);
-                        }
-                        // Straggler resend from an earlier attempt (it was
-                        // consumed) or a dead epoch: keep waiting for the
-                        // fresh copy.
-                        Err(RecvFailure::TagMismatch { got, .. })
-                            if want.iter().any(|&(_, t)| got & MASK == t & MASK)
-                                && got >> ATTEMPT_SHIFT < attempt =>
-                        {
-                            continue
-                        }
-                        Err(RecvFailure::StaleEpoch { .. }) => continue,
-                        Err(RecvFailure::Corrupt { tag, .. }) => {
-                            // The CRC failure names its tag: NACK that
-                            // plane, keep receiving any other one.
-                            if let Some(&(idx, _)) = want.iter().find(|&&(_, t)| t == tag) {
-                                self.retry_count += 1;
-                                verdict[idx] = Some(false);
-                            }
-                        }
-                        Err(RecvFailure::Timeout { .. }) => {
-                            // Nothing more coming this round: NACK every
-                            // plane still outstanding from this source.
-                            for &(idx, _) in &want {
-                                self.retry_count += 1;
-                                verdict[idx] = Some(false);
-                            }
-                        }
-                        Err(failure) => comm.fail(failure),
-                    }
-                }
-            }
-            // Quiesce the data plane before verdicts flow: after this
-            // barrier no rank is still blocked in a data receive, so a
-            // verdict can never be consumed as a mismatched data message.
-            comm.barrier(&mut par.ctx);
-            for (idx, (src, base)) in [(hi, TAG_DOWN), (lo, TAG_UP)].into_iter().enumerate() {
-                if let Some(ok) = verdict[idx] {
-                    let v = vec![if ok { 1.0 } else { 0.0 }];
-                    comm.send_ctl(src, (base + VERDICT_OFF) | shift, v, &par.ctx);
-                }
-            }
-            for (idx, (dst, base)) in [(lo, TAG_DOWN), (hi, TAG_UP)].into_iter().enumerate() {
-                if !out_pending[idx] {
-                    continue;
-                }
-                let tag = (base + VERDICT_OFF) | shift;
-                let v = loop {
-                    match comm.try_recv_any_shared(dst, &[tag], &mut par.ctx, ctl_deadline) {
-                        Ok((_, d)) => break d,
-                        // A late data plane we already NACKed (real-time
-                        // skew) or a stale straggler: discard.
-                        Err(RecvFailure::TagMismatch { .. }) | Err(RecvFailure::StaleEpoch { .. }) => {
-                            continue
-                        }
-                        Err(failure) => comm.fail(failure),
-                    }
-                };
-                if v.first().copied() == Some(1.0) {
-                    out_pending[idx] = false;
-                }
-            }
-            // Lockstep rounds: keep going while ANY rank has pending work.
-            let pending = in_pending.iter().chain(&out_pending).any(|&p| p);
-            let mut flag = [if pending { 1.0 } else { 0.0 }];
-            comm.allreduce(ReduceOp::Max, &mut flag, &mut par.ctx);
-            if flag[0] == 0.0 {
-                break;
-            }
-        }
-        if in_pending.iter().any(|&p| p) {
-            self.failed = true;
         }
     }
 }

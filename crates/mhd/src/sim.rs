@@ -243,7 +243,7 @@ impl Simulation {
         // hours, so it belongs to the untimed setup phase (DESIGN.md §6).
         par.ctx.prefault_all();
 
-        let mut sim = Self {
+        Self {
             deck: deck.clone(),
             grid,
             par,
@@ -265,42 +265,7 @@ impl Simulation {
             dt_scale: 1.0,
             epoch: 0,
             resumed: false,
-        };
-        sim.set_halo_retries(deck.resilience.halo_retries);
-        sim
-    }
-
-    /// Arm the verified retrying halo transport on every exchanger (the
-    /// deck's `resilience.halo_retries`); 0 keeps the direct send/recv
-    /// path bit-identical to the pre-resilience code.
-    pub fn set_halo_retries(&mut self, retries: u32) {
-        self.hx_state.set_retries(retries);
-        self.hx_vr.set_retries(retries);
-        self.hx_vt.set_retries(retries);
-        self.hx_vp.set_retries(retries);
-        self.hx_cc.set_retries(retries);
-    }
-
-    /// True when any halo exchanger exhausted its retry budget since the
-    /// last call (reading clears the flags) — the supervisor folds this
-    /// into its collective health check and rolls back.
-    pub fn take_halo_failed(&mut self) -> bool {
-        // `|` not `||`: every exchanger's flag must be read and cleared.
-        self.hx_state.take_failed()
-            | self.hx_vr.take_failed()
-            | self.hx_vt.take_failed()
-            | self.hx_vp.take_failed()
-            | self.hx_cc.take_failed()
-    }
-
-    /// Transport-level halo resends (NACK-triggered) so far, summed over
-    /// every exchanger.
-    pub fn halo_retries_used(&self) -> u64 {
-        self.hx_state.retries_used()
-            + self.hx_vr.retries_used()
-            + self.hx_vt.retries_used()
-            + self.hx_vp.retries_used()
-            + self.hx_cc.retries_used()
+        }
     }
 
     /// Apply all boundary machinery: physical BCs, polar regularization,

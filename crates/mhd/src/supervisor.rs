@@ -77,9 +77,10 @@ fn fence_timeout(recv_deadline: Duration) -> Duration {
 // Fault plan.
 // ---------------------------------------------------------------------------
 
-/// One armed fault: what breaks, when, and where. Built from the deck's
-/// `&fault` section ([`FaultPlan::from_deck`]) or programmatically by
-/// tests.
+/// One armed fault: what breaks, when, and where. It fires once per
+/// run; a halo fault hits the rank's next point-to-point send. Built
+/// from the deck's `&fault` section ([`FaultPlan::from_deck`]) or
+/// programmatically by tests.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPlan {
     /// What to break.
@@ -88,10 +89,6 @@ pub struct FaultPlan {
     pub step: usize,
     /// The misbehaving rank.
     pub rank: usize,
-    /// How many consecutive sends the fault hits (`&fault count`): a
-    /// burst longer than the `resilience.halo_retries` budget exhausts
-    /// the transport retry and escalates to the rollback path.
-    pub count: u32,
     /// For [`FaultKind::CkptFail`]: the injected I/O error kind.
     pub io_error: io::ErrorKind,
 }
@@ -107,7 +104,6 @@ impl FaultPlan {
             kind: deck.fault.kind,
             step: deck.fault.step,
             rank: deck.fault.rank,
-            count: deck.fault.count.max(1),
             io_error: parse_error_kind(&deck.fault.io_error),
         })
     }
@@ -151,9 +147,6 @@ pub struct RecoveryLog {
     /// Checkpoint writes that failed (locally or on any rank — a failed
     /// collective commit keeps the previous rollback point).
     pub checkpoint_failures: usize,
-    /// Transport-level halo resends (NACK-triggered retries) this rank's
-    /// exchangers requested from their peers.
-    pub halo_retries: usize,
     /// Rank respawns the world performed (world total).
     pub respawns: usize,
     /// Stale-epoch envelopes rejected or drained after respawn fences
@@ -185,9 +178,6 @@ impl RecoveryLog {
         }
         if self.faults_injected > 0 {
             parts.push(format!("{} fault(s) injected", self.faults_injected));
-        }
-        if self.halo_retries > 0 {
-            parts.push(format!("{} halo resend(s)", self.halo_retries));
         }
         if self.detections > 0 {
             parts.push(format!("{} detection(s)", self.detections));
@@ -233,7 +223,9 @@ pub struct RankFailure {
 /// panic).
 #[derive(Clone, Debug)]
 pub struct RunError {
-    /// Failures in rank order of occurrence.
+    /// The cause first: the failure of the rank whose death the world
+    /// recorded first ([`minimpi::ResilientReport::first_death`]), if a
+    /// rank died; then the rest in rank order.
     pub failures: Vec<RankFailure>,
     /// True when the world's respawn budget ran out: a rank
     /// died and could no longer be replaced. The `mas` binary maps this
@@ -449,7 +441,6 @@ pub(crate) fn supervise(
         guard = Some((rot, Snapshot::new(sim)));
     }
     let mut recoveries = 0usize;
-    let retries_base = sim.halo_retries_used();
 
     while sim.step < n_steps {
         let stepping = sim.step + 1; // 1-based step being computed
@@ -459,12 +450,12 @@ pub(crate) fn supervise(
             if !fired.load(Ordering::SeqCst) && stepping == f.step && comm.rank() == f.rank {
                 match f.kind {
                     FaultKind::HaloCorrupt => {
-                        comm.arm_net_fault_n(NetFault::Corrupt, f.count);
+                        comm.arm_net_fault(NetFault::Corrupt);
                         fired.store(true, Ordering::SeqCst);
                         log.faults_injected += 1;
                     }
                     FaultKind::HaloDrop => {
-                        comm.arm_net_fault_n(NetFault::Drop, f.count);
+                        comm.arm_net_fault(NetFault::Drop);
                         fired.store(true, Ordering::SeqCst);
                         log.faults_injected += 1;
                     }
@@ -501,13 +492,7 @@ pub(crate) fn supervise(
         // --- health check -------------------------------------------------
         let non_finite = sim.state.find_non_finite();
         if let Some((_, snapshot)) = &mut guard {
-            // A halo exchange that exhausted its transport retry budget
-            // left stale ghosts behind; fold it into the same rollback
-            // machinery as non-finite state.
-            let halo_failed = sim.take_halo_failed();
-            log.halo_retries = (sim.halo_retries_used() - retries_base) as usize;
-            let bad_local =
-                halo_failed || non_finite.is_some() || !info.dt.is_finite() || info.dt <= 0.0;
+            let bad_local = non_finite.is_some() || !info.dt.is_finite() || info.dt <= 0.0;
             let mut flag = [if bad_local { 1.0 } else { 0.0 }];
             comm.allreduce(ReduceOp::Max, &mut flag, &mut sim.par.ctx);
             if flag[0] > 0.0 {
@@ -728,6 +713,12 @@ pub fn run_supervised_with_progress(
             }
         }
     }
+    // The first death is the cause; the later ones may be its peers
+    // failing on it. Move it to the front, keeping the rest in rank order.
+    let cause = report.first_death.and_then(|r| failures.iter().position(|f| f.rank == r));
+    if let Some(pos) = cause {
+        failures[..=pos].rotate_right(1);
+    }
     if failures.is_empty() {
         Ok(MultiRankReport { ranks })
     } else {
@@ -804,15 +795,9 @@ fn run_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Scratch;
     use mas_config::FaultCfg;
     use std::sync::Arc;
-
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("mas_supervisor_test").join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn small_deck() -> Deck {
         let mut d = Deck::preset_quickstart();
@@ -836,7 +821,6 @@ mod tests {
                 kind: FaultKind::Nan,
                 step: 2,
                 rank: 0,
-                count: 1,
                 io_error: "other".into(),
             };
             let rep = run_supervised(&deck, version, spec(), 1, 7, false)
@@ -858,12 +842,12 @@ mod tests {
         // checkpoint (step 2), not step 0.
         let mut deck = small_deck();
         deck.checkpoint.interval = 2;
-        deck.checkpoint.dir = temp_dir("nan2r").to_string_lossy().into_owned();
+        let scratch = Scratch::new("supervisor_nan2r");
+        deck.checkpoint.dir = scratch.deck_text();
         deck.fault = FaultCfg {
             kind: FaultKind::Nan,
             step: 3,
             rank: 1,
-            count: 1,
             io_error: "other".into(),
         };
         let rep = run_supervised(&deck, CodeVersion::Ad, spec(), 2, 5, false).unwrap();
@@ -895,7 +879,6 @@ mod tests {
             kind: FaultKind::HaloCorrupt,
             step: 2,
             rank: 0,
-            count: 1,
             io_error: "other".into(),
         };
         let rep = run_supervised(&deck, CodeVersion::A, spec(), 2, 3, false).unwrap();
@@ -916,7 +899,8 @@ mod tests {
 
         let mut ck = plain.clone();
         ck.checkpoint.interval = 2;
-        ck.checkpoint.dir = temp_dir("noperturb").to_string_lossy().into_owned();
+        let scratch = Scratch::new("supervisor_noperturb");
+        ck.checkpoint.dir = scratch.deck_text();
         let sup = run_supervised(&ck, CodeVersion::A, spec(), 2, 11, false).unwrap();
 
         for (a, b) in base.ranks.iter().zip(&sup.ranks) {
@@ -938,11 +922,12 @@ mod tests {
         // newest slot is torn (CRC fails), a stale .tmp litters the
         // directory. The restart must fall back to the previous valid
         // slot and reproduce the uninterrupted run bit-for-bit.
-        let dir = temp_dir("killresume");
+        let scratch = Scratch::new("supervisor_killresume");
+        let dir = &scratch.0;
         let mut deck = small_deck();
         deck.time.n_steps = 6;
         deck.checkpoint.interval = 2;
-        deck.checkpoint.dir = dir.to_string_lossy().into_owned();
+        deck.checkpoint.dir = scratch.deck_text();
 
         let full = run_supervised(&deck, CodeVersion::A, spec(), 2, 9, false).unwrap();
 
@@ -951,7 +936,7 @@ mod tests {
         // rename already happened for a previous write... here we emulate
         // the torn-latest scenario directly.
         for rank in 0..2 {
-            let (newest, h) = checkpoint::latest_valid_slot(&dir, rank).unwrap();
+            let (newest, h) = checkpoint::latest_valid_slot(dir, rank).unwrap();
             assert_eq!(h.step, 6);
             let bytes = std::fs::read(&newest).unwrap();
             std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
@@ -962,7 +947,7 @@ mod tests {
         // Resume: the agreed rollback point is step 4 (the surviving
         // slot), and the rerun of steps 5..6 must be byte-identical.
         let mut resume = deck.clone();
-        resume.checkpoint.restart_from = dir.to_string_lossy().into_owned();
+        resume.checkpoint.restart_from = scratch.deck_text();
         let resumed = run_supervised(&resume, CodeVersion::A, spec(), 2, 9, false).unwrap();
 
         for (a, b) in full.ranks.iter().zip(&resumed.ranks) {
@@ -986,14 +971,14 @@ mod tests {
     fn restart_at_or_past_n_steps_is_graceful() {
         // Restarting a finished run takes zero further steps and reports
         // cleanly instead of panicking.
-        let dir = temp_dir("done");
+        let scratch = Scratch::new("supervisor_done");
         let mut deck = small_deck();
         deck.checkpoint.interval = 4; // checkpoint exactly at the end
-        deck.checkpoint.dir = dir.to_string_lossy().into_owned();
+        deck.checkpoint.dir = scratch.deck_text();
         run_supervised(&deck, CodeVersion::A, spec(), 1, 2, false).unwrap();
 
         let mut resume = deck.clone();
-        resume.checkpoint.restart_from = dir.to_string_lossy().into_owned();
+        resume.checkpoint.restart_from = scratch.deck_text();
         let rep = run_supervised(&resume, CodeVersion::A, spec(), 1, 2, false).unwrap();
         assert_eq!(rep.ranks[0].steps, 4);
         assert!(rep.ranks[0].recovery.restored_from.is_some());
@@ -1002,16 +987,15 @@ mod tests {
 
     #[test]
     fn ckpt_fail_fault_keeps_run_alive_with_previous_rollback_point() {
-        let dir = temp_dir("ckfail");
+        let scratch = Scratch::new("supervisor_ckfail");
         let mut deck = small_deck();
         deck.time.n_steps = 6;
         deck.checkpoint.interval = 2;
-        deck.checkpoint.dir = dir.to_string_lossy().into_owned();
+        deck.checkpoint.dir = scratch.deck_text();
         deck.fault = FaultCfg {
             kind: FaultKind::CkptFail,
             step: 4,
             rank: 0,
-            count: 1,
             io_error: "write_zero".into(),
         };
         let rep = run_supervised(&deck, CodeVersion::A, spec(), 1, 4, false).unwrap();
@@ -1024,7 +1008,7 @@ mod tests {
         assert_eq!(log.checkpoints_validated, 2);
         // The failed write left a torn .tmp but never a torn slot: both
         // slots on disk still validate.
-        let (newest, h) = checkpoint::latest_valid_slot(&dir, 0).unwrap();
+        let (newest, h) = checkpoint::latest_valid_slot(&scratch.0, 0).unwrap();
         assert_eq!(h.step, 6);
         mas_io::validate_dump(&newest).unwrap();
     }
@@ -1036,21 +1020,14 @@ mod tests {
             kind: FaultKind::Panic,
             step: 2,
             rank: 1,
-            count: 1,
             io_error: "other".into(),
         };
         let err = run_supervised(&deck, CodeVersion::A, spec(), 2, 6, false).unwrap_err();
-        assert!(!err.failures.is_empty());
-        let injected = err
-            .failures
-            .iter()
-            .find(|f| f.rank == 1)
-            .expect("the injected rank must be among the failures");
-        assert!(
-            injected.message.contains("injected fault"),
-            "{}",
-            injected.message
-        );
+        // The cause comes first: rank 1's injected death, then its peer
+        // failing on it.
+        let cause = &err.failures[0];
+        assert_eq!(cause.rank, 1, "{err}");
+        assert!(cause.message.contains("injected fault"), "{err}");
         // Display formats every failure.
         let s = err.to_string();
         assert!(s.contains("rank 1"), "{s}");
@@ -1066,7 +1043,6 @@ mod tests {
             kind: FaultKind::HaloDrop,
             step: 2,
             rank: 0,
-            count: 1,
             io_error: "other".into(),
         };
         let err = run_supervised(&deck, CodeVersion::A, spec(), 2, 8, false).unwrap_err();
@@ -1094,7 +1070,6 @@ mod tests {
             kind: FaultKind::Nan,
             step: 1,
             rank: 0,
-            count: 1,
             io_error: "other".into(),
         };
         let err = run_supervised(&deck, CodeVersion::A, spec(), 1, 1, false).unwrap_err();
@@ -1137,106 +1112,58 @@ mod tests {
 
         let respawned = RecoveryLog {
             supervised: true,
-            halo_retries: 3,
             respawns: 1,
             stale_rejected: 2,
             ..RecoveryLog::default()
         };
         let s = respawned.summary();
-        assert!(s.contains("3 halo resend(s)"), "{s}");
         assert!(s.contains("1 respawn(s)"), "{s}");
         assert!(s.contains("2 stale envelope(s) rejected"), "{s}");
     }
 
     #[test]
-    fn halo_drop_recovers_via_transport_retry() {
-        // A single dropped halo message is re-requested and resent at the
-        // transport layer: zero rollbacks, and the final state is
-        // bit-identical to an undisturbed run.
+    fn halo_drop_recovers_at_the_epoch_fence() {
+        // A lost halo plane fails its receive (at the deadline, or as a
+        // tag mismatch when the next plane arrives in its place); with a
+        // respawn budget every rank meets at the epoch fence and restores
+        // the committed step-2 checkpoint. No rank dies, and the finished
+        // state is bit-identical to an undisturbed run.
+        let scratch = Scratch::new("supervisor_halo_drop_fence");
         let mut deck = small_deck();
-        deck.resilience.halo_retries = 2;
+        deck.time.n_steps = 6;
+        deck.checkpoint.interval = 2;
+        deck.checkpoint.dir = scratch.deck_text();
+        deck.resilience.max_respawns = 1;
+        deck.resilience.recv_deadline_ms = 500;
+
+        let base_scratch = Scratch::new("supervisor_halo_drop_fence_base");
+        let mut undisturbed = deck.clone();
+        undisturbed.checkpoint.dir = base_scratch.deck_text();
+        let base = run_supervised(&undisturbed, CodeVersion::A, spec(), 2, 8, false).unwrap();
+
         deck.fault = FaultCfg {
             kind: FaultKind::HaloDrop,
-            step: 2,
-            rank: 0,
-            count: 1,
+            step: 3,
+            rank: 1,
             io_error: "other".into(),
         };
         let rep = run_supervised(&deck, CodeVersion::A, spec(), 2, 8, false)
-            .unwrap_or_else(|e| panic!("transport retry must absorb a single drop: {e}"));
-        let retries: usize = rep.ranks.iter().map(|r| r.recovery.halo_retries).sum();
-        assert!(retries > 0, "the resend must be recorded");
-        for r in &rep.ranks {
-            assert_eq!(r.steps, 4, "rank {}", r.rank);
-            assert_eq!(r.recovery.rollbacks, 0, "rank {}", r.rank);
-            assert_eq!(r.recovery.detections, 0, "rank {}", r.rank);
-        }
-
-        let plain = small_deck();
-        let base = crate::run_multi_rank(&plain, CodeVersion::A, spec(), 2, 8, false);
+            .unwrap_or_else(|e| panic!("a lost halo plane must recover at the fence: {e}"));
         for (a, b) in base.ranks.iter().zip(&rep.ranks) {
-            assert_eq!(
-                a.state_hash, b.state_hash,
-                "rank {}: a transport-absorbed drop must not change the physics",
-                a.rank
-            );
+            assert_eq!(b.steps, 6, "rank {}", b.rank);
+            assert_eq!(a.state_hash, b.state_hash, "rank {}", a.rank);
+            assert_eq!(a.time.to_bits(), b.time.to_bits(), "rank {}", a.rank);
+            let log = &b.recovery;
+            assert_eq!(log.respawns, 0, "rank {}: nobody died", b.rank);
+            let from = log.restored_from.as_deref().unwrap_or("");
+            assert!(from.contains("step 2"), "rank {}: restored from {from:?}", b.rank);
         }
     }
 
-    #[test]
-    fn halo_corrupt_recovers_via_transport_retry() {
-        // CRC-detected corruption is also absorbed by the verified
-        // transport: the corrupt payload is NACKed before it ever reaches
-        // the ghost cells, so no NaN detection and no rollback.
-        let mut deck = small_deck();
-        deck.resilience.halo_retries = 2;
-        deck.fault = FaultCfg {
-            kind: FaultKind::HaloCorrupt,
-            step: 2,
-            rank: 0,
-            count: 1,
-            io_error: "other".into(),
-        };
-        let rep = run_supervised(&deck, CodeVersion::A, spec(), 2, 3, false).unwrap();
-        let retries: usize = rep.ranks.iter().map(|r| r.recovery.halo_retries).sum();
-        assert!(retries > 0);
-        for r in &rep.ranks {
-            assert_eq!(r.steps, 4, "rank {}", r.rank);
-            assert_eq!(r.recovery.rollbacks, 0, "rank {}", r.rank);
-        }
-    }
-
-    #[test]
-    fn halo_retry_exhaustion_falls_back_to_rollback() {
-        // A burst of drops longer than the retry budget: the transport
-        // gives up, the health check catches the stale ghosts, and the
-        // PR 3 rollback machinery finishes the run.
-        let mut deck = small_deck();
-        deck.resilience.halo_retries = 1;
-        deck.fault = FaultCfg {
-            kind: FaultKind::HaloDrop,
-            step: 2,
-            rank: 0,
-            // 2 sends per round x 2 rounds — exactly exhausts the budget.
-            count: 4,
-            io_error: "other".into(),
-        };
-        let rep = run_supervised(&deck, CodeVersion::A, spec(), 2, 8, false)
-            .unwrap_or_else(|e| panic!("retry exhaustion must roll back, not fail: {e}"));
-        let retries: usize = rep.ranks.iter().map(|r| r.recovery.halo_retries).sum();
-        assert!(retries > 0, "the failed resends must be recorded");
-        for r in &rep.ranks {
-            assert_eq!(r.steps, 4, "rank {}", r.rank);
-            assert_eq!(r.recovery.detections, 1, "rank {}", r.rank);
-            assert_eq!(r.recovery.rollbacks, 1, "rank {}", r.rank);
-            assert_eq!(r.recovery.dt_reductions, 1, "rank {}", r.rank);
-        }
-    }
-
-    fn resilient_deck(dir: &str) -> Deck {
+    fn resilient_deck(scratch: &Scratch) -> Deck {
         let mut d = small_deck();
         d.checkpoint.interval = 2;
-        d.checkpoint.dir = temp_dir(dir).to_string_lossy().into_owned();
+        d.checkpoint.dir = scratch.deck_text();
         d.resilience.max_respawns = 1;
         d
     }
@@ -1249,20 +1176,19 @@ mod tests {
         // checkpoint, and the finished state is bitwise identical to an
         // undisturbed run — on every code version.
         for version in CodeVersion::ALL {
-            let tag = format!("respawn_{version:?}");
-            let mut deck = resilient_deck(&tag);
+            let scratch = Scratch::new(&format!("supervisor_respawn_{version:?}"));
+            let mut deck = resilient_deck(&scratch);
             deck.fault = FaultCfg {
                 kind: FaultKind::Panic,
                 step: 3,
                 rank: 1,
-                count: 1,
                 io_error: "other".into(),
             };
 
             let mut undisturbed = deck.clone();
             undisturbed.fault.kind = FaultKind::None;
-            undisturbed.checkpoint.dir =
-                temp_dir(&format!("{tag}_base")).to_string_lossy().into_owned();
+            let base_scratch = Scratch::new(&format!("supervisor_respawn_{version:?}_base"));
+            undisturbed.checkpoint.dir = base_scratch.deck_text();
             let base = run_supervised(&undisturbed, version, spec(), 2, 13, false)
                 .unwrap_or_else(|e| panic!("{version:?} undisturbed: {e}"));
 
@@ -1308,7 +1234,6 @@ mod tests {
             kind: FaultKind::Panic,
             step: 2,
             rank: 2,
-            count: 1,
             io_error: "other".into(),
         };
 
@@ -1340,12 +1265,12 @@ mod tests {
         use crate::progress::progress_fn;
         let mut deck = small_deck();
         deck.checkpoint.interval = 2;
-        deck.checkpoint.dir = temp_dir("progress_stream").to_string_lossy().into_owned();
+        let scratch = Scratch::new("supervisor_progress_stream");
+        deck.checkpoint.dir = scratch.deck_text();
         deck.fault = FaultCfg {
             kind: FaultKind::Nan,
             step: 2,
             rank: 0,
-            count: 1,
             io_error: "other".into(),
         };
         let events = Arc::new(std::sync::Mutex::new(Vec::new()));
@@ -1437,8 +1362,8 @@ mod tests {
         for quitter in [1usize, 0] {
             let mut deck = small_deck();
             deck.checkpoint.interval = 2;
-            let dir = temp_dir(&format!("early_return_{quitter}"));
-            deck.checkpoint.dir = dir.to_string_lossy().into_owned();
+            let scratch = Scratch::new(&format!("supervisor_early_return_{quitter}"));
+            deck.checkpoint.dir = scratch.deck_text();
             let cancelled_at = Arc::new(Mutex::new(None));
             let sink = {
                 let cancelled_at = cancelled_at.clone();

@@ -1,16 +1,13 @@
 //! The per-rank communicator: point-to-point and collective operations.
 //!
-//! Every message travels in an **envelope**: the communicator epoch it
-//! was sent under, a per-pair sequence number, and a CRC32 of the
-//! payload. The epoch is the ULFM-style fencing device — after a rank
-//! death and respawn the world advances its epoch at a collective
-//! [`Comm::epoch_fence`], and anything still in flight from the dead
-//! incarnation is rejected instead of corrupting state. The CRC feeds
-//! the *verified* receive path ([`Comm::try_recv_any_shared`]) used by
-//! retrying transports, which reports a corrupt message by its sequence
-//! number; the legacy [`Comm::recv`] stays
-//! bit-for-bit compatible (it delivers corrupted payloads — detecting
-//! them is the health check's job on that path).
+//! Every message travels in an **envelope** stamped with the
+//! communicator epoch it was sent under. The epoch is the ULFM-style
+//! fencing device — after a rank death and respawn the world advances
+//! its epoch at a collective [`Comm::epoch_fence`], and anything still
+//! in flight from the dead incarnation is discarded instead of
+//! corrupting state. Payloads are delivered as sent: the in-process
+//! channel cannot garble them, and an injected [`NetFault::Corrupt`]
+//! (NaN) is left to the run supervisor's health check to catch.
 
 use crate::chan::{Receiver, Sender};
 use gpusim::{DeviceContext, Phase, TimeCategory};
@@ -55,15 +52,14 @@ pub enum NetPath {
     Host,
 }
 
-/// An armed point-to-point fault: applied to the **next** matching
-/// [`Comm::send`], then cleared (or repeated, see
-/// [`Comm::arm_net_fault_n`]). Fault injection is compiled in but
-/// completely inert until armed — an unarmed `Cell<Option<…>>` check is
-/// one branch per send.
+/// An armed point-to-point fault: applied to the **next** point-to-point
+/// send ([`Comm::arm_net_fault`]), then cleared. Fault injection is
+/// compiled in but completely inert until armed — an unarmed
+/// `Cell<Option<…>>` check is one branch per send.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetFault {
-    /// Corrupt the payload in flight (the middle element becomes NaN —
-    /// the bit-flip-on-the-wire / bad-DMA failure mode).
+    /// Corrupt the payload in flight: its second half becomes NaN (the
+    /// bad-DMA / truncated-packet failure mode).
     Corrupt,
     /// Silently drop the message (lost packet / dead NIC). The matching
     /// receive will only terminate if a receive deadline is armed via
@@ -71,11 +67,10 @@ pub enum NetFault {
     Drop,
 }
 
-/// Why a communication did not complete. The verified receive
-/// ([`Comm::try_recv_any_shared`]) returns it; every blocking `Comm` path
-/// that fails raises it inside a [`CommFailure`] ([`Comm::fail`]). This
-/// is the structured vocabulary the retrying halo transport and the run
-/// supervisor act on — kind, not string matching.
+/// Why a communication did not complete. Every blocking `Comm` path that
+/// fails raises it inside a [`CommFailure`] ([`Comm::fail`]), and a
+/// fence returns it. This is the structured vocabulary the run
+/// supervisor acts on — kind, not string matching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecvFailure {
     /// The deadline elapsed with no (fresh) message — lost packet or
@@ -103,25 +98,6 @@ pub enum RecvFailure {
     PeerLeft {
         /// The rank that returned.
         rank: usize,
-    },
-    /// Payload failed its CRC32 — corrupted on the wire.
-    Corrupt {
-        /// Source rank of the corrupt message.
-        src: usize,
-        /// Message tag.
-        tag: Tag,
-        /// Envelope sequence number.
-        seq: u64,
-    },
-    /// The envelope's epoch predates the current communicator epoch: a
-    /// straggler from a dead incarnation, rejected un-delivered.
-    StaleEpoch {
-        /// Source rank of the stale message.
-        src: usize,
-        /// Epoch stamped on the envelope.
-        got: u64,
-        /// Current communicator epoch.
-        current: u64,
     },
     /// A message arrived with an unexpected tag (consumed, not delivered).
     TagMismatch {
@@ -157,14 +133,6 @@ impl std::fmt::Display for RecvFailure {
             ),
             RecvFailure::PeerDied { rank, .. } => write!(f, "peer rank {rank} died"),
             RecvFailure::PeerLeft { rank } => write!(f, "peer rank {rank} has returned"),
-            RecvFailure::Corrupt { src, tag, seq } => write!(
-                f,
-                "payload from rank {src} (tag {tag}, seq {seq}) failed CRC — corrupted in flight"
-            ),
-            RecvFailure::StaleEpoch { src, got, current } => write!(
-                f,
-                "stale envelope from rank {src}: epoch {got} < current epoch {current} — rejected"
-            ),
             RecvFailure::TagMismatch { src, got, want } => {
                 write!(f, "tag mismatch from rank {src}: got {got}, want {want}")
             }
@@ -199,67 +167,9 @@ impl std::fmt::Display for CommFailure {
     }
 }
 
-/// CRC32 (IEEE, reflected) over the raw little-endian payload bytes.
-/// Every send stamps it (`send_payload`, `send_ctl`), whether or not the
-/// receiver verifies it — only the verified receive
-/// ([`Comm::try_recv_any_shared`]) checks it — so it runs once per halo
-/// plane and collective message. Slice-by-8: one `f64` (eight bytes) per
-/// step.
-pub(crate) fn payload_crc32(data: &[f64]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c: u32 = 0xffff_ffff;
-    for v in data {
-        let x = v.to_bits() ^ u64::from(c);
-        c = t[7][(x & 0xff) as usize]
-            ^ t[6][((x >> 8) & 0xff) as usize]
-            ^ t[5][((x >> 16) & 0xff) as usize]
-            ^ t[4][((x >> 24) & 0xff) as usize]
-            ^ t[3][((x >> 32) & 0xff) as usize]
-            ^ t[2][((x >> 40) & 0xff) as usize]
-            ^ t[1][((x >> 48) & 0xff) as usize]
-            ^ t[0][(x >> 56) as usize];
-    }
-    !c
-}
-
-/// Slice-by-8 tables for [`payload_crc32`]: `CRC_TABLES[0][b]` is the
-/// CRC of byte `b`, and `CRC_TABLES[n][b]` that of byte `b` followed by
-/// `n` zero bytes.
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut b = 0;
-    while b < 256 {
-        let mut c = b as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                (c >> 1) ^ 0xedb8_8320
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        t[0][b] = c;
-        b += 1;
-    }
-    let mut n = 1;
-    while n < 8 {
-        let mut b = 0;
-        while b < 256 {
-            let prev = t[n - 1][b];
-            t[n][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
-            b += 1;
-        }
-        n += 1;
-    }
-    t
-}
-
 /// A message in flight: payload plus the virtual time at which the data
 /// becomes available at the destination, wrapped in the resilience
-/// envelope (epoch, sequence number, payload CRC).
+/// envelope (its epoch).
 pub(crate) struct Msg {
     pub tag: Tag,
     /// Payload. `Arc`-backed so a pooled sender (the halo exchanger, the
@@ -275,11 +185,6 @@ pub(crate) struct Msg {
     pub path: NetPath,
     /// Communicator epoch the sender lived in.
     pub epoch: u64,
-    /// Per-(src,dst) sequence number within the epoch.
-    pub seq: u64,
-    /// CRC32 of the pristine payload (computed before any injected wire
-    /// fault, so corruption is detectable on the verified path).
-    pub crc: u32,
 }
 
 /// Payload of a rank→root collective message:
@@ -444,16 +349,11 @@ pub struct Comm {
     pub coll_latency_us: f64,
     /// Collective bandwidth, bytes/µs.
     pub coll_bw: f64,
-    /// Armed point-to-point fault (consumed by sends while `armed_count`
-    /// lasts).
+    /// Armed point-to-point fault (consumed by the next send).
     armed_fault: Cell<Option<NetFault>>,
-    /// How many more sends the armed fault applies to.
-    armed_count: Cell<u32>,
     /// Next send is stamped with this epoch instead of the current one —
     /// test hook for proving stale-envelope rejection.
     forced_epoch: Cell<Option<u64>>,
-    /// Per-destination send sequence numbers (reset at each fence).
-    send_seq: Vec<Cell<u64>>,
     /// Wall-clock receive deadline; `None` = no deadline (the default).
     /// A dead or returned peer ends a wait without one; the supervisor
     /// arms it so that a lost message or a hung rank does too.
@@ -496,9 +396,7 @@ impl Comm {
             coll_latency_us: 6.0,
             coll_bw: 20.0e3, // 20 GB/s effective for small collectives
             armed_fault: Cell::new(None),
-            armed_count: Cell::new(0),
             forced_epoch: Cell::new(None),
-            send_seq: (0..size).map(|_| Cell::new(0)).collect(),
             recv_deadline: Cell::new(None),
             contrib_buf: RefCell::new(Arc::new(Vec::new())),
             bcast_buf: RefCell::new(Arc::new(Vec::new())),
@@ -531,13 +429,11 @@ impl Comm {
         Arc::clone(&slot)
     }
 
-    /// Arm `fault` for the next `count` point-to-point sends from this
-    /// rank; it disarms after the last one (`count = 0` disarms now).
-    /// Used by the fault-injection plan; a burst longer than the halo
-    /// retry budget exhausts it.
-    pub fn arm_net_fault_n(&self, fault: NetFault, count: u32) {
-        self.armed_fault.set(if count == 0 { None } else { Some(fault) });
-        self.armed_count.set(count);
+    /// Arm `fault` for the next point-to-point send from this rank; it
+    /// disarms once that send has taken it. Used by the fault-injection
+    /// plan.
+    pub fn arm_net_fault(&self, fault: NetFault) {
+        self.armed_fault.set(Some(fault));
     }
 
     /// Bound every subsequent [`Comm::recv`] and collective by a
@@ -579,12 +475,12 @@ impl Comm {
 
     /// Collective recovery point. All `size` live incarnations must call
     /// this; the barrier quiesces the world, every rank drains its own
-    /// inboxes of dead-incarnation traffic, send sequence numbers reset, and
-    /// the last arriver advances the epoch and admits the replacements,
-    /// which lifts the revocation their deaths caused. Returns the new
-    /// epoch, or a structured failure: at once when some participant can
-    /// never arrive (a rank has returned, or died with no replacement
-    /// coming), after `timeout` when one is merely missing.
+    /// inboxes of dead-incarnation traffic, and the last arriver advances
+    /// the epoch and admits the replacements, which lifts the revocation
+    /// their deaths caused. Returns the new epoch, or a structured
+    /// failure: at once when some participant can never arrive (a rank
+    /// has returned, or died with no replacement coming), after `timeout`
+    /// when one is merely missing.
     pub fn epoch_fence(&self, timeout: Duration) -> Result<u64, RecvFailure> {
         let n = self.size;
         let ctl = &self.ctl;
@@ -609,9 +505,6 @@ impl Comm {
         }
         if drained > 0 {
             self.ctl.stale_rejected.fetch_add(drained, Ordering::SeqCst);
-        }
-        for c in &self.send_seq {
-            c.set(0);
         }
         // Phase 2: the last arriver bumps the epoch and turns every
         // replaced death back into a running rank; all resume in it.
@@ -699,7 +592,7 @@ impl Comm {
     /// overlap the receiver's other work).
     pub fn send(&self, dst: usize, tag: Tag, data: Vec<f64>, path: NetPath, ctx: &DeviceContext) {
         let bytes = (data.len() * 8) as f64;
-        self.send_payload(dst, tag, Arc::new(data), path, ctx, bytes);
+        self.send_pooled(dst, tag, Arc::new(data), path, ctx, bytes);
     }
 
     /// Zero-copy send of an `Arc`-backed payload — the pooled-buffer fast
@@ -711,38 +604,13 @@ impl Comm {
         &self,
         dst: usize,
         tag: Tag,
-        data: Arc<Vec<f64>>,
-        path: NetPath,
-        ctx: &DeviceContext,
-        cost_bytes: f64,
-    ) {
-        self.send_payload(dst, tag, data, path, ctx, cost_bytes);
-    }
-
-    fn send_payload(
-        &self,
-        dst: usize,
-        tag: Tag,
         mut data: Arc<Vec<f64>>,
         path: NetPath,
         ctx: &DeviceContext,
         cost_bytes: f64,
     ) {
-        // Envelope fields are computed over the pristine payload: the CRC
-        // models an end-to-end checksum stamped before the wire, so
-        // injected in-flight corruption is detectable by the receiver.
-        let crc = payload_crc32(&data);
-        let seq = self.send_seq[dst].get();
-        self.send_seq[dst].set(seq + 1);
         let epoch = self.forced_epoch.take().unwrap_or_else(|| self.epoch());
-        if let Some(fault) = self.armed_fault.get() {
-            let left = self.armed_count.get();
-            if left <= 1 {
-                self.armed_fault.set(None);
-                self.armed_count.set(0);
-            } else {
-                self.armed_count.set(left - 1);
-            }
+        if let Some(fault) = self.armed_fault.take() {
             match fault {
                 NetFault::Corrupt => {
                     // Bad DMA / truncated packet: the payload arrives
@@ -752,7 +620,7 @@ impl Comm {
                     // corrupted value there would be invisible.)
                     // `make_mut` clones only if the sender still holds the
                     // buffer — the corruption happens in flight, the
-                    // sender's pooled copy stays pristine for the retry.
+                    // sender's pooled copy stays pristine.
                     let buf = Arc::make_mut(&mut data);
                     let n = buf.len();
                     for v in &mut buf[n / 2..] {
@@ -772,34 +640,6 @@ impl Comm {
             bytes: cost_bytes,
             path,
             epoch,
-            seq,
-            crc,
-        };
-        self.to[dst].send(msg);
-    }
-
-    /// Control-plane send: like [`Comm::send`] but **immune to armed
-    /// network faults**. The fault model targets payload-bearing halo
-    /// messages (bulk DMA on the data path); tiny protocol messages —
-    /// the retrying transport's ACK/NACK verdicts — ride a modeled
-    /// reliable control channel, exactly as a real transport protects its
-    /// headers with link-level retransmit while payload corruption leaks
-    /// through to the end-to-end checksum.
-    pub fn send_ctl(&self, dst: usize, tag: Tag, data: Vec<f64>, ctx: &DeviceContext) {
-        let crc = payload_crc32(&data);
-        let seq = self.send_seq[dst].get();
-        self.send_seq[dst].set(seq + 1);
-        let epoch = self.forced_epoch.take().unwrap_or_else(|| self.epoch());
-        let bytes = (data.len() * 8) as f64;
-        let msg = Msg {
-            tag,
-            data: Arc::new(data),
-            t_send: ctx.clock.now_us(),
-            bytes,
-            path: NetPath::Host,
-            epoch,
-            seq,
-            crc,
         };
         self.to[dst].send(msg);
     }
@@ -836,11 +676,13 @@ impl Comm {
     /// Blocking receive from `src`; reconciles the virtual clock and books
     /// the wait + transfer into the MPI phase.
     ///
-    /// Stale-epoch envelopes are discarded (counted) without delivery;
-    /// everything else is delivered as-is — this legacy path does **not**
-    /// verify the CRC, so in-flight corruption reaches the caller exactly
-    /// like a real unchecksummed transport. Verified receives go through
-    /// [`Comm::try_recv_any_shared`].
+    /// Stale-epoch envelopes are discarded (counted in
+    /// [`Comm::stale_rejected`]) without delivery; everything else is
+    /// delivered as sent, so an injected [`NetFault::Corrupt`] reaches the
+    /// caller as NaN. A message that never comes fails the rank with
+    /// [`RecvFailure::Timeout`] once the armed [`Comm::set_recv_deadline`]
+    /// passes, and at once when the world's exit record shows the source
+    /// has died or returned.
     ///
     /// Returns the payload.
     pub fn recv(&self, src: usize, tag: Tag, ctx: &mut DeviceContext) -> Vec<f64> {
@@ -850,9 +692,10 @@ impl Comm {
         Arc::try_unwrap(data).unwrap_or_else(|a| (*a).clone())
     }
 
-    /// Like [`Comm::recv`], but hands back the `Arc`-backed payload
-    /// without unwrapping it. The pooled halo path uses this: copy out of
-    /// the shared buffer, then drop it so the sender's pool slot frees.
+    /// Like [`Comm::recv`] (same envelope checks and failures), but hands
+    /// back the `Arc`-backed payload without unwrapping it. The halo
+    /// exchange uses this: copy out of the shared buffer, then drop it so
+    /// the sender's pool slot frees.
     pub fn recv_shared(&self, src: usize, tag: Tag, ctx: &mut DeviceContext) -> Arc<Vec<f64>> {
         let msg = loop {
             let m = self
@@ -871,54 +714,6 @@ impl Comm {
         }
         self.book_transfer(&msg, ctx);
         msg.data
-    }
-
-    /// Verified receive with an explicit deadline: checks the envelope
-    /// (epoch, tag, CRC) and returns a structured [`RecvFailure`] instead
-    /// of panicking. A stale or mismatched message is **consumed** but
-    /// not delivered — the caller decides whether to retry. This is the
-    /// substrate of the retrying halo transport.
-    ///
-    /// Accepts any of `tags` from `src` (a single-tag receive passes
-    /// `&[tag]`), returns which one arrived and leaves the payload shared
-    /// (the verified pooled-halo path copies out of the `Arc` and drops
-    /// it). The per-pair FIFO reorders two logical streams the moment one
-    /// message is lost (the follower arrives in the dropped one's
-    /// place); a receiver insisting on one specific tag would
-    /// consume-and-drop its peer's healthy message. Matching against the
-    /// full outstanding set makes the verified transport order-tolerant.
-    pub fn try_recv_any_shared(
-        &self,
-        src: usize,
-        tags: &[Tag],
-        ctx: &mut DeviceContext,
-        deadline: Duration,
-    ) -> Result<(Tag, Arc<Vec<f64>>), RecvFailure> {
-        let tag = tags.first().copied().unwrap_or_default();
-        let msg = self.wait(&self.from[src], Some(deadline), |r| r == src, |waited| {
-            RecvFailure::Timeout { src, tag, waited }
-        })?;
-        let current = self.epoch();
-        if msg.epoch < current {
-            self.ctl.stale_rejected.fetch_add(1, Ordering::SeqCst);
-            return Err(RecvFailure::StaleEpoch {
-                src,
-                got: msg.epoch,
-                current,
-            });
-        }
-        if !tags.contains(&msg.tag) {
-            return Err(RecvFailure::TagMismatch { src, got: msg.tag, want: tag });
-        }
-        if payload_crc32(&msg.data) != msg.crc {
-            return Err(RecvFailure::Corrupt {
-                src,
-                tag: msg.tag,
-                seq: msg.seq,
-            });
-        }
-        self.book_transfer(&msg, ctx);
-        Ok((msg.tag, msg.data))
     }
 
     /// Barrier: synchronize data-free; all clocks advance to the max plus
@@ -1008,55 +803,6 @@ mod tests {
         assert_eq!(Sum.apply(1.0, 2.0), 3.0);
         assert_eq!(Min.apply(1.0, 2.0), 1.0);
         assert_eq!(Max.apply(1.0, 2.0), 2.0);
-    }
-
-    #[test]
-    fn crc_is_stable_and_sensitive() {
-        let a = super::payload_crc32(&[1.0, 2.0, 3.0]);
-        let b = super::payload_crc32(&[1.0, 2.0, 3.0]);
-        assert_eq!(a, b, "deterministic");
-        let c = super::payload_crc32(&[1.0, 2.0, 3.0000000001]);
-        assert_ne!(a, c, "sensitive to any bit");
-        assert_ne!(super::payload_crc32(&[]), super::payload_crc32(&[0.0]));
-    }
-
-    /// The slice-by-8 checksum equals the bit-at-a-time definition on
-    /// random payloads of every length from 0 to 1000.
-    #[test]
-    fn crc_matches_bitwise_reference() {
-        fn bitwise(data: &[f64]) -> u32 {
-            let mut c: u32 = 0xffff_ffff;
-            for v in data {
-                for b in v.to_le_bytes() {
-                    c ^= b as u32;
-                    for _ in 0..8 {
-                        c = if c & 1 != 0 {
-                            (c >> 1) ^ 0xedb8_8320
-                        } else {
-                            c >> 1
-                        };
-                    }
-                }
-            }
-            !c
-        }
-        // Standard check value: CRC32("12345678") with the eight ASCII
-        // bytes read as one little-endian f64.
-        let check = f64::from_bits(u64::from_le_bytes(*b"12345678"));
-        assert_eq!(super::payload_crc32(&[check]), 0x9ae0_daaf);
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut next = || {
-            // splitmix64: arbitrary bit patterns, NaNs and subnormals included.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        for len in 0..=1000 {
-            let data: Vec<f64> = (0..len).map(|_| f64::from_bits(next())).collect();
-            assert_eq!(super::payload_crc32(&data), bitwise(&data), "length {len}");
-        }
     }
 
     #[test]

@@ -578,61 +578,47 @@ mod tests {
         assert!(p1.message.contains("rank 1 died"));
     }
 
-    #[test]
-    fn dropped_message_times_out_with_deadline() {
-        // De-flaked: rank 0 stays alive by *blocking* on a handshake from
-        // rank 1 (no sleeps to race against), and the deadline scales
-        // with MAS_TEST_TIME_SCALE for loaded CI machines. Rank 1 asserts
-        // on the failure text of the blocking receive.
+    /// Rank 0 drops its one message to rank 1, whose blocking receive
+    /// fails at a 50 ms deadline; returns that failure. De-flaked: rank 0
+    /// stays alive by *blocking* on a handshake from rank 1 (no sleeps to
+    /// race against), and the deadline scales with MAS_TEST_TIME_SCALE
+    /// for loaded CI machines.
+    fn dropped_message_failure() -> RecvFailure {
         let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
-                comm.arm_net_fault_n(NetFault::Drop, 1);
+                comm.arm_net_fault(NetFault::Drop);
                 comm.send(1, 4, vec![1.0], NetPath::DeviceP2P, &c);
                 // Block until rank 1 has finished timing out: its failure
                 // must be a timeout (lost message from a live peer).
                 let _ = comm.recv(1, 5, &mut c);
-                String::new()
+                None
             } else {
                 comm.set_recv_deadline(Some(scaled_ms(50)));
-                let r = std::panic::catch_unwind(AssertUnwindSafe(|| comm.recv(0, 4, &mut c)));
+                let failure = comm_failure(|| drop(comm.recv(0, 4, &mut c)));
                 comm.set_recv_deadline(None);
                 comm.send(0, 5, vec![], NetPath::DeviceP2P, &c);
-                match r {
-                    Ok(_) => "delivered?!".to_string(),
-                    Err(p) => super::panic_message(p.as_ref()),
-                }
+                Some(failure)
             }
         })
         .results;
-        let msg = res[1].as_ref().unwrap();
+        res[1].as_ref().unwrap().clone().expect("rank 1 reports")
+    }
+
+    #[test]
+    fn dropped_message_times_out_with_deadline() {
+        let msg = dropped_message_failure().to_string();
         assert!(msg.contains("timed out"), "{msg}");
         assert!(msg.contains("message lost"), "{msg}");
     }
 
     #[test]
     fn dropped_message_yields_structured_timeout() {
-        // The verified path reports the failure *kind* — no string or
-        // elapsed-time matching anywhere.
-        let res = World::run_resilient(2, 0, |comm| {
-            let mut c = ctx(comm.rank());
-            if comm.rank() == 0 {
-                comm.arm_net_fault_n(NetFault::Drop, 1);
-                comm.send(1, 4, vec![1.0], NetPath::DeviceP2P, &c);
-                let _ = comm.recv(1, 5, &mut c);
-                Ok(vec![])
-            } else {
-                let r = comm
-                    .try_recv_any_shared(0, &[4], &mut c, scaled_ms(50))
-                    .map(|(_, d)| d.to_vec());
-                comm.send(0, 5, vec![], NetPath::DeviceP2P, &c);
-                r
-            }
-        })
-        .results;
-        match res[1].as_ref().unwrap() {
-            Err(RecvFailure::Timeout { src: 0, tag: 4, .. }) => {}
-            other => panic!("want structured timeout, got {other:?}"),
+        // The blocking receive reports the failure *kind* — no string or
+        // elapsed-time matching.
+        match dropped_message_failure() {
+            RecvFailure::Timeout { src: 0, tag: 4, .. } => {}
+            other => panic!("want a structured timeout, got {other:?}"),
         }
     }
 
@@ -641,7 +627,7 @@ mod tests {
         let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
-                comm.arm_net_fault_n(NetFault::Corrupt, 1);
+                comm.arm_net_fault(NetFault::Corrupt);
             }
             let peer = 1 - comm.rank();
             comm.send(peer, 4, vec![1.0, 2.0], NetPath::DeviceP2P, &c);
@@ -653,79 +639,17 @@ mod tests {
         })
         .results;
         let (first, second) = res[1].as_ref().unwrap();
-        assert!(first[1].is_nan(), "corrupted middle value");
-        assert_eq!(first[0], 1.0, "rest of payload intact");
+        assert!(first[1].is_nan(), "second half corrupted");
+        assert_eq!(first[0], 1.0, "first half intact");
         assert_eq!(second[0], 3.0, "fault disarmed after firing");
         let (clean, _) = res[0].as_ref().unwrap();
         assert_eq!(clean[1], 2.0, "only the armed rank corrupts");
     }
 
-    #[test]
-    fn try_recv_detects_corruption_by_crc() {
-        let res = World::run_resilient(2, 0, |comm| {
-            let mut c = ctx(comm.rank());
-            if comm.rank() == 0 {
-                comm.arm_net_fault_n(NetFault::Corrupt, 1);
-                comm.send(1, 4, vec![1.0, 2.0], NetPath::DeviceP2P, &c);
-                comm.send(1, 4, vec![3.0, 4.0], NetPath::DeviceP2P, &c);
-                let _ = comm.recv(1, 5, &mut c);
-                (Ok(vec![]), Ok(vec![]))
-            } else {
-                let bad = comm.try_recv_any_shared(0, &[4], &mut c, scaled_ms(2000));
-                let good = comm.try_recv_any_shared(0, &[4], &mut c, scaled_ms(2000));
-                comm.send(0, 5, vec![], NetPath::DeviceP2P, &c);
-                (bad.map(|(_, d)| d.to_vec()), good.map(|(_, d)| d.to_vec()))
-            }
-        })
-        .results;
-        let (bad, good) = res[1].as_ref().unwrap();
-        match bad {
-            Err(RecvFailure::Corrupt { src: 0, tag: 4, seq: 0 }) => {}
-            other => panic!("want CRC failure, got {other:?}"),
-        }
-        assert_eq!(good.as_ref().unwrap(), &vec![3.0, 4.0], "clean resend delivered");
-    }
-
-    #[test]
-    fn stale_epoch_envelope_is_rejected_structured() {
-        // A straggler stamped with a pre-fence epoch must be rejected
-        // with a structured error, never delivered (acceptance test).
-        let res = World::run_resilient(2, 0, |comm| {
-            let mut c = ctx(comm.rank());
-            if comm.rank() == 0 {
-                comm.advance_epoch(); // world is now in epoch 1
-                comm.force_send_epoch(0); // forge a dead-incarnation envelope
-                comm.send(1, 9, vec![1.0], NetPath::DeviceP2P, &c);
-                comm.send(1, 9, vec![2.0], NetPath::DeviceP2P, &c);
-                let _ = comm.recv(1, 10, &mut c);
-                (None, 0.0, 0)
-            } else {
-                while comm.epoch() == 0 {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                let stale = comm
-                    .try_recv_any_shared(0, &[9], &mut c, scaled_ms(2000))
-                    .err();
-                let (_, fresh) = comm
-                    .try_recv_any_shared(0, &[9], &mut c, scaled_ms(2000))
-                    .unwrap();
-                let count = comm.stale_rejected();
-                comm.send(0, 10, vec![], NetPath::DeviceP2P, &c);
-                (stale, fresh[0], count)
-            }
-        })
-        .results;
-        let (stale, fresh, count) = res[1].as_ref().unwrap();
-        match stale {
-            Some(RecvFailure::StaleEpoch { src: 0, got: 0, current: 1 }) => {}
-            other => panic!("want stale-epoch rejection, got {other:?}"),
-        }
-        assert_eq!(*fresh, 2.0, "current-epoch message still delivered");
-        assert!(*count >= 1, "rejection was counted");
-    }
-
-    #[test]
-    fn legacy_recv_discards_stale_silently() {
+    /// Rank 0 forges a pre-fence (epoch 0) envelope and then sends a
+    /// current one on the same tag; rank 1's blocking receive returns
+    /// what it delivered and the world's stale-rejection count.
+    fn stale_then_fresh_recv() -> (f64, u64) {
         let res = World::run_resilient(2, 0, |comm| {
             let mut c = ctx(comm.rank());
             if comm.rank() == 0 {
@@ -734,22 +658,37 @@ mod tests {
                 comm.send(1, 9, vec![1.0], NetPath::DeviceP2P, &c);
                 comm.send(1, 9, vec![2.0], NetPath::DeviceP2P, &c);
                 let _ = comm.recv(1, 10, &mut c);
-                0.0
+                (0.0, 0)
             } else {
                 while comm.epoch() == 0 {
                     std::thread::sleep(Duration::from_micros(100));
                 }
                 let v = comm.recv(0, 9, &mut c);
+                let count = comm.stale_rejected();
                 comm.send(0, 10, vec![], NetPath::DeviceP2P, &c);
-                v[0]
+                (v[0], count)
             }
         })
         .results;
+        *res[1].as_ref().unwrap()
+    }
+
+    #[test]
+    fn legacy_recv_discards_stale_silently() {
+        let (fresh, _) = stale_then_fresh_recv();
         assert_eq!(
-            *res[1].as_ref().unwrap(),
-            2.0,
+            fresh, 2.0,
             "blocking recv skips the stale envelope and delivers the fresh one"
         );
+    }
+
+    #[test]
+    fn stale_epoch_envelope_is_rejected_structured() {
+        // A straggler stamped with a pre-fence epoch is never delivered:
+        // the receive discards it and the world counts the rejection.
+        let (fresh, count) = stale_then_fresh_recv();
+        assert_eq!(fresh, 2.0, "the stale envelope was not delivered");
+        assert!(count >= 1, "the rejection was counted");
     }
 
     #[test]

@@ -263,7 +263,6 @@ fn rank_death_mid_job_recovers_under_the_scheduler() {
     deck.fault.kind = FaultKind::Panic;
     deck.fault.step = 3;
     deck.fault.rank = 1;
-    deck.fault.count = 1;
 
     let server = boot(2, 1, 8, 8);
     let id = server

@@ -143,11 +143,16 @@ fn rank_panic_without_respawns_exits_3_naming_the_rank() {
     // failure site, no doubled rank prefix in the summary.
     assert!(!stderr.contains("Box<dyn Any>"), "{stderr}");
     assert!(!stderr.contains("rank 0: rank 0:"), "{stderr}");
-    let survivor = stderr
-        .lines()
-        .find(|l| l.trim_start().starts_with("rank 0: "))
-        .unwrap_or_else(|| panic!("no line for rank 0:\n{stderr}"));
+    let line_of = |prefix: &str| {
+        let lines: Vec<&str> = stderr.lines().map(str::trim_start).collect();
+        let at = lines.iter().position(|l| l.starts_with(prefix));
+        at.map(|at| (at, lines[at])).unwrap_or_else(|| panic!("no {prefix:?} line:\n{stderr}"))
+    };
+    let (survivor_at, survivor) = line_of("rank 0: ");
     assert!(survivor.contains("rank 1"), "{survivor}");
+    // The summary lists the cause first.
+    let (cause_at, _) = line_of("rank 1: injected fault");
+    assert!(cause_at < survivor_at, "{stderr}");
 }
 
 #[test]

@@ -168,7 +168,6 @@ fn chaos_deck(job: &ChaosJob, ckpt_root: &Path, i: usize) -> (Deck, usize) {
     };
     d.fault.step = 3;
     d.fault.rank = 1;
-    d.fault.count = 1;
     (d, 2)
 }
 
