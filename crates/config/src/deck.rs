@@ -214,8 +214,9 @@ pub struct FaultCfg {
 }
 
 /// Serving policy carried with the deck when it is submitted to
-/// `mas-serve` (ignored by direct CLI runs). Defaults keep the PR-8
-/// behaviour: no deadline, a single attempt, no quarantine.
+/// `mas-serve` (ignored by direct CLI runs). A served job runs once:
+/// runs are deterministic, so a failure is final and the deck carries
+/// no retry budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeCfg {
     /// Wall-clock deadline in milliseconds, measured from submission.
@@ -223,11 +224,6 @@ pub struct ServeCfg {
     /// step boundary (or failed at claim time if it never started).
     /// 0 disables the deadline.
     pub deadline_ms: u64,
-    /// How many times the scheduler will run the job before giving up.
-    /// Attempts that end in a worker panic count toward the budget; the
-    /// final panicking attempt quarantines the job's cache key under
-    /// the crash-loop circuit breaker. Must be >= 1.
-    pub max_attempts: u32,
 }
 
 /// A deck that failed validation: every problem found, as one structured
@@ -287,7 +283,7 @@ pub struct Deck {
     pub resilience: ResilienceCfg,
     /// Fault-injection section (inert unless armed).
     pub fault: FaultCfg,
-    /// Serving policy section (`mas-serve` deadlines / retry budget).
+    /// Serving policy section (the `mas-serve` deadline).
     pub serve: ServeCfg,
 }
 
@@ -346,10 +342,7 @@ impl Default for Deck {
                 rank: 0,
                 io_error: "other".into(),
             },
-            serve: ServeCfg {
-                deadline_ms: 0,
-                max_attempts: 1,
-            },
+            serve: ServeCfg { deadline_ms: 0 },
         }
     }
 }
@@ -427,9 +420,6 @@ impl Deck {
                 self.resilience.recv_deadline_ms = v.as_usize()? as u64
             }
             ("serve", "deadline_ms") => self.serve.deadline_ms = v.as_usize()? as u64,
-            ("serve", "max_attempts") => {
-                self.serve.max_attempts = v.as_usize()? as u32
-            }
             _ => return Err("unknown key".into()),
         }
         Ok(())
@@ -438,16 +428,15 @@ impl Deck {
     /// Serialize back to deck text (round-trips through [`Deck::parse`]).
     pub fn to_deck_string(&self) -> String {
         format!(
-            "{}&serve\n  deadline_ms = {}\n  max_attempts = {}\n/\n",
+            "{}&serve\n  deadline_ms = {}\n/\n",
             self.identity_text(),
             self.serve.deadline_ms,
-            self.serve.max_attempts,
         )
     }
 
     /// Canonical text of everything that determines the run's *result*:
-    /// every section except `&serve`. Deadlines and retry budgets are
-    /// scheduling policy — two decks differing only there produce
+    /// every section except `&serve`. A deadline is scheduling
+    /// policy — two decks differing only there produce
     /// bit-identical physics, so this (not [`Deck::to_deck_string`]) is
     /// what [`Deck::content_hash`] digests.
     fn identity_text(&self) -> String {
@@ -619,9 +608,6 @@ impl Deck {
                 "fault step {} beyond n_steps {}",
                 self.fault.step, self.time.n_steps
             ));
-        }
-        if self.serve.max_attempts == 0 {
-            errs.push("serve max_attempts must be >= 1".into());
         }
         errs
     }
@@ -812,7 +798,6 @@ mod tests {
         // differing only in &serve hash equal (same cache entry).
         let mut c = Deck::preset_quickstart();
         c.serve.deadline_ms = 5000;
-        c.serve.max_attempts = 3;
         assert_eq!(a.content_hash(), c.content_hash());
     }
 
@@ -820,23 +805,22 @@ mod tests {
     fn serve_section_parses_and_defaults_off() {
         let d = Deck::default();
         assert_eq!(d.serve.deadline_ms, 0, "deadline must default off");
-        assert_eq!(d.serve.max_attempts, 1, "single attempt by default");
-        let text = "&serve\n deadline_ms = 2500\n max_attempts = 3\n/\n";
+        let text = "&serve\n deadline_ms = 2500\n/\n";
         let d = Deck::parse(text).unwrap();
         assert_eq!(d.serve.deadline_ms, 2500);
-        assert_eq!(d.serve.max_attempts, 3);
         assert!(d.validate().is_empty(), "{:?}", d.validate());
         // Round-trips through the canonical text form.
         assert_eq!(Deck::parse(&d.to_deck_string()).unwrap(), d);
     }
 
     #[test]
-    fn validate_rejects_zero_max_attempts() {
-        let mut d = Deck::default();
-        d.serve.max_attempts = 0;
-        let errs = d.validate();
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert!(errs[0].contains("max_attempts"));
+    fn serve_max_attempts_is_an_unknown_key() {
+        // A served job runs once: the retired retry budget is refused at
+        // parse like any other unknown key.
+        let err = Deck::parse("&serve\n max_attempts = 3\n/\n")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown key"), "{err}");
     }
 
     #[test]

@@ -40,9 +40,8 @@ mod tests {
 
     #[test]
     fn writes_header_and_rows() {
-        let dir = std::env::temp_dir().join("mas_io_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
+        let dir = crate::Scratch::new("csv_rows");
+        let path = dir.file("t.csv");
         {
             let mut w = CsvWriter::create(&path, &["x", "y"]).unwrap();
             w.row(&["1".into(), "2.5".into()]).unwrap();
@@ -55,9 +54,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn rejects_wrong_width() {
-        let dir = std::env::temp_dir().join("mas_io_csv_test2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut w = CsvWriter::create(dir.join("t.csv"), &["x", "y"]).unwrap();
+        let dir = crate::Scratch::new("csv_width");
+        let mut w = CsvWriter::create(dir.file("t.csv"), &["x", "y"]).unwrap();
         w.row(&["1".into()]).unwrap();
     }
 }

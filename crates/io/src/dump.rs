@@ -403,12 +403,7 @@ fn walk(path: &Path, mut load: Option<&mut [(&str, &mut Array3)]>) -> io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("mas_io_dump_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
+    use crate::Scratch;
 
     fn sample_pair() -> (Array3, Array3) {
         let mut a = Array3::zeros(3, 4, 5);
@@ -422,8 +417,9 @@ mod tests {
 
     #[test]
     fn roundtrip() {
+        let dir = Scratch::new("dump_roundtrip");
         let (a, b) = sample_pair();
-        let p = temp_path("rt.dump");
+        let p = dir.file("rt.dump");
         write_fields(&p, DumpHeader { step: 42, time: 1.5, epoch: 3 }, &[("rho", &a), ("temp", &b)])
             .unwrap();
         let mut a2 = Array3::zeros(3, 4, 5);
@@ -440,6 +436,7 @@ mod tests {
     /// trailer; v2: no epoch word, CRC trailer) and expect both readers to
     /// reject it.
     fn assert_retired_version_rejected(version: u32) {
+        let dir = Scratch::new(&format!("dump_retired_v{version}"));
         let (a, _) = sample_pair();
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&version.to_le_bytes());
@@ -458,7 +455,7 @@ mod tests {
             let crc = crc32(&bytes);
             bytes.extend_from_slice(&crc.to_le_bytes());
         }
-        let p = temp_path(&format!("v{version}.dump"));
+        let p = dir.file(&format!("v{version}.dump"));
         std::fs::write(&p, &bytes).unwrap();
         let err = validate_dump(&p).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -481,8 +478,9 @@ mod tests {
 
     #[test]
     fn crc_catches_single_flipped_byte_anywhere() {
+        let dir = Scratch::new("dump_crc_catches_single_flipped_byte_anywhere");
         let (a, b) = sample_pair();
-        let p = temp_path("flip.dump");
+        let p = dir.file("flip.dump");
         write_fields(&p, DumpHeader { step: 1, time: 2.0, epoch: 0 }, &[("rho", &a), ("temp", &b)])
             .unwrap();
         let good = std::fs::read(&p).unwrap();
@@ -491,7 +489,7 @@ mod tests {
         let mut corrupt = good.clone();
         let idx = good.len() - 12; // inside the last field's data
         corrupt[idx] ^= 0x40;
-        let pc = temp_path("flip_c.dump");
+        let pc = dir.file("flip_c.dump");
         std::fs::write(&pc, &corrupt).unwrap();
         let mut a2 = Array3::zeros(3, 4, 5);
         let mut b2 = Array3::zeros(2, 2, 2);
@@ -502,8 +500,9 @@ mod tests {
 
     #[test]
     fn rejects_trailing_bytes() {
+        let dir = Scratch::new("dump_rejects_trailing_bytes");
         let (a, _) = sample_pair();
-        let p = temp_path("trail.dump");
+        let p = dir.file("trail.dump");
         write_fields(&p, DumpHeader { step: 0, time: 0.0, epoch: 0 }, &[("rho", &a)]).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
         bytes.push(0u8);
@@ -515,8 +514,9 @@ mod tests {
 
     #[test]
     fn injected_write_fault_leaves_destination_untouched() {
+        let dir = Scratch::new("dump_injected_write_fault_leaves_destination_untouched");
         let (a, _) = sample_pair();
-        let p = temp_path("fault.dump");
+        let p = dir.file("fault.dump");
         // A good dump exists...
         write_fields(&p, DumpHeader { step: 5, time: 1.0, epoch: 0 }, &[("rho", &a)]).unwrap();
         // ...then the next write dies mid-flight.
@@ -538,8 +538,9 @@ mod tests {
 
     #[test]
     fn truncation_at_every_boundary_is_clean_invalid_data() {
+        let dir = Scratch::new("dump_truncation_at_every_boundary_is_clean_invalid_data");
         let (a, b) = sample_pair();
-        let p = temp_path("trunc.dump");
+        let p = dir.file("trunc.dump");
         write_fields(&p, DumpHeader { step: 3, time: 0.5, epoch: 0 }, &[("rho", &a), ("temp", &b)])
             .unwrap();
         let good = std::fs::read(&p).unwrap();
@@ -553,7 +554,7 @@ mod tests {
             good.len() - 2, // partial CRC trailer
         ];
         for cut in cuts {
-            let pt = temp_path("trunc_cut.dump");
+            let pt = dir.file("trunc_cut.dump");
             std::fs::write(&pt, &good[..cut]).unwrap();
             let mut a2 = Array3::zeros(3, 4, 5);
             let mut b2 = Array3::zeros(2, 2, 2);
@@ -570,8 +571,9 @@ mod tests {
 
     #[test]
     fn oversized_name_len_is_rejected_without_allocation() {
+        let dir = Scratch::new("dump_oversized_name_len_is_rejected_without_allocation");
         let (a, _) = sample_pair();
-        let p = temp_path("bigname.dump");
+        let p = dir.file("bigname.dump");
         write_fields(&p, DumpHeader { step: 0, time: 0.0, epoch: 0 }, &[("rho", &a)]).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
         // name_len lives at offset 40 (after the v3 epoch word); claim ~4 GiB.
@@ -585,8 +587,9 @@ mod tests {
 
     #[test]
     fn dim_overflow_is_rejected_cleanly() {
+        let dir = Scratch::new("dump_dim_overflow_is_rejected_cleanly");
         let (a, _) = sample_pair();
-        let p = temp_path("dimovf.dump");
+        let p = dir.file("dimovf.dump");
         write_fields(&p, DumpHeader { step: 0, time: 0.0, epoch: 0 }, &[("rho", &a)]).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
         // Dims live right after "rho" (offset 40 name_len + 4 + 3 name).
@@ -604,7 +607,8 @@ mod tests {
 
     #[test]
     fn rejects_wrong_magic() {
-        let p = temp_path("bad.dump");
+        let dir = Scratch::new("dump_rejects_wrong_magic");
+        let p = dir.file("bad.dump");
         std::fs::write(&p, b"NOTADUMPxxxxxxxxxxxx").unwrap();
         let mut a = Array3::zeros(2, 2, 2);
         let err = read_fields(&p, &mut [("rho", &mut a)]).unwrap_err();
@@ -613,8 +617,9 @@ mod tests {
 
     #[test]
     fn rejects_future_version() {
+        let dir = Scratch::new("dump_rejects_future_version");
         let (a, _) = sample_pair();
-        let p = temp_path("future.dump");
+        let p = dir.file("future.dump");
         write_fields(&p, DumpHeader { step: 0, time: 0.0, epoch: 0 }, &[("rho", &a)]).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
@@ -626,8 +631,9 @@ mod tests {
 
     #[test]
     fn rejects_dim_mismatch() {
+        let dir = Scratch::new("dump_rejects_dim_mismatch");
         let a = Array3::zeros(3, 3, 3);
-        let p = temp_path("dims.dump");
+        let p = dir.file("dims.dump");
         write_fields(&p, DumpHeader { step: 0, time: 0.0, epoch: 0 }, &[("rho", &a)]).unwrap();
         let mut b = Array3::zeros(4, 3, 3);
         let err = read_fields(&p, &mut [("rho", &mut b)]).unwrap_err();
@@ -636,8 +642,9 @@ mod tests {
 
     #[test]
     fn rejects_name_mismatch() {
+        let dir = Scratch::new("dump_rejects_name_mismatch");
         let a = Array3::zeros(2, 2, 2);
-        let p = temp_path("names.dump");
+        let p = dir.file("names.dump");
         write_fields(&p, DumpHeader { step: 0, time: 0.0, epoch: 0 }, &[("rho", &a)]).unwrap();
         let mut b = Array3::zeros(2, 2, 2);
         let err = read_fields(&p, &mut [("temp", &mut b)]).unwrap_err();
@@ -646,8 +653,9 @@ mod tests {
 
     #[test]
     fn rejects_field_count_mismatch() {
+        let dir = Scratch::new("dump_rejects_field_count_mismatch");
         let a = Array3::zeros(2, 2, 2);
-        let p = temp_path("count.dump");
+        let p = dir.file("count.dump");
         write_fields(&p, DumpHeader { step: 0, time: 0.0, epoch: 0 }, &[("rho", &a)]).unwrap();
         let mut b = Array3::zeros(2, 2, 2);
         let mut c = Array3::zeros(2, 2, 2);
@@ -657,8 +665,9 @@ mod tests {
 
     #[test]
     fn validate_accepts_good_rejects_corrupt() {
+        let dir = Scratch::new("dump_validate_accepts_good_rejects_corrupt");
         let (a, b) = sample_pair();
-        let p = temp_path("val.dump");
+        let p = dir.file("val.dump");
         write_fields(&p, DumpHeader { step: 11, time: 3.5, epoch: 0 }, &[("rho", &a), ("temp", &b)])
             .unwrap();
         let h = validate_dump(&p).unwrap();
@@ -667,14 +676,14 @@ mod tests {
         let mut bytes = std::fs::read(&p).unwrap();
         let idx = bytes.len() - 12;
         bytes[idx] ^= 0x01;
-        let pc = temp_path("val_c.dump");
+        let pc = dir.file("val_c.dump");
         std::fs::write(&pc, &bytes).unwrap();
         let err = validate_dump(&pc).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // Truncation is also clean InvalidData, at every prefix length.
         let good = std::fs::read(&p).unwrap();
         for cut in [0, 7, 13, 31, 40, good.len() - 1] {
-            let pt = temp_path("val_t.dump");
+            let pt = dir.file("val_t.dump");
             std::fs::write(&pt, &good[..cut]).unwrap();
             let err = validate_dump(&pt).expect_err(&format!("cut {cut}"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut {cut}: {err}");
@@ -685,7 +694,7 @@ mod tests {
         big[47..51].copy_from_slice(&1000u32.to_le_bytes());
         big[51..55].copy_from_slice(&1000u32.to_le_bytes());
         big[55..59].copy_from_slice(&1000u32.to_le_bytes());
-        let pb = temp_path("val_b.dump");
+        let pb = dir.file("val_b.dump");
         std::fs::write(&pb, &big).unwrap();
         let err = validate_dump(&pb).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

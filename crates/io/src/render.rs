@@ -131,9 +131,8 @@ mod tests {
 
     #[test]
     fn ppm_has_correct_header_and_size() {
-        let dir = std::env::temp_dir().join("mas_io_render_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.ppm");
+        let dir = crate::Scratch::new("render");
+        let path = dir.file("t.ppm");
         let (lo, hi) = render_ppm(&path, &ramp_image(), Colormap::Heat, 2).unwrap();
         assert_eq!((lo, hi), (0.0, 31.0));
         let bytes = std::fs::read(&path).unwrap();

@@ -149,9 +149,8 @@ mod tests {
             span(0.0, 10.0, TimeCategory::Kernel),
             span(10.0, 12.0, TimeCategory::P2P),
         ];
-        let dir = std::env::temp_dir().join("mas_io_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.json");
+        let dir = crate::Scratch::new("trace");
+        let path = dir.file("t.json");
         export_chrome_trace(&spans, 3, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.trim_start().starts_with('['));

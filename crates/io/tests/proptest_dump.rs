@@ -6,10 +6,27 @@
 use mas_field::Array3;
 use mas_io::{validate_dump, write_fields, DumpHeader};
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 
-fn sample_dump_bytes(step: u64, time: f64, epoch: u64, fill: f64) -> Vec<u8> {
-    let dir = std::env::temp_dir().join("mas_io_proptest_dump");
-    std::fs::create_dir_all(&dir).unwrap();
+/// This process's scratch directory under the system temp dir, removed
+/// with everything written there on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new() -> Self {
+        let dir = std::env::temp_dir().join(format!("mas_io_proptest_dump_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn sample_dump_bytes(dir: &Path, step: u64, time: f64, epoch: u64, fill: f64) -> Vec<u8> {
     let p = dir.join(format!("base_{step}_{epoch}.dump"));
     let mut a = Array3::zeros(3, 4, 5);
     let mut b = Array3::zeros(2, 3, 2);
@@ -20,9 +37,7 @@ fn sample_dump_bytes(step: u64, time: f64, epoch: u64, fill: f64) -> Vec<u8> {
         *v = -fill - i as f64;
     }
     write_fields(&p, DumpHeader { step, time, epoch }, &[("rho", &a), ("temp", &b)]).unwrap();
-    let bytes = std::fs::read(&p).unwrap();
-    std::fs::remove_file(&p).ok();
-    bytes
+    std::fs::read(&p).unwrap()
 }
 
 proptest! {
@@ -38,17 +53,15 @@ proptest! {
         offset_seed in 0usize..usize::MAX,
         bit in 0u8..8,
     ) {
-        let good = sample_dump_bytes(step, 0.5, epoch, fill);
+        let dir = Scratch::new();
+        let good = sample_dump_bytes(&dir.0, step, 0.5, epoch, fill);
         let offset = offset_seed % good.len();
         let mut corrupt = good.clone();
         corrupt[offset] ^= 1u8 << bit;
 
-        let dir = std::env::temp_dir().join("mas_io_proptest_dump");
-        std::fs::create_dir_all(&dir).unwrap();
-        let pc = dir.join(format!("flip_{step}_{offset}_{bit}.dump"));
+        let pc = dir.0.join(format!("flip_{step}_{offset}_{bit}.dump"));
         std::fs::write(&pc, &corrupt).unwrap();
         let result = validate_dump(&pc);
-        std::fs::remove_file(&pc).ok();
 
         prop_assert!(
             result.is_err(),
@@ -57,10 +70,9 @@ proptest! {
         );
         // And the pristine bytes still validate (the flip, not the
         // plumbing, is what fails).
-        let pg = dir.join(format!("good_{step}_{offset}_{bit}.dump"));
+        let pg = dir.0.join(format!("good_{step}_{offset}_{bit}.dump"));
         std::fs::write(&pg, &good).unwrap();
         let h = validate_dump(&pg);
-        std::fs::remove_file(&pg).ok();
         prop_assert!(h.is_ok());
         prop_assert_eq!(h.unwrap().epoch, epoch);
     }

@@ -652,6 +652,10 @@ pub fn run_supervised_with_progress(
             comm.epoch_fence(fence_timeout(deadline))
                 .map_err(|e| format!("respawned, but the recovery fence failed: {e}"))?;
         }
+        // One log per incarnation: a survivor that re-enters the body
+        // after a fence keeps what it did before, and a replacement
+        // starts fresh.
+        let mut log = RecoveryLog::default();
         let mut fences = 0usize;
         loop {
             let attempt = catch_unwind(AssertUnwindSafe(|| {
@@ -666,6 +670,7 @@ pub fn run_supervised_with_progress(
                     plan.as_ref(),
                     &fired,
                     progress.as_ref(),
+                    &mut log,
                 )
             }));
             let payload = match attempt {
@@ -735,7 +740,7 @@ pub fn run_supervised_with_progress(
 /// restart point), and runs the step loop, supervised unless the deck
 /// sets no respawn budget, no checkpointing, no restart and no fault.
 /// Called once per incarnation *and* re-entered by survivors after every
-/// recovery fence.
+/// recovery fence; `log` is the incarnation's, so each entry adds to it.
 #[allow(clippy::too_many_arguments)]
 fn run_segment(
     deck: &Deck,
@@ -748,6 +753,7 @@ fn run_segment(
     plan: Option<&FaultPlan>,
     fired: &AtomicBool,
     progress: Option<&ProgressFn>,
+    log: &mut RecoveryLog,
 ) -> Result<crate::run::RunReport, String> {
     let mut sim = Simulation::builder(deck)
         .version(version)
@@ -760,36 +766,42 @@ fn run_segment(
         sim.par.ctx.prof.set_record_spans(true);
     }
     sim.epoch = comm.epoch();
-    let mut log = RecoveryLog::default();
 
     // Post-death recovery (epoch > 0): every rank rolls back to the last
     // collectively committed rotation slot; if nobody checkpointed yet,
     // the run replays from step 0 — both bit-exact with an undisturbed
     // run. First entries honor the user's restart point as usual.
+    let mut restored = None;
     if sim.epoch > 0 && deck.checkpoint.interval > 0 {
-        if let Some((path, step)) = try_restore_committed(&mut sim, comm, &deck.checkpoint.dir)? {
-            log.restored_from = Some(format!("{} (step {step})", path.display()));
-            let _ = emit(progress, ProgressEvent::Restored { rank: comm.rank(), step });
-        }
+        restored = try_restore_committed(&mut sim, comm, &deck.checkpoint.dir)?;
     }
-    if log.restored_from.is_none() && !deck.checkpoint.restart_from.is_empty() {
-        let (path, step) = restore_for_restart(&mut sim, comm, &deck.checkpoint.restart_from)?;
+    if restored.is_none() && !deck.checkpoint.restart_from.is_empty() {
+        let from = &deck.checkpoint.restart_from;
+        restored = Some(restore_for_restart(&mut sim, comm, from)?);
+    }
+    if let Some((path, step)) = &restored {
         log.restored_from = Some(format!("{} (step {step})", path.display()));
-        let _ = emit(progress, ProgressEvent::Restored { rank: comm.rank(), step });
     }
-    if sim.epoch > 0 && log.restored_from.is_none() {
-        // Post-death recovery with nothing committed on disk: the run
-        // replays from a fresh step-0 state. Still a recovery event —
-        // observers must see that forward progress was thrown away.
-        let _ = emit(progress, ProgressEvent::Restored { rank: comm.rank(), step: 0 });
+    // Post-death recovery with nothing committed on disk replays from a
+    // fresh step-0 state. Still a recovery event — observers must see
+    // that forward progress was thrown away.
+    if restored.is_some() || sim.epoch > 0 {
+        let step = restored.as_ref().map_or(0, |(_, step)| *step);
+        let _ = emit(
+            progress,
+            ProgressEvent::Restored {
+                rank: comm.rank(),
+                step,
+            },
+        );
     }
 
     log.supervised = deck.resilience.max_respawns > 0
         || deck.checkpoint.interval > 0
         || plan.is_some()
         || log.restored_from.is_some();
-    supervise(&mut sim, comm, plan, &mut log, fired, progress)?;
-    Ok(report_from(sim, n_ranks, log))
+    supervise(&mut sim, comm, plan, log, fired, progress)?;
+    Ok(report_from(sim, n_ranks, std::mem::take(log)))
 }
 
 #[cfg(test)]
@@ -1157,7 +1169,18 @@ mod tests {
             assert_eq!(log.respawns, 0, "rank {}: nobody died", b.rank);
             let from = log.restored_from.as_deref().unwrap_or("");
             assert!(from.contains("step 2"), "rank {}: restored from {from:?}", b.rank);
+            // The log survives the fence: the step-2 checkpoint written
+            // before it counts with the two written after it.
+            assert_eq!(
+                log.checkpoints_written, a.recovery.checkpoints_written,
+                "rank {}",
+                b.rank
+            );
         }
+        assert_eq!(
+            rep.ranks[1].recovery.faults_injected, 1,
+            "rank 1 dropped the plane"
+        );
     }
 
     fn resilient_deck(scratch: &Scratch) -> Deck {

@@ -206,19 +206,6 @@ impl RemoteClient {
         self.request("stats")
     }
 
-    /// List quarantined run keys.
-    pub fn quarantine_list(&self) -> Result<String, String> {
-        self.request("quarantine list")
-    }
-
-    /// Clear the quarantine (all keys, or one deck hash).
-    pub fn quarantine_clear(&self, deck_hash: Option<u64>) -> Result<String, String> {
-        match deck_hash {
-            Some(h) => self.request(&format!("quarantine clear hash={h}")),
-            None => self.request("quarantine clear"),
-        }
-    }
-
     /// Drain the server: intake closes, every queued and running job
     /// finishes, then the server exits. Blocks until the drain
     /// completes (no deadline).

@@ -1,4 +1,6 @@
-//! The job model: one deck submission and its lifecycle.
+//! The job model: one deck submission and its lifecycle. A job runs
+//! once: its outcome is the run's, and a failed run ends the job
+//! `Failed` with the run's message.
 
 use mas_config::Deck;
 use std::fmt;
@@ -32,22 +34,13 @@ pub struct JobSpec {
     pub priority: i32,
     /// Tenant the submission is accounted to (per-tenant quotas).
     pub tenant: String,
-    /// Wall-clock deadline in milliseconds from submission; 0 = none.
-    /// Past the deadline the job is cancelled cooperatively at the next
-    /// step boundary (or failed at claim time if it never started).
-    pub deadline_ms: u64,
-    /// Execution attempts before the scheduler gives up (>= 1). A final
-    /// attempt that dies by worker panic quarantines the job's cache key.
-    pub max_attempts: u32,
 }
 
 impl JobSpec {
     /// A defaulted spec for `deck`: version A, one rank, seed 0,
-    /// priority 0, tenant `"default"`. Deadline and attempt budget are
-    /// taken from the deck's `&serve` section (0 / 1 by default).
+    /// priority 0, tenant `"default"`. The deadline is the deck's
+    /// `&serve deadline_ms` (see [`JobSpec::deadline_ms`]).
     pub fn new(deck: Deck) -> Self {
-        let deadline_ms = deck.serve.deadline_ms;
-        let max_attempts = deck.serve.max_attempts.max(1);
         Self {
             deck,
             version: CodeVersion::A,
@@ -55,8 +48,6 @@ impl JobSpec {
             seed: 0,
             priority: 0,
             tenant: "default".into(),
-            deadline_ms,
-            max_attempts,
         }
     }
 
@@ -90,21 +81,14 @@ impl JobSpec {
         self
     }
 
-    /// Set the wall-clock deadline in milliseconds (0 = none). Writes
-    /// through to the deck's `&serve` section so the journal's canonical
-    /// deck text round-trips the policy across restarts.
+    /// Set the wall-clock deadline in milliseconds from submission
+    /// (0 = none): past it the job is cancelled cooperatively at the
+    /// next step boundary, or failed at claim time if it never started.
+    /// Stored in the deck's `&serve` section, the one place the server
+    /// reads it, so the journal's canonical deck text carries it across
+    /// restarts.
     pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.deadline_ms = ms;
         self.deck.serve.deadline_ms = ms;
-        self
-    }
-
-    /// Set the attempt budget (clamped to >= 1). Writes through to the
-    /// deck's `&serve` section, like [`JobSpec::deadline_ms`].
-    pub fn max_attempts(mut self, n: u32) -> Self {
-        let n = n.max(1);
-        self.max_attempts = n;
-        self.deck.serve.max_attempts = n;
         self
     }
 }
@@ -122,11 +106,6 @@ pub enum JobState {
     Failed,
     /// Cancelled — before start, or cooperatively mid-run.
     Cancelled,
-    /// Quarantined under the crash-loop circuit breaker: every attempt
-    /// in the budget died by worker panic, so the job's cache key is
-    /// blocked from resubmission until an operator clears it
-    /// (`quarantine clear` on the wire).
-    Quarantined,
 }
 
 impl JobState {
@@ -134,7 +113,7 @@ impl JobState {
     pub fn is_terminal(self) -> bool {
         matches!(
             self,
-            JobState::Done | JobState::Failed | JobState::Cancelled | JobState::Quarantined
+            JobState::Done | JobState::Failed | JobState::Cancelled
         )
     }
 
@@ -146,7 +125,6 @@ impl JobState {
             JobState::Done => "done",
             JobState::Failed => "failed",
             JobState::Cancelled => "cancelled",
-            JobState::Quarantined => "quarantined",
         }
     }
 }
@@ -192,9 +170,7 @@ mod tests {
         assert!(JobState::Done.is_terminal());
         assert!(JobState::Failed.is_terminal());
         assert!(JobState::Cancelled.is_terminal());
-        assert!(JobState::Quarantined.is_terminal());
         assert_eq!(JobState::Running.name(), "running");
-        assert_eq!(JobState::Quarantined.name(), "quarantined");
         assert_eq!(JobId(3).to_string(), "job-3");
     }
 
@@ -206,29 +182,22 @@ mod tests {
             .seed(7)
             .priority(5)
             .tenant("helio")
-            .deadline_ms(1500)
-            .max_attempts(3);
+            .deadline_ms(1500);
         assert_eq!(s.version, CodeVersion::Ad);
         assert_eq!(s.n_ranks, 2);
         assert_eq!(s.seed, 7);
         assert_eq!(s.priority, 5);
         assert_eq!(s.tenant, "helio");
-        assert_eq!(s.deadline_ms, 1500);
-        assert_eq!(s.max_attempts, 3);
+        assert_eq!(s.deck.serve.deadline_ms, 1500);
     }
 
     #[test]
     fn spec_inherits_deck_serve_section() {
         let mut d = Deck::preset_quickstart();
         d.serve.deadline_ms = 900;
-        d.serve.max_attempts = 4;
         let s = JobSpec::new(d);
-        assert_eq!(s.deadline_ms, 900);
-        assert_eq!(s.max_attempts, 4);
-        // max_attempts clamps to >= 1 even if a raw deck said 0.
-        let mut d = Deck::preset_quickstart();
-        d.serve.max_attempts = 0;
-        assert_eq!(JobSpec::new(d).max_attempts, 1);
-        assert_eq!(JobSpec::new(Deck::preset_quickstart()).max_attempts(0).max_attempts, 1);
+        assert_eq!(s.deck.serve.deadline_ms, 900);
+        // `deadline_ms(ms)` overrides the deck's value in place.
+        assert_eq!(s.deadline_ms(40).deck.serve.deadline_ms, 40);
     }
 }

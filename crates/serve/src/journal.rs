@@ -191,6 +191,8 @@ impl PersistedReport {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Record {
     /// A server booted over this state directory (epoch in the frame).
+    /// Also what an older build's retired kind-9 frame decodes to: a
+    /// record that changes nothing.
     Boot,
     /// A job was accepted. Enough to rebuild its [`JobSpec`] exactly.
     Submitted {
@@ -264,40 +266,6 @@ pub enum Record {
         /// RNG seed.
         seed: u64,
     },
-    /// A job's cache key entered crash-loop quarantine: every attempt in
-    /// its budget died by worker panic, so resubmissions of the same run
-    /// are rejected until the key is reinstated. Like cache entries,
-    /// quarantine is per-build (`code_rev`): a new build may have fixed
-    /// the crash, so recovery drops entries stamped by another build.
-    Quarantined {
-        /// The job whose final attempt tripped the breaker.
-        id: u64,
-        /// Deck content hash (the quarantine key's first component).
-        deck_hash: u64,
-        /// Code version tag.
-        version_tag: String,
-        /// Build whose workers the deck crashed.
-        code_rev: String,
-        /// Rank layout.
-        n_ranks: u32,
-        /// RNG seed.
-        seed: u64,
-        /// The final attempt's failure message.
-        message: String,
-    },
-    /// A quarantined key was cleared by an operator (`quarantine clear`).
-    Reinstated {
-        /// Deck content hash.
-        deck_hash: u64,
-        /// Code version tag.
-        version_tag: String,
-        /// Build the quarantine belonged to.
-        code_rev: String,
-        /// Rank layout.
-        n_ranks: u32,
-        /// RNG seed.
-        seed: u64,
-    },
 }
 
 impl Record {
@@ -338,30 +306,6 @@ impl Record {
         }
     }
 
-    /// A `Quarantined` record for a job's key + final failure message.
-    pub fn quarantined(id: u64, key: &CacheKey, message: &str) -> Self {
-        Record::Quarantined {
-            id,
-            deck_hash: key.deck_hash,
-            version_tag: key.version.tag().to_string(),
-            code_rev: key.code_rev.to_string(),
-            n_ranks: key.n_ranks as u32,
-            seed: key.seed,
-            message: message.to_string(),
-        }
-    }
-
-    /// A `Reinstated` record for a key.
-    pub fn reinstated(key: &CacheKey) -> Self {
-        Record::Reinstated {
-            deck_hash: key.deck_hash,
-            version_tag: key.version.tag().to_string(),
-            code_rev: key.code_rev.to_string(),
-            n_ranks: key.n_ranks as u32,
-            seed: key.seed,
-        }
-    }
-
     fn kind(&self) -> u8 {
         match self {
             Record::Boot => 0,
@@ -372,8 +316,6 @@ impl Record {
             Record::Cancelled { .. } => 5,
             Record::CacheInsert { .. } => 6,
             Record::Evicted { .. } => 7,
-            Record::Quarantined { .. } => 8,
-            Record::Reinstated { .. } => 9,
         }
     }
 }
@@ -517,36 +459,12 @@ fn encode_payload(epoch: u64, rec: &Record) -> Vec<u8> {
             code_rev,
             n_ranks,
             seed,
-        }
-        | Record::Reinstated {
-            deck_hash,
-            version_tag,
-            code_rev,
-            n_ranks,
-            seed,
         } => {
             w_u64(&mut out, *deck_hash);
             w_str(&mut out, version_tag);
             w_str(&mut out, code_rev);
             w_u32(&mut out, *n_ranks);
             w_u64(&mut out, *seed);
-        }
-        Record::Quarantined {
-            id,
-            deck_hash,
-            version_tag,
-            code_rev,
-            n_ranks,
-            seed,
-            message,
-        } => {
-            w_u64(&mut out, *id);
-            w_u64(&mut out, *deck_hash);
-            w_str(&mut out, version_tag);
-            w_str(&mut out, code_rev);
-            w_u32(&mut out, *n_ranks);
-            w_u64(&mut out, *seed);
-            w_str(&mut out, message);
         }
     }
     out
@@ -632,26 +550,40 @@ fn decode_payload(payload: &[u8]) -> Result<(u64, Record), String> {
             n_ranks: c.u32("n_ranks")?,
             seed: c.u64("seed")?,
         },
-        8 => Record::Quarantined {
-            id: c.u64("id")?,
-            deck_hash: c.u64("deck hash")?,
-            version_tag: c.str("version tag")?,
-            code_rev: c.str("code rev")?,
-            n_ranks: c.u32("n_ranks")?,
-            seed: c.u64("seed")?,
-            message: c.str("message")?,
-        },
-        9 => Record::Reinstated {
-            deck_hash: c.u64("deck hash")?,
-            version_tag: c.str("version tag")?,
-            code_rev: c.str("code rev")?,
-            n_ranks: c.u32("n_ranks")?,
-            seed: c.u64("seed")?,
-        },
+        // Kinds 8 and 9 are retired: older builds wrote them for the
+        // crash-loop quarantine (a run key embargoed after its job
+        // panicked, and an operator's clear of that key). They still
+        // decode, so a state dir those builds left boots without
+        // truncation, and are never written again. Kind 8 ended its job:
+        // it replays as `Failed` with the stored message. Kind 9 changes
+        // nothing: it replays as a `Boot`.
+        8 => {
+            let id = c.u64("id")?;
+            skip_run_key(&mut c)?;
+            Record::Failed {
+                id,
+                message: c.str("message")?,
+            }
+        }
+        9 => {
+            skip_run_key(&mut c)?;
+            Record::Boot
+        }
         other => return Err(format!("unknown record kind {other}")),
     };
     c.done()?;
     Ok((epoch, rec))
+}
+
+/// Read past a retired record's run key (deck hash, version tag, code
+/// rev, rank count, seed).
+fn skip_run_key(c: &mut Cur) -> Result<(), String> {
+    c.u64("deck hash")?;
+    c.str("version tag")?;
+    c.str("code rev")?;
+    c.u32("n_ranks")?;
+    c.u64("seed")?;
+    Ok(())
 }
 
 /// Reconstruct the [`JobSpec`] a `Submitted` record describes. Fails if
@@ -920,13 +852,32 @@ pub fn verify(path: &Path) -> io::Result<(usize, Option<String>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{JobId, JobState};
 
-    fn temp_journal(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("mas_serve_journal_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join(name);
-        let _ = std::fs::remove_file(&p);
-        p
+    /// A test case's scratch directory under the system temp dir. Its
+    /// name carries the case and the process id, so two concurrent runs
+    /// of the suite never share journals, and dropping it removes it
+    /// with everything written there.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(case: &str) -> Self {
+            let dir = std::env::temp_dir()
+                .join(format!("mas_serve_journal_{case}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create scratch dir");
+            Scratch(dir)
+        }
+
+        fn file(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn sample_records() -> Vec<Record> {
@@ -981,28 +932,13 @@ mod tests {
                 n_ranks: 2,
                 seed: 42,
             },
-            Record::Quarantined {
-                id: 4,
-                deck_hash: 0xfeed_f00d,
-                version_tag: "A".into(),
-                code_rev: CODE_REV.into(),
-                n_ranks: 1,
-                seed: 7,
-                message: "worker panic: deck crashed every attempt".into(),
-            },
-            Record::Reinstated {
-                deck_hash: 0xfeed_f00d,
-                version_tag: "A".into(),
-                code_rev: CODE_REV.into(),
-                n_ranks: 1,
-                seed: 7,
-            },
         ]
     }
 
     #[test]
     fn append_replay_roundtrip() {
-        let p = temp_journal("rt.log");
+        let dir = Scratch::new("append_replay_roundtrip");
+        let p = dir.file("rt.log");
         let recs = sample_records();
         {
             let (mut j, rep) = Journal::open(&p).unwrap();
@@ -1024,7 +960,8 @@ mod tests {
 
     #[test]
     fn every_flipped_byte_stops_replay_at_or_before_the_flip() {
-        let p = temp_journal("flip.log");
+        let dir = Scratch::new("every_flipped_byte_stops_replay_at_or_before_the_flip");
+        let p = dir.file("flip.log");
         let recs = sample_records();
         {
             let (mut j, _) = Journal::open(&p).unwrap();
@@ -1037,7 +974,7 @@ mod tests {
         for idx in HEADER_LEN as usize..good.len() {
             let mut corrupt = good.clone();
             corrupt[idx] ^= 0x20;
-            let pc = temp_journal("flip_c.log");
+            let pc = dir.file("flip_c.log");
             std::fs::write(&pc, &corrupt).unwrap();
             let rep = replay(&pc).unwrap();
             // Replay never panics, never returns more records than the
@@ -1060,7 +997,8 @@ mod tests {
 
     #[test]
     fn truncation_at_every_length_keeps_the_valid_prefix() {
-        let p = temp_journal("trunc.log");
+        let dir = Scratch::new("truncation_at_every_length_keeps_the_valid_prefix");
+        let p = dir.file("trunc.log");
         let recs = sample_records();
         {
             let (mut j, _) = Journal::open(&p).unwrap();
@@ -1071,7 +1009,7 @@ mod tests {
         let good = std::fs::read(&p).unwrap();
         let clean = replay(&p).unwrap().records;
         for cut in 0..good.len() {
-            let pt = temp_journal("trunc_c.log");
+            let pt = dir.file("trunc_c.log");
             std::fs::write(&pt, &good[..cut]).unwrap();
             let rep = replay(&pt).unwrap();
             assert!(rep.records.len() <= clean.len());
@@ -1098,7 +1036,8 @@ mod tests {
 
     #[test]
     fn oversized_lengths_are_rejected_without_allocation() {
-        let p = temp_journal("big.log");
+        let dir = Scratch::new("oversized_lengths_are_rejected_without_allocation");
+        let p = dir.file("big.log");
         {
             let (mut j, _) = Journal::open(&p).unwrap();
             j.append(1, &Record::Boot).unwrap();
@@ -1115,7 +1054,8 @@ mod tests {
 
     #[test]
     fn non_journal_files_error_instead_of_truncating() {
-        let p = temp_journal("notajournal.log");
+        let dir = Scratch::new("non_journal_files_error_instead_of_truncating");
+        let p = dir.file("notajournal.log");
         std::fs::write(&p, b"this is somebody else's data, not a journal").unwrap();
         let err = replay(&p).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -1129,7 +1069,8 @@ mod tests {
 
     #[test]
     fn compaction_preserves_state_and_resets_the_trigger() {
-        let p = temp_journal("compact.log");
+        let dir = Scratch::new("compaction_preserves_state_and_resets_the_trigger");
+        let p = dir.file("compact.log");
         let recs = sample_records();
         let (mut j, _) = Journal::open(&p).unwrap();
         for r in &recs {
@@ -1177,29 +1118,100 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_records_roundtrip_through_constructors() {
-        let key = CacheKey {
-            deck_hash: 0xabc,
-            version: stdpar::CodeVersion::Ad,
-            code_rev: CODE_REV,
-            n_ranks: 3,
-            seed: 11,
+    fn retired_quarantine_frames_still_boot() {
+        // The journal an older build left after quarantining a panicking
+        // job and clearing its key, written byte by byte like
+        // `old_journal_layout_still_replays`: job 1 submitted, started,
+        // quarantined (kind 8) and cleared (kind 9); job 2 submitted and
+        // started when the process died. The deck text is this build's:
+        // an older build's also carried `&serve max_attempts`, which this
+        // build refuses, so such a job is dropped as unparseable.
+        let dir = Scratch::new("retired_quarantine_frames_still_boot");
+        let p = dir.file("journal.log");
+        let mut deck = Deck::preset_quickstart();
+        deck.time.n_steps = 2;
+        deck.output.hist_interval = 0;
+        let deck_text = deck.to_deck_string();
+        let message = "worker panicked: injected worker panic (problem = 'chaos-panic')";
+        let submitted = |id: u64, seed: u64| {
+            let mut body = Vec::new();
+            w_u64(&mut body, id);
+            w_str(&mut body, "t");
+            w_str(&mut body, "A");
+            w_u32(&mut body, 1);
+            w_u64(&mut body, seed);
+            w_i32(&mut body, 0);
+            w_str(&mut body, &deck_text);
+            (1u8, body)
         };
-        let q = Record::quarantined(9, &key, "panicked 3/3 attempts");
-        let r = Record::reinstated(&key);
-        let p = temp_journal("quar.log");
-        {
-            let (mut j, _) = Journal::open(&p).unwrap();
-            j.append(1, &q).unwrap();
-            j.append(1, &r).unwrap();
+        let started = |id: u64| (2u8, id.to_le_bytes().to_vec());
+        let mut run_key = Vec::new();
+        w_u64(&mut run_key, 0xfeed_f00d); // deck hash
+        w_str(&mut run_key, "A");
+        w_str(&mut run_key, CODE_REV);
+        w_u32(&mut run_key, 1);
+        w_u64(&mut run_key, 7);
+        let mut kind8 = 1u64.to_le_bytes().to_vec(); // job id
+        kind8.extend_from_slice(&run_key);
+        w_str(&mut kind8, message);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        for (kind, body) in [
+            submitted(1, 7),
+            started(1),
+            (8, kind8),
+            (9, run_key),
+            submitted(2, 8),
+            started(2),
+        ] {
+            let mut payload = Vec::new();
+            w_u64(&mut payload, 1); // epoch
+            payload.push(kind);
+            payload.extend_from_slice(&body);
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         }
+        std::fs::write(&p, &bytes).unwrap();
+
         let rep = replay(&p).unwrap();
-        assert!(rep.torn.is_none());
-        assert_eq!(rep.records, vec![(1, q), (1, r)]);
+        assert!(rep.torn.is_none(), "{:?}", rep.torn);
+        assert_eq!(rep.records.len(), 6);
+        let failed = Record::Failed {
+            id: 1,
+            message: message.into(),
+        };
+        assert_eq!(rep.records[2], (1, failed), "kind 8 ends its job");
+        assert_eq!(rep.records[3], (1, Record::Boot), "kind 9 changes nothing");
+        drop(Journal::open(&p).unwrap());
+        assert_eq!(
+            std::fs::metadata(&p).unwrap().len(),
+            bytes.len() as u64,
+            "open truncates nothing"
+        );
+
+        let cfg = crate::ServerConfig::new(gpusim::DeviceSpec::a100_40gb(), 1);
+        let (server, summary) = crate::Server::recover(cfg, &dir.0).unwrap();
+        assert_eq!(
+            (
+                summary.failed,
+                summary.requeued,
+                summary.dropped_unparseable
+            ),
+            (1, 1, 0),
+            "{summary}"
+        );
+        let status = server.status(JobId(1)).unwrap();
+        assert_eq!(status.state, JobState::Failed);
+        assert_eq!(status.error.as_deref(), Some(message));
+        assert_eq!(server.wait(JobId(2)).unwrap().state, JobState::Done);
+        server.shutdown();
+        server.join();
     }
 
     #[test]
     fn old_journal_layout_still_replays() {
+        let dir = Scratch::new("old_journal_layout_still_replays");
         // A PR-8 era journal knows only kinds 0–7. Re-encode a
         // representative record with the old layout written out by hand
         // (independent of today's encoder) and require replay to accept
@@ -1210,7 +1222,7 @@ mod tests {
         payload.push(4u8); // kind: Failed
         w_u64(&mut payload, 17); // id
         w_str(&mut payload, "rank 0: boom");
-        let p = temp_journal("old.log");
+        let p = dir.file("old.log");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());

@@ -12,6 +12,13 @@
 //! rank thread of a running job updates them on every step — they must
 //! not serialise the physics on the scheduler lock.
 //!
+//! Failure: a job runs once. Its body runs under `catch_unwind`, so an
+//! error returned by the run and a panic of the worker body alike end
+//! the job `Failed` with their message, and the worker goes on to the
+//! next job. Runs are deterministic: rerunning a failed deck would only
+//! repeat its failure, so recovery from a fault inside a run belongs to
+//! the supervisor (rollback, respawn), not to the scheduler.
+//!
 //! Durability: a server booted with [`Server::recover`] appends every
 //! state transition to the write-ahead journal *before* releasing the
 //! scheduler lock, each record fsync'd — SIGKILL at any instant loses
@@ -149,14 +156,6 @@ pub enum SubmitError {
         /// Client-honored hint: retry no sooner than this many ms.
         retry_after_ms: u64,
     },
-    /// This exact run (deck + version + ranks + seed) is quarantined
-    /// under the crash-loop circuit breaker: every attempt in its budget
-    /// died by worker panic. Resubmissions are rejected until an
-    /// operator clears the key (`quarantine clear` on the wire).
-    Quarantined {
-        /// The final attempt's failure message.
-        message: String,
-    },
     /// The server is shutting down or draining.
     ShuttingDown,
 }
@@ -176,9 +175,6 @@ impl fmt::Display for SubmitError {
             SubmitError::InvalidDeck(e) => write!(f, "{e}"),
             SubmitError::Overloaded { retry_after_ms } => {
                 write!(f, "server overloaded; retry after {retry_after_ms}ms")
-            }
-            SubmitError::Quarantined { message } => {
-                write!(f, "run is quarantined after repeated worker crashes: {message}")
             }
             SubmitError::ShuttingDown => write!(f, "server is shutting down"),
         }
@@ -223,15 +219,13 @@ struct JobRecord {
     /// Reset to boot time for jobs re-enqueued by recovery (the clock
     /// that anchored the original deadline died with the old process).
     submitted_at: Instant,
-    /// Execution attempts started so far (claims, not completions).
-    attempts: u32,
 }
 
 impl JobRecord {
     /// The instant this job's deadline expires, if it has one.
     fn deadline(&self) -> Option<Instant> {
-        (self.spec.deadline_ms > 0)
-            .then(|| self.submitted_at + Duration::from_millis(self.spec.deadline_ms))
+        let ms = self.spec.deck.serve.deadline_ms;
+        (ms > 0).then(|| self.submitted_at + Duration::from_millis(ms))
     }
 }
 
@@ -267,10 +261,6 @@ struct Sched {
     journal: Option<Journal>,
     /// This boot's epoch stamp (max replayed epoch + 1; 0 in-memory).
     epoch: u64,
-    /// Crash-loop circuit breaker: cache keys whose jobs panicked out
-    /// their whole attempt budget, with the final failure message.
-    /// Submissions matching a key here are rejected until cleared.
-    quarantine: HashMap<CacheKey, String>,
     /// Queued jobs shed under overload since boot.
     shed_total: u64,
     /// Jobs failed by their deadline since boot.
@@ -294,8 +284,6 @@ pub struct ServerStats {
     pub failed: usize,
     /// Jobs cancelled.
     pub cancelled: usize,
-    /// Jobs parked under the crash-loop circuit breaker.
-    pub quarantined: usize,
     /// Cache lookups served.
     pub cache_hits: u64,
     /// Cache lookups missed.
@@ -319,8 +307,6 @@ pub struct ServerStats {
     pub deadline_exceeded: u64,
     /// Worker-body panics contained since boot.
     pub worker_panics: u64,
-    /// Cache keys currently quarantined.
-    pub quarantine_keys: usize,
 }
 
 /// What [`Server::recover`] found in the journal — printed by the
@@ -339,11 +325,6 @@ pub struct RecoverySummary {
     pub failed: usize,
     /// Jobs restored in `Cancelled` state.
     pub cancelled: usize,
-    /// Jobs restored in `Quarantined` state.
-    pub quarantined: usize,
-    /// Quarantined cache keys active after replay (quarantines minus
-    /// reinstatements, this build only).
-    pub quarantine_keys: usize,
     /// Results rehydrated into the cache.
     pub cache_entries: usize,
     /// Persisted cache entries dropped because they were computed by a
@@ -363,7 +344,6 @@ impl fmt::Display for RecoverySummary {
         write!(
             f,
             "epoch={} records={} requeued={} done={} failed={} cancelled={} \
-             quarantined={} quarantine_keys={} \
              cache={} stale_dropped={} unparseable={} truncated_bytes={}",
             self.epoch,
             self.records,
@@ -371,8 +351,6 @@ impl fmt::Display for RecoverySummary {
             self.done,
             self.failed,
             self.cancelled,
-            self.quarantined,
-            self.quarantine_keys,
             self.cache_entries,
             self.dropped_stale_cache,
             self.dropped_unparseable,
@@ -419,7 +397,6 @@ impl Server {
                 draining: false,
                 journal: None,
                 epoch: 0,
-                quarantine: HashMap::new(),
                 shed_total: 0,
                 deadline_exceeded: 0,
                 worker_panics: 0,
@@ -453,7 +430,6 @@ impl Server {
         let mut folded: BTreeMap<u64, RJob> = BTreeMap::new();
         let mut cache = ResultCache::new(cfg.cache_max_entries, cfg.cache_ttl);
         let mut overflow_evicted: Vec<CacheKey> = Vec::new();
-        let mut quarantine: HashMap<CacheKey, String> = HashMap::new();
         let mut summary = RecoverySummary {
             records: replayed.records.len(),
             truncated_bytes: replayed.truncated_bytes,
@@ -546,56 +522,6 @@ impl Server {
                         });
                     }
                 }
-                Record::Quarantined {
-                    id,
-                    deck_hash,
-                    version_tag,
-                    code_rev,
-                    n_ranks,
-                    seed,
-                    message,
-                } => {
-                    if let Some(j) = folded.get_mut(id) {
-                        j.state = JobState::Quarantined;
-                        j.message = Some(message.clone());
-                    }
-                    // Quarantine is per-build, like cache entries: a new
-                    // build may have fixed the crash, so keys stamped by
-                    // another build lapse at recovery.
-                    if code_rev == journal::CODE_REV {
-                        if let Ok(version) = crate::wire::parse_version(version_tag) {
-                            quarantine.insert(
-                                CacheKey {
-                                    deck_hash: *deck_hash,
-                                    version,
-                                    code_rev: journal::CODE_REV,
-                                    n_ranks: *n_ranks as usize,
-                                    seed: *seed,
-                                },
-                                message.clone(),
-                            );
-                        }
-                    }
-                }
-                Record::Reinstated {
-                    deck_hash,
-                    version_tag,
-                    code_rev,
-                    n_ranks,
-                    seed,
-                } => {
-                    if code_rev == journal::CODE_REV {
-                        if let Ok(version) = crate::wire::parse_version(version_tag) {
-                            quarantine.remove(&CacheKey {
-                                deck_hash: *deck_hash,
-                                version,
-                                code_rev: journal::CODE_REV,
-                                n_ranks: *n_ranks as usize,
-                                seed: *seed,
-                            });
-                        }
-                    }
-                }
             }
         }
 
@@ -654,14 +580,6 @@ impl Server {
                         Some(rj.message.clone().unwrap_or_else(|| "cancelled".into())),
                     )
                 }
-                JobState::Quarantined => {
-                    summary.quarantined += 1;
-                    (
-                        JobState::Quarantined,
-                        None,
-                        Some(rj.message.clone().unwrap_or_else(|| "quarantined".into())),
-                    )
-                }
             };
             jobs.insert(
                 *id,
@@ -674,12 +592,10 @@ impl Server {
                     result,
                     error,
                     submitted_at: Instant::now(),
-                    attempts: 0,
                 },
             );
         }
         summary.cache_entries = cache.len();
-        summary.quarantine_keys = quarantine.len();
         summary.epoch = epoch_max + 1;
 
         // -- Stamp the new epoch and journal recovery-time evictions --
@@ -706,7 +622,6 @@ impl Server {
                 draining: false,
                 journal: Some(jrn),
                 epoch,
-                quarantine,
                 shed_total: 0,
                 deadline_exceeded: 0,
                 worker_panics: 0,
@@ -793,7 +708,6 @@ impl Server {
         }
         let mut ids: Vec<u64> = sched.jobs.keys().copied().collect();
         ids.sort_unstable();
-        let mut quarantined_keys: Vec<CacheKey> = Vec::new();
         for id in ids {
             let job = &sched.jobs[&id];
             recs.push(Record::submitted(id, &job.spec));
@@ -814,24 +728,6 @@ impl Server {
                     id,
                     message: job.error.clone().unwrap_or_default(),
                 }),
-                JobState::Quarantined => {
-                    recs.push(Record::quarantined(
-                        id,
-                        &job.key,
-                        job.error.as_deref().unwrap_or("quarantined"),
-                    ));
-                    quarantined_keys.push(job.key.clone());
-                }
-            }
-        }
-        // A quarantined job whose key an operator has since cleared must
-        // replay as cleared: the snapshot keeps the job's terminal state
-        // above but follows it with the reinstatement.
-        quarantined_keys.sort_by_key(|k| (k.deck_hash, k.n_ranks, k.seed));
-        quarantined_keys.dedup();
-        for key in quarantined_keys {
-            if !sched.quarantine.contains_key(&key) {
-                recs.push(Record::reinstated(&key));
             }
         }
         recs
@@ -857,13 +753,6 @@ impl Server {
         if sched.shutting_down || sched.draining {
             return Err(SubmitError::ShuttingDown);
         }
-        // Crash-loop circuit breaker: this exact run already panicked out
-        // its whole attempt budget, so don't burn devices re-crashing it.
-        if let Some(message) = sched.quarantine.get(&key) {
-            return Err(SubmitError::Quarantined {
-                message: message.clone(),
-            });
-        }
         // Expire TTL-stale results before consulting the cache, so an
         // expired entry reads as a miss (and its eviction is journaled).
         let expired = sched.cache.sweep(Instant::now());
@@ -888,7 +777,6 @@ impl Server {
                 result: Some(report),
                 error: None,
                 submitted_at: Instant::now(),
-                attempts: 0,
             };
             rec.progress
                 .steps_done
@@ -983,7 +871,6 @@ impl Server {
                 result: None,
                 error: None,
                 submitted_at: Instant::now(),
-                attempts: 0,
             },
         );
         sched.queue.push(id);
@@ -1040,7 +927,7 @@ impl Server {
                     JobId(id.0)
                 )),
             }),
-            JobState::Failed | JobState::Cancelled | JobState::Quarantined => Some(Err(job
+            JobState::Failed | JobState::Cancelled => Some(Err(job
                 .error
                 .clone()
                 .unwrap_or_else(|| job.state.name().into()))),
@@ -1086,13 +973,11 @@ impl Server {
         let mut done = 0;
         let mut failed = 0;
         let mut cancelled = 0;
-        let mut quarantined = 0;
         for j in sched.jobs.values() {
             match j.state {
                 JobState::Done => done += 1,
                 JobState::Failed => failed += 1,
                 JobState::Cancelled => cancelled += 1,
-                JobState::Quarantined => quarantined += 1,
                 _ => {}
             }
         }
@@ -1114,7 +999,6 @@ impl Server {
             done,
             failed,
             cancelled,
-            quarantined,
             cache_hits: sched.cache.hits(),
             cache_misses: sched.cache.misses(),
             cache_entries: sched.cache.len(),
@@ -1125,40 +1009,7 @@ impl Server {
             shed_total: sched.shed_total,
             deadline_exceeded: sched.deadline_exceeded,
             worker_panics: sched.worker_panics,
-            quarantine_keys: sched.quarantine.len(),
         }
-    }
-
-    /// The quarantined run keys with their final failure messages,
-    /// deck-hash ordered for stable listings.
-    pub fn quarantine_list(&self) -> Vec<(CacheKey, String)> {
-        let sched = relock(&self.sched);
-        let mut v: Vec<(CacheKey, String)> = sched
-            .quarantine
-            .iter()
-            .map(|(k, m)| (k.clone(), m.clone()))
-            .collect();
-        v.sort_by_key(|(k, _)| (k.deck_hash, k.n_ranks, k.seed));
-        v
-    }
-
-    /// Lift the crash-loop quarantine — every key, or just those for one
-    /// deck hash. Returns the number of keys cleared. Each clearance is
-    /// journaled as a `Reinstated` record, so the decision survives
-    /// restart like the quarantine itself did.
-    pub fn quarantine_clear(&self, deck_hash: Option<u64>) -> usize {
-        let mut sched = relock(&self.sched);
-        let keys: Vec<CacheKey> = sched
-            .quarantine
-            .keys()
-            .filter(|k| deck_hash.is_none_or(|h| k.deck_hash == h))
-            .cloned()
-            .collect();
-        for k in &keys {
-            sched.quarantine.remove(k);
-            Self::jappend(&mut sched, &Record::reinstated(k));
-        }
-        keys.len()
     }
 
     /// Steps executed server-wide since boot (the cache-hit invariant:
@@ -1265,7 +1116,7 @@ impl Server {
                 job.state = JobState::Failed;
                 let m = format!(
                     "deadline exceeded ({}ms) before the job could start",
-                    job.spec.deadline_ms
+                    job.spec.deck.serve.deadline_ms
                 );
                 job.error = Some(m.clone());
                 m
@@ -1348,7 +1199,6 @@ impl Server {
                 let (spec, progress, deadline) = {
                     let job = sched.jobs.get_mut(&id).expect("picked job exists");
                     job.state = JobState::Running;
-                    job.attempts += 1;
                     (job.spec.clone(), job.progress.clone(), job.deadline())
                 };
                 Self::jappend(&mut sched, &Record::Started { id });
@@ -1357,22 +1207,11 @@ impl Server {
             self.event.notify_all(); // status waiters see Running
 
             // The job body runs under `catch_unwind`: a panicking deck
-            // becomes a classified failure of *this job*, never a dead
-            // worker thread and a poisoned scheduler. Every failure is
-            // charged to the job alone — its attempt budget retries it,
-            // and quarantine catches a deck that panics through it.
-            enum Outcome {
-                Done(Box<MultiRankReport>),
-                Error(String),
-                Panicked(String),
-            }
-            let outcome = match catch_unwind(AssertUnwindSafe(|| {
+            // fails *this job*, never a dead worker thread and a poisoned
+            // scheduler. The job runs once; its outcome is final.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
                 self.execute(&spec, &progress, deadline)
-            })) {
-                Ok(Ok(report)) => Outcome::Done(Box::new(report)),
-                Ok(Err(message)) => Outcome::Error(message),
-                Err(payload) => Outcome::Panicked(panic_message(payload)),
-            };
+            }));
 
             if let Err(e) = self.pool.release(lease) {
                 // A ledger bug must surface in stats/logs, not corrupt
@@ -1385,9 +1224,13 @@ impl Server {
 
             let mut sched = relock(&self.sched);
             sched.running -= 1;
+            let outcome = outcome.unwrap_or_else(|payload| {
+                sched.worker_panics += 1;
+                Err(panic_message(payload))
+            });
             match outcome {
-                Outcome::Done(report) => {
-                    let report = Arc::new(*report);
+                Ok(report) => {
+                    let report = Arc::new(report);
                     let key = {
                         let job = sched.jobs.get_mut(&id).expect("running job exists");
                         job.state = JobState::Done;
@@ -1405,64 +1248,25 @@ impl Server {
                     }
                     Self::jappend(&mut sched, &Record::Done { id, cached: false });
                 }
-                other => {
-                    let (message, panicked) = match other {
-                        Outcome::Error(m) => (m, false),
-                        Outcome::Panicked(m) => {
-                            sched.worker_panics += 1;
-                            (m, true)
-                        }
-                        Outcome::Done(_) => unreachable!("handled above"),
-                    };
-                    let (attempts, max_attempts, key) = {
-                        let job = sched.jobs.get_mut(&id).expect("running job exists");
-                        (job.attempts, job.spec.max_attempts, job.key.clone())
-                    };
-                    if deadline_hit && !cancelled {
-                        // Deadline expiry is terminal — more attempts
-                        // would only blow further past it.
+                Err(message) => {
+                    let (state, message) = if deadline_hit && !cancelled {
                         sched.deadline_exceeded += 1;
-                        let message =
-                            format!("deadline exceeded after {}ms", spec.deadline_ms);
-                        let job = sched.jobs.get_mut(&id).expect("running job exists");
-                        job.state = JobState::Failed;
-                        job.error = Some(message.clone());
-                        Self::jappend(&mut sched, &Record::Failed { id, message });
+                        let ms = spec.deck.serve.deadline_ms;
+                        (JobState::Failed, format!("deadline exceeded after {ms}ms"))
                     } else if cancelled {
-                        let job = sched.jobs.get_mut(&id).expect("running job exists");
-                        job.state = JobState::Cancelled;
-                        job.error = Some(message.clone());
-                        Self::jappend(&mut sched, &Record::Cancelled { id, message });
-                    } else if attempts < max_attempts
-                        && !sched.shutting_down
-                        && !sched.draining
-                    {
-                        // Budget left: back on the queue. No journal
-                        // record — a crash replays the job as interrupted
-                        // and re-enqueues it anyway, which is the same
-                        // thing.
-                        progress.log(format!(
-                            "attempt {attempts}/{max_attempts} failed: {message}; retrying"
-                        ));
-                        let job = sched.jobs.get_mut(&id).expect("running job exists");
-                        job.state = JobState::Queued;
-                        sched.queue.push(id);
-                    } else if panicked {
-                        // Every attempt in the budget died by panic: trip
-                        // the circuit breaker so resubmissions of this
-                        // exact run are refused until an operator clears
-                        // it.
-                        let job = sched.jobs.get_mut(&id).expect("running job exists");
-                        job.state = JobState::Quarantined;
-                        job.error = Some(message.clone());
-                        sched.quarantine.insert(key.clone(), message.clone());
-                        Self::jappend(&mut sched, &Record::quarantined(id, &key, &message));
+                        (JobState::Cancelled, message)
                     } else {
-                        let job = sched.jobs.get_mut(&id).expect("running job exists");
-                        job.state = JobState::Failed;
-                        job.error = Some(message.clone());
-                        Self::jappend(&mut sched, &Record::Failed { id, message });
-                    }
+                        (JobState::Failed, message)
+                    };
+                    let job = sched.jobs.get_mut(&id).expect("running job exists");
+                    job.state = state;
+                    job.error = Some(message.clone());
+                    let rec = if state == JobState::Cancelled {
+                        Record::Cancelled { id, message }
+                    } else {
+                        Record::Failed { id, message }
+                    };
+                    Self::jappend(&mut sched, &rec);
                 }
             }
             self.maybe_compact(&mut sched);
@@ -1483,12 +1287,12 @@ impl Server {
         deadline: Option<Instant>,
     ) -> Result<MultiRankReport, String> {
         // Deliberate failpoint: a deck whose problem is named
-        // `chaos-panic` panics the worker body on purpose. The panic is
-        // contained by the worker's `catch_unwind` and classified like
-        // any organically panicking deck — the deterministic way to
-        // drive the panic → retry → quarantine path end-to-end (over
-        // the wire, through journal replay, in the chaos soak) without
-        // depending on a real crash bug to exist.
+        // `chaos-panic` panics the worker body on purpose. Physics runs
+        // in rank threads whose panics the supervisor already turns into
+        // a `RunError`, so no real deck reaches the worker's
+        // `catch_unwind`; this is the deterministic way to drive that
+        // containment end-to-end (over the wire, through journal replay,
+        // in the chaos soak).
         if spec.deck.problem == "chaos-panic" {
             panic!("injected worker panic (problem = 'chaos-panic')");
         }

@@ -5,20 +5,20 @@
 //! Requests:
 //!
 //! ```text
-//! submit tenant=<t> version=<TAG> ranks=<n> seed=<u64> priority=<i32> [deadline=<ms>] [attempts=<n>] deck=<escaped deck text>
+//! submit tenant=<t> version=<TAG> ranks=<n> seed=<u64> priority=<i32> [deadline=<ms>] deck=<escaped deck text>
 //! status id=<n>
 //! wait id=<n>
 //! cancel id=<n>
 //! result id=<n>
 //! stats
-//! quarantine list
-//! quarantine clear [hash=<u64>]
 //! drain
 //! shutdown
 //! ```
 //!
 //! `deck=` is always the last key: its value is the rest of the line,
-//! with newlines and backslashes escaped by [`escape`]. Responses are
+//! with newlines and backslashes escaped by [`escape`]. `deadline=`
+//! overrides the deck's `&serve deadline_ms`. A submitted job runs
+//! once; there is no retry budget to set. Responses are
 //! `ok …` / `err <message>` lines built with the same `key=value`
 //! grammar (see the `mas_serve` binary).
 //!
@@ -88,10 +88,6 @@ pub enum Request {
     Result(u64),
     /// Server counters.
     Stats,
-    /// List quarantined run keys (crash-loop circuit breaker).
-    QuarantineList,
-    /// Clear the quarantine: every key, or those matching one deck hash.
-    QuarantineClear(Option<u64>),
     /// Stop intake, finish every queued and running job, then stop.
     Drain,
     /// Stop the server.
@@ -221,16 +217,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                         .parse()
                         .map_err(|e| format!("bad priority: {e}"))?,
                 );
-            // Optional serving-policy overrides; absent, the deck's
-            // `&serve` section (already parsed above) stands.
+            // Optional deadline override; absent, the deck's `&serve`
+            // section (already parsed above) stands.
             let spec = match opt_field(&words, "deadline") {
                 Some(v) => spec
                     .deadline_ms(v.parse().map_err(|e| format!("bad deadline: {e}"))?),
-                None => spec,
-            };
-            let spec = match opt_field(&words, "attempts") {
-                Some(v) => spec
-                    .max_attempts(v.parse().map_err(|e| format!("bad attempts: {e}"))?),
                 None => spec,
             };
             Ok(Request::Submit(Box::new(spec)))
@@ -248,22 +239,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             &rest.split_whitespace().collect::<Vec<_>>(),
         )?)),
         "stats" => Ok(Request::Stats),
-        "quarantine" => {
-            let words: Vec<&str> = rest.split_whitespace().collect();
-            match words.first().copied() {
-                Some("list") => Ok(Request::QuarantineList),
-                Some("clear") => {
-                    let hash = match opt_field(&words, "hash") {
-                        Some(v) => {
-                            Some(v.parse().map_err(|e| format!("bad hash: {e}"))?)
-                        }
-                        None => None,
-                    };
-                    Ok(Request::QuarantineClear(hash))
-                }
-                _ => Err("quarantine needs 'list' or 'clear'".into()),
-            }
-        }
         "drain" => Ok(Request::Drain),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown request '{other}'")),
@@ -273,14 +248,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// Format a submit line for a spec (what a remote client sends).
 pub fn encode_submit(spec: &JobSpec) -> String {
     format!(
-        "submit tenant={} version={} ranks={} seed={} priority={} deadline={} attempts={} deck={}",
+        "submit tenant={} version={} ranks={} seed={} priority={} deadline={} deck={}",
         spec.tenant,
         spec.version.tag(),
         spec.n_ranks,
         spec.seed,
         spec.priority,
-        spec.deadline_ms,
-        spec.max_attempts,
+        spec.deck.serve.deadline_ms,
         escape(&spec.deck.to_deck_string()),
     )
 }
@@ -343,21 +317,18 @@ mod tests {
 
     #[test]
     fn submit_line_roundtrips_serving_policy() {
-        let spec = JobSpec::new(Deck::preset_quickstart())
-            .deadline_ms(750)
-            .max_attempts(3);
-        let Request::Submit(back) = parse_request(&wire_line(&spec)).unwrap() else {
+        let spec = JobSpec::new(Deck::preset_quickstart()).deadline_ms(750);
+        let Request::Submit(back) = parse_request(&encode_submit(&spec)).unwrap() else {
             panic!("not a submit");
         };
-        assert_eq!(back.deadline_ms, 750);
-        assert_eq!(back.max_attempts, 3);
-        // Explicit fields beat the deck's &serve section.
-        let line = wire_line(&spec).replace("deadline=750", "deadline=123");
+        assert_eq!(back.deck.serve.deadline_ms, 750);
+        // The explicit field beats the deck's &serve section.
+        let line = encode_submit(&spec).replace("deadline=750", "deadline=123");
         let Request::Submit(back) = parse_request(&line).unwrap() else {
             panic!("not a submit");
         };
-        assert_eq!(back.deadline_ms, 123);
-        // Without the fields, the &serve section in the deck text stands.
+        assert_eq!(back.deck.serve.deadline_ms, 123);
+        // Without the field, the &serve section in the deck text stands.
         let bare = format!(
             "submit tenant=t version=A ranks=1 seed=0 priority=0 deck={}",
             escape(&spec.deck.to_deck_string())
@@ -365,29 +336,7 @@ mod tests {
         let Request::Submit(back) = parse_request(&bare).unwrap() else {
             panic!("not a submit");
         };
-        assert_eq!((back.deadline_ms, back.max_attempts), (750, 3));
-    }
-
-    fn wire_line(spec: &JobSpec) -> String {
-        encode_submit(spec)
-    }
-
-    #[test]
-    fn quarantine_requests_parse() {
-        assert_eq!(
-            parse_request("quarantine list").unwrap(),
-            Request::QuarantineList
-        );
-        assert_eq!(
-            parse_request("quarantine clear").unwrap(),
-            Request::QuarantineClear(None)
-        );
-        assert_eq!(
-            parse_request("quarantine clear hash=99").unwrap(),
-            Request::QuarantineClear(Some(99))
-        );
-        assert!(parse_request("quarantine").is_err());
-        assert!(parse_request("quarantine clear hash=x").is_err());
+        assert_eq!(back.deck.serve.deadline_ms, 750);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Failure-domain isolation integration tests: crash-loop quarantine, a
-//! failing deck charged to its own job, priority load shedding, and job
-//! deadlines — each failure contained to its own domain while the rest
-//! of the server keeps serving.
+//! Failure-domain isolation integration tests: a contained worker panic,
+//! a failing deck charged to its own job, priority load shedding, and
+//! job deadlines — each failure contained to its own domain while the
+//! rest of the server keeps serving. A job runs once: every failure ends
+//! it `Failed` with its message.
 //!
 //! The process-level soak of the same machinery (SIGKILL restarts,
 //! connection chaos, bit-exactness vs an undisturbed baseline) lives in
@@ -36,50 +37,53 @@ fn boot_with(f: impl FnOnce(&mut ServerConfig)) -> Arc<Server> {
 }
 
 #[test]
-fn panicking_deck_is_quarantined_after_max_attempts_and_others_keep_running() {
+fn panicking_deck_fails_once_and_others_keep_running() {
     let server = boot_with(|_| {});
 
     let id = server
-        .submit(JobSpec::new(panic_deck()).seed(7).max_attempts(2))
+        .submit(JobSpec::new(panic_deck()).seed(7))
         .expect("submit accepted");
     let status = server.wait(id).expect("job exists");
-    assert_eq!(status.state, JobState::Quarantined);
+    assert_eq!(status.state, JobState::Failed);
     assert!(
-        status.error.as_deref().unwrap_or("").contains("worker panicked"),
-        "quarantine names the panic: {:?}",
+        status
+            .error
+            .as_deref()
+            .unwrap_or("")
+            .contains("worker panicked"),
+        "failure names the panic: {:?}",
         status.error
     );
-    let stats = server.stats();
-    assert_eq!(stats.worker_panics, 2, "both attempts panicked and were contained");
-    assert_eq!(stats.quarantined, 1);
-    assert_eq!(stats.quarantine_keys, 1);
+    assert_eq!(
+        server.stats().worker_panics,
+        1,
+        "one run, one contained panic"
+    );
 
-    // The same run is refused at submit time now — no third crash.
-    match server.submit(JobSpec::new(panic_deck()).seed(7)) {
-        Err(SubmitError::Quarantined { message }) => {
-            assert!(message.contains("worker panicked"), "refusal carries the cause")
-        }
-        other => panic!("expected Quarantined, got {other:?}"),
-    }
-    // A different seed is a different run — not collateral damage.
-    let ok = server
-        .submit(JobSpec::new(panic_deck()).seed(8).max_attempts(1))
-        .expect("different key accepted");
-    assert_eq!(server.wait(ok).unwrap().state, JobState::Quarantined);
-
-    // The worker pool survived both crash loops: normal work still runs.
+    // The worker pool survived the panic: normal work still runs.
     let normal = server
         .submit(JobSpec::new(tiny_deck(4)).seed(9))
         .expect("normal submit");
     assert_eq!(server.wait(normal).unwrap().state, JobState::Done);
 
-    // Operator clears the quarantine; the key submits again.
-    assert_eq!(server.quarantine_list().len(), 2);
-    assert_eq!(server.quarantine_clear(None), 2);
-    assert!(server.quarantine_list().is_empty());
-    server
-        .submit(JobSpec::new(panic_deck()).seed(7).max_attempts(1))
-        .expect("cleared key accepted again");
+    // The same run is accepted again, and fails again the same way.
+    let again = server
+        .submit(JobSpec::new(panic_deck()).seed(7))
+        .expect("resubmission accepted");
+    let status = server.wait(again).expect("job exists");
+    assert_eq!(status.state, JobState::Failed);
+    assert!(
+        status
+            .error
+            .as_deref()
+            .unwrap_or("")
+            .contains("worker panicked"),
+        "{:?}",
+        status.error
+    );
+    let stats = server.stats();
+    assert_eq!(stats.worker_panics, 2);
+    assert_eq!(stats.failed, 2);
 
     server.shutdown();
     server.join();
@@ -91,14 +95,14 @@ fn a_failing_deck_is_charged_to_its_own_job_not_the_device() {
     cfg.n_workers = 1;
     let server = Server::start(cfg);
 
-    // A deck that fails its health check on every attempt: a NaN at
-    // step 1 with no recoveries allowed.
+    // A deck that fails its health check: a NaN at step 1 with no
+    // recoveries allowed.
     let mut bad = tiny_deck(4);
     bad.fault.kind = FaultKind::Nan;
     bad.fault.step = 1;
     bad.checkpoint.max_recoveries = 0;
     let id = server
-        .submit(JobSpec::new(bad).tenant("a").max_attempts(3))
+        .submit(JobSpec::new(bad).tenant("a"))
         .expect("bad deck accepted");
     let status = server.wait(id).expect("job exists");
     assert_eq!(status.state, JobState::Failed);
@@ -111,17 +115,15 @@ fn a_failing_deck_is_charged_to_its_own_job_not_the_device() {
         "failure names the deck's own error: {:?}",
         status.error
     );
+    // The job ran once: the run is deterministic, so a rerun would only
+    // repeat the failure.
     let log = server.recovery_log(id).expect("job exists");
-    for attempt in 1..=2 {
-        let prefix = format!("attempt {attempt}/3 failed");
-        assert!(
-            log.iter()
-                .any(|l| l.starts_with(&prefix) && l.ends_with("retrying")),
-            "attempt {attempt} retried: {log:?}"
-        );
-    }
+    assert!(
+        !log.iter().any(|l| l.contains("retrying")),
+        "a failed job is not retried: {log:?}"
+    );
 
-    // The only device took all three failures and still serves another
+    // The only device took the failure and still serves another
     // tenant's healthy job.
     let ok = server
         .submit(JobSpec::new(tiny_deck(4)).tenant("b"))

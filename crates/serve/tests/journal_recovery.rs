@@ -9,11 +9,13 @@
 //! real `mas_serve` child mid-job; these tests pin the replay semantics
 //! deterministically.
 
+mod common;
+
+use common::Scratch;
 use gpusim::DeviceSpec;
 use mas_config::Deck;
 use mas_serve::journal::{self, Journal, Record};
 use mas_serve::{JobId, JobSpec, JobState, Server, ServerConfig};
-use std::path::PathBuf;
 use stdpar::CodeVersion;
 
 fn tiny_deck(n_steps: usize) -> Deck {
@@ -27,12 +29,6 @@ fn cfg(n_devices: usize, n_workers: usize) -> ServerConfig {
     let mut c = ServerConfig::new(DeviceSpec::a100_40gb(), n_devices);
     c.n_workers = n_workers;
     c
-}
-
-fn state_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("mas_serve_recovery_test").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Run `spec` on a throwaway in-memory server and return its rank state
@@ -52,8 +48,8 @@ fn baseline_hashes(spec: JobSpec) -> Vec<u64> {
 fn forged_interrupted_journal_requeues_and_completes_bit_exact() {
     // Forge the journal a crashed server would leave behind: two jobs
     // accepted, one already claimed by a worker (Started), then death.
-    let dir = state_dir("forged_interrupted");
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = Scratch::new("forged_interrupted");
+    let dir = scratch.path();
     let spec1 = JobSpec::new(tiny_deck(4)).seed(7).priority(1);
     let spec2 = JobSpec::new(tiny_deck(6)).seed(9).version(CodeVersion::Ad);
     {
@@ -65,7 +61,7 @@ fn forged_interrupted_journal_requeues_and_completes_bit_exact() {
         // SIGKILL here: no Done, no CacheInsert.
     }
 
-    let (server, summary) = Server::recover(cfg(2, 2), &dir).expect("recover");
+    let (server, summary) = Server::recover(cfg(2, 2), dir).expect("recover");
     assert_eq!(summary.epoch, 2);
     assert_eq!(summary.requeued, 2, "queued AND running jobs re-enter the queue");
     assert_eq!(summary.done, 0);
@@ -88,12 +84,13 @@ fn forged_interrupted_journal_requeues_and_completes_bit_exact() {
 
 #[test]
 fn completed_results_survive_restart_as_zero_step_cache_hits() {
-    let dir = state_dir("results_survive");
+    let scratch = Scratch::new("results_survive");
+    let dir = scratch.path();
     let spec = JobSpec::new(tiny_deck(5)).seed(42);
 
     // Life 1: complete a job, then die without any graceful shutdown.
     let hashes_before: Vec<u64> = {
-        let (server, _) = Server::recover(cfg(2, 2), &dir).expect("first boot");
+        let (server, _) = Server::recover(cfg(2, 2), dir).expect("first boot");
         let id = server.submit(spec.clone()).expect("submit");
         assert_eq!(server.wait(id).unwrap().state, JobState::Done);
         let report = server.result(id).unwrap().expect("result");
@@ -103,7 +100,7 @@ fn completed_results_survive_restart_as_zero_step_cache_hits() {
     };
 
     // Life 2: the completion and its result must both be there.
-    let (server, summary) = Server::recover(cfg(2, 2), &dir).expect("second boot");
+    let (server, summary) = Server::recover(cfg(2, 2), dir).expect("second boot");
     assert_eq!(summary.done, 1);
     assert_eq!(summary.cache_entries, 1);
     assert_eq!(summary.requeued, 0);
@@ -126,19 +123,20 @@ fn completed_results_survive_restart_as_zero_step_cache_hits() {
 
 #[test]
 fn recovery_is_idempotent() {
-    let dir = state_dir("idempotent");
+    let scratch = Scratch::new("idempotent");
+    let dir = scratch.path();
     let spec = JobSpec::new(tiny_deck(4)).seed(3);
     {
-        let (server, _) = Server::recover(cfg(2, 2), &dir).expect("first boot");
+        let (server, _) = Server::recover(cfg(2, 2), dir).expect("first boot");
         let id = server.submit(spec).expect("submit");
         assert_eq!(server.wait(id).unwrap().state, JobState::Done);
     }
     // Boot twice more without doing anything: each replay must
     // reconstruct the same state, growing the journal only by its Boot
     // record.
-    let (s2, sum2) = Server::recover(cfg(2, 2), &dir).expect("second boot");
+    let (s2, sum2) = Server::recover(cfg(2, 2), dir).expect("second boot");
     drop(s2);
-    let (s3, sum3) = Server::recover(cfg(2, 2), &dir).expect("third boot");
+    let (s3, sum3) = Server::recover(cfg(2, 2), dir).expect("third boot");
     assert_eq!(sum3.done, sum2.done);
     assert_eq!(sum3.requeued, sum2.requeued);
     assert_eq!(sum3.cache_entries, sum2.cache_entries);
@@ -149,10 +147,11 @@ fn recovery_is_idempotent() {
 
 #[test]
 fn torn_tail_is_truncated_and_valid_prefix_survives() {
-    let dir = state_dir("torn_tail");
+    let scratch = Scratch::new("torn_tail");
+    let dir = scratch.path();
     let spec = JobSpec::new(tiny_deck(4)).seed(5);
     {
-        let (server, _) = Server::recover(cfg(2, 2), &dir).expect("first boot");
+        let (server, _) = Server::recover(cfg(2, 2), dir).expect("first boot");
         let id = server.submit(spec.clone()).expect("submit");
         assert_eq!(server.wait(id).unwrap().state, JobState::Done);
     }
@@ -164,7 +163,7 @@ fn torn_tail_is_truncated_and_valid_prefix_survives() {
     bytes.extend_from_slice(b"only a few bytes of the promised record");
     std::fs::write(&path, &bytes).unwrap();
 
-    let (server, summary) = Server::recover(cfg(2, 2), &dir).expect("recover over torn tail");
+    let (server, summary) = Server::recover(cfg(2, 2), dir).expect("recover over torn tail");
     assert!(summary.torn.is_some(), "tear reported: {summary}");
     assert!(summary.truncated_bytes > 0);
     assert_eq!(summary.done, 1, "valid prefix fully preserved");
@@ -173,7 +172,7 @@ fn torn_tail_is_truncated_and_valid_prefix_survives() {
     drop(server);
 
     // The tail is gone from disk: the next life sees a clean journal.
-    let (_, sum2) = Server::recover(cfg(2, 2), &dir).expect("boot after truncation");
+    let (_, sum2) = Server::recover(cfg(2, 2), dir).expect("boot after truncation");
     assert!(sum2.torn.is_none(), "tear healed on the previous open");
     assert_eq!(sum2.truncated_bytes, 0);
     assert_eq!(sum2.done, 1);
@@ -181,8 +180,8 @@ fn torn_tail_is_truncated_and_valid_prefix_survives() {
 
 #[test]
 fn flipped_byte_never_resurrects_a_record() {
-    let dir = state_dir("flipped_byte");
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = Scratch::new("flipped_byte");
+    let dir = scratch.path();
     let spec1 = JobSpec::new(tiny_deck(4)).seed(5);
     let spec2 = JobSpec::new(tiny_deck(6)).seed(6);
     {
@@ -204,7 +203,7 @@ fn flipped_byte_never_resurrects_a_record() {
     corrupt[flip_at] ^= 0x01;
     std::fs::write(&path, &corrupt).unwrap();
 
-    let (server, summary) = Server::recover(cfg(2, 2), &dir).expect("recover");
+    let (server, summary) = Server::recover(cfg(2, 2), dir).expect("recover");
     assert!(summary.torn.is_some());
     assert_eq!(summary.requeued, 1, "only the intact submission replays");
     assert!(server.status(JobId(1)).is_some());
@@ -216,13 +215,14 @@ fn flipped_byte_never_resurrects_a_record() {
 
 #[test]
 fn evictions_are_journaled_and_survive_restart() {
-    let dir = state_dir("evictions");
+    let scratch = Scratch::new("evictions");
+    let dir = scratch.path();
     let spec1 = JobSpec::new(tiny_deck(4)).seed(1);
     let spec2 = JobSpec::new(tiny_deck(4)).seed(2);
     {
         let mut c = cfg(2, 2);
         c.cache_max_entries = 1;
-        let (server, _) = Server::recover(c, &dir).expect("first boot");
+        let (server, _) = Server::recover(c, dir).expect("first boot");
         for spec in [spec1.clone(), spec2.clone()] {
             let id = server.submit(spec).expect("submit");
             assert_eq!(server.wait(id).unwrap().state, JobState::Done);
@@ -234,7 +234,7 @@ fn evictions_are_journaled_and_survive_restart() {
 
     let mut c = cfg(2, 2);
     c.cache_max_entries = 1;
-    let (server, summary) = Server::recover(c, &dir).expect("second boot");
+    let (server, summary) = Server::recover(c, dir).expect("second boot");
     assert_eq!(summary.cache_entries, 1, "evicted entry stays evicted across restart");
     assert_eq!(summary.done, 2, "both completions survive");
     // Job 2's result is the one still cached; job 1 completed but its
@@ -256,8 +256,9 @@ fn evictions_are_journaled_and_survive_restart() {
 
 #[test]
 fn drain_finishes_everything_and_the_next_life_requeues_nothing() {
-    let dir = state_dir("drain");
-    let (server, _) = Server::recover(cfg(2, 1), &dir).expect("boot");
+    let scratch = Scratch::new("drain");
+    let dir = scratch.path();
+    let (server, _) = Server::recover(cfg(2, 1), dir).expect("boot");
     let mut ids = Vec::new();
     for seed in [21u64, 22, 23] {
         ids.push(server.submit(JobSpec::new(tiny_deck(4)).seed(seed)).expect("submit"));
@@ -271,7 +272,7 @@ fn drain_finishes_everything_and_the_next_life_requeues_nothing() {
     assert!(server.submit(JobSpec::new(tiny_deck(4)).seed(99)).is_err());
     drop(server);
 
-    let (_, summary) = Server::recover(cfg(2, 1), &dir).expect("post-drain boot");
+    let (_, summary) = Server::recover(cfg(2, 1), dir).expect("post-drain boot");
     assert_eq!(summary.requeued, 0, "drain left no interrupted work behind");
     assert_eq!(summary.done, 3);
 }
@@ -282,8 +283,8 @@ fn duplicate_recovered_submissions_collapse_at_claim_time() {
     // Submitted records for the same cache key. After one completes,
     // the duplicate must collapse to a cached Done at claim time,
     // leasing no devices and running zero steps.
-    let dir = state_dir("dup_collapse");
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = Scratch::new("dup_collapse");
+    let dir = scratch.path();
     let spec = JobSpec::new(tiny_deck(4)).seed(77);
     {
         let (mut j, _) = Journal::open(dir.join("journal.log")).unwrap();
@@ -291,7 +292,7 @@ fn duplicate_recovered_submissions_collapse_at_claim_time() {
         j.append(1, &Record::submitted(1, &spec)).unwrap();
         j.append(1, &Record::submitted(2, &spec)).unwrap();
     }
-    let (server, summary) = Server::recover(cfg(2, 1), &dir).expect("recover");
+    let (server, summary) = Server::recover(cfg(2, 1), dir).expect("recover");
     assert_eq!(summary.requeued, 2);
     let s1 = server.wait(JobId(1)).unwrap();
     let s2 = server.wait(JobId(2)).unwrap();
@@ -317,8 +318,8 @@ fn duplicate_recovered_submissions_collapse_at_claim_time() {
 fn stale_code_rev_cache_entries_are_dropped() {
     // A CacheInsert stamped with another build's code_rev must not be
     // served: the deck reruns instead.
-    let dir = state_dir("stale_rev");
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = Scratch::new("stale_rev");
+    let dir = scratch.path();
     let spec = JobSpec::new(tiny_deck(4)).seed(13);
     {
         let (mut j, _) = Journal::open(dir.join("journal.log")).unwrap();
@@ -341,7 +342,7 @@ fn stale_code_rev_cache_entries_are_dropped() {
         .unwrap();
         j.append(1, &Record::Done { id: 1, cached: false }).unwrap();
     }
-    let (server, summary) = Server::recover(cfg(2, 1), &dir).expect("recover");
+    let (server, summary) = Server::recover(cfg(2, 1), dir).expect("recover");
     assert_eq!(summary.dropped_stale_cache, 1);
     assert_eq!(summary.cache_entries, 0);
     // The job is Done but its (stale) result is gone — structured error.
@@ -357,8 +358,8 @@ fn stale_code_rev_cache_entries_are_dropped() {
 
 #[test]
 fn pool_ledger_is_balanced_after_recovery_while_jobs_rerun() {
-    let dir = state_dir("pool_ledger");
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = Scratch::new("pool_ledger");
+    let dir = scratch.path();
     let spec = JobSpec::new(tiny_deck(4)).seed(31).ranks(2);
     {
         let (mut j, _) = Journal::open(dir.join("journal.log")).unwrap();
@@ -367,7 +368,7 @@ fn pool_ledger_is_balanced_after_recovery_while_jobs_rerun() {
         // Crashed while holding a 2-device lease.
         j.append(1, &Record::Started { id: 1 }).unwrap();
     }
-    let (server, _) = Server::recover(cfg(2, 1), &dir).expect("recover");
+    let (server, _) = Server::recover(cfg(2, 1), dir).expect("recover");
     assert_eq!(server.wait(JobId(1)).unwrap().state, JobState::Done);
     let stats = server.stats();
     // Every lease taken after recovery was returned; nothing leaked
@@ -380,56 +381,16 @@ fn pool_ledger_is_balanced_after_recovery_while_jobs_rerun() {
 }
 
 #[test]
-fn quarantine_survives_restart_and_clear_is_journaled() {
-    let dir = state_dir("quarantine_survives");
-    let mut deck = tiny_deck(4);
-    deck.problem = "chaos-panic".into();
-    let spec = JobSpec::new(deck).seed(7).max_attempts(1);
-
-    // Life 1: the crash-looping run is quarantined, then the server dies
-    // without grace.
-    {
-        let (server, _) = Server::recover(cfg(2, 2), &dir).expect("first boot");
-        let id = server.submit(spec.clone()).expect("submit");
-        assert_eq!(server.wait(id).unwrap().state, JobState::Quarantined);
-    }
-
-    // Life 2: the quarantine replays from the journal and still refuses
-    // the run — the crash loop cannot restart by restarting the server.
-    {
-        let (server, summary) = Server::recover(cfg(2, 2), &dir).expect("second boot");
-        assert_eq!(summary.quarantined, 1, "job restored in Quarantined state");
-        assert_eq!(summary.quarantine_keys, 1, "key still embargoed");
-        assert_eq!(summary.requeued, 0, "a quarantined job is terminal, not interrupted");
-        assert!(
-            matches!(
-                server.submit(spec.clone()),
-                Err(mas_serve::SubmitError::Quarantined { .. })
-            ),
-            "resubmission refused after restart"
-        );
-        // Operator lifts it; the clear is itself journaled.
-        assert_eq!(server.quarantine_clear(None), 1);
-    }
-
-    // Life 3: the clear survives too — the key submits again.
-    let (server, summary) = Server::recover(cfg(2, 2), &dir).expect("third boot");
-    assert_eq!(summary.quarantine_keys, 0, "cleared quarantine stays cleared");
-    server.submit(spec).expect("cleared key accepted after restart");
-    server.shutdown();
-    server.join();
-}
-
-#[test]
 fn recovery_checks_the_lease_ledger_before_workers_claim_requeued_jobs() {
     // Workers claim requeued jobs, and lease devices for them, as soon
     // as they start. Many one-step jobs on many workers make a ledger
     // check that runs after the workers start see those leases within a
     // few rounds.
-    let dir = state_dir("ledger_race");
+    let scratch = Scratch::new("ledger_race");
+    let dir = scratch.path();
     for _round in 0..40 {
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).unwrap();
         {
             let (mut j, _) = Journal::open(dir.join("journal.log")).unwrap();
             j.append(1, &Record::Boot).unwrap();
@@ -438,7 +399,7 @@ fn recovery_checks_the_lease_ledger_before_workers_claim_requeued_jobs() {
                     .unwrap();
             }
         }
-        let (server, summary) = Server::recover(cfg(8, 8), &dir).expect("recover");
+        let (server, summary) = Server::recover(cfg(8, 8), dir).expect("recover");
         assert_eq!(summary.requeued, 8);
         for id in 1..=8 {
             assert_eq!(server.wait(JobId(id)).unwrap().state, JobState::Done);

@@ -4,10 +4,12 @@
 //! failures, cooperative cancellation, priority ordering, and rank-death
 //! recovery underneath the scheduler.
 
+mod common;
+
+use common::Scratch;
 use gpusim::DeviceSpec;
 use mas_config::{Deck, FaultKind};
 use mas_serve::{JobSpec, JobState, Server, ServerConfig, SubmitError};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use stdpar::CodeVersion;
@@ -25,13 +27,6 @@ fn boot(n_devices: usize, n_workers: usize, max_queue: usize, quota: usize) -> A
     cfg.max_queue = max_queue;
     cfg.tenant_quota = quota;
     Server::start(cfg)
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("mas_serve_test").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// Poll until the job leaves `Queued` (bounded; panics on timeout).
@@ -256,9 +251,10 @@ fn rank_death_mid_job_recovers_under_the_scheduler() {
     let base = mas_mhd::run_supervised(&plain, CodeVersion::Ad, DeviceSpec::a100_40gb(), 2, 17, false)
         .expect("undisturbed baseline");
 
+    let ckpt = Scratch::new("rank_death");
     let mut deck = tiny_deck(4);
     deck.checkpoint.interval = 2;
-    deck.checkpoint.dir = temp_dir("rank_death").to_string_lossy().into_owned();
+    deck.checkpoint.dir = ckpt.path().to_string_lossy().into_owned();
     deck.resilience.max_respawns = 1;
     deck.fault.kind = FaultKind::Panic;
     deck.fault.step = 3;

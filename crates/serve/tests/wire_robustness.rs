@@ -16,15 +16,13 @@ fn corpus() -> Vec<String> {
     let mut deck = Deck::preset_quickstart();
     deck.time.n_steps = 4;
     deck.serve.deadline_ms = 1500;
-    deck.serve.max_attempts = 3;
     let submit = wire::encode_submit(
         &JobSpec::new(deck)
             .tenant("fuzz tenant with spaces")
             .ranks(2)
             .seed(999)
             .priority(-3)
-            .deadline_ms(250)
-            .max_attempts(2),
+            .deadline_ms(250),
     );
     vec![
         submit,
@@ -35,9 +33,6 @@ fn corpus() -> Vec<String> {
         "stats".into(),
         "drain".into(),
         "shutdown".into(),
-        "quarantine list".into(),
-        "quarantine clear".into(),
-        "quarantine clear hash=1234567890123456789".into(),
     ]
 }
 
@@ -125,8 +120,8 @@ fn hostile_framing_is_survived() {
         vec![0xFF; 64],
         b"submit".to_vec(),
         b"submit \xff\xfe tenant=x\n".to_vec(),
-        b"quarantine clear hash=not-a-number\n".to_vec(),
-        b"quarantine clear hash=99999999999999999999\n".to_vec(),
+        b"status id=not-a-number\n".to_vec(),
+        b"wait id=99999999999999999999\n".to_vec(),
         {
             // One byte past the frame cap, no newline in sight.
             vec![b'a'; wire::MAX_LINE + 1]

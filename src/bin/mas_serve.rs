@@ -11,7 +11,9 @@
 //! The default mode binds a TCP listener and speaks the `mas-serve` line
 //! protocol (one request line, one response line — see
 //! `mas_serve::wire`): `submit`, `status`, `wait`, `cancel`, `result`,
-//! `stats`, `quarantine list|clear`, `drain`, `shutdown`.
+//! `stats`, `drain`, `shutdown`. A submitted job runs once: a run that
+//! fails, or a worker body that panics, ends the job `failed` with its
+//! message (`stats` counts contained panics as `worker_panics`).
 //!
 //! With `--state-dir DIR` the server is **crash-only**: every state
 //! transition is journaled durably under `DIR` and a restart with the
@@ -56,7 +58,10 @@ fn usage() -> ! {
          --wire-deadline-ms MS idle-connection read deadline (default 30000; 0 = none)\n\
          --shed-depth N        shed low-priority queued work past this queue depth (0 = off)\n\
          --shed-age-ms MS      shed when the oldest queued job is older than MS (0 = off)\n\
-         --drain               finish all queued/recovered jobs, journal, exit 0"
+         --drain               finish all queued/recovered jobs, journal, exit 0\n\
+         \n\
+         requests: submit status wait cancel result stats drain shutdown (one line each).\n\
+         A job runs once: a failed run or a panicked worker ends it failed."
     );
     std::process::exit(2);
 }
@@ -200,10 +205,9 @@ fn respond(server: &Arc<Server>, req: Request) -> String {
             };
             format!(
                 "ok devices={} free={} busy={} queued={} running={} done={} \
-                 failed={} cancelled={} quarantined={} cache_hits={} cache_misses={} \
+                 failed={} cancelled={} cache_hits={} cache_misses={} \
                  cache_entries={} cache_evictions={} total_steps={} oldest_queued_ms={} \
-                 shed_total={} deadline_exceeded={} worker_panics={} quarantine_keys={} \
-                 tenants={}",
+                 shed_total={} deadline_exceeded={} worker_panics={} tenants={}",
                 s.pool.total,
                 s.pool.free,
                 s.pool.busy,
@@ -212,7 +216,6 @@ fn respond(server: &Arc<Server>, req: Request) -> String {
                 s.done,
                 s.failed,
                 s.cancelled,
-                s.quarantined,
                 s.cache_hits,
                 s.cache_misses,
                 s.cache_entries,
@@ -222,26 +225,8 @@ fn respond(server: &Arc<Server>, req: Request) -> String {
                 s.shed_total,
                 s.deadline_exceeded,
                 s.worker_panics,
-                s.quarantine_keys,
                 tenants
             )
-        }
-        Request::QuarantineList => {
-            let list = server.quarantine_list();
-            let keys = if list.is_empty() {
-                "-".to_string()
-            } else {
-                list.iter()
-                    .map(|(k, _)| {
-                        format!("{}:{}:{}:{}", k.deck_hash, k.version.tag(), k.n_ranks, k.seed)
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            format!("ok n={} keys={keys}", list.len())
-        }
-        Request::QuarantineClear(hash) => {
-            format!("ok cleared={}", server.quarantine_clear(hash))
         }
         Request::Drain | Request::Shutdown => unreachable!("handled by the connection loop"),
     }

@@ -1,12 +1,33 @@
-//! Helpers shared by the integration tests that drive the `mas_serve`
-//! binary as a child process.
+//! Helpers shared by the root package's integration tests: a per-case
+//! scratch directory, and the `mas_serve` binary as a child process.
 
 // Each test crate that includes this module uses a different subset.
 #![allow(dead_code)]
 
 use std::io::{BufRead, BufReader, Read};
+use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::thread::JoinHandle;
+
+/// An empty directory for one case under the system temp dir, removed
+/// with everything written there on drop. The process id keeps
+/// concurrent runs of the suite apart.
+pub struct Scratch(pub PathBuf);
+
+impl Scratch {
+    pub fn new(case: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("mas_{case}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// A `mas_serve` child process. Dropping it kills (SIGKILL) and reaps
 /// the process, so a test that fails half-way never leaks a server.

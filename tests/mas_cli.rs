@@ -7,7 +7,10 @@
 //! print it again, bit for bit; a run that cannot recover must exit with
 //! the documented code (3) and name the failed rank.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::Scratch;
+use std::path::Path;
 use std::process::{Command, Output, Stdio};
 use std::sync::OnceLock;
 
@@ -23,25 +26,6 @@ fn deck(n_steps: usize, ckpt: &Path, extra: &str) -> String {
          {extra}",
         ckpt.display()
     )
-}
-
-/// An empty directory for one case, removed again on drop. The process
-/// id keeps concurrent runs of the suite apart.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(case: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("mas_cli_{case}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// Write `text` to `dir/name` and run `mas` on it with two ranks.
@@ -87,7 +71,7 @@ fn state_hash(stdout: &str) -> String {
 fn reference_hash() -> &'static str {
     static REFERENCE: OnceLock<String> = OnceLock::new();
     REFERENCE.get_or_init(|| {
-        let Scratch(dir) = &Scratch::new("clean");
+        let Scratch(dir) = &Scratch::new("cli_clean");
         let out = run_mas(dir, "clean.deck", &deck(6, &dir.join("ckpt"), ""), &[]);
         state_hash(&expect_exit(&out, 0))
     })
@@ -100,7 +84,7 @@ fn clean_run_prints_one_state_hash() {
 
 #[test]
 fn restart_skips_a_torn_newest_slot_and_reproduces_the_clean_hash() {
-    let Scratch(dir) = &Scratch::new("restart");
+    let Scratch(dir) = &Scratch::new("cli_restart");
     let ckpt = dir.join("ckpt");
     expect_exit(&run_mas(dir, "short.deck", &deck(4, &ckpt, ""), &[]), 0);
 
@@ -133,7 +117,7 @@ fn restart_skips_a_torn_newest_slot_and_reproduces_the_clean_hash() {
 
 #[test]
 fn rank_panic_without_respawns_exits_3_naming_the_rank() {
-    let Scratch(dir) = &Scratch::new("panic");
+    let Scratch(dir) = &Scratch::new("cli_panic");
     let extra = "&fault\n  kind = 'panic'\n  step = 2\n  rank = 1\n/\n";
     let out = run_mas(dir, "panic.deck", &deck(6, &dir.join("ckpt"), extra), &[]);
     expect_exit(&out, 3);
@@ -157,7 +141,7 @@ fn rank_panic_without_respawns_exits_3_naming_the_rank() {
 
 #[test]
 fn rank_panic_with_one_respawn_reproduces_the_clean_hash() {
-    let Scratch(dir) = &Scratch::new("respawn");
+    let Scratch(dir) = &Scratch::new("cli_respawn");
     let extra = "&resilience\n  max_respawns = 1\n/\n\
                  &fault\n  kind = 'panic'\n  step = 3\n  rank = 1\n/\n";
     let out = run_mas(dir, "respawn.deck", &deck(6, &dir.join("ckpt"), extra), &[]);

@@ -2,6 +2,9 @@
 //! viscosity (the ref.-\[25\] trade) and isotropic vs field-aligned
 //! conduction — produce consistent physics on the full solver.
 
+mod common;
+
+use common::Scratch;
 use mas::config::ViscSolver;
 use mas::prelude::*;
 
@@ -135,9 +138,8 @@ fn aligned_conduction_under_all_code_versions() {
 fn checkpoint_roundtrip_through_cli_level_api() {
     // End-to-end: run, save, restore into a new sim, continue; history
     // stays sane and time advances monotonically.
-    let dir = std::env::temp_dir().join("mas_solver_options_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("ck.dump");
+    let dir = Scratch::new("solver_options_ckpt");
+    let path = dir.0.join("ck.dump");
     let deck = base_deck();
     mas::minimpi::World::run(1, |comm| {
         let mut sim = mas::mhd::Simulation::builder(&deck).version(CodeVersion::A).build();
